@@ -15,7 +15,6 @@ from .numerics import (
     finite_diff_jvp,
     hutchinson_diagonal,
     hutchinson_trace,
-    worker_count,
 )
 from .oracle import (
     GmmSpec,

@@ -44,8 +44,10 @@ class BaselineEstimate:
 
 
 def _finish(means, count, t0, population):
-    ddof = 0 if population else 1
-    var = np.var(np.stack(means), axis=0, ddof=ddof)
+    means = np.asarray(means)
+    var = np.var(means, axis=0, ddof=0 if population else 1)
+    # a pixel on which every member agrees has no spread, not rounding noise
+    var[(means == means[0]).all(axis=0)] = 0.0
     return BaselineEstimate(
         variance=var,
         scalar=float(var.sum()),
@@ -74,25 +76,23 @@ def mc_dropout_uq(model, xt, t: float, passes: int, rng: RngState,
                   population: bool = True) -> BaselineEstimate:
     """Variance of the posterior mean across stochastic dropout passes.
 
-    Each pass draws its masks from a fresh child stream of ``rng``, so the
-    estimate is reproducible and distinct call sites never share masks. With
-    dropout rate zero every pass coincides and the variance is zero.
+    Pass p draws its masks from the child stream ``rng.split(p)``, so the
+    estimate is reproducible and distinct call sites never share masks. All
+    passes run as one forward with one row per pass, and a counting handle
+    counts one forward per pass. With dropout rate zero every pass coincides
+    and the variance is zero.
     """
     if passes < 2:
         raise BaselineError("need at least 2 dropout passes")
+    if isinstance(model, ModelField):
+        net, counter = model.model, model.counter
+    elif isinstance(model, MlpVelocity):
+        net, counter = model, None
+    else:
+        raise BaselineError("mc dropout needs an MLP model or its handle")
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
     t0 = time.perf_counter()
-    means = []
-    for p in range(passes):
-        pass_rng = rng.split(p)
-        if isinstance(model, ModelField):
-            if model.model.arch.dropout > 0.0:
-                v = model.with_dropout(pass_rng).velocity(xt, t)
-            else:
-                v = model.velocity(xt, t)
-        elif isinstance(model, MlpVelocity):
-            v = model.velocity(xt, t, dropout_rng=pass_rng)
-        else:
-            raise BaselineError("mc dropout needs an MLP model or its handle")
-        means.append(posterior_mean_from_velocity(xt, t, v))
+    streams = [rng.split(p) for p in range(passes)]
+    v = ModelField(net, counter, dropout_rng=streams).velocity(xt, t)
+    means = posterior_mean_from_velocity(np.broadcast_to(xt, v.shape), t, v)
     return _finish(means, passes, t0, population)

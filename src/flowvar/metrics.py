@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .baselines import ensemble_uq, mc_dropout_uq
 from .numerics import RngState, draw_rademacher
@@ -40,7 +39,22 @@ class MetricsError(ValueError):
 
 
 def _ranks(x) -> np.ndarray:
-    return rankdata(np.asarray(x, dtype=np.float64), method="average")
+    """1-based ranks with each tie group given its mean rank; all NaN if any
+    input is NaN (the conventions of scipy's ``rankdata(method="average")``).
+    """
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # start index of each tie group in sorted order, plus the end
+    new_group = np.concatenate(([True], xs[1:] != xs[:-1], [True]))
+    starts = np.flatnonzero(new_group)
+    # a group covering sorted positions [a, b) has mean 1-based rank (a+b+1)/2
+    group_rank = 0.5 * (starts[:-1] + starts[1:] + 1)
+    ranks = np.empty(x.shape)
+    ranks[order] = np.repeat(group_rank, np.diff(starts))
+    return ranks
 
 
 def spearman(u, e) -> float:

@@ -165,22 +165,40 @@ class MlpVelocity:
             )
         return np.concatenate([x2, emb], axis=1)
 
-    def _dropout_masks(self, n: int, dropout_rng: RngState | None):
+    def _dropout_masks(self, n: int, dropout_rng):
         p = self.arch.dropout
         if dropout_rng is None or p == 0.0:
             return None
-        g = dropout_rng.generator()
+        # one draw per stream covers every layer in order, the same bits as
+        # one (rows, hidden) draw per layer
+        shape = (self.arch.depth, self.arch.hidden)
+        if isinstance(dropout_rng, RngState):
+            u = dropout_rng.generator().random((shape[0], n, shape[1]))
+        else:
+            u = np.stack([s.generator().random(shape) for s in dropout_rng],
+                         axis=1)
         keep = 1.0 - p
-        return [
-            (g.random((n, self.arch.hidden)) < keep).astype(np.float64) / keep
-            for _ in range(self.arch.depth)
-        ]
+        return list((u < keep).astype(np.float64) / keep)
 
-    def forward_cache(self, x, t, dropout_rng: RngState | None = None):
-        """Full forward pass returning (velocity, cache) for backward/JVP."""
+    def forward_cache(self, x, t, dropout_rng=None):
+        """Full forward pass returning (velocity, cache) for backward/JVP.
+
+        ``dropout_rng`` is one RngState for the whole batch, or a sequence of
+        them, one per output row: row p then gets exactly the masks a batch-1
+        pass on stream p would draw. A single input row is shared by all the
+        streams, and its first layer runs once before the masks fan it out.
+        """
         feats = self._input_features(x, t)
-        masks = self._dropout_masks(feats.shape[0], dropout_rng)
+        rows = feats.shape[0]
+        if dropout_rng is not None and not isinstance(dropout_rng, RngState):
+            if len(dropout_rng) < 1 or rows not in (1, len(dropout_rng)):
+                raise ModelError(f"{len(dropout_rng)} dropout streams for a "
+                                 f"batch of {rows}")
+            rows = len(dropout_rng)
+        masks = self._dropout_masks(rows, dropout_rng)
         inputs = [feats]
+        if masks is not None and rows != feats.shape[0]:
+            inputs[0] = np.broadcast_to(feats, (rows, feats.shape[1]))
         pre, post = [], []
         h = feats
         act = self.arch.activation
@@ -201,12 +219,14 @@ class MlpVelocity:
             out = h @ self.weights[-1].T + self.biases[-1]
         if not np.all(np.isfinite(out)):
             raise ModelError("forward pass diverged: non-finite output")
+        if out.shape[0] != rows:  # rate zero: every stream gives this row
+            out = np.repeat(out, rows, axis=0)
         cache = {"inputs": inputs, "pre": pre, "post": post, "masks": masks}
         return out, cache
 
-    def velocity(self, x, t, dropout_rng: RngState | None = None) -> np.ndarray:
+    def velocity(self, x, t, dropout_rng=None) -> np.ndarray:
         out, _ = self.forward_cache(x, t, dropout_rng)
-        return out if np.ndim(x) == 2 else out[0]
+        return out[0] if np.ndim(x) < 2 and out.shape[0] == 1 else out
 
     def __call__(self, x, t) -> np.ndarray:
         return self.velocity(x, t)
@@ -300,9 +320,10 @@ class EvalCounter:
 class ModelField:
     """Counting wrapper presenting an MlpVelocity as a velocity field.
 
-    Each x row counts as one forward; each tangent row as one JVP. An optional
-    dropout stream turns the wrapper into a single stochastic sub-network
-    pass, the unit the MC-dropout baseline averages over.
+    Each output row counts as one forward; each tangent row as one JVP. An
+    optional dropout stream turns the wrapper into a single stochastic
+    sub-network pass, the unit the MC-dropout baseline averages over; a
+    sequence of streams runs one such pass per stream, each counted.
     """
 
     def __init__(self, model: MlpVelocity, counter: EvalCounter | None = None,
@@ -315,14 +336,10 @@ class ModelField:
     def dim(self) -> int:
         return self.model.arch.dim
 
-    def with_dropout(self, rng: RngState) -> "ModelField":
-        if self.model.arch.dropout == 0.0:
-            raise ModelError("model has no dropout layers")
-        return ModelField(self.model, counter=self.counter, dropout_rng=rng)
-
     def velocity(self, x, t) -> np.ndarray:
-        self.counter.forwards += np.atleast_2d(np.asarray(x)).shape[0]
-        return self.model.velocity(x, t, dropout_rng=self.dropout_rng)
+        out = self.model.velocity(x, t, dropout_rng=self.dropout_rng)
+        self.counter.forwards += np.atleast_2d(out).shape[0]
+        return out
 
     def value_and_jvp(self, x, t, u):
         u2 = np.atleast_2d(np.asarray(u))

@@ -6,7 +6,6 @@ global RNG anywhere.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ __all__ = [
     "finite_diff_jvp",
     "hutchinson_trace",
     "hutchinson_diagonal",
-    "worker_count",
 ]
 
 
@@ -143,17 +141,3 @@ def hutchinson_diagonal(jvp, probes: ProbeSet) -> np.ndarray:
 def hutchinson_trace(jvp, probes: ProbeSet) -> float:
     """Stochastic trace estimate (1/S) sum_s eps_s^T (J eps_s)."""
     return float(hutchinson_diagonal(jvp, probes).sum())
-
-
-def worker_count(default: int = 1) -> int:
-    """Worker cap from FLOWVAR_THREADS; absence means the caller's default."""
-    raw = os.environ.get("FLOWVAR_THREADS")
-    if raw is None:
-        return default
-    try:
-        n = int(raw)
-    except ValueError:
-        raise NumericsError(f"FLOWVAR_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise NumericsError("FLOWVAR_THREADS must be >= 1")
-    return n

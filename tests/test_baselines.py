@@ -83,10 +83,14 @@ def test_zero_rate_model_gives_zero_variance():
     # randomize the output head so the field is not identically zero
     model.weights[-1][:] = RngState(6).generator().standard_normal(
         model.weights[-1].shape)
-    est = mc_dropout_uq(ModelField(model), np.ones(2), 0.5, passes=8,
-                        rng=RngState(0))
-    assert est.scalar == 0.0
-    assert np.array_equal(est.variance, np.zeros(2))
+    # np.var of 7 equal rows leaves rounding noise here; 0 must still be 0
+    for passes in (2, 7, 8):
+        counter = EvalCounter()
+        est = mc_dropout_uq(ModelField(model, counter), np.ones(2), 0.5,
+                            passes=passes, rng=RngState(0))
+        assert est.scalar == 0.0
+        assert np.array_equal(est.variance, np.zeros(2))
+        assert counter.forwards == passes
 
 
 def test_dropout_pass_floor_and_type_check():
@@ -96,3 +100,31 @@ def test_dropout_pass_floor_and_type_check():
         mc_dropout_uq(model, np.zeros(2), 0.5, passes=1, rng=RngState(0))
     with pytest.raises(BaselineError, match="MLP"):
         mc_dropout_uq(object(), np.zeros(2), 0.5, passes=4, rng=RngState(0))
+
+
+def _reference_dropout(model, xt, t, passes, rng):
+    """The per-pass loop the batched forward replaces: one batch-1 forward
+    per pass, each on its own child stream."""
+    means = [xt + (1.0 - t) * model.velocity(xt, t, dropout_rng=rng.split(p))
+             for p in range(passes)]
+    return np.var(np.stack(means), axis=0)
+
+
+@pytest.mark.parametrize("passes", [2, 11, 50])
+@pytest.mark.parametrize("wrap", [False, True])
+def test_batched_dropout_matches_per_pass_loop(passes, wrap):
+    arch = MlpArch(dim=3, hidden=16, depth=2, n_freq=4, dropout=0.2)
+    model = MlpVelocity.init(arch, RngState(7))
+    model.weights[-1][:] = RngState(8).generator().standard_normal(
+        model.weights[-1].shape)
+    xt = np.array([0.3, -1.1, 0.7])
+    rng = RngState(21)
+    counter = EvalCounter()
+    handle = ModelField(model, counter) if wrap else model
+    est = mc_dropout_uq(handle, xt, 0.4, passes=passes, rng=rng)
+    ref = _reference_dropout(model, xt, 0.4, passes, rng)
+    assert est.count == passes
+    assert est.scalar > 0.0
+    np.testing.assert_allclose(est.variance, ref, rtol=1e-12, atol=0.0)
+    if wrap:
+        assert counter.forwards == passes and counter.jvps == 0

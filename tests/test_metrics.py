@@ -1,13 +1,48 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+import flowvar
 from flowvar.data import GmmTask
-from flowvar.metrics import (DEFAULT_HITRATE_PERCENT, MetricsError,
+from flowvar.metrics import (DEFAULT_HITRATE_PERCENT, MetricsError, _ranks,
                              consistency_protocol, corrupt, error_correlation,
                              hitrate_at_k, spearman)
 from flowvar.models import analytic_handle
 from flowvar.numerics import RngState
 from flowvar.oracle import GmmSpec
+
+
+# few distinct values so that ties are common; NaN and infinities included
+_rank_values = st.lists(
+    st.sampled_from([-np.inf, -2.0, -0.0, 0.0, 0.5, 0.5, 3.0, np.inf, np.nan])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_values)
+@example([7.0])
+@example([2.0, 1.0, 2.0, 2.0])
+@example([1.0, np.nan, 0.0])
+def test_ranks_match_scipy_average_ranks(values):
+    x = np.array(values, dtype=np.float64)
+    np.testing.assert_array_equal(_ranks(x), rankdata(x, method="average"))
+
+
+def test_import_does_not_load_scipy_stats():
+    # a fresh interpreter that finds the same package as this one
+    src = os.path.dirname(os.path.dirname(flowvar.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, flowvar; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_spearman_hand_example():

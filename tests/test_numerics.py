@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from flowvar.numerics import (NumericsError, ProbeSet, RngState,
                               draw_rademacher, exhaustive_sign_probes,
                               finite_diff_jvp, hutchinson_diagonal,
-                              hutchinson_trace, worker_count)
+                              hutchinson_trace)
 
 
 def test_rng_determinism():
@@ -99,13 +99,3 @@ def test_finite_diff_rejects_nonfinite():
 
     with pytest.raises(NumericsError, match="non-finite"):
         finite_diff_jvp(bad, np.ones(2), np.ones(2))
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("FLOWVAR_THREADS", raising=False)
-    assert worker_count(3) == 3
-    monkeypatch.setenv("FLOWVAR_THREADS", "2")
-    assert worker_count(8) == 2
-    monkeypatch.setenv("FLOWVAR_THREADS", "0")
-    with pytest.raises(NumericsError):
-        worker_count()
