@@ -3,12 +3,10 @@ MC-dropout variance of the posterior mean.
 
 Both report the population variance (divide by the number of members or
 passes, not by count minus one): the member/pass counts are protocol
-constants, not samples whose variance needs unbiasing. The unbiased variant
-stays available behind a flag for ablation.
+constants, not samples whose variance needs unbiasing.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,27 +34,21 @@ class BaselineEstimate:
     variance: np.ndarray  # (d,), >= 0
     scalar: float  # sum of per-pixel variances
     count: int  # members or passes
-    seconds: float
 
     @property
     def dim(self) -> int:
         return self.variance.shape[0]
 
 
-def _finish(means, count, t0, population):
+def _finish(means, count):
     means = np.asarray(means)
-    var = np.var(means, axis=0, ddof=0 if population else 1)
+    var = np.var(means, axis=0)
     # a pixel on which every member agrees has no spread, not rounding noise
     var[(means == means[0]).all(axis=0)] = 0.0
-    return BaselineEstimate(
-        variance=var,
-        scalar=float(var.sum()),
-        count=count,
-        seconds=time.perf_counter() - t0,
-    )
+    return BaselineEstimate(variance=var, scalar=float(var.sum()), count=count)
 
 
-def ensemble_uq(models, xt, t: float, population: bool = True) -> BaselineEstimate:
+def ensemble_uq(models, xt, t: float) -> BaselineEstimate:
     """Variance of the posterior mean across independently trained models.
 
     ``models`` holds at least two velocity fields (counting handles or bare
@@ -65,15 +57,14 @@ def ensemble_uq(models, xt, t: float, population: bool = True) -> BaselineEstima
     if len(models) < 2:
         raise BaselineError("ensemble variance needs at least 2 members")
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    t0 = time.perf_counter()
     means = [
         posterior_mean_from_velocity(xt, t, m.velocity(xt, t)) for m in models
     ]
-    return _finish(means, len(models), t0, population)
+    return _finish(means, len(models))
 
 
-def mc_dropout_uq(model, xt, t: float, passes: int, rng: RngState,
-                  population: bool = True) -> BaselineEstimate:
+def mc_dropout_uq(model, xt, t: float, passes: int,
+                  rng: RngState) -> BaselineEstimate:
     """Variance of the posterior mean across stochastic dropout passes.
 
     Pass p draws its masks from the child stream ``rng.split(p)``, so the
@@ -91,8 +82,7 @@ def mc_dropout_uq(model, xt, t: float, passes: int, rng: RngState,
     else:
         raise BaselineError("mc dropout needs an MLP model or its handle")
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    t0 = time.perf_counter()
     streams = [rng.split(p) for p in range(passes)]
     v = ModelField(net, counter, dropout_rng=streams).velocity(xt, t)
     means = posterior_mean_from_velocity(np.broadcast_to(xt, v.shape), t, v)
-    return _finish(means, passes, t0, population)
+    return _finish(means, passes)

@@ -13,15 +13,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .baselines import BaselineError, ensemble_uq, mc_dropout_uq
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import DataError
-from .metrics import (MetricsError, consistency_protocol, dropout_method,
-                      ensemble_method, one_step_method, tweedie_method)
+from .metrics import MetricsError, consistency_protocol
 from .models import (EvalCounter, ModelError, ModelField, MlpVelocity,
                      analytic_handle, load_model, save_model)
 from .numerics import NumericsError, RngState, draw_rademacher
@@ -33,11 +34,86 @@ from .training import TrainingError, train, train_ensemble
 from .uq import UqError, cov_closed_form, one_step_cov, prior_baseline, \
     shift_time_grid, trajectory_uq
 
-__all__ = ["main"]
+__all__ = ["main", "METHODS"]
 
 N_EVAL_POINTS = 16
 TRAJ_GRID = (0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.98)
 TRAJ_STEPS = 1000
+
+
+# ---- the uncertainty methods ------------------------------------------------
+# A runner maps (cfg, fields, input, t, rng) to (per-pixel map, scalar score,
+# floored) for one state; rng is that state's own probe or dropout stream.
+
+
+def _closed_form(cfg, fields, xt, t, rng):
+    est = cov_closed_form(fields[0], xt, t,
+                          draw_rademacher(rng, xt.shape[0], cfg.probes))
+    return est.diag, est.u, est.floored
+
+
+def _one_step(cfg, fields, x0, t, rng):
+    # always evaluated at t = epsilon, whatever t the caller passes
+    est = one_step_cov(fields[0], x0, cfg.epsilon,
+                       draw_rademacher(rng, x0.shape[0], cfg.probes))
+    return est.diag, est.u, est.floored
+
+
+def _ensemble(cfg, fields, xt, t, rng):
+    est = ensemble_uq(fields, xt, t)
+    return est.variance, est.scalar, False
+
+
+def _mc_dropout(cfg, fields, xt, t, rng):
+    est = mc_dropout_uq(fields[0], xt, t, cfg.dropout_passes, rng)
+    return est.variance, est.scalar, False
+
+
+@dataclass(frozen=True)
+class Method:
+    """How one uncertainty method is trained, stored, run and reported.
+
+    ``streams`` are the master-stream keys (init, train, cost probes). An
+    ensemble has no init key of its own (``train_ensemble`` derives each
+    member's from the train stream), keeps one model file ``{file}_{i}`` per
+    member and labels their training rows ``{row}{i}``. ``size`` names the
+    config field written in the S column.
+    """
+
+    name: str  # config and CSV label
+    uq: str  # `flowvar uq` argument
+    variant: str  # the `flowvar train` variant that trains it
+    row: str  # training CSV label
+    file: str  # model file stem
+    objective: str
+    streams: tuple
+    dropout: bool  # trained at the configured dropout rate
+    size: str
+    run: Callable
+
+    @property
+    def reads_x0(self) -> bool:
+        # a one-step model is a generator of x0, so its uncertainty reads x0
+        return self.objective == "one-step"
+
+
+# the fm model is also the reference of traj, consistency and ablate-probes
+_FM = Method(name="tweedie-fm", uq="tweedie", variant="fm", row="fm",
+             file="fm", objective="fm", streams=(1, 2, 15), dropout=False,
+             size="probes", run=_closed_form)
+
+METHODS = {m.name: m for m in (
+    _FM,
+    Method(name="tweedie-onestep", uq="onestep", variant="one-step",
+           row="one-step", file="onestep", objective="one-step",
+           streams=(3, 4, 16), dropout=False, size="probes", run=_one_step),
+    Method(name="ensemble", uq="ensemble", variant="ensemble", row="member",
+           file="member", objective="fm", streams=(None, 7, None),
+           dropout=False, size="ensemble_members", run=_ensemble),
+    Method(name="mc-dropout", uq="mc-dropout", variant="fm", row="fm-dropout",
+           file="dropout", objective="fm", streams=(5, 6, 17), dropout=True,
+           size="dropout_passes", run=_mc_dropout),
+)}
 
 
 class _UsageError(Exception):
@@ -67,12 +143,12 @@ def _build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", parents=[common],
                              help="train velocity models")
-    p_train.add_argument("variant", choices=("fm", "one-step", "ensemble"))
+    p_train.add_argument("variant", choices=tuple(dict.fromkeys(
+        m.variant for m in METHODS.values())))
 
     p_uq = sub.add_parser("uq", parents=[common],
                           help="evaluate an uncertainty method")
-    p_uq.add_argument("method", choices=("tweedie", "onestep", "ensemble",
-                                         "mc-dropout"))
+    p_uq.add_argument("method", choices=[m.uq for m in METHODS.values()])
     p_uq.add_argument("--t", type=float, default=None,
                       help="single flow time instead of the config grid")
 
@@ -125,53 +201,54 @@ def _master(cfg: ExperimentConfig) -> RngState:
     return RngState(cfg.seed)
 
 
-# ---- train ------------------------------------------------------------------
+def _members(cfg: ExperimentConfig, m: Method):
+    """(model file stem, training CSV label) of each model of ``m``."""
+    if m.streams[0] is not None:
+        return [(m.file, m.row)]
+    return [(f"{m.file}_{i}", f"{m.row}{i}")
+            for i in range(cfg.ensemble_members)]
 
 
-def _train_one(cfg, task, name, objective, init_key, train_key,
-               dropout=None):
-    arch = cfg.build_arch(task.dim, dropout=dropout)
+def _train_method(cfg: ExperimentConfig, task, m: Method):
+    """Train the model(s) of ``m`` from its streams; (models, reports)."""
     master = _master(cfg)
+    init_key, train_key, _ = m.streams
+    arch = cfg.build_arch(task.dim, cfg.dropout_rate if m.dropout else None)
+    config = cfg.train_config(seed=master.split(train_key),
+                              objective=m.objective)
+    if init_key is None:
+        return train_ensemble(cfg.ensemble_members, arch, task, config)
     model = MlpVelocity.init(arch, master.split(init_key))
-    report = train(model, task,
-                   cfg.train_config(seed=master.split(train_key),
-                                    objective=objective))
-    save_model(_model_path(cfg, name), model)
-    return model, report
+    return [model], [train(model, task, config)]
 
-def _report_rows(label, report):
-    rows = [(label, 0, report.initial_loss)]
-    rows += [(label, e + 1, loss) for e, loss in enumerate(report.epoch_losses)]
-    return rows
+
+def _load_fields(cfg: ExperimentConfig, m: Method):
+    """The saved model(s) of ``m`` as velocity fields."""
+    models = [_require_model(cfg, stem) for stem, _ in _members(cfg, m)]
+    if m.dropout and models[0].arch.dropout <= 0.0:
+        raise ConfigError("saved model was trained without dropout")
+    return [ModelField(model) for model in models]
+
+
+# ---- train ------------------------------------------------------------------
 
 
 def cmd_train(args, cfg: ExperimentConfig) -> int:
     task = cfg.build_task()
     rows, summary = [], []
-    if args.variant == "fm":
-        _, rep = _train_one(cfg, task, "fm", "fm", 1, 2)
-        rows += _report_rows("fm", rep)
-        summary.append(f"fm: {rep.seconds:.2f}s, final loss "
-                       f"{rep.epoch_losses[-1]:.6g}")
-        if "mc-dropout" in cfg.methods:
-            _, rep = _train_one(cfg, task, "dropout", "fm", 5, 6,
-                                dropout=cfg.dropout_rate)
-            rows += _report_rows("fm-dropout", rep)
-            summary.append(f"fm-dropout: {rep.seconds:.2f}s, final loss "
-                           f"{rep.epoch_losses[-1]:.6g}")
-    elif args.variant == "one-step":
-        _, rep = _train_one(cfg, task, "onestep", "one-step", 3, 4)
-        rows += _report_rows("one-step", rep)
-        summary.append(f"one-step: {rep.seconds:.2f}s, final loss "
-                       f"{rep.epoch_losses[-1]:.6g}")
-    else:
-        models, reports = train_ensemble(
-            cfg.ensemble_members, cfg.build_arch(task.dim), task,
-            cfg.train_config(seed=_master(cfg).split(7)))
-        for i, (m, rep) in enumerate(zip(models, reports)):
-            save_model(_model_path(cfg, f"member_{i}"), m)
-            rows += _report_rows(f"member{i}", rep)
-            summary.append(f"member{i}: {rep.seconds:.2f}s, final loss "
+    for m in METHODS.values():
+        # the dropout twin serves only mc-dropout, so it is trained on demand
+        if m.variant != args.variant or (m.dropout
+                                         and m.name not in cfg.methods):
+            continue
+        models, reports = _train_method(cfg, task, m)
+        for (stem, label), model, rep in zip(_members(cfg, m), models,
+                                             reports):
+            save_model(_model_path(cfg, stem), model)
+            rows.append((label, 0, rep.initial_loss))
+            rows += [(label, e + 1, loss)
+                     for e, loss in enumerate(rep.epoch_losses)]
+            summary.append(f"{label}: {rep.seconds:.2f}s, final loss "
                            f"{rep.epoch_losses[-1]:.6g}")
     tag = args.variant.replace("-", "")
     write_csv(cfg.out / f"train_{tag}.csv", "train",
@@ -205,68 +282,23 @@ def cmd_uq(args, cfg: ExperimentConfig) -> int:
         raise ConfigError("--t must lie in (0, 1)")
     t_grid = (args.t,) if args.t is not None else cfg.t_grid
     x0s, _, states = _eval_states(cfg, task, t_grid)
-    master = _master(cfg)
+    m = next(m for m in METHODS.values() if m.uq == args.method)
+    fields = _load_fields(cfg, m)
+    probe_rng = _master(cfg).split(9)
+    # a one-step model reads x0 once, at t = epsilon, and its map is untagged
+    grid = ([(cfg.epsilon, x0s, "")] if m.reads_x0 else
+            [(t, states[t], f"_t{ti}") for ti, t in enumerate(t_grid)])
     rows = []
-
-    def probe_rng(ti, i):
-        return master.split(9).split(ti).split(i)
-
-    if args.method == "tweedie":
-        field = ModelField(_require_model(cfg, "fm"))
-        for ti, t in enumerate(t_grid):
-            ests = []
-            for i in range(N_EVAL_POINTS):
-                probes = draw_rademacher(probe_rng(ti, i), task.dim, cfg.probes)
-                ests.append(cov_closed_form(field, states[t][i], t, probes))
-            lo, hi = _maybe_map(cfg, task, ests[0].diag,
-                                cfg.out / f"uq_tweedie_t{ti}.pgm")
-            for i, est in enumerate(ests):
-                rows.append(("tweedie-fm", t, cfg.seed, cfg.probes, i, est.u,
-                             int(est.floored), lo if i == 0 else "",
-                             hi if i == 0 else ""))
-            print(f"t={t:g}: mean U = {np.mean([e.u for e in ests]):.6g}")
-    elif args.method == "onestep":
-        field = ModelField(_require_model(cfg, "onestep"))
-        ests = []
-        for i in range(N_EVAL_POINTS):
-            probes = draw_rademacher(probe_rng(0, i), task.dim, cfg.probes)
-            ests.append(one_step_cov(field, x0s[i], cfg.epsilon, probes))
-        lo, hi = _maybe_map(cfg, task, ests[0].diag, cfg.out / "uq_onestep.pgm")
-        for i, est in enumerate(ests):
-            rows.append(("tweedie-onestep", est.t, cfg.seed, cfg.probes, i,
-                         est.u, int(est.floored), lo if i == 0 else "",
+    for ti, (t, inputs, tag) in enumerate(grid):
+        outs = [m.run(cfg, fields, x, t, probe_rng.split(ti).split(i))
+                for i, x in enumerate(inputs)]
+        lo, hi = _maybe_map(cfg, task, outs[0][0],
+                            cfg.out / f"uq_{m.uq}{tag}.pgm")
+        for i, (_, u, floored) in enumerate(outs):
+            rows.append((m.name, t, cfg.seed, getattr(cfg, m.size), i, u,
+                         int(floored), lo if i == 0 else "",
                          hi if i == 0 else ""))
-        print(f"eps={cfg.epsilon:g}: mean U = {np.mean([e.u for e in ests]):.6g}")
-    elif args.method == "ensemble":
-        members = [ModelField(_require_model(cfg, f"member_{i}"))
-                   for i in range(cfg.ensemble_members)]
-        for ti, t in enumerate(t_grid):
-            ests = [ensemble_uq(members, states[t][i], t)
-                    for i in range(N_EVAL_POINTS)]
-            lo, hi = _maybe_map(cfg, task, ests[0].variance,
-                                cfg.out / f"uq_ensemble_t{ti}.pgm")
-            for i, est in enumerate(ests):
-                rows.append(("ensemble", t, cfg.seed, est.count, i, est.scalar,
-                             0, lo if i == 0 else "", hi if i == 0 else ""))
-            print(f"t={t:g}: mean var sum = "
-                  f"{np.mean([e.scalar for e in ests]):.6g}")
-    else:
-        model = _require_model(cfg, "dropout")
-        if model.arch.dropout <= 0.0:
-            raise ConfigError("saved model was trained without dropout")
-        for ti, t in enumerate(t_grid):
-            ests = [mc_dropout_uq(model, states[t][i], t, cfg.dropout_passes,
-                                  probe_rng(ti, i))
-                    for i in range(N_EVAL_POINTS)]
-            lo, hi = _maybe_map(cfg, task, ests[0].variance,
-                                cfg.out / f"uq_mc-dropout_t{ti}.pgm")
-            for i, est in enumerate(ests):
-                rows.append(("mc-dropout", t, cfg.seed, est.count, i,
-                             est.scalar, 0, lo if i == 0 else "",
-                             hi if i == 0 else ""))
-            print(f"t={t:g}: mean var sum = "
-                  f"{np.mean([e.scalar for e in ests]):.6g}")
-
+        print(f"t={t:g}: mean u = {np.mean([out[1] for out in outs]):.6g}")
     write_csv(cfg.out / f"uq_{args.method}.csv", "uq",
               ["method", "t", "seed", "S", "point", "u", "floored",
                "map_lo", "map_hi"], rows)
@@ -307,8 +339,7 @@ def cmd_oracle_check(args, cfg: ExperimentConfig) -> int:
 
 def cmd_traj(args, cfg: ExperimentConfig) -> int:
     task = cfg.build_task()
-    model = _require_model(cfg, "fm")
-    field = ModelField(model)
+    field = _load_fields(cfg, _FM)[0]
     master = _master(cfg)
     x0 = master.split(10).generator().standard_normal(task.dim)
     traj = euler_generate(field, x0, TRAJ_STEPS)
@@ -321,7 +352,7 @@ def cmd_traj(args, cfg: ExperimentConfig) -> int:
     for k, (t, est) in enumerate(series.entries):
         lo, hi = _maybe_map(cfg, task, est.diag, cfg.out / f"traj_map_{k}.pgm")
         prior = prior_baseline(t, task.dim)
-        rows.append(("tweedie-fm", t, cfg.seed, cfg.probes, est.u, prior,
+        rows.append((_FM.name, t, cfg.seed, cfg.probes, est.u, prior,
                      est.u / prior, int(est.floored), lo, hi))
         print(f"t={t:g}: U = {est.u:.6g} (prior {prior:.6g})")
     write_csv(cfg.out / "traj.csv", "traj",
@@ -333,41 +364,20 @@ def cmd_traj(args, cfg: ExperimentConfig) -> int:
 # ---- consistency ------------------------------------------------------------
 
 
-def _method_suite(cfg, task):
-    """Build the configured method callables, loading models as needed."""
-    methods, s_col = {}, {}
-    for name in cfg.methods:
-        if name == "tweedie-fm":
-            field = ModelField(_require_model(cfg, "fm"))
-            methods[name] = tweedie_method(field, cfg.probes)
-            s_col[name] = cfg.probes
-        elif name == "tweedie-onestep":
-            field = ModelField(_require_model(cfg, "onestep"))
-            methods[name] = one_step_method(field, cfg.probes, cfg.epsilon)
-            s_col[name] = cfg.probes
-        elif name == "ensemble":
-            members = [ModelField(_require_model(cfg, f"member_{i}"))
-                       for i in range(cfg.ensemble_members)]
-            methods[name] = ensemble_method(members)
-            s_col[name] = cfg.ensemble_members
-        elif name == "mc-dropout":
-            model = _require_model(cfg, "dropout")
-            if model.arch.dropout <= 0.0:
-                raise ConfigError("saved model was trained without dropout")
-            methods[name] = dropout_method(model, cfg.dropout_passes)
-            s_col[name] = cfg.dropout_passes
-    return methods, s_col
-
-
 def cmd_consistency(args, cfg: ExperimentConfig) -> int:
     task = cfg.build_task()
-    reference = ModelField(_require_model(cfg, "fm"))
-    methods, s_col = _method_suite(cfg, task)
+    reference = _load_fields(cfg, _FM)[0]
+    methods = {}
+    for name in cfg.methods:
+        m = METHODS[name]
+        fields = _load_fields(cfg, m)
+        methods[name] = (lambda xt, t, rng, m=m, fields=fields:
+                         m.run(cfg, fields, xt, t, rng)[:2])
     results = consistency_protocol(reference, methods, task, cfg.t_grid,
                                    args.noise, _master(cfg).split(12),
                                    n_samples=args.n)
     fmt = lambda v: "" if v is None else v
-    rows = [(r.method, r.t, cfg.seed, s_col[r.method],
+    rows = [(r.method, r.t, cfg.seed, getattr(cfg, METHODS[r.method].size),
              fmt(r.pixel_spearman), fmt(r.hitrate), fmt(r.sample_spearman),
              r.n_samples, r.n_missing) for r in results]
     write_csv(cfg.out / "consistency.csv", "consistency",
@@ -384,7 +394,7 @@ def cmd_consistency(args, cfg: ExperimentConfig) -> int:
 
 def cmd_ablate(args, cfg: ExperimentConfig) -> int:
     task = cfg.build_task()
-    field = ModelField(_require_model(cfg, "fm"))
+    field = _load_fields(cfg, _FM)[0]
     try:
         s_values = [int(tok) for tok in args.S.split(",") if tok]
     except ValueError as ex:
@@ -404,7 +414,7 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
             probes = draw_rademacher(master.split(13).split(1).split(si).split(r),
                                      task.dim, s)
             est = cov_closed_form(field, xt, t, probes)
-            rows.append(("tweedie-fm", t, cfg.seed, s, r, est.u,
+            rows.append((_FM.name, t, cfg.seed, s, r, est.u,
                          int(est.floored)))
             us.append(est.u)
         print(f"S={s}: mean U {np.mean(us):.6g}, spread {np.std(us):.3g}")
@@ -431,70 +441,20 @@ def cmd_cost(args, cfg: ExperimentConfig) -> int:
     x0s, x1s = task.sample_pairs(master.split(14), 4)
     xts = t * x1s + (1.0 - t) * x0s
 
-    def infer(method, fn):
-        counter = EvalCounter()
-        t0 = time.perf_counter()
-        fn(counter)
-        ledger.add_inference(method, time.perf_counter() - t0,
-                             counter.forward_equivalents)
-
     for name in cfg.methods:
-        if name == "tweedie-fm":
-            arch = cfg.build_arch(task.dim)
-            model = MlpVelocity.init(arch, master.split(1))
-            rep = train(model, task, cfg.train_config(seed=master.split(2)))
-            ledger.add_training(name, rep.seconds, train_equiv)
-
-            def run(counter, model=model):
-                field = ModelField(model, counter)
-                for i, xt in enumerate(xts):
-                    probes = draw_rademacher(master.split(15).split(i),
-                                             task.dim, cfg.probes)
-                    cov_closed_form(field, xt, t, probes)
-
-            infer(name, run)
-        elif name == "tweedie-onestep":
-            arch = cfg.build_arch(task.dim)
-            model = MlpVelocity.init(arch, master.split(3))
-            rep = train(model, task,
-                        cfg.train_config(seed=master.split(4),
-                                         objective="one-step"))
-            ledger.add_training(name, rep.seconds, train_equiv)
-
-            def run(counter, model=model):
-                field = ModelField(model, counter)
-                for i, x0 in enumerate(x0s):
-                    probes = draw_rademacher(master.split(16).split(i),
-                                             task.dim, cfg.probes)
-                    one_step_cov(field, x0, cfg.epsilon, probes)
-
-            infer(name, run)
-        elif name == "ensemble":
-            models, reports = train_ensemble(
-                cfg.ensemble_members, cfg.build_arch(task.dim), task,
-                cfg.train_config(seed=master.split(7)))
-            ledger.add_training(name, sum(r.seconds for r in reports),
-                                cfg.ensemble_members * train_equiv)
-
-            def run(counter, models=models):
-                members = [ModelField(m, counter) for m in models]
-                for xt in xts:
-                    ensemble_uq(members, xt, t)
-
-            infer(name, run)
-        elif name == "mc-dropout":
-            arch = cfg.build_arch(task.dim, dropout=cfg.dropout_rate)
-            model = MlpVelocity.init(arch, master.split(5))
-            rep = train(model, task, cfg.train_config(seed=master.split(6)))
-            ledger.add_training(name, rep.seconds, train_equiv)
-
-            def run(counter, model=model):
-                field = ModelField(model, counter)
-                for i, xt in enumerate(xts):
-                    mc_dropout_uq(field, xt, t, cfg.dropout_passes,
-                                  master.split(17).split(i))
-
-            infer(name, run)
+        m = METHODS[name]
+        models, reports = _train_method(cfg, task, m)
+        ledger.add_training(name, sum(r.seconds for r in reports),
+                            len(models) * train_equiv)
+        counter = EvalCounter()
+        fields = [ModelField(model, counter) for model in models]
+        cost_key = m.streams[2]
+        t0 = time.perf_counter()
+        for i, x in enumerate(x0s if m.reads_x0 else xts):
+            m.run(cfg, fields, x, t, None if cost_key is None else
+                  master.split(cost_key).split(i))
+        ledger.add_inference(name, time.perf_counter() - t0,
+                             counter.forward_equivalents)
 
     rows = cost_report(ledger, cfg.out)
     for method, _, _, total, ratio in rows:

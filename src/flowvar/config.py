@@ -42,9 +42,9 @@ KNOWN_METHODS = ("tweedie-fm", "tweedie-onestep", "ensemble", "mc-dropout")
 _SCHEMA = {
     "experiment": {"out", "seed"},
     "task": {"kind", "side", "path", "subsample", "means", "sigma", "weights"},
-    "model": {"hidden", "depth", "n_freq", "activation", "dropout"},
+    "model": {"hidden", "depth", "n_freq", "activation"},
     "training": {"epochs", "batch_size", "learning_rate", "lr_schedule",
-                 "weight_decay", "pairs_per_epoch", "objective"},
+                 "weight_decay", "pairs_per_epoch"},
     "uq": {"t_grid", "probes", "epsilon"},
     "methods": {"use", "ensemble_members", "dropout_passes", "dropout_rate"},
 }
@@ -65,7 +65,6 @@ class ExperimentConfig:
     depth: int
     n_freq: int
     activation: str
-    dropout: float
     training: TrainConfig
     t_grid: tuple
     probes: int
@@ -93,7 +92,7 @@ class ExperimentConfig:
     def build_arch(self, dim: int, dropout: float | None = None) -> MlpArch:
         return MlpArch(dim=dim, hidden=self.hidden, depth=self.depth,
                        n_freq=self.n_freq, activation=self.activation,
-                       dropout=self.dropout if dropout is None else dropout)
+                       dropout=0.0 if dropout is None else dropout)
 
     def train_config(self, seed: RngState | None = None,
                      objective: str | None = None) -> TrainConfig:
@@ -153,7 +152,6 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             lr_schedule=get("training", "lr_schedule", "cosine"),
             weight_decay=float(get("training", "weight_decay", "0.01")),
             pairs_per_epoch=int(get("training", "pairs_per_epoch", "8192")),
-            objective=get("training", "objective", "fm"),
             seed=RngState(seed),
         )
 
@@ -176,7 +174,6 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             depth=int(get("model", "depth", "2")),
             n_freq=int(get("model", "n_freq", "8")),
             activation=get("model", "activation", "tanh"),
-            dropout=float(get("model", "dropout", "0.0")),
             training=training, t_grid=t_grid, probes=probes, epsilon=epsilon,
             methods=methods, ensemble_members=ensemble_members,
             dropout_passes=dropout_passes, dropout_rate=dropout_rate,

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .numerics import RngState
 
@@ -180,7 +179,7 @@ def _log_responsibilities(spec: GmmSpec, xts: np.ndarray, t: float, chols):
     with np.errstate(over="ignore"):
         for j in range(k):
             diff = xts - t * spec.means[j]
-            y = solve_triangular(chols[j], diff.T, lower=True).T
+            y = np.linalg.solve(chols[j], diff.T).T
             logdet = np.log(np.diag(chols[j])).sum()
             logj[:, j] = (
                 np.log(spec.weights[j])
@@ -257,8 +256,8 @@ def posterior_mean_jacobian(spec: GmmSpec, xts: np.ndarray, t: float) -> np.ndar
     for j in range(k):
         diff = xts - t * spec.means[j]
         comp_means[j] = spec.means[j] + diff @ gains[j].T
-        y = solve_triangular(chols[j], diff.T, lower=True)
-        comp_scores[j] = -solve_triangular(chols[j].T, y, lower=False).T
+        y = np.linalg.solve(chols[j], diff.T)
+        comp_scores[j] = -np.linalg.solve(chols[j].T, y).T
 
     mean = np.einsum("nk,knd->nd", resp, comp_means)
     sbar = np.einsum("nk,knd->nd", resp, comp_scores)
@@ -277,8 +276,8 @@ def marginal_score(spec: GmmSpec, xt: np.ndarray, t: float) -> np.ndarray:
     out = np.zeros_like(xt)
     for j in range(spec.n_components):
         diff = xt - t * spec.means[j]
-        y = solve_triangular(chols[j], diff, lower=True)
-        out -= resp[j] * solve_triangular(chols[j].T, y, lower=False)
+        y = np.linalg.solve(chols[j], diff)
+        out -= resp[j] * np.linalg.solve(chols[j].T, y)
     return out
 
 

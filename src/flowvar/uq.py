@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelField
-from .numerics import ProbeSet, RngState, draw_rademacher
+from .numerics import (ProbeSet, RngState, draw_rademacher,
+                       hutchinson_diagonal)
 from .oracle import check_interior_time, check_unit_time
 
 __all__ = [
@@ -143,8 +144,7 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
     if probes.dim != d:
         raise UqError(f"probe dimension mismatch: {probes.dim} != {d}")
 
-    products = np.atleast_2d(field.jvp(xt, t, probes.probes))
-    jdiag = (probes.probes * products).mean(axis=0)
+    jdiag = hutchinson_diagonal(lambda u: field.jvp(xt, t, u), probes)
     div = float(jdiag.sum())
 
     pref = (1.0 - t) ** 2 / t

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from flowvar.cli import main
+from flowvar import cli, training
+from flowvar.cli import METHODS, main
+from flowvar.config import KNOWN_METHODS
 from flowvar.reporting import read_pgm
 
 FAST_INI = """
@@ -165,6 +167,13 @@ def test_missing_model_and_bad_flags_exit_one(tmp_path, capsys):
     assert main(["uq", "laplace", "--config", str(ini)]) == 1
     assert main(["train", "fm", "--config", "no-such-preset"]) == 1
     assert main(["no-such-command"]) == 1
+    capsys.readouterr()
+    for section, key in (("training", "objective = one-step"),
+                         ("model", "dropout = 0.0")):
+        ini.write_text(f"[experiment]\nout = {out}\n[{section}]\n{key}\n")
+        assert main(["train", "fm", "--config", str(ini)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: unknown key {key.split()[0]!r} in [{section}]"]
 
 
 def test_oracle_check_rejects_image_task(tmp_path, capsys):
@@ -210,3 +219,35 @@ use = tweedie-fm
     assert main(["uq", "tweedie", "--config", str(ini)]) == 0
     px = read_pgm(out / "uq_tweedie_t0.pgm")
     assert px.shape == (8, 8)
+
+
+def test_method_table_covers_known_methods():
+    assert tuple(METHODS) == KNOWN_METHODS
+    assert all(name == m.name for name, m in METHODS.items())
+    assert len({m.uq for m in METHODS.values()}) == len(METHODS)
+
+
+def test_train_and_cost_train_each_method_alike(tmp_path, monkeypatch):
+    """`train` and `cost` give every model the same architecture, initial
+    parameters (the init stream) and TrainConfig (train stream, objective)."""
+    calls = []
+    real_train = training.train
+
+    def spy(model, task, config):
+        calls.append((model.arch, model.checksum(), config))
+        return real_train(model, task, config)
+
+    monkeypatch.setattr(training, "train", spy)
+    monkeypatch.setattr(cli, "train", spy)
+    ini = tmp_path / "fast.ini"
+    ini.write_text(FAST_INI.format(out=tmp_path / "run"))
+    for variant in ("fm", "one-step", "ensemble"):
+        assert main(["train", variant, "--config", str(ini)]) == 0
+    trained, calls[:] = list(calls), []
+    assert main(["cost", "--config", str(ini)]) == 0
+    # fm, its dropout twin, one-step and the two ensemble members
+    assert len(trained) == 5
+    key = lambda call: call[1]
+    assert sorted(calls, key=key) == sorted(trained, key=key)
+    assert sorted(c[2].objective for c in trained) == ["fm"] * 4 + ["one-step"]
+    assert sorted(c[0].dropout for c in trained) == [0.0] * 4 + [0.15]

@@ -36,6 +36,11 @@ def test_default_grid_is_endpoint_shifted():
 def test_unknown_keys_and_sections_fail_fast():
     with pytest.raises(ConfigError, match=r"unknown key 'probess'"):
         parse_config("[uq]\nprobess = 10\n")
+    # each method fixes its own objective and dropout rate
+    with pytest.raises(ConfigError, match=r"unknown key 'objective'"):
+        parse_config("[training]\nobjective = one-step\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'dropout'"):
+        parse_config("[model]\ndropout = 0.0\n")
     with pytest.raises(ConfigError, match=r"unknown config section"):
         parse_config("[uncertainty]\nprobes = 10\n")
     with pytest.raises(ConfigError, match="malformed"):
