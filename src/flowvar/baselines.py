@@ -67,7 +67,8 @@ def mc_dropout_uq(model, xt, t: float, passes: int,
                   rng: RngState) -> BaselineEstimate:
     """Variance of the posterior mean across stochastic dropout passes.
 
-    Pass p draws its masks from the child stream ``rng.split(p)``, so the
+    Pass p draws its masks from the child stream ``rng.split(p)`` (all the
+    streams derived as one batch by ``rng.split_many``), so the
     estimate is reproducible and distinct call sites never share masks. All
     passes run as one forward with one row per pass, and a counting handle
     counts one forward per pass. With dropout rate zero every pass coincides
@@ -82,7 +83,7 @@ def mc_dropout_uq(model, xt, t: float, passes: int,
     else:
         raise BaselineError("mc dropout needs an MLP model or its handle")
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    streams = [rng.split(p) for p in range(passes)]
+    streams = rng.split_many(range(passes))
     v = ModelField(net, counter, dropout_rng=streams).velocity(xt, t)
     means = posterior_mean_from_velocity(np.broadcast_to(xt, v.shape), t, v)
     return _finish(means, passes)

@@ -5,8 +5,8 @@ the closed-form and baseline uncertainty estimators, rerun the analytic
 identity check, trace uncertainty along a sampled trajectory, run the
 corruption consistency protocol, sweep probe counts, and summarize cost.
 
-Exit codes: 0 success, 1 validation problem (bad flags, bad config, missing
-model), 2 runtime failure.
+Exit codes: 0 success, 1 validation problem (bad flags, bad config, a
+missing or corrupt model file), 2 runtime failure.
 """
 from __future__ import annotations
 
@@ -150,7 +150,8 @@ def _build_parser() -> _Parser:
                           help="evaluate an uncertainty method")
     p_uq.add_argument("method", choices=[m.uq for m in METHODS.values()])
     p_uq.add_argument("--t", type=float, default=None,
-                      help="single flow time instead of the config grid")
+                      help="single flow time instead of the config grid "
+                           "(not for onestep, which reads x0 at epsilon)")
 
     sub.add_parser("oracle-check", parents=[common],
                    help="closed-form covariance vs analytic mixture posterior")
@@ -194,7 +195,10 @@ def _require_model(cfg: ExperimentConfig, name: str) -> MlpVelocity:
     path = _model_path(cfg, name)
     if not path.exists():
         raise ConfigError(f"model not found: {path}")
-    return load_model(path)
+    try:
+        return load_model(path)
+    except ModelError as ex:  # a corrupt model is as unusable as a missing one
+        raise ConfigError(f"{path}: {ex}") from None
 
 
 def _master(cfg: ExperimentConfig) -> RngState:
@@ -280,9 +284,12 @@ def cmd_uq(args, cfg: ExperimentConfig) -> int:
     task = cfg.build_task()
     if args.t is not None and not 0.0 < args.t < 1.0:
         raise ConfigError("--t must lie in (0, 1)")
+    m = next(m for m in METHODS.values() if m.uq == args.method)
+    if args.t is not None and m.reads_x0:
+        raise ConfigError(f"--t does not apply to {m.uq}: it reads x0 at "
+                          f"t = epsilon")
     t_grid = (args.t,) if args.t is not None else cfg.t_grid
     x0s, _, states = _eval_states(cfg, task, t_grid)
-    m = next(m for m in METHODS.values() if m.uq == args.method)
     fields = _load_fields(cfg, m)
     probe_rng = _master(cfg).split(9)
     # a one-step model reads x0 once, at t = epsilon, and its map is untagged
@@ -290,8 +297,8 @@ def cmd_uq(args, cfg: ExperimentConfig) -> int:
             [(t, states[t], f"_t{ti}") for ti, t in enumerate(t_grid)])
     rows = []
     for ti, (t, inputs, tag) in enumerate(grid):
-        outs = [m.run(cfg, fields, x, t, probe_rng.split(ti).split(i))
-                for i, x in enumerate(inputs)]
+        rngs = probe_rng.split(ti).split_many(range(len(inputs)))
+        outs = [m.run(cfg, fields, x, t, r) for x, r in zip(inputs, rngs)]
         lo, hi = _maybe_map(cfg, task, outs[0][0],
                             cfg.out / f"uq_{m.uq}{tag}.pgm")
         for i, (_, u, floored) in enumerate(outs):
@@ -318,10 +325,9 @@ def cmd_oracle_check(args, cfg: ExperimentConfig) -> int:
     _, _, states = _eval_states(cfg, task, cfg.t_grid)
     worst = 0.0
     for ti, t in enumerate(cfg.t_grid):
-        for i in range(N_EVAL_POINTS):
-            xt = states[t][i]
-            probes = draw_rademacher(master.split(9).split(ti).split(i),
-                                     spec.dim, cfg.probes)
+        rngs = master.split(9).split(ti).split_many(range(N_EVAL_POINTS))
+        for xt, rng in zip(states[t], rngs):
+            probes = draw_rademacher(rng, spec.dim, cfg.probes)
             est = cov_closed_form(field, xt, t, probes, materialize_full=True)
             ref = gmm_posterior(spec, xt, t).covariance
             err = np.linalg.norm(est.full - ref) / np.linalg.norm(ref)
@@ -410,9 +416,10 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
     rows = []
     for si, s in enumerate(s_values):
         us = []
-        for r in range(args.replicates):
-            probes = draw_rademacher(master.split(13).split(1).split(si).split(r),
-                                     task.dim, s)
+        rngs = master.split(13).split(1).split(si).split_many(
+            range(args.replicates))
+        for r, rng in enumerate(rngs):
+            probes = draw_rademacher(rng, task.dim, s)
             est = cov_closed_form(field, xt, t, probes)
             rows.append((_FM.name, t, cfg.seed, s, r, est.u,
                          int(est.floored)))

@@ -180,9 +180,9 @@ def consistency_protocol(reference, methods, task, t_grid, noise_level: float,
     if n_samples < 2:
         raise MetricsError("need at least 2 samples")
     x0s, x1s = task.sample_pairs(rng.split(0), n_samples)
-    noise_rng = rng.split(1)
     x1_corr = np.stack([
-        corrupt(x1s[i], noise_level, noise_rng.split(i)) for i in range(n_samples)
+        corrupt(x, noise_level, r)
+        for x, r in zip(x1s, rng.split(1).split_many(range(n_samples)))
     ])
 
     rows = []
@@ -193,10 +193,11 @@ def consistency_protocol(reference, methods, task, t_grid, noise_level: float,
         err_maps = (x1_hat - x1s) ** 2
         err_scalars = err_maps.sum(axis=1)
         for mi, (name, method) in enumerate(methods.items()):
-            method_rng = rng.split(2 + mi).split(ti)
+            method_rngs = rng.split(2 + mi).split(ti).split_many(
+                range(n_samples))
             pix, hits, scalars = [], [], []
             for i in range(n_samples):
-                umap, uscalar = method(xts[i], t, method_rng.split(i))
+                umap, uscalar = method(xts[i], t, method_rngs[i])
                 scalars.append(uscalar)
                 try:
                     pix.append(spearman(umap, err_maps[i]))
@@ -235,10 +236,9 @@ def error_correlation(reference, methods, task, t: float, n_samples: int,
 
     out = {}
     for mi, (name, method) in enumerate(methods.items()):
-        method_rng = rng.split(100 + mi)
-        scalars = [
-            method(xts[i], t, method_rng.split(i))[1] for i in range(n_samples)
-        ]
+        method_rngs = rng.split(100 + mi).split_many(range(n_samples))
+        scalars = [method(xts[i], t, method_rngs[i])[1]
+                   for i in range(n_samples)]
         try:
             out[name] = spearman(scalars, err_scalars)
         except MetricsError:

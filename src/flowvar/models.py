@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngState
+from .numerics import RngState, uniform_draws
 
 __all__ = [
     "MlpArch",
@@ -175,8 +175,9 @@ class MlpVelocity:
         if isinstance(dropout_rng, RngState):
             u = dropout_rng.generator().random((shape[0], n, shape[1]))
         else:
-            u = np.stack([s.generator().random(shape) for s in dropout_rng],
-                         axis=1)
+            # (depth, rows, hidden), C-ordered as the per-layer draws were
+            u = np.ascontiguousarray(
+                uniform_draws(dropout_rng, shape).swapaxes(0, 1))
         keep = 1.0 - p
         return list((u < keep).astype(np.float64) / keep)
 
@@ -444,35 +445,51 @@ def save_model(path, model: MlpVelocity) -> None:
             fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
+def _unpack(blob: bytes, off: int, fmt: str, what: str):
+    """struct.unpack_from that names the field a short container lacks;
+    returns (values, offset after them)."""
+    size = struct.calcsize(fmt)
+    if len(blob) - off < size:
+        raise ModelError(f"truncated container: {what} needs {size} bytes at "
+                         f"offset {off}, {max(len(blob) - off, 0)} left")
+    return struct.unpack_from(fmt, blob, off), off + size
+
+
 def load_model(path) -> MlpVelocity:
+    """Read a container written by :func:`save_model`.
+
+    Every read is bounds-checked: a truncated, padded or malformed container
+    raises :class:`ModelError` naming what is wrong.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _MAGIC:
+    (magic,), off = _unpack(blob, 0, "4s", "magic")
+    if magic != _MAGIC:
         raise ModelError("not a model container: bad magic")
-    off = 4
-    version, kind, act, dim, hidden, depth, n_freq = struct.unpack_from(
-        "<IIIIIII", blob, off
-    )
-    off += 28
+    header, off = _unpack(blob, off, "<IIIIIII", "header")
+    version, kind, act, dim, hidden, depth, n_freq = header
     if version != _VERSION:
         raise ModelError(f"unsupported container version {version}")
     if kind != _KIND_MLP:
         raise ModelError(f"unsupported model kind {kind}")
     if act not in _ACT_NAMES:
         raise ModelError(f"unknown activation code {act}")
-    (dropout,) = struct.unpack_from("<d", blob, off)
-    off += 8
-    (n_layers,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    shapes = []
-    for _ in range(n_layers):
-        rows, cols = struct.unpack_from("<II", blob, off)
-        off += 8
-        shapes.append((rows, cols))
+    (dropout,), off = _unpack(blob, off, "<d", "dropout rate")
+    (n_layers,), off = _unpack(blob, off, "<I", "layer count")
+    if n_layers != depth + 1:
+        raise ModelError(f"layer count {n_layers} does not match depth {depth}")
+    table, off = _unpack(blob, off, f"<{2 * n_layers}I", "layer table")
+    shapes = list(zip(table[0::2], table[1::2]))
     arch = MlpArch(dim=dim, hidden=hidden, depth=depth, n_freq=n_freq,
                    activation=_ACT_NAMES[act], dropout=dropout)
     if shapes != arch.layer_shapes():
         raise ModelError("layer table does not match architecture header")
+    size = 8 * sum(rows * cols + rows for rows, cols in shapes)
+    if len(blob) - off < size:
+        raise ModelError(f"truncated container: parameter block needs {size} "
+                         f"bytes at offset {off}, {len(blob) - off} left")
+    if len(blob) - off > size:
+        raise ModelError("trailing bytes after parameter block")
     weights, biases = [], []
     for rows, cols in shapes:
         w = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=off)
@@ -481,6 +498,4 @@ def load_model(path) -> MlpVelocity:
         off += 8 * rows
         weights.append(w.reshape(rows, cols).astype(np.float64))
         biases.append(b.astype(np.float64))
-    if off != len(blob):
-        raise ModelError("trailing bytes after parameter block")
     return MlpVelocity(arch, weights, biases)

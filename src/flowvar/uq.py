@@ -209,7 +209,7 @@ def trajectory_uq(field, states, times, n_probes: int,
     if n_probes < 1:
         raise UqError("need at least one probe per point")
     entries = []
-    for i, (x, t) in enumerate(zip(states, times)):
-        probes = draw_rademacher(rng.split(i), x.shape[0], n_probes)
+    for x, t, r in zip(states, times, rng.split_many(range(len(states)))):
+        probes = draw_rademacher(r, x.shape[0], n_probes)
         entries.append((t, cov_closed_form(field, x, t, probes)))
     return UncertaintyMapSeries(entries=tuple(entries))

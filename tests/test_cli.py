@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from flowvar import cli, training
+from flowvar import cli, models, training
 from flowvar.cli import METHODS, main
 from flowvar.config import KNOWN_METHODS
+from flowvar.numerics import RngState
 from flowvar.reporting import read_pgm
 
 FAST_INI = """
@@ -176,6 +177,31 @@ def test_missing_model_and_bad_flags_exit_one(tmp_path, capsys):
         assert err == [f"error: unknown key {key.split()[0]!r} in [{section}]"]
 
 
+def test_truncated_model_exits_one_with_one_line(workspace, tmp_path,
+                                                 capsys):
+    ini, out = workspace
+    blob = (out / "model_fm.fvar").read_bytes()
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    path = bad / "model_fm.fvar"
+    for cut in (10, 30, 45, len(blob) - 60, len(blob) - 1):
+        path.write_bytes(blob[:cut])
+        capsys.readouterr()
+        assert main(["uq", "tweedie", "--config", str(ini), "--out",
+                     str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: {path}: truncated container: ")
+
+
+def test_uq_onestep_rejects_t(workspace, capsys):
+    ini, _ = workspace
+    capsys.readouterr()
+    assert main(["uq", "onestep", "--config", str(ini), "--t", "0.5"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --t does not apply to onestep: it reads x0 at t = epsilon"]
+
+
 def test_oracle_check_rejects_image_task(tmp_path, capsys):
     ini = tmp_path / "bars.ini"
     ini.write_text("[experiment]\nout = " + str(tmp_path / "o") +
@@ -251,3 +277,70 @@ def test_train_and_cost_train_each_method_alike(tmp_path, monkeypatch):
     assert sorted(calls, key=key) == sorted(trained, key=key)
     assert sorted(c[2].objective for c in trained) == ["fm"] * 4 + ["one-step"]
     assert sorted(c[0].dropout for c in trained) == [0.0] * 4 + [0.15]
+
+
+GATE_INI = """
+[experiment]
+out = {out}
+seed = 4
+
+[task]
+kind = bars
+side = 8
+
+[model]
+hidden = 32
+
+[training]
+epochs = 1
+pairs_per_epoch = 512
+
+[uq]
+t_grid = 0.3 0.7
+probes = 8
+
+[methods]
+use = tweedie-fm mc-dropout
+dropout_passes = 50
+"""
+
+
+def _gate_outputs(root):
+    """Every CSV, graymap and model file of a tiny bars run, by name."""
+    root.mkdir()
+    ini = root / "gate.ini"
+    out = root / "run"
+    ini.write_text(GATE_INI.format(out=out))
+    for argv in (["train", "fm"], ["uq", "tweedie"], ["uq", "mc-dropout"],
+                 ["consistency", "--n", "8"], ["traj"]):
+        assert main(argv + ["--config", str(ini)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if p.suffix in (".csv", ".pgm", ".fvar")}
+
+
+def test_batched_streams_write_the_bytes_of_one_at_a_time(tmp_path,
+                                                          monkeypatch):
+    """The batch stream derivation is a refactor: with split_many and
+    uniform_draws put back to their one-at-a-time loops, every output file
+    keeps its bytes."""
+    batched = _gate_outputs(tmp_path / "batched")
+    calls = {"split_many": 0, "uniform_draws": 0}
+
+    def split_many(self, keys):
+        calls["split_many"] += 1
+        return [self.split(k) for k in keys]
+
+    def uniform_draws(states, shape):
+        calls["uniform_draws"] += 1
+        return np.stack([s.generator().random(shape) for s in states])
+
+    monkeypatch.setattr(RngState, "split_many", split_many)
+    monkeypatch.setattr(models, "uniform_draws", uniform_draws)
+    reference = _gate_outputs(tmp_path / "reference")
+    assert calls["split_many"] > 0 and calls["uniform_draws"] > 0
+    assert {"train_fm.csv", "model_dropout.fvar", "uq_mc-dropout.csv",
+            "uq_mc-dropout_t1.pgm", "consistency.csv",
+            "traj.csv"} <= set(batched)
+    assert sorted(batched) == sorted(reference)
+    for name, data in batched.items():
+        assert data == reference[name], name

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowvar.models import (AnalyticField, EvalCounter, MlpArch, MlpVelocity,
                             ModelError, ModelField, analytic_handle,
@@ -215,3 +217,40 @@ def test_load_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE" + bytes(64))
     with pytest.raises(ModelError, match="container"):
         load_model(p)
+
+
+@pytest.fixture(scope="module")
+def container(tmp_path_factory):
+    """The bytes of a small valid container and a scratch path to write to."""
+    root = tmp_path_factory.mktemp("container")
+    save_model(root / "m.fvar", _model(dim=2, hidden=3, depth=2, n_freq=1,
+                                      dropout=0.1))
+    return (root / "m.fvar").read_bytes(), root / "damaged.fvar"
+
+
+def test_every_truncated_container_raises_model_error(container):
+    blob, path = container
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ModelError):
+            load_model(path)
+    path.write_bytes(blob[:42])  # magic, header and dropout rate are whole
+    with pytest.raises(ModelError, match="truncated container: layer count"):
+        load_model(path)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_flipped_byte_raises_model_error_or_loads(container, data):
+    blob, path = container
+    pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+    flip = data.draw(st.integers(1, 255), label="xor")
+    damaged = bytearray(blob)
+    damaged[pos] ^= flip
+    path.write_bytes(bytes(damaged))
+    try:
+        model = load_model(path)
+    except ModelError:
+        return
+    assert model.n_params == _model(dim=2, hidden=3, depth=2,
+                                    n_freq=1).n_params

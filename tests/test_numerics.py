@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from flowvar.numerics import (NumericsError, ProbeSet, RngState,
                               draw_rademacher, exhaustive_sign_probes,
                               finite_diff_jvp, hutchinson_diagonal,
-                              hutchinson_trace)
+                              hutchinson_trace, uniform_draws)
 
 
 def test_rng_determinism():
@@ -23,6 +23,54 @@ def test_rng_split_streams_differ():
     # splitting is itself deterministic
     c = RngState(7).split(0).generator().standard_normal(5)
     assert np.array_equal(a, c)
+
+
+# word-count edges of numpy's SeedSequence entropy coding, plus random values
+_SEEDS = (st.sampled_from([0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 7,
+                           2**130 + 3]) | st.integers(0, 2**80))
+_STREAMS = st.sampled_from([0, 1, 2**32 + 5]) | st.integers(0, 2**40)
+# the first key of a run of consecutive keys; 2**32 - 25 straddles the word
+# boundary, so one batch holds keys of one and of two entropy words
+_FIRST_KEYS = st.sampled_from([0, 2**32 - 25, 2**32, 2**40]) | \
+    st.integers(0, 2**70)
+
+
+@given(_SEEDS, _STREAMS, _FIRST_KEYS, st.sampled_from([1, 50]))
+@settings(max_examples=60, deadline=None)
+def test_split_many_is_bit_identical_to_split(seed, stream, first, count):
+    root = RngState(seed, stream)
+    keys = range(first, first + count)
+    assert root.split_many(keys) == [root.split(k) for k in keys]
+
+
+@given(_SEEDS, _STREAMS, st.sampled_from([1, 50]),
+       st.sampled_from([(2, 128), (3,)]))
+@settings(max_examples=40, deadline=None)
+def test_uniform_draws_are_bit_identical_to_generators(seed, stream, count,
+                                                       shape):
+    states = [RngState(seed, stream)] + \
+        RngState(seed, stream).split_many(range(count - 1))
+    ref = np.stack([s.generator().random(shape) for s in states])
+    got = uniform_draws(states, shape)
+    assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
+    assert issubclass(NumericsError, ValueError)
+    for call in (lambda: RngState(7).split(-1),
+                 lambda: RngState(7).split_many([0, -1]),
+                 lambda: RngState(-7).split(0),
+                 lambda: RngState(-7).split_many([0]),
+                 lambda: RngState(7, -1).split(0),
+                 lambda: RngState(7, -1).split_many([0]),
+                 lambda: uniform_draws([RngState(7), RngState(-7)], (3,))):
+        with pytest.raises(NumericsError, match="non-negative"):
+            call()
+    # neither path takes a non-integer key
+    for call in (lambda: RngState(7).split(1.5),
+                 lambda: RngState(7).split_many([1.5])):
+        with pytest.raises(TypeError):
+            call()
 
 
 @given(st.integers(1, 20), st.integers(1, 50), st.integers(0, 2**32 - 1))
