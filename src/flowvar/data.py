@@ -124,21 +124,22 @@ def toy_image_dataset(kind: str, side: int, n: int, rng: RngState) -> np.ndarray
     if n < 1:
         raise DataError("need at least one image")
     g = rng.generator()
-    imgs = np.full((n, side, side), -1.0)
     if kind == "bars":
         width = side // 2
-        lefts = g.integers(0, side - width + 1, size=n)
-        for i, left in enumerate(lefts):
-            imgs[i, :, left:left + width] = 1.0
+        lefts = g.integers(0, side - width + 1, size=n)[:, None, None]
+        cols = np.arange(side)
+        on = (cols >= lefts) & (cols < lefts + width)
+        imgs = np.where(np.broadcast_to(on, (n, side, side)), 1.0, -1.0)
     elif kind == "blobs":
         # radius must beat the jitter so the disc core never flickers
         radius = side / 3.0
         jitter = g.integers(-1, 2, size=(n, 2)).astype(np.float64)
         centers = (side - 1) / 2.0 + jitter
-        yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
-        for i in range(n):
-            dist2 = (yy - centers[i, 0]) ** 2 + (xx - centers[i, 1]) ** 2
-            imgs[i][dist2 <= radius * radius] = 1.0
+        pos = np.arange(side, dtype=np.float64)
+        dy2 = (pos - centers[:, 0:1]) ** 2
+        dx2 = (pos - centers[:, 1:2]) ** 2
+        dist2 = dy2[:, :, None] + dx2[:, None, :]
+        imgs = np.where(dist2 <= radius * radius, 1.0, -1.0)
     else:
         raise DataError(f"unknown toy image kind: {kind!r}")
     return imgs.reshape(n, side * side)

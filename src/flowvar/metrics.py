@@ -57,18 +57,48 @@ def _ranks(x) -> np.ndarray:
     return ranks
 
 
-def spearman(u, e) -> float:
-    """Rank correlation with average-rank ties; raises on constant input."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    e = np.asarray(e, dtype=np.float64).reshape(-1)
-    if u.shape != e.shape or u.shape[0] < 2:
-        raise MetricsError("need two equal-length sequences of length >= 2")
-    ru, re = _ranks(u), _ranks(e)
-    du, de = ru - ru.mean(), re - re.mean()
-    su, se = np.sqrt((du * du).sum()), np.sqrt((de * de).sum())
+def _centred_ranks(x: np.ndarray):
+    """Average ranks minus their mean, and the norm of that vector."""
+    r = _ranks(x)
+    d = r - r.mean()
+    return d, np.sqrt((d * d).sum())
+
+
+def _rank_corr(cu, ce) -> float:
+    """Spearman from two _centred_ranks results."""
+    (du, su), (de, se) = cu, ce
     if su == 0.0 or se == 0.0:
         raise MetricsError("undefined correlation: constant input")
     return float((du * de).sum() / (su * se))
+
+
+def _pair(u, e, min_len: int, message: str):
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    e = np.asarray(e, dtype=np.float64).reshape(-1)
+    if u.shape != e.shape or u.shape[0] < min_len:
+        raise MetricsError(message)
+    return u, e
+
+
+def spearman(u, e) -> float:
+    """Rank correlation with average-rank ties; raises on constant input."""
+    u, e = _pair(u, e, 2, "need two equal-length sequences of length >= 2")
+    return _rank_corr(_centred_ranks(u), _centred_ranks(e))
+
+
+def _top_count(n: int, k_percent: float) -> int:
+    if not 0.0 < k_percent < 100.0:
+        raise MetricsError("k_percent must lie in (0, 100)")
+    return max(1, int(np.floor(n * k_percent / 100.0)))
+
+
+def _top(x: np.ndarray, kc: int) -> np.ndarray:
+    """Indices of the kc largest entries, ties broken by ascending index."""
+    return np.argsort(-x, kind="stable")[:kc]
+
+
+def _overlap(top_u: np.ndarray, top_e: np.ndarray) -> float:
+    return len(np.intersect1d(top_u, top_e)) / len(top_u)
 
 
 def hitrate_at_k(u, e, k_percent: float = DEFAULT_HITRATE_PERCENT) -> float:
@@ -77,17 +107,9 @@ def hitrate_at_k(u, e, k_percent: float = DEFAULT_HITRATE_PERCENT) -> float:
     The set size is floor(N * k / 100), at least 1. Ties are broken by
     ascending index among equal values (stable sort on descending value).
     """
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    e = np.asarray(e, dtype=np.float64).reshape(-1)
-    if u.shape != e.shape or u.shape[0] < 1:
-        raise MetricsError("need two equal-length nonempty maps")
-    if not 0.0 < k_percent < 100.0:
-        raise MetricsError("k_percent must lie in (0, 100)")
-    n = u.shape[0]
-    kc = max(1, int(np.floor(n * k_percent / 100.0)))
-    top_u = np.argsort(-u, kind="stable")[:kc]
-    top_e = np.argsort(-e, kind="stable")[:kc]
-    return len(np.intersect1d(top_u, top_e)) / kc
+    u, e = _pair(u, e, 1, "need two equal-length nonempty maps")
+    kc = _top_count(u.shape[0], k_percent)
+    return _overlap(_top(u, kc), _top(e, kc))
 
 
 def corrupt(x1, noise_level: float, rng: RngState) -> np.ndarray:
@@ -185,6 +207,7 @@ def consistency_protocol(reference, methods, task, t_grid, noise_level: float,
         for x, r in zip(x1s, rng.split(1).split_many(range(n_samples)))
     ])
 
+    kc = _top_count(x1s.shape[1], k_percent)
     rows = []
     for ti, t in enumerate(t_grid):
         xts = t * x1_corr + (1.0 - t) * x0s
@@ -192,6 +215,9 @@ def consistency_protocol(reference, methods, task, t_grid, noise_level: float,
         x1_hat = posterior_mean_from_velocity(xts, t, vhat)
         err_maps = (x1_hat - x1s) ** 2
         err_scalars = err_maps.sum(axis=1)
+        # each error map is ranked and ordered once, for every method
+        err_ranks = [_centred_ranks(e) for e in err_maps]
+        err_tops = [_top(e, kc) for e in err_maps]
         for mi, (name, method) in enumerate(methods.items()):
             method_rngs = rng.split(2 + mi).split(ti).split_many(
                 range(n_samples))
@@ -200,12 +226,13 @@ def consistency_protocol(reference, methods, task, t_grid, noise_level: float,
                 umap, uscalar = method(xts[i], t, method_rngs[i])
                 scalars.append(uscalar)
                 try:
-                    pix.append(spearman(umap, err_maps[i]))
+                    u, _ = _pair(umap, err_maps[i], 2, "map shape mismatch")
+                    pix.append(_rank_corr(_centred_ranks(u), err_ranks[i]))
                 except MetricsError:
                     pix.append(None)
                     hits.append(None)
                     continue
-                hits.append(hitrate_at_k(umap, err_maps[i], k_percent))
+                hits.append(_overlap(_top(u, kc), err_tops[i]))
             try:
                 samp = spearman(scalars, err_scalars)
             except MetricsError:

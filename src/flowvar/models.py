@@ -82,6 +82,22 @@ class MlpArch:
         sizes = [self.in_dim] + [self.hidden] * self.depth + [self.dim]
         return [(sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
 
+    @property
+    def n_params(self) -> int:
+        return sum(rows * cols + rows for rows, cols in self.layer_shapes())
+
+
+def _layer_views(flat: np.ndarray, arch: MlpArch):
+    """(weights, biases) views of a flat vector in container order:
+    w0 (row-major), b0, w1, b1, ..."""
+    weights, biases, off = [], [], 0
+    for rows, cols in arch.layer_shapes():
+        weights.append(flat[off:off + rows * cols].reshape(rows, cols))
+        off += rows * cols
+        biases.append(flat[off:off + rows])
+        off += rows
+    return weights, biases
+
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "tanh":
@@ -89,19 +105,26 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _act_deriv(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # h = act(z) is already cached; tanh' reuses it
+def _scale_by_act_deriv(name: str, dz: np.ndarray, z: np.ndarray,
+                        h: np.ndarray) -> None:
+    """dz *= act'(z) in place; h = act(z) is already cached and tanh'
+    reuses it."""
     if name == "tanh":
-        return 1.0 - h * h
-    return (z > 0.0).astype(np.float64)
+        d = h * h
+        np.subtract(1.0, d, out=d)
+        dz *= d
+    else:
+        dz *= z > 0.0
 
 
 class MlpVelocity:
     """MLP velocity field with explicit forward, backward, and JVP passes.
 
-    Parameters are plain float64 arrays in ``weights``/``biases``; nothing is
-    hidden behind a framework, which is what makes the hand-rolled tangent
-    pass auditable.
+    All parameters live in ``params``, one contiguous float64 vector in the
+    container's order (w0 row-major, b0, w1, b1, ...); ``weights`` and
+    ``biases`` are views into it, so writing through either changes the
+    model. Nothing is hidden behind a framework, which is what makes the
+    hand-rolled tangent pass auditable.
     """
 
     def __init__(self, arch: MlpArch, weights, biases):
@@ -111,9 +134,26 @@ class MlpVelocity:
         for w, b, s in zip(weights, biases, shapes):
             if w.shape != s or b.shape != (s[0],):
                 raise ModelError(f"parameter shape mismatch: {w.shape} vs {s}")
+        self._adopt(arch, np.concatenate(
+            [np.ravel(a) for wb in zip(weights, biases) for a in wb]
+        ).astype(np.float64, copy=False))
+
+    @classmethod
+    def from_params(cls, arch: MlpArch, params: np.ndarray) -> "MlpVelocity":
+        """Wrap a flat float64 vector in container order, without a copy."""
+        if (not isinstance(params, np.ndarray) or params.dtype != np.float64
+                or params.shape != (arch.n_params,)
+                or not params.flags.c_contiguous):
+            raise ModelError(f"need a contiguous float64 vector of "
+                             f"{arch.n_params} parameters")
+        model = cls.__new__(cls)
+        model._adopt(arch, params)
+        return model
+
+    def _adopt(self, arch: MlpArch, params: np.ndarray) -> None:
         self.arch = arch
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self.params = params
+        self.weights, self.biases = _layer_views(params, arch)
 
     # ---- construction -----------------------------------------------------
 
@@ -132,23 +172,17 @@ class MlpVelocity:
         return MlpVelocity(arch, weights, biases)
 
     def copy(self) -> "MlpVelocity":
-        return MlpVelocity(
-            self.arch,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return MlpVelocity.from_params(self.arch, self.params.copy())
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def checksum(self) -> str:
-        """sha256 over all parameters as little-endian float64 bytes."""
-        h = hashlib.sha256()
-        for w, b in zip(self.weights, self.biases):
-            h.update(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            h.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        return h.hexdigest()
+        """sha256 over all parameters as little-endian float64 bytes, in
+        container order."""
+        return hashlib.sha256(
+            self.params.astype("<f8", copy=False).tobytes()).hexdigest()
 
     # ---- forward / backward ----------------------------------------------
 
@@ -206,7 +240,8 @@ class MlpVelocity:
         # overflow surfaces as the explicit divergence error, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(self.arch.depth):
-                z = h @ self.weights[i].T + self.biases[i]
+                z = h @ self.weights[i].T
+                z += self.biases[i]
                 if not np.all(np.isfinite(z)):
                     raise ModelError(
                         "forward pass diverged: non-finite activations")
@@ -217,7 +252,8 @@ class MlpVelocity:
                     a = a * masks[i]
                 inputs.append(a)
                 h = a
-            out = h @ self.weights[-1].T + self.biases[-1]
+            out = h @ self.weights[-1].T
+            out += self.biases[-1]
         if not np.all(np.isfinite(out)):
             raise ModelError("forward pass diverged: non-finite output")
         if out.shape[0] != rows:  # rate zero: every stream gives this row
@@ -232,23 +268,31 @@ class MlpVelocity:
     def __call__(self, x, t) -> np.ndarray:
         return self.velocity(x, t)
 
-    def backward(self, cache, dout: np.ndarray):
-        """Parameter gradients for sum(dout * output); returns (dWs, dbs)."""
+    def backward(self, cache, dout: np.ndarray, out: np.ndarray | None = None):
+        """Parameter gradients for sum(dout * output); returns (dWs, dbs).
+
+        The gradients are written into ``out``, a flat vector laid out like
+        ``params`` (allocated when None), and returned as its per-layer views.
+        """
+        if out is None:
+            out = np.empty_like(self.params)
+        elif out.shape != self.params.shape:
+            raise ModelError(f"gradient buffer of shape {out.shape} for "
+                             f"{self.params.size} parameters")
+        d_ws, d_bs = _layer_views(out, self.arch)
         act = self.arch.activation
         masks = cache["masks"]
-        d_ws = [None] * len(self.weights)
-        d_bs = [None] * len(self.biases)
-        d_ws[-1] = dout.T @ cache["inputs"][-1]
-        d_bs[-1] = dout.sum(axis=0)
-        dh = dout @ self.weights[-1]
+        np.matmul(dout.T, cache["inputs"][-1], out=d_ws[-1])
+        np.sum(dout, axis=0, out=d_bs[-1])
+        dz = dout @ self.weights[-1]
         for i in range(self.arch.depth - 1, -1, -1):
             if masks is not None:
-                dh = dh * masks[i]
-            dz = dh * _act_deriv(act, cache["pre"][i], cache["post"][i])
-            d_ws[i] = dz.T @ cache["inputs"][i]
-            d_bs[i] = dz.sum(axis=0)
+                dz *= masks[i]
+            _scale_by_act_deriv(act, dz, cache["pre"][i], cache["post"][i])
+            np.matmul(dz.T, cache["inputs"][i], out=d_ws[i])
+            np.sum(dz, axis=0, out=d_bs[i])
             if i > 0:
-                dh = dz @ self.weights[i]
+                dz = dz @ self.weights[i]
         return d_ws, d_bs
 
     # ---- forward-mode tangents ---------------------------------------------
@@ -274,10 +318,10 @@ class MlpVelocity:
             [u2, np.zeros((u2.shape[0], 2 * self.arch.n_freq))], axis=1
         )
         for i in range(self.arch.depth):
-            dz = du @ self.weights[i].T
-            du = dz * _act_deriv(act, cache["pre"][i], cache["post"][i])
+            du = du @ self.weights[i].T
+            _scale_by_act_deriv(act, du, cache["pre"][i], cache["post"][i])
             if masks is not None:
-                du = du * masks[i]
+                du *= masks[i]
         return du @ self.weights[-1].T
 
     def value_and_jvp(self, x, t, u, dropout_rng: RngState | None = None):
@@ -426,9 +470,9 @@ def save_model(path, model: MlpVelocity) -> None:
 
     Layout: magic, u32 version, u32 model kind (0 = mlp), u32 activation
     code, u32 dim, u32 hidden, u32 depth, u32 n_freq, f64 dropout, u32 layer
-    count, per-layer u32 rows/cols, then all parameters as little-endian
-    float64 (weights row-major, bias after its weight). Integers are
-    little-endian. Round-trips bit-exact.
+    count, per-layer u32 rows/cols, then the parameter vector as
+    little-endian float64 (weights row-major, bias after its weight).
+    Integers are little-endian. Round-trips bit-exact.
     """
     a = model.arch
     with open(path, "wb") as fh:
@@ -440,9 +484,7 @@ def save_model(path, model: MlpVelocity) -> None:
         fh.write(struct.pack("<I", len(model.weights)))
         for w in model.weights:
             fh.write(struct.pack("<II", w.shape[0], w.shape[1]))
-        for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(model.params.astype("<f8", copy=False).tobytes())
 
 
 def _unpack(blob: bytes, off: int, fmt: str, what: str):
@@ -484,18 +526,11 @@ def load_model(path) -> MlpVelocity:
                    activation=_ACT_NAMES[act], dropout=dropout)
     if shapes != arch.layer_shapes():
         raise ModelError("layer table does not match architecture header")
-    size = 8 * sum(rows * cols + rows for rows, cols in shapes)
+    size = 8 * arch.n_params
     if len(blob) - off < size:
         raise ModelError(f"truncated container: parameter block needs {size} "
                          f"bytes at offset {off}, {len(blob) - off} left")
     if len(blob) - off > size:
         raise ModelError("trailing bytes after parameter block")
-    weights, biases = [], []
-    for rows, cols in shapes:
-        w = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=off)
-        off += 8 * rows * cols
-        b = np.frombuffer(blob, dtype="<f8", count=rows, offset=off)
-        off += 8 * rows
-        weights.append(w.reshape(rows, cols).astype(np.float64))
-        biases.append(b.astype(np.float64))
-    return MlpVelocity(arch, weights, biases)
+    params = np.frombuffer(blob, dtype="<f8", count=arch.n_params, offset=off)
+    return MlpVelocity.from_params(arch, params.astype(np.float64))

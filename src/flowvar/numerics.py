@@ -36,6 +36,19 @@ class NumericsError(ValueError):
     pass
 
 
+class _NotAnInteger(NumericsError, TypeError):
+    """A seed, stream or key that is not an integer; a TypeError too, as
+    ``operator.index`` raises."""
+
+
+def _index(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise _NotAnInteger(f"seed, stream and key must be integers, "
+                            f"got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class RngState:
     """A (seed, stream) pair that deterministically identifies a bit stream.
@@ -54,7 +67,11 @@ class RngState:
         )
 
     def split(self, key: int) -> "RngState":
-        """Derive an independent child state; pure in (seed, stream, key)."""
+        """Derive an independent child state; pure in (seed, stream, key).
+
+        The key must be an integer (anything ``operator.index`` takes).
+        """
+        key = _index(key)
         try:
             ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream, key))
         except ValueError as ex:  # a negative seed, stream or key
@@ -103,7 +120,7 @@ _OTHERS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
 def _words(x) -> list:
     """SeedSequence's coding of a non-negative integer: 32-bit words, low
     word first, one zero word for 0."""
-    x = operator.index(x)
+    x = _index(x)
     if 0 <= x <= _MASK32:
         return [x]
     if x < 0:

@@ -74,19 +74,30 @@ class TrainReport:
     notes: tuple = ()
 
 
-def _batch_loss_and_grads(model, x0, x1, t, dropout_rng=None):
-    """Shared core of both objectives: regress velocity onto x1 - x0."""
-    target = x1 - x0
+def _regression_input(x0, x1, t):
+    """Model input (x, t) of both objectives: the interpolant at t, or x0 at
+    time 0 for the one-step objective (t None)."""
     if t is None:
-        xin, tin = x0, 0.0
-    else:
-        tc = t[:, None]
-        xin, tin = tc * x1 + (1.0 - tc) * x0, t
-    out, cache = model.forward_cache(xin, tin, dropout_rng)
-    resid = out - target
+        return x0, 0.0
+    tc = t[:, None]
+    return tc * x1 + (1.0 - tc) * x0, t
+
+
+def _batch_loss_and_grads(model, x0, x1, t, dropout_rng=None, grad=None):
+    """Shared core of both objectives: regress velocity onto x1 - x0.
+
+    The gradients go into ``grad`` (a flat vector laid out like
+    ``model.params``, allocated when None) and come back as its views.
+    """
+    resid, cache = model.forward_cache(*_regression_input(x0, x1, t),
+                                       dropout_rng)
+    resid -= x1 - x0
     n = x0.shape[0]
     loss = float((resid * resid).sum() / n)
-    d_ws, d_bs = model.backward(cache, (2.0 / n) * resid)
+    if not np.isfinite(loss):
+        raise TrainingError("non-finite loss")
+    resid *= 2.0 / n
+    d_ws, d_bs = model.backward(cache, resid, out=grad)
     return loss, d_ws, d_bs
 
 
@@ -99,47 +110,77 @@ def fm_loss(model: MlpVelocity, x0, x1, t, dropout_rng: RngState | None = None):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t <= 0.0) or np.any(t >= 1.0):
         raise TrainingError("fm loss needs interior times")
-    loss, d_ws, d_bs = _batch_loss_and_grads(model, x0, x1, t, dropout_rng)
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite loss")
-    return loss, d_ws, d_bs
+    return _batch_loss_and_grads(model, x0, x1, t, dropout_rng)
 
 
 def one_step_loss(model: MlpVelocity, x0, x1, dropout_rng: RngState | None = None):
     """Average-velocity regression at t=0: mean ||v(x0, 0) - (x1 - x0)||^2."""
-    loss, d_ws, d_bs = _batch_loss_and_grads(model, x0, x1, None, dropout_rng)
-    if not np.isfinite(loss):
-        raise TrainingError("non-finite loss")
-    return loss, d_ws, d_bs
+    return _batch_loss_and_grads(model, x0, x1, None, dropout_rng)
 
 
 class _AdamW:
-    """Decoupled-weight-decay Adam over a list of parameter arrays."""
+    """Decoupled-weight-decay Adam over one flat parameter vector, updated in
+    place through two preallocated scratch vectors. Each element sees the
+    same operations, in the same order, as
+    ``m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g; p -= lr wd p;
+    p -= lr (m / c1) / (sqrt(v / c2) + eps)``."""
 
     def __init__(self, params, weight_decay):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._s1 = np.empty_like(params)
+        self._s2 = np.empty_like(params)
         self.wd = weight_decay
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.steps = 0
 
-    def step(self, params, grads, lr):
+    def step(self, params, grad, lr):
         self.steps += 1
         c1 = 1.0 - self.beta1**self.steps
         c2 = 1.0 - self.beta2**self.steps
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * self.wd * p
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=s1)
+        s1 *= grad
+        v += s1
+        np.multiply(params, lr * self.wd, out=s1)
+        params -= s1
+        np.divide(m, c1, out=s1)
+        s1 *= lr
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        params -= s1
 
 
 def _lr_at(config: TrainConfig, step: int, total_steps: int) -> float:
     if config.lr_schedule == "constant":
         return config.learning_rate
     return config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
+
+
+def _initial_loss(model, x0, x1, t, batch: int) -> float:
+    """Pre-training reference: the dropout-free mean squared residual over
+    the epoch's pairs, evaluated in batch-sized chunks into one output.
+
+    The bits equal those of one call over the epoch wherever the BLAS gives
+    each GEMM row the same bits at any row count. OpenBLAS does at d = 64;
+    at d <= 8 its small-matrix kernels may not, which can move a non-zero
+    head's loss by an ulp. Freshly initialised models have a zero head, so
+    their output, and this loss, is exact either way.
+    """
+    n = x0.shape[0]
+    out = np.empty_like(x1)
+    for lo in range(0, n, batch):
+        sl = slice(lo, lo + batch)
+        out[sl] = model.velocity(
+            *_regression_input(x0[sl], x1[sl], None if t is None else t[sl]))
+    out -= x1 - x0
+    return float(np.sum(np.square(out, out=out)) / n)
 
 
 def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
@@ -152,7 +193,8 @@ def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
     if task.dim != model.arch.dim:
         raise TrainingError(f"task dim {task.dim} != model dim {model.arch.dim}")
     t0 = time.perf_counter()
-    params = model.weights + model.biases
+    params = model.params
+    grad = np.empty_like(params)
     opt = _AdamW(params, config.weight_decay)
     n = config.pairs_per_epoch
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
@@ -165,25 +207,20 @@ def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
     for epoch in range(config.epochs):
         ep = config.seed.split(epoch)
         x0, x1 = task.sample_pairs(ep.split(0), n)
+        t_all = None
         if config.objective == "fm":
             t_all = ep.split(1).generator().uniform(size=n)
             t_all = np.clip(t_all, T_CLAMP[0], T_CLAMP[1])
         if epoch == 0:
-            # pre-training reference: dropout-free eval on the first epoch's data
-            if config.objective == "fm":
-                tc = t_all[:, None]
-                out = model.velocity(tc * x1 + (1.0 - tc) * x0, t_all)
-            else:
-                out = model.velocity(x0, 0.0)
-            initial_loss = float(np.sum((out - (x1 - x0)) ** 2) / n)
+            initial_loss = _initial_loss(model, x0, x1, t_all,
+                                         config.batch_size)
         losses = []
         for k in range(steps_per_epoch):
             sl = slice(k * config.batch_size, (k + 1) * config.batch_size)
             drop = ep.split(2 + k) if use_dropout else None
-            if config.objective == "fm":
-                loss, d_ws, d_bs = fm_loss(model, x0[sl], x1[sl], t_all[sl], drop)
-            else:
-                loss, d_ws, d_bs = one_step_loss(model, x0[sl], x1[sl], drop)
+            loss, _, _ = _batch_loss_and_grads(
+                model, x0[sl], x1[sl], None if t_all is None else t_all[sl],
+                drop, grad)
             if loss > 1e6:
                 partial = TrainReport(tuple(epoch_losses), initial_loss,
                                       time.perf_counter() - t0, model.checksum())
@@ -191,7 +228,7 @@ def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
                     f"training diverged at epoch {epoch} step {k}: loss {loss:.3e}",
                     report=partial,
                 )
-            opt.step(params, d_ws + d_bs, _lr_at(config, step, total_steps))
+            opt.step(params, grad, _lr_at(config, step, total_steps))
             losses.append(loss)
             step += 1
         epoch_losses.append(float(np.mean(losses)))

@@ -305,14 +305,15 @@ dropout_passes = 50
 """
 
 
-def _gate_outputs(root):
+def _gate_outputs(root, commands=(["train", "fm"], ["uq", "tweedie"],
+                                   ["uq", "mc-dropout"],
+                                   ["consistency", "--n", "8"], ["traj"])):
     """Every CSV, graymap and model file of a tiny bars run, by name."""
     root.mkdir()
     ini = root / "gate.ini"
     out = root / "run"
     ini.write_text(GATE_INI.format(out=out))
-    for argv in (["train", "fm"], ["uq", "tweedie"], ["uq", "mc-dropout"],
-                 ["consistency", "--n", "8"], ["traj"]):
+    for argv in commands:
         assert main(argv + ["--config", str(ini)]) == 0
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())
             if p.suffix in (".csv", ".pgm", ".fvar")}
@@ -343,4 +344,23 @@ def test_batched_streams_write_the_bytes_of_one_at_a_time(tmp_path,
             "traj.csv"} <= set(batched)
     assert sorted(batched) == sorted(reference)
     for name, data in batched.items():
+        assert data == reference[name], name
+
+
+def test_in_place_training_writes_the_bytes_of_the_allocating_step(
+        tmp_path, monkeypatch):
+    """The flat-vector training step is a refactor: with the allocating
+    per-array AdamW, backward and full-epoch initial loss put back, every
+    trained model and loss curve keeps its bytes."""
+    from test_training import use_reference_training
+
+    commands = (["train", "fm"], ["train", "one-step"], ["train", "ensemble"])
+    in_place = _gate_outputs(tmp_path / "in_place", commands)
+    use_reference_training(monkeypatch)
+    reference = _gate_outputs(tmp_path / "reference", commands)
+    assert {"train_fm.csv", "train_onestep.csv", "train_ensemble.csv",
+            "model_fm.fvar", "model_dropout.fvar", "model_onestep.fvar",
+            "model_member_0.fvar"} <= set(in_place)
+    assert sorted(in_place) == sorted(reference)
+    for name, data in in_place.items():
         assert data == reference[name], name

@@ -179,3 +179,34 @@ def test_mnist_task_rejects_wrong_container(tmp_path):
     small.write_bytes(_image_bytes((2, 20, 20), bytes(800)))
     with pytest.raises(DataError, match="too small"):
         MnistTask(small)
+
+
+def _reference_toy_images(kind, side, n, rng):
+    """The per-image loop toy_image_dataset ran before it broadcast."""
+    g = rng.generator()
+    imgs = np.full((n, side, side), -1.0)
+    if kind == "bars":
+        width = side // 2
+        lefts = g.integers(0, side - width + 1, size=n)
+        for i, left in enumerate(lefts):
+            imgs[i, :, left:left + width] = 1.0
+    else:
+        radius = side / 3.0
+        jitter = g.integers(-1, 2, size=(n, 2)).astype(np.float64)
+        centers = (side - 1) / 2.0 + jitter
+        yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)
+        for i in range(n):
+            dist2 = (yy - centers[i, 0]) ** 2 + (xx - centers[i, 1]) ** 2
+            imgs[i][dist2 <= radius * radius] = 1.0
+    return imgs.reshape(n, side * side)
+
+
+@pytest.mark.parametrize("kind", ["bars", "blobs"])
+@pytest.mark.parametrize("side", [4, 5, 8, 32])
+def test_toy_images_equal_the_per_image_loop(kind, side):
+    for n, seed in ((1, 0), (257, side)):
+        got = toy_image_dataset(kind, side, n, RngState(seed))
+        ref = _reference_toy_images(kind, side, n, RngState(seed))
+        assert got.shape == ref.shape == (n, side * side)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.tobytes() == ref.tobytes()

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import flowvar
-from flowvar.data import GmmTask
-from flowvar.metrics import (DEFAULT_HITRATE_PERCENT, MetricsError, _ranks,
+from flowvar.data import GmmTask, ImageTask
+from flowvar.metrics import (DEFAULT_HITRATE_PERCENT, ConsistencyRow,
+                             MetricsError, _mean_or_none, _ranks,
                              consistency_protocol, corrupt, error_correlation,
                              hitrate_at_k, spearman)
 from flowvar.models import analytic_handle
 from flowvar.numerics import RngState
 from flowvar.oracle import GmmSpec
+from flowvar.uq import posterior_mean_from_velocity
 
 
 # few distinct values so that ties are common; NaN and infinities included
@@ -187,6 +189,114 @@ def test_protocol_is_deterministic():
     c = consistency_protocol(field, _stub_methods(2), task,
                              rng=RngState(5), **kw)
     assert any(x != y for x, y in zip(a, c))
+
+
+def _reference_spearman(u, e):
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    e = np.asarray(e, dtype=np.float64).reshape(-1)
+    if u.shape != e.shape or u.shape[0] < 2:
+        raise MetricsError("need two equal-length sequences of length >= 2")
+    ru, re = _ranks(u), _ranks(e)
+    du, de = ru - ru.mean(), re - re.mean()
+    su, se = np.sqrt((du * du).sum()), np.sqrt((de * de).sum())
+    if su == 0.0 or se == 0.0:
+        raise MetricsError("undefined correlation: constant input")
+    return float((du * de).sum() / (su * se))
+
+
+def _reference_hitrate(u, e, k_percent):
+    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    e = np.asarray(e, dtype=np.float64).reshape(-1)
+    kc = max(1, int(np.floor(u.shape[0] * k_percent / 100.0)))
+    top_u = np.argsort(-u, kind="stable")[:kc]
+    top_e = np.argsort(-e, kind="stable")[:kc]
+    return len(np.intersect1d(top_u, top_e)) / kc
+
+
+def _reference_protocol(reference, methods, task, t_grid, noise_level, rng,
+                        n_samples, k_percent):
+    """The protocol as it ran before: each method ranks and orders every
+    error map again."""
+    x0s, x1s = task.sample_pairs(rng.split(0), n_samples)
+    x1_corr = np.stack([corrupt(x, noise_level, rng.split(1).split(i))
+                        for i, x in enumerate(x1s)])
+    rows = []
+    for ti, t in enumerate(t_grid):
+        xts = t * x1_corr + (1.0 - t) * x0s
+        x1_hat = posterior_mean_from_velocity(
+            xts, t, np.atleast_2d(reference.velocity(xts, t)))
+        err_maps = (x1_hat - x1s) ** 2
+        for mi, (name, method) in enumerate(methods.items()):
+            pix, hits, scalars = [], [], []
+            for i in range(n_samples):
+                umap, uscalar = method(xts[i], t,
+                                       rng.split(2 + mi).split(ti).split(i))
+                scalars.append(uscalar)
+                try:
+                    pix.append(_reference_spearman(umap, err_maps[i]))
+                except MetricsError:
+                    pix.append(None)
+                    hits.append(None)
+                    continue
+                hits.append(_reference_hitrate(umap, err_maps[i], k_percent))
+            try:
+                samp = _reference_spearman(scalars, err_maps.sum(axis=1))
+            except MetricsError:
+                samp = None
+            rows.append(ConsistencyRow(
+                float(t), name, _mean_or_none(pix), _mean_or_none(hits), samp,
+                n_samples, sum(1 for v in pix if v is None)))
+    return rows
+
+
+class _TiedErrorField:
+    """At t = 0.5 the posterior mean is exactly 0 on the first half of each
+    sample's pixels (error 1 there, a tie) and on every pixel of the even
+    samples (a constant error map); elsewhere it varies."""
+
+    def velocity(self, xts, t):
+        v = 0.3 * xts
+        if t == 0.5:
+            half = xts.shape[1] // 2
+            v[:, :half] = -2.0 * xts[:, :half]
+            v[0::2] = -2.0 * xts[0::2]
+        return v
+
+
+def _tied_stub_methods():
+    def tied(xt, t, rng):
+        m = np.round(np.abs(xt) * 2.0) / 2.0
+        return m, float(m.max())
+
+    def drawn(xt, t, rng):  # random ranks with ties, from the method stream
+        m = np.floor(rng.generator().random(xt.shape[0]) * 4.0)
+        return m, float(np.round(m.sum()))
+
+    def constant(xt, t, rng):
+        return np.full(xt.shape[0], 0.5), 0.5
+
+    def sometimes_constant(xt, t, rng):
+        m = np.full(xt.shape[0], 2.0) if xt[0] > 0.0 else np.abs(xt)
+        return m, float(m[0])
+
+    return {"tied": tied, "drawn": drawn, "constant": constant,
+            "sometimes-constant": sometimes_constant}
+
+
+@pytest.mark.parametrize("k_percent", [DEFAULT_HITRATE_PERCENT, 7.0])
+def test_protocol_rows_equal_the_per_method_loop(k_percent):
+    task = ImageTask("bars", 4)
+    args = (_TiedErrorField(), _tied_stub_methods(), task, (0.5, 0.3), 0.25,
+            RngState(13))
+    rows = consistency_protocol(*args, n_samples=24, k_percent=k_percent)
+    ref = _reference_protocol(*args, n_samples=24, k_percent=k_percent)
+    assert rows == ref
+    by_key = {(r.t, r.method): r for r in rows}
+    # the premise: constant maps on either side leave gaps, ties do not
+    assert by_key[(0.5, "tied")].n_missing == 12
+    assert by_key[(0.3, "tied")].n_missing == 0
+    assert by_key[(0.3, "constant")].pixel_spearman is None
+    assert 0 < by_key[(0.3, "sometimes-constant")].n_missing < 24
 
 
 def test_protocol_needs_samples():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,3 +256,117 @@ def test_flipped_byte_raises_model_error_or_loads(container, data):
         return
     assert model.n_params == _model(dim=2, hidden=3, depth=2,
                                     n_freq=1).n_params
+
+
+# ---- flat parameter vector ---------------------------------------------------
+# The parameters are one contiguous vector; the per-layer code below is how
+# the checksum and the container were computed before, one array at a time.
+
+
+def _reference_checksum(model):
+    h = hashlib.sha256()
+    for w, b in zip(model.weights, model.biases):
+        h.update(np.ascontiguousarray(w, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _reference_payload(model):
+    return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                    for wb in zip(model.weights, model.biases) for a in wb)
+
+
+def _reference_load_params(blob, model):
+    """Per-layer frombuffer reads of a container's parameter block."""
+    off = len(blob) - 8 * model.n_params
+    out = []
+    for rows, cols in model.arch.layer_shapes():
+        for count in (rows * cols, rows):
+            out.append(np.frombuffer(blob, dtype="<f8", count=count,
+                                     offset=off))
+            off += 8 * count
+    return out
+
+
+def _dyadic_model():
+    """A model whose parameters are exact binary fractions, so its bytes do
+    not depend on the platform's math library."""
+    m = _model(dim=2, hidden=3, depth=2, n_freq=1, dropout=0.1)
+    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+        w[:] = ((np.arange(w.size) - 3.5 + 10 * i) / 8).reshape(w.shape)
+        b[:] = -(np.arange(b.size) + 0.25 * i) / 4
+    return m
+
+
+def test_layer_arrays_are_views_of_the_flat_vector():
+    m = _model(dim=3, hidden=5, depth=2)
+    assert m.params.flags.c_contiguous and m.params.dtype == np.float64
+    assert m.params.size == m.n_params == m.arch.n_params
+    off = 0
+    for w, b in zip(m.weights, m.biases):
+        assert np.shares_memory(w, m.params) and np.shares_memory(b, m.params)
+        w[:] = 1.5
+        b[:] = -2.0
+        assert np.all(m.params[off:off + w.size] == 1.5)
+        off += w.size
+        assert np.all(m.params[off:off + b.size] == -2.0)
+        off += b.size
+    m.weights[0][1, 2] += 0.25
+    assert m.params[1 * m.weights[0].shape[1] + 2] == 1.75
+    c = m.copy()
+    assert not np.shares_memory(c.params, m.params)
+    assert np.shares_memory(c.weights[0], c.params)
+    assert c.checksum() == m.checksum()
+
+
+def test_checksum_and_container_match_the_per_layer_code(tmp_path):
+    # a committed container: these digests were taken from the per-layer code
+    m = _dyadic_model()
+    save_model(tmp_path / "m.fvar", m)
+    blob = (tmp_path / "m.fvar").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "74c5e6b1407d9c7da3d148ff58fe6e5eef312326e09693e1cb3debd6630f64c4")
+    assert m.checksum() == (
+        "1799edf96523ed13447dba7b122c03e13483dbcde9f16a082ae872993ccc1556")
+    # freshly written containers of random models, with and without dropout
+    for arch in (MlpArch(dim=4, hidden=16, depth=3, dropout=0.2),
+                 MlpArch(dim=64, hidden=32, activation="relu")):
+        m = MlpVelocity.init(arch, RngState(3))
+        m.params[:] = RngState(4).generator().standard_normal(m.n_params)
+        assert m.checksum() == _reference_checksum(m)
+        save_model(tmp_path / "r.fvar", m)
+        blob = (tmp_path / "r.fvar").read_bytes()
+        assert blob.endswith(_reference_payload(m))
+        loaded = load_model(tmp_path / "r.fvar")
+        assert loaded.params.flags.writeable
+        for a, b in zip([a for wb in zip(loaded.weights, loaded.biases)
+                         for a in wb], _reference_load_params(blob, m)):
+            assert a.tobytes() == b.tobytes()
+        assert loaded.checksum() == m.checksum() == _reference_checksum(loaded)
+        save_model(tmp_path / "again.fvar", loaded)
+        assert (tmp_path / "again.fvar").read_bytes() == blob
+
+
+def test_from_params_rejects_a_wrong_vector():
+    arch = MlpArch(dim=2, hidden=3)
+    for bad in (np.zeros(arch.n_params - 1), np.zeros(arch.n_params, np.float32),
+                np.zeros((arch.n_params, 2))[:, 0], [0.0] * arch.n_params):
+        with pytest.raises(ModelError, match="parameters"):
+            MlpVelocity.from_params(arch, bad)
+    flat = np.arange(arch.n_params, dtype=np.float64)
+    assert MlpVelocity.from_params(arch, flat).params is flat
+
+
+def test_backward_writes_into_a_flat_gradient_buffer():
+    m = _model(dim=3, hidden=5)
+    x = RngState(5).generator().standard_normal((4, 3))
+    out, cache = m.forward_cache(x, 0.3)
+    dout = np.ones_like(out)
+    d_ws, d_bs = m.backward(cache, dout)
+    buf = np.full(m.n_params, np.nan)
+    b_ws, b_bs = m.backward(cache, dout, out=buf)
+    assert not np.isnan(buf).any()
+    for a, b in zip(d_ws + d_bs, b_ws + b_bs):
+        assert np.shares_memory(b, buf) and np.array_equal(a, b)
+    with pytest.raises(ModelError, match="gradient buffer"):
+        m.backward(cache, dout, out=np.empty(m.n_params + 1))

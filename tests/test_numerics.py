@@ -147,3 +147,19 @@ def test_finite_diff_rejects_nonfinite():
 
     with pytest.raises(NumericsError, match="non-finite"):
         finite_diff_jvp(bad, np.ones(2), np.ones(2))
+
+
+def test_split_and_split_many_take_the_same_keys():
+    root = RngState(7, 3)
+    # keys SeedSequence would coerce are refused on both paths
+    for key in ("12", (1, 2), 1.5, None, np.float64(2.0)):
+        for call in (lambda: root.split(key), lambda: root.split_many([key])):
+            with pytest.raises(NumericsError, match="integers"):
+                call()
+    # integer-like keys give the bits of the plain int, on both paths
+    for key in (np.int64(5), np.uint32(5), np.int8(5)):
+        assert root.split(key) == root.split(5) == root.split_many([key])[0]
+    assert root.split(True) == root.split(1)
+    # the bits numpy's SeedSequence gave these keys before the check
+    assert root.split(5).seed == 2996089601602301123
+    assert root.split(2**40).seed == 6910379499768356869
