@@ -49,12 +49,14 @@ from .models import (
 )
 from .training import (
     TrainConfig,
+    TrainJob,
     TrainReport,
     TrainingError,
     fm_loss,
     one_step_loss,
     train,
     train_ensemble,
+    train_jobs,
 )
 from .uq import (
     DEFAULT_EPSILON,

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .baselines import BaselineError, ensemble_uq, mc_dropout_uq
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, check_seed, load_config
 from .data import DataError
 from .metrics import MetricsError, consistency_protocol
 from .models import (EvalCounter, ModelError, ModelField, MlpVelocity,
@@ -30,7 +30,7 @@ from .oracle import OracleError, gmm_posterior
 from .reporting import (CostLedger, ReportError, cost_report, write_csv,
                         write_uq_map)
 from .sampler import SamplerError, euler_generate
-from .training import TrainingError, train, train_ensemble
+from .training import TrainJob, TrainingError, ensemble_jobs, train_jobs
 from .uq import UqError, cov_closed_form, one_step_cov, prior_baseline, \
     shift_time_grid, trajectory_uq
 
@@ -74,7 +74,7 @@ class Method:
     """How one uncertainty method is trained, stored, run and reported.
 
     ``streams`` are the master-stream keys (init, train, cost probes). An
-    ensemble has no init key of its own (``train_ensemble`` derives each
+    ensemble has no init key of its own (``ensemble_jobs`` derives each
     member's from the train stream), keeps one model file ``{file}_{i}`` per
     member and labels their training rows ``{row}{i}``. ``size`` names the
     config field written in the S column.
@@ -128,6 +128,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flowvar", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
@@ -137,11 +144,16 @@ def _build_parser() -> _Parser:
                         help="override the master seed")
     common.add_argument("--out", default=None,
                         help="override the output directory")
+    # train and cost train several independent models at once
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--jobs", type=_positive_int, default=None,
+                          help="worker processes that train models (default: "
+                               "one per model, at most the usable CPUs)")
 
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p_train = sub.add_parser("train", parents=[common],
+    p_train = sub.add_parser("train", parents=[common, training],
                              help="train velocity models")
     p_train.add_argument("variant", choices=tuple(dict.fromkeys(
         m.variant for m in METHODS.values())))
@@ -170,7 +182,7 @@ def _build_parser() -> _Parser:
                        help="comma-separated probe counts")
     p_abl.add_argument("--replicates", type=int, default=8)
 
-    sub.add_parser("cost", parents=[common],
+    sub.add_parser("cost", parents=[common, training],
                    help="instrumented cost comparison across methods")
     return parser
 
@@ -180,6 +192,7 @@ def _load(args) -> ExperimentConfig:
 
     cfg = load_config(args.config)
     if args.seed is not None:
+        check_seed(args.seed)
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out=Path(args.out))
@@ -213,17 +226,30 @@ def _members(cfg: ExperimentConfig, m: Method):
             for i in range(cfg.ensemble_members)]
 
 
-def _train_method(cfg: ExperimentConfig, task, m: Method):
-    """Train the model(s) of ``m`` from its streams; (models, reports)."""
+def _method_jobs(cfg: ExperimentConfig, task, m: Method) -> list:
+    """The training job of each model of ``m``, from its streams."""
     master = _master(cfg)
     init_key, train_key, _ = m.streams
     arch = cfg.build_arch(task.dim, cfg.dropout_rate if m.dropout else None)
     config = cfg.train_config(seed=master.split(train_key),
                               objective=m.objective)
     if init_key is None:
-        return train_ensemble(cfg.ensemble_members, arch, task, config)
-    model = MlpVelocity.init(arch, master.split(init_key))
-    return [model], [train(model, task, config)]
+        return ensemble_jobs(cfg.ensemble_members, arch, config)
+    return [TrainJob(arch, master.split(init_key), config)]
+
+
+def _train_methods(args, cfg: ExperimentConfig, task, methods) -> list:
+    """Train the models of all ``methods`` as one job list on ``args.jobs``
+    workers; (models, reports) per method."""
+    per_method = [_method_jobs(cfg, task, m) for m in methods]
+    pairs = iter(train_jobs(task, [job for jobs in per_method for job in jobs],
+                            args.jobs))
+    trained = []
+    for jobs in per_method:
+        done = [next(pairs) for _ in jobs]
+        trained.append(([model for model, _ in done],
+                        [report for _, report in done]))
+    return trained
 
 
 def _load_fields(cfg: ExperimentConfig, m: Method):
@@ -239,13 +265,12 @@ def _load_fields(cfg: ExperimentConfig, m: Method):
 
 def cmd_train(args, cfg: ExperimentConfig) -> int:
     task = cfg.build_task()
+    # the dropout twin serves only mc-dropout, so it is trained on demand
+    methods = [m for m in METHODS.values() if m.variant == args.variant
+               and not (m.dropout and m.name not in cfg.methods)]
     rows, summary = [], []
-    for m in METHODS.values():
-        # the dropout twin serves only mc-dropout, so it is trained on demand
-        if m.variant != args.variant or (m.dropout
-                                         and m.name not in cfg.methods):
-            continue
-        models, reports = _train_method(cfg, task, m)
+    for m, (models, reports) in zip(methods,
+                                    _train_methods(args, cfg, task, methods)):
         for (stem, label), model, rep in zip(_members(cfg, m), models,
                                              reports):
             save_model(_model_path(cfg, stem), model)
@@ -371,6 +396,10 @@ def cmd_traj(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_consistency(args, cfg: ExperimentConfig) -> int:
+    if args.n < 2:
+        raise ConfigError(f"--n must be at least 2, got {args.n}")
+    if not 0.0 <= args.noise <= 1.0:
+        raise ConfigError(f"--noise must lie in [0, 1], got {args.noise:g}")
     task = cfg.build_task()
     reference = _load_fields(cfg, _FM)[0]
     methods = {}
@@ -434,11 +463,14 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_cost(args, cfg: ExperimentConfig) -> int:
-    """Train and evaluate each configured method with instrumentation.
+    """Train every configured method's models, then evaluate each method
+    with instrumentation.
 
     Training cost counts one forward pass per seen sample (backward passes
     ride along with a constant factor and are omitted from counts; wall-clock
-    includes them either way).
+    includes them either way). The ledger books each model's own training
+    seconds, whatever ran beside it; the wall time of training them all goes
+    only into cost_summary.txt.
     """
     task = cfg.build_task()
     ledger = CostLedger()
@@ -448,10 +480,12 @@ def cmd_cost(args, cfg: ExperimentConfig) -> int:
     x0s, x1s = task.sample_pairs(master.split(14), 4)
     xts = t * x1s + (1.0 - t) * x0s
 
-    for name in cfg.methods:
-        m = METHODS[name]
-        models, reports = _train_method(cfg, task, m)
-        ledger.add_training(name, sum(r.seconds for r in reports),
+    methods = [METHODS[name] for name in cfg.methods]
+    t0 = time.perf_counter()
+    trained = _train_methods(args, cfg, task, methods)
+    train_wall = time.perf_counter() - t0
+    for m, (models, reports) in zip(methods, trained):
+        ledger.add_training(m.name, sum(r.seconds for r in reports),
                             len(models) * train_equiv)
         counter = EvalCounter()
         fields = [ModelField(model, counter) for model in models]
@@ -460,10 +494,12 @@ def cmd_cost(args, cfg: ExperimentConfig) -> int:
         for i, x in enumerate(x0s if m.reads_x0 else xts):
             m.run(cfg, fields, x, t, None if cost_key is None else
                   master.split(cost_key).split(i))
-        ledger.add_inference(name, time.perf_counter() - t0,
+        ledger.add_inference(m.name, time.perf_counter() - t0,
                              counter.forward_equivalents)
 
     rows = cost_report(ledger, cfg.out)
+    with open(cfg.out / "cost_summary.txt", "a", encoding="utf-8") as fh:
+        fh.write(f"training wall time, all models: {train_wall:.3f}s\n")
     for method, _, _, total, ratio in rows:
         print(f"{method}: {total} forward-equivalents "
               f"({ratio:.3g}x reference)")

@@ -25,6 +25,7 @@ from .uq import shift_time_grid
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "check_seed",
     "parse_config",
     "load_config",
     "PRESETS",
@@ -187,7 +188,14 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     return cfg
 
 
+def check_seed(seed: int) -> None:
+    """Master seeds are the non-negative integers RngState can split."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
 def _validate(cfg: ExperimentConfig, base_dir: Path | None):
+    check_seed(cfg.seed)
     if not cfg.t_grid or not all(0.0 < t < 1.0 for t in cfg.t_grid):
         raise ConfigError("t grid must lie inside (0, 1) after endpoint shift")
     if not np.all(np.diff(cfg.t_grid) > 0):

@@ -1,5 +1,5 @@
-"""Flow matching training, the one-step average-velocity objective, and
-seeded ensembles.
+"""Flow matching training, the one-step average-velocity objective, seeded
+ensembles, and the runner that trains many independent models.
 
 Both objectives are plain velocity regressions:
 
@@ -9,9 +9,14 @@ Both objectives are plain velocity regressions:
 with AdamW (decoupled weight decay, beta 0.9/0.999, eps 1e-8) and an optional
 cosine learning-rate schedule. Data is regenerated from the seed stream every
 epoch, so the run is fully determined by (task, config, initial parameters).
+
+``train_jobs`` trains a list of such runs, each a ``TrainJob``, in-process or
+on reusable worker processes (``flowvar._workers``), with the same bits either
+way.
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -22,12 +27,16 @@ from .numerics import RngState
 
 __all__ = [
     "TrainConfig",
+    "TrainJob",
     "TrainReport",
     "TrainingError",
+    "ensemble_jobs",
     "fm_loss",
     "one_step_loss",
     "train",
     "train_ensemble",
+    "train_jobs",
+    "usable_cpus",
 ]
 
 # training samples t uniformly but keeps clear of the interpolant endpoints,
@@ -39,6 +48,10 @@ class TrainingError(RuntimeError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+    def __reduce__(self):
+        # keeps the partial report when a worker process sends the error back
+        return type(self), (str(self), self.report)
 
 
 @dataclass(frozen=True)
@@ -165,13 +178,27 @@ def _lr_at(config: TrainConfig, step: int, total_steps: int) -> float:
 
 def _initial_loss(model, x0, x1, t, batch: int) -> float:
     """Pre-training reference: the dropout-free mean squared residual over
-    the epoch's pairs, evaluated in batch-sized chunks into one output.
+    the epoch's pairs.
+
+    A model whose output head (last weights and bias) is all zero, as every
+    ``MlpVelocity.init`` model's is, outputs exactly 0, so the residual is
+    x0 - x1 and the loss is ``sum((x1 - x0)**2) / n`` to the bit, with no
+    forward. Any other model goes through ``_chunked_loss``.
+    """
+    if model.weights[-1].any() or model.biases[-1].any():
+        return _chunked_loss(model, x0, x1, t, batch)
+    diff = x1 - x0
+    return float(np.sum(np.square(diff, out=diff)) / x0.shape[0])
+
+
+def _chunked_loss(model, x0, x1, t, batch: int) -> float:
+    """The dropout-free mean squared residual, evaluated in batch-sized
+    chunks into one output.
 
     The bits equal those of one call over the epoch wherever the BLAS gives
     each GEMM row the same bits at any row count. OpenBLAS does at d = 64;
     at d <= 8 its small-matrix kernels may not, which can move a non-zero
-    head's loss by an ulp. Freshly initialised models have a zero head, so
-    their output, and this loss, is exact either way.
+    head's loss by an ulp.
     """
     n = x0.shape[0]
     out = np.empty_like(x1)
@@ -245,9 +272,55 @@ def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
     )
 
 
-def train_ensemble(count: int, arch: MlpArch, task, config: TrainConfig,
-                   member_seeds=None):
-    """Train ``count`` independent members; returns (models, reports).
+@dataclass(frozen=True)
+class TrainJob:
+    """One model to train: ``MlpVelocity.init(arch, init)``, then ``train``
+    with ``config``."""
+
+    arch: MlpArch
+    init: RngState
+    config: TrainConfig
+
+
+def run_job(task, job: TrainJob):
+    """Train one job in this process; (model, report)."""
+    model = MlpVelocity.init(job.arch, job.init)
+    return model, train(model, task, job.config)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def train_jobs(task, jobs, workers: int | None = None) -> list:
+    """Train every job on ``task``; (model, report) pairs in job order.
+
+    The results are bit-identical to ``run_job`` on each job in turn, and so
+    is the error raised: the one the first failing job raises. ``workers``
+    defaults to ``min(len(jobs), usable_cpus())`` and never exceeds the job
+    count. One worker trains in this process; more hand the jobs to worker
+    processes that start on first use, are reused by later calls and stop
+    when the interpreter exits.
+    """
+    jobs = list(jobs)
+    if workers is None:
+        workers = usable_cpus()
+    if workers < 1:
+        raise TrainingError(f"need at least one worker, got {workers}")
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return [run_job(task, job) for job in jobs]
+    from . import _workers  # loads subprocess only when a pool is used
+
+    return _workers.run(task, jobs, workers)
+
+
+def ensemble_jobs(count: int, arch: MlpArch, config: TrainConfig,
+                  member_seeds=None) -> list:
+    """The jobs of ``count`` ensemble members.
 
     Members differ only in their seeds: member i initializes from
     config.seed.split(10_000 + i) and orders data by config.seed.split(i).
@@ -261,10 +334,14 @@ def train_ensemble(count: int, arch: MlpArch, task, config: TrainConfig,
             (config.seed.split(10_000 + i), config.seed.split(i))
             for i in range(count)
         ]
-    models, reports = [], []
-    for init_rng, data_rng in member_seeds:
-        model = MlpVelocity.init(arch, init_rng)
-        report = train(model, task, replace(config, seed=data_rng))
-        models.append(model)
-        reports.append(report)
-    return models, reports
+    return [TrainJob(arch, init_rng, replace(config, seed=data_rng))
+            for init_rng, data_rng in member_seeds]
+
+
+def train_ensemble(count: int, arch: MlpArch, task, config: TrainConfig,
+                   member_seeds=None, workers: int | None = None):
+    """Train ``count`` independent members (see ``ensemble_jobs``) with
+    ``train_jobs``; returns (models, reports)."""
+    pairs = train_jobs(task, ensemble_jobs(count, arch, config, member_seeds),
+                       workers)
+    return [m for m, _ in pairs], [r for _, r in pairs]

@@ -2,33 +2,41 @@
 
 Training is deterministic given the seed streams, so every test sees the
 same models. Each model takes its objective and its (init, train) stream
-keys from the CLI's method table, so fixtures and CLI runs train alike.
+keys from the CLI's method table, so fixtures and CLI runs train alike. The
+models of one task train together as one ``train_jobs`` list, on as many
+worker processes as there are usable CPUs.
 """
 import numpy as np
 import pytest
 
 from flowvar.cli import METHODS
 from flowvar.data import GmmTask, ImageTask, default_gmm_task
-from flowvar.models import MlpArch, MlpVelocity
+from flowvar.models import MlpArch
 from flowvar.numerics import RngState
 from flowvar.oracle import GmmSpec
-from flowvar.training import TrainConfig, train, train_ensemble
+from flowvar.training import TrainConfig, TrainJob, ensemble_jobs, train_jobs
 
 
-def _train_model(task, arch, method, **overrides):
+def _job(arch, method, **overrides):
     init_key, train_key, _ = METHODS[method].streams
     master = RngState(0)
-    model = MlpVelocity.init(arch, master.split(init_key))
-    report = train(model, task,
-                   TrainConfig(seed=master.split(train_key),
-                               objective=METHODS[method].objective,
-                               **overrides))
-    return model, report
+    return TrainJob(arch, master.split(init_key),
+                    TrainConfig(seed=master.split(train_key),
+                                objective=METHODS[method].objective,
+                                **overrides))
 
 
-def _train_ensemble(task, arch):
+def _train_models(task, dim):
+    """fm, its dropout twin and 5 ensemble members, trained together."""
     seed = RngState(0).split(METHODS["ensemble"].streams[1])
-    return train_ensemble(5, arch, task, TrainConfig(seed=seed))
+    pairs = train_jobs(task, [
+        _job(MlpArch(dim=dim), "tweedie-fm"),
+        _job(MlpArch(dim=dim, dropout=0.15), "mc-dropout"),
+        *ensemble_jobs(5, MlpArch(dim=dim), TrainConfig(seed=seed)),
+    ])
+    members = pairs[2:]
+    return {"fm": pairs[0], "dropout": pairs[1],
+            "ensemble": ([m for m, _ in members], [r for _, r in members])}
 
 
 @pytest.fixture(scope="session")
@@ -37,23 +45,23 @@ def gmm_task():
 
 
 @pytest.fixture(scope="session")
-def gmm_fm(gmm_task):
-    return _train_model(gmm_task, MlpArch(dim=2), "tweedie-fm")
+def gmm_models(gmm_task):
+    return _train_models(gmm_task, 2)
 
 
 @pytest.fixture(scope="session")
-def gmm_onestep(gmm_task):
-    return _train_model(gmm_task, MlpArch(dim=2), "tweedie-onestep")
+def gmm_fm(gmm_models):
+    return gmm_models["fm"]
 
 
 @pytest.fixture(scope="session")
-def gmm_dropout(gmm_task):
-    return _train_model(gmm_task, MlpArch(dim=2, dropout=0.15), "mc-dropout")
+def gmm_dropout(gmm_models):
+    return gmm_models["dropout"]
 
 
 @pytest.fixture(scope="session")
-def gmm_ensemble(gmm_task):
-    return _train_ensemble(gmm_task, MlpArch(dim=2))
+def gmm_ensemble(gmm_models):
+    return gmm_models["ensemble"]
 
 
 @pytest.fixture(scope="session")
@@ -71,8 +79,8 @@ def hetero_gmm_task():
 @pytest.fixture(scope="session")
 def hetero_fm(hetero_gmm_task):
     # longer schedule: the Jacobian structure needs a near-optimal field
-    return _train_model(hetero_gmm_task, MlpArch(dim=2), "tweedie-fm",
-                        epochs=60, learning_rate=5e-4)
+    return train_jobs(hetero_gmm_task, [
+        _job(MlpArch(dim=2), "tweedie-fm", epochs=60, learning_rate=5e-4)])[0]
 
 
 @pytest.fixture(scope="session")
@@ -81,15 +89,20 @@ def bars_task():
 
 
 @pytest.fixture(scope="session")
-def bars_fm(bars_task):
-    return _train_model(bars_task, MlpArch(dim=64), "tweedie-fm")
+def bars_models(bars_task):
+    return _train_models(bars_task, 64)
 
 
 @pytest.fixture(scope="session")
-def bars_dropout(bars_task):
-    return _train_model(bars_task, MlpArch(dim=64, dropout=0.15), "mc-dropout")
+def bars_fm(bars_models):
+    return bars_models["fm"]
 
 
 @pytest.fixture(scope="session")
-def bars_ensemble(bars_task):
-    return _train_ensemble(bars_task, MlpArch(dim=64))
+def bars_dropout(bars_models):
+    return bars_models["dropout"]
+
+
+@pytest.fixture(scope="session")
+def bars_ensemble(bars_models):
+    return bars_models["ensemble"]

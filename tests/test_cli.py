@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowvar import cli, models, training
+from flowvar import models, training
 from flowvar.cli import METHODS, main
 from flowvar.config import KNOWN_METHODS
 from flowvar.numerics import RngState
@@ -169,6 +169,22 @@ def test_missing_model_and_bad_flags_exit_one(tmp_path, capsys):
     assert main(["train", "fm", "--config", "no-such-preset"]) == 1
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+    # each is rejected before any work: no model exists to get that far
+    for argv, message in (
+            (["train", "fm", "--seed", "-1"], "seed must be non-negative"),
+            (["consistency", "--n", "0"], "--n must be at least 2"),
+            (["consistency", "--n", "1"], "--n must be at least 2"),
+            (["consistency", "--noise", "2"], "--noise must lie in [0, 1]"),
+            (["consistency", "--noise", "-1"], "--noise must lie in [0, 1]"),
+            (["train", "fm", "--jobs", "0"], "--jobs: must be positive"),
+            (["cost", "--jobs", "-1"], "--jobs: must be positive")):
+        assert main(argv + ["--config", str(ini)]) == 1, argv
+        assert message in capsys.readouterr().err, argv
+    assert not out.exists() or not any(out.glob("model_*"))
+    ini.write_text(f"[experiment]\nout = {out}\nseed = -1\n")
+    assert main(["train", "fm", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: seed must be non-negative, got -1"]
     for section, key in (("training", "objective = one-step"),
                          ("model", "dropout = 0.0")):
         ini.write_text(f"[experiment]\nout = {out}\n[{section}]\n{key}\n")
@@ -264,13 +280,14 @@ def test_train_and_cost_train_each_method_alike(tmp_path, monkeypatch):
         return real_train(model, task, config)
 
     monkeypatch.setattr(training, "train", spy)
-    monkeypatch.setattr(cli, "train", spy)
     ini = tmp_path / "fast.ini"
     ini.write_text(FAST_INI.format(out=tmp_path / "run"))
+    # the spy sees only what trains in this process
     for variant in ("fm", "one-step", "ensemble"):
-        assert main(["train", variant, "--config", str(ini)]) == 0
+        assert main(["train", variant, "--config", str(ini),
+                     "--jobs", "1"]) == 0
     trained, calls[:] = list(calls), []
-    assert main(["cost", "--config", str(ini)]) == 0
+    assert main(["cost", "--config", str(ini), "--jobs", "1"]) == 0
     # fm, its dropout twin, one-step and the two ensemble members
     assert len(trained) == 5
     key = lambda call: call[1]
@@ -300,19 +317,20 @@ t_grid = 0.3 0.7
 probes = 8
 
 [methods]
-use = tweedie-fm mc-dropout
+use = {methods}
 dropout_passes = 50
 """
 
 
-def _gate_outputs(root, commands=(["train", "fm"], ["uq", "tweedie"],
-                                   ["uq", "mc-dropout"],
-                                   ["consistency", "--n", "8"], ["traj"])):
+def _gate_outputs(root, commands=(["train", "fm", "--jobs", "1"],
+                                   ["uq", "tweedie"], ["uq", "mc-dropout"],
+                                   ["consistency", "--n", "8"], ["traj"]),
+                  methods="tweedie-fm mc-dropout"):
     """Every CSV, graymap and model file of a tiny bars run, by name."""
     root.mkdir()
     ini = root / "gate.ini"
     out = root / "run"
-    ini.write_text(GATE_INI.format(out=out))
+    ini.write_text(GATE_INI.format(out=out, methods=methods))
     for argv in commands:
         assert main(argv + ["--config", str(ini)]) == 0
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())
@@ -337,6 +355,7 @@ def test_batched_streams_write_the_bytes_of_one_at_a_time(tmp_path,
 
     monkeypatch.setattr(RngState, "split_many", split_many)
     monkeypatch.setattr(models, "uniform_draws", uniform_draws)
+    # _gate_outputs trains with --jobs 1, so the patches reach each model
     reference = _gate_outputs(tmp_path / "reference")
     assert calls["split_many"] > 0 and calls["uniform_draws"] > 0
     assert {"train_fm.csv", "model_dropout.fvar", "uq_mc-dropout.csv",
@@ -354,13 +373,45 @@ def test_in_place_training_writes_the_bytes_of_the_allocating_step(
     trained model and loss curve keeps its bytes."""
     from test_training import use_reference_training
 
-    commands = (["train", "fm"], ["train", "one-step"], ["train", "ensemble"])
+    commands = [["train", variant, "--jobs", "1"]
+                for variant in ("fm", "one-step", "ensemble")]
     in_place = _gate_outputs(tmp_path / "in_place", commands)
-    use_reference_training(monkeypatch)
+    calls = use_reference_training(monkeypatch)
     reference = _gate_outputs(tmp_path / "reference", commands)
+    assert all(calls.values()), calls
     assert {"train_fm.csv", "train_onestep.csv", "train_ensemble.csv",
             "model_fm.fvar", "model_dropout.fvar", "model_onestep.fvar",
             "model_member_0.fvar"} <= set(in_place)
     assert sorted(in_place) == sorted(reference)
     for name, data in in_place.items():
         assert data == reference[name], name
+
+
+def test_worker_count_leaves_every_output_byte_alike(tmp_path):
+    """train and cost write the same models and CSVs on 1 and 2 worker
+    processes; only the wall-clock summaries differ."""
+    commands = [["train", "ensemble"], ["train", "fm"], ["cost"]]
+    methods = "tweedie-fm tweedie-onestep ensemble mc-dropout"
+    runs = [_gate_outputs(tmp_path / f"jobs{jobs}",
+                          [argv + ["--jobs", jobs] for argv in commands],
+                          methods)
+            for jobs in ("1", "2")]
+    assert {"train_ensemble.csv", "train_fm.csv", "cost.csv", "model_fm.fvar",
+            "model_dropout.fvar", "model_member_4.fvar"} <= set(runs[0])
+    assert sorted(runs[0]) == sorted(runs[1])
+    for name, data in runs[0].items():
+        assert data == runs[1][name], name
+
+
+def test_worker_training_failure_exits_two_with_one_line(tmp_path, capsys):
+    ini = tmp_path / "diverge.ini"
+    ini.write_text(FAST_INI.format(out=tmp_path / "run").replace(
+        "batch_size = 128", "batch_size = 128\nlearning_rate = 1e8"))
+    errs = []
+    for jobs in ("1", "2"):
+        capsys.readouterr()
+        assert main(["train", "fm", "--config", str(ini), "--jobs", jobs]) == 2
+        errs.append(capsys.readouterr().err.splitlines())
+    assert len(errs[0]) == 1 and errs[0][0].startswith(
+        "runtime failure: training diverged at epoch 0")
+    assert errs[1] == errs[0]

@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flowvar import training
+from flowvar import _workers, training
 from flowvar.data import ImageTask, default_gmm_task
 from flowvar.models import MlpArch, MlpVelocity
 from flowvar.numerics import RngState
-from flowvar.training import (TrainConfig, TrainingError, fm_loss,
-                              one_step_loss, train, train_ensemble)
+from flowvar.training import (TrainConfig, TrainJob, TrainingError, fm_loss,
+                              one_step_loss, run_job, train, train_ensemble,
+                              train_jobs)
 
 
 def _tiny_config(**kw):
@@ -195,11 +203,30 @@ def reference_initial_loss(model, x0, x1, t, batch):
     return float(np.sum((out - (x1 - x0)) ** 2) / x0.shape[0])
 
 
+def counted(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    calls[name] = 0
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def use_reference_training(monkeypatch):
-    """Put the allocating optimizer, backward and initial-loss eval back."""
-    monkeypatch.setattr(training, "_AdamW", ReferenceAdamW)
-    monkeypatch.setattr(MlpVelocity, "backward", reference_backward)
-    monkeypatch.setattr(training, "_initial_loss", reference_initial_loss)
+    """Put the allocating optimizer, backward and initial-loss eval back.
+
+    The patches reach this process only, so whatever they should test must
+    train in-process. Returns the patched functions' call counts."""
+    calls = {}
+    monkeypatch.setattr(training, "_AdamW",
+                        counted(calls, "_AdamW", ReferenceAdamW))
+    monkeypatch.setattr(MlpVelocity, "backward",
+                        counted(calls, "backward", reference_backward))
+    monkeypatch.setattr(training, "_initial_loss",
+                        counted(calls, "_initial_loss",
+                                reference_initial_loss))
+    return calls
 
 
 def _nonzero_head(model):
@@ -238,8 +265,9 @@ def test_training_is_bit_identical_to_the_allocating_reference(case,
     task, cfg = make_task(), _tiny_config(**overrides)
     model, report = _trained(task, arch, cfg, head)
     with monkeypatch.context() as mp:
-        use_reference_training(mp)
+        calls = use_reference_training(mp)
         ref_model, ref_report = _trained(task, arch, cfg, head)
+    assert all(calls.values()), calls
     assert np.array_equal(model.params, ref_model.params)
     assert report.checksum == ref_report.checksum
     assert np.array_equal(report.initial_loss, ref_report.initial_loss)
@@ -248,11 +276,14 @@ def test_training_is_bit_identical_to_the_allocating_reference(case,
 
 def test_ensemble_training_is_bit_identical_to_the_allocating_reference(
         monkeypatch):
+    """The members from worker processes match the allocating reference,
+    trained in this process."""
     args = (2, MlpArch(dim=2), default_gmm_task(), _tiny_config())
-    models, reports = train_ensemble(*args)
+    models, reports = train_ensemble(*args, workers=2)
     with monkeypatch.context() as mp:
-        use_reference_training(mp)
-        ref_models, ref_reports = train_ensemble(*args)
+        calls = use_reference_training(mp)
+        ref_models, ref_reports = train_ensemble(*args, workers=1)
+    assert all(calls.values()), calls
     for m, r, rm, rr in zip(models, reports, ref_models, ref_reports):
         assert np.array_equal(m.params, rm.params)
         assert (r.initial_loss, r.epoch_losses) == (rr.initial_loss,
@@ -273,3 +304,179 @@ def test_loss_gradients_match_the_allocating_reference():
     assert loss == float((resid * resid).sum() / 40)
     for a, b in zip(d_ws + d_bs, ref_ws + ref_bs):
         assert np.array_equal(a, b)
+
+
+# ---- initial loss of a fresh model -------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 64])
+@pytest.mark.parametrize("objective,dropout", [("fm", 0.0), ("one-step", 0.0),
+                                               ("fm", 0.15)])
+def test_fresh_model_initial_loss_skips_the_forward(dim, objective, dropout,
+                                                    monkeypatch):
+    """A fresh model's head is zero, so its initial loss comes without a
+    forward and equals the chunked forward's to the bit."""
+    task = default_gmm_task() if dim == 2 else ImageTask("bars", 8)
+    cfg = _tiny_config(objective=objective, pairs_per_epoch=300)
+    model = MlpVelocity.init(MlpArch(dim=dim, dropout=dropout), RngState(5))
+    ep = cfg.seed.split(0)
+    x0, x1 = task.sample_pairs(ep.split(0), cfg.pairs_per_epoch)
+    t = None
+    if objective == "fm":
+        t = np.clip(ep.split(1).generator().uniform(size=cfg.pairs_per_epoch),
+                    *training.T_CLAMP)
+    chunked = training._chunked_loss(model, x0, x1, t, cfg.batch_size)
+    calls = {}
+    monkeypatch.setattr(MlpVelocity, "velocity",
+                        counted(calls, "velocity", MlpVelocity.velocity))
+    assert training._initial_loss(model, x0, x1, t, cfg.batch_size) == chunked
+    assert train(model, task, cfg).initial_loss == chunked
+    assert calls["velocity"] == 0
+    _nonzero_head(model)
+    assert training._initial_loss(model, x0, x1, t, cfg.batch_size) == \
+        training._chunked_loss(model, x0, x1, t, cfg.batch_size)
+    assert calls["velocity"] == 2 * -(-cfg.pairs_per_epoch // cfg.batch_size)
+
+
+# ---- the runner --------------------------------------------------------------
+
+
+def _mixed_jobs():
+    """fm, one-step and dropout jobs on the default gmm task."""
+    cfg = _tiny_config()
+    return [TrainJob(MlpArch(dim=2), RngState(1), cfg),
+            TrainJob(MlpArch(dim=2), RngState(2),
+                     replace(cfg, objective="one-step")),
+            TrainJob(MlpArch(dim=2, dropout=0.15), RngState(3), cfg),
+            TrainJob(MlpArch(dim=2, hidden=16), RngState(4),
+                     replace(cfg, seed=RngState(9)))]
+
+
+def _same_training(pairs, ref_pairs):
+    assert len(pairs) == len(ref_pairs)
+    for (m, r), (rm, rr) in zip(pairs, ref_pairs):
+        assert m.arch == rm.arch
+        assert np.array_equal(m.params, rm.params)
+        assert m.checksum() == r.checksum == rr.checksum
+        assert (r.initial_loss, r.epoch_losses, r.notes) == \
+            (rr.initial_loss, rr.epoch_losses, rr.notes)
+
+
+def test_workers_train_the_bits_of_the_in_process_runner():
+    task, jobs = default_gmm_task(), _mixed_jobs()
+    in_process = train_jobs(task, jobs, workers=1)
+    _same_training(in_process, [run_job(task, job) for job in jobs])
+    _same_training(train_jobs(task, jobs, workers=2), in_process)
+    pids = _worker_pids()
+    # a second call reuses the running workers
+    _same_training(train_jobs(task, jobs[::-1], workers=2), in_process[::-1])
+    assert _worker_pids() == pids
+
+
+def _worker_pids():
+    return [w.proc.pid for w in _workers._POOL._workers]
+
+
+def test_runner_starts_no_more_workers_than_jobs():
+    _workers._POOL.close()
+    assert _worker_pids() == []
+    task = default_gmm_task()
+    assert train_jobs(task, [], workers=8) == []
+    assert train_jobs(task, _mixed_jobs()[:2], workers=8)
+    assert len(_worker_pids()) == 2
+    with pytest.raises(TrainingError, match="at least one worker"):
+        train_jobs(task, _mixed_jobs(), workers=0)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through procfs")
+def test_workers_run_one_blas_thread():
+    """OpenBLAS starts its thread pool when numpy loads; a worker pinned to
+    one BLAS thread has no thread beside its main one."""
+    train_jobs(default_gmm_task(), _mixed_jobs()[:2], workers=2)
+    pids = _worker_pids()
+    assert len(pids) >= 2
+    for pid in pids:
+        assert os.listdir(f"/proc/{pid}/task") == [str(pid)]
+
+
+def test_worker_training_error_keeps_message_and_partial_report():
+    task = default_gmm_task()
+    jobs = _mixed_jobs()
+    jobs[1] = replace(jobs[1], config=replace(jobs[1].config, epochs=10,
+                                              learning_rate=1e8))
+    errors = []
+    for workers in (1, 2):
+        with pytest.raises(TrainingError) as exc:
+            train_jobs(task, jobs, workers=workers)
+        errors.append(exc.value)
+    local, remote = errors
+    assert type(remote) is TrainingError
+    assert str(remote) == str(local)
+    assert remote.report is not None
+    assert (remote.report.epoch_losses, remote.report.initial_loss,
+            remote.report.checksum) == (local.report.epoch_losses,
+                                        local.report.initial_loss,
+                                        local.report.checksum)
+    # the workers stay in use
+    pids = _worker_pids()
+    _same_training(train_jobs(task, jobs[2:], workers=2),
+                   train_jobs(task, jobs[2:], workers=1))
+    assert _worker_pids() == pids
+
+
+def test_killed_worker_raises_one_line_error():
+    """A worker killed mid-job ends the call with one line, not a hang; the
+    next call starts fresh workers."""
+    task = ImageTask("bars", 8)
+    long = TrainConfig(epochs=200, seed=RngState(1))
+    jobs = [TrainJob(MlpArch(dim=64), RngState(i), long) for i in range(2)]
+    _workers._POOL.close()
+
+    def kill_first_worker():
+        deadline = time.monotonic() + 30.0
+        while not _workers._POOL._workers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.5)
+        _workers._POOL._workers[0].proc.kill()
+
+    killer = threading.Thread(target=kill_first_worker)
+    killer.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(TrainingError, match="stopped during a job") as exc:
+            train_jobs(task, jobs, workers=2)
+    finally:
+        killer.join(timeout=60.0)
+    assert not killer.is_alive()
+    assert time.monotonic() - t0 < 30.0
+    assert "\n" not in str(exc.value)
+    assert _worker_pids() == []
+    small = _mixed_jobs()[:2]
+    _same_training(train_jobs(default_gmm_task(), small, workers=2),
+                   train_jobs(default_gmm_task(), small, workers=1))
+
+
+def test_unguarded_script_trains_an_ensemble_on_workers(tmp_path):
+    """Workers start as fresh interpreters, so a script without a
+    ``__name__ == "__main__"`` guard is not imported again."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "from flowvar.data import default_gmm_task\n"
+        "from flowvar.models import MlpArch\n"
+        "from flowvar.numerics import RngState\n"
+        "from flowvar.training import TrainConfig, train_ensemble\n"
+        "models, _ = train_ensemble(2, MlpArch(dim=2), default_gmm_task(),\n"
+        "    TrainConfig(epochs=1, pairs_per_epoch=256, batch_size=64,\n"
+        "                seed=RngState(3)), workers=2)\n"
+        "print(' '.join(m.checksum() for m in models))\n")
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    out = subprocess.run([sys.executable, str(script)], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    models, _ = train_ensemble(2, MlpArch(dim=2), default_gmm_task(),
+                               TrainConfig(epochs=1, pairs_per_epoch=256,
+                                           batch_size=64, seed=RngState(3)),
+                               workers=1)
+    assert out.stdout.split() == [m.checksum() for m in models]
