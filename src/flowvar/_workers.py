@@ -21,6 +21,7 @@ import atexit
 import os
 import pickle
 import select
+import signal
 import struct
 import subprocess
 import sys
@@ -178,6 +179,8 @@ def run(task, jobs, n: int) -> list:
 
 def main() -> None:
     """The worker loop: train each job read from stdin, reply on stdout."""
+    # Ctrl-C reaches the whole process group; the parent stops its workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     replies = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # a stray print goes to stderr, not into a frame
     requests = sys.stdin.buffer
@@ -191,7 +194,10 @@ def main() -> None:
             reply = (report, model.params.tobytes())
         except Exception as ex:  # sent back, and raised by the caller
             reply = ex
-        _write_frame(replies, pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        try:
+            _write_frame(replies, pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        except BrokenPipeError:  # the parent is gone
+            return
 
 
 if __name__ == "__main__":

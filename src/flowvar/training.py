@@ -36,7 +36,6 @@ __all__ = [
     "train",
     "train_ensemble",
     "train_jobs",
-    "usable_cpus",
 ]
 
 # training samples t uniformly but keeps clear of the interpolant endpoints,
@@ -288,7 +287,7 @@ def run_job(task, job: TrainJob):
     return model, train(model, task, job.config)
 
 
-def usable_cpus() -> int:
+def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -300,14 +299,14 @@ def train_jobs(task, jobs, workers: int | None = None) -> list:
 
     The results are bit-identical to ``run_job`` on each job in turn, and so
     is the error raised: the one the first failing job raises. ``workers``
-    defaults to ``min(len(jobs), usable_cpus())`` and never exceeds the job
+    defaults to ``min(len(jobs), usable CPUs)`` and never exceeds the job
     count. One worker trains in this process; more hand the jobs to worker
     processes that start on first use, are reused by later calls and stop
     when the interpreter exits.
     """
     jobs = list(jobs)
     if workers is None:
-        workers = usable_cpus()
+        workers = _usable_cpus()
     if workers < 1:
         raise TrainingError(f"need at least one worker, got {workers}")
     workers = min(workers, len(jobs))

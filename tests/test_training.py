@@ -342,7 +342,7 @@ def test_fresh_model_initial_loss_skips_the_forward(dim, objective, dropout,
 
 
 def _mixed_jobs():
-    """fm, one-step and dropout jobs on the default gmm task."""
+    """fm, one-step, dropout and narrower jobs on the default gmm task."""
     cfg = _tiny_config()
     return [TrainJob(MlpArch(dim=2), RngState(1), cfg),
             TrainJob(MlpArch(dim=2), RngState(2),
