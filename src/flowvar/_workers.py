@@ -4,7 +4,9 @@ Each worker is ``python -m flowvar._workers``: a fresh interpreter, so the
 caller's ``__main__`` is never imported again and nothing is forked. Its
 environment pins OpenBLAS to one thread before numpy loads (two workers with
 two BLAS threads each would oversubscribe a 2-core machine and stall every
-GEMM) and puts this copy of the package first on ``PYTHONPATH``.
+GEMM). It starts in the directory that holds this copy of the package, which
+``-m`` puts first on ``sys.path``, so neither a ``flowvar`` nor a ``numpy``
+in the caller's working directory shadows the caller's own.
 
 Parent and worker talk over the worker's stdin and stdout in frames: an
 8-byte little-endian length, then a pickle. The parent sends (task, job); the
@@ -13,7 +15,8 @@ exception the job raised. A worker exits when it reads end of file, so it
 outlives neither ``close`` nor a parent that died.
 
 The workers start on first use and are reused by later calls in the same
-interpreter; an exit handler stops them.
+interpreter; one that died while idle is replaced before the next call, and
+an exit handler stops them.
 """
 from __future__ import annotations
 
@@ -52,19 +55,13 @@ def _write_frame(stream, payload: bytes) -> None:
     stream.flush()
 
 
-def _worker_env() -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    src = str(Path(__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return env
-
-
 class _Worker:
     def __init__(self):
         self.proc = subprocess.Popen(
             [sys.executable, "-m", __name__], stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE, env=_worker_env())
+            stdout=subprocess.PIPE,
+            cwd=Path(__file__).resolve().parent.parent,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
 
     def fileno(self) -> int:
         return self.proc.stdout.fileno()
@@ -116,6 +113,10 @@ class _Pool:
         frames = [pickle.dumps((task, job), pickle.HIGHEST_PROTOCOL)
                   for job in jobs]
         with self._lock:
+            dead = [w for w in self._workers if w.proc.poll() is not None]
+            for worker in dead:  # died while idle: a new one takes its place
+                worker.stop(kill=True)
+                self._workers.remove(worker)
             while len(self._workers) < n:
                 self._workers.append(_Worker())
             try:

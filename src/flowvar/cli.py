@@ -128,13 +128,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flowvar", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
@@ -144,16 +137,11 @@ def _build_parser() -> _Parser:
                         help="override the master seed")
     common.add_argument("--out", default=None,
                         help="override the output directory")
-    # train and cost train several independent models at once
-    training = argparse.ArgumentParser(add_help=False)
-    training.add_argument("--jobs", type=_positive_int, default=None,
-                          help="worker processes that train models (default: "
-                               "one per model, at most the usable CPUs)")
 
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p_train = sub.add_parser("train", parents=[common, training],
+    p_train = sub.add_parser("train", parents=[common],
                              help="train velocity models")
     p_train.add_argument("variant", choices=tuple(dict.fromkeys(
         m.variant for m in METHODS.values())))
@@ -182,7 +170,7 @@ def _build_parser() -> _Parser:
                        help="comma-separated probe counts")
     p_abl.add_argument("--replicates", type=int, default=8)
 
-    sub.add_parser("cost", parents=[common, training],
+    sub.add_parser("cost", parents=[common],
                    help="instrumented cost comparison across methods")
     return parser
 
@@ -238,12 +226,12 @@ def _method_jobs(cfg: ExperimentConfig, task, m: Method) -> list:
     return [TrainJob(arch, master.split(init_key), config)]
 
 
-def _train_methods(args, cfg: ExperimentConfig, task, methods) -> list:
-    """Train the models of all ``methods`` as one job list on ``args.jobs``
-    workers; (models, reports) per method."""
+def _train_methods(cfg: ExperimentConfig, task, methods) -> list:
+    """Train the models of all ``methods`` as one ``train_jobs`` list;
+    (models, reports) per method."""
     per_method = [_method_jobs(cfg, task, m) for m in methods]
-    pairs = iter(train_jobs(task, [job for jobs in per_method for job in jobs],
-                            args.jobs))
+    pairs = iter(train_jobs(task, [job for jobs in per_method
+                                   for job in jobs]))
     trained = []
     for jobs in per_method:
         done = [next(pairs) for _ in jobs]
@@ -270,7 +258,7 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
                and not (m.dropout and m.name not in cfg.methods)]
     rows, summary = [], []
     for m, (models, reports) in zip(methods,
-                                    _train_methods(args, cfg, task, methods)):
+                                    _train_methods(cfg, task, methods)):
         for (stem, label), model, rep in zip(_members(cfg, m), models,
                                              reports):
             save_model(_model_path(cfg, stem), model)
@@ -482,7 +470,7 @@ def cmd_cost(args, cfg: ExperimentConfig) -> int:
 
     methods = [METHODS[name] for name in cfg.methods]
     t0 = time.perf_counter()
-    trained = _train_methods(args, cfg, task, methods)
+    trained = _train_methods(cfg, task, methods)
     train_wall = time.perf_counter() - t0
     for m, (models, reports) in zip(methods, trained):
         ledger.add_training(m.name, sum(r.seconds for r in reports),

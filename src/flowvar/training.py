@@ -338,9 +338,8 @@ def ensemble_jobs(count: int, arch: MlpArch, config: TrainConfig,
 
 
 def train_ensemble(count: int, arch: MlpArch, task, config: TrainConfig,
-                   member_seeds=None, workers: int | None = None):
+                   member_seeds=None):
     """Train ``count`` independent members (see ``ensemble_jobs``) with
     ``train_jobs``; returns (models, reports)."""
-    pairs = train_jobs(task, ensemble_jobs(count, arch, config, member_seeds),
-                       workers)
+    pairs = train_jobs(task, ensemble_jobs(count, arch, config, member_seeds))
     return [m for m, _ in pairs], [r for _, r in pairs]

@@ -175,9 +175,7 @@ def test_missing_model_and_bad_flags_exit_one(tmp_path, capsys):
             (["consistency", "--n", "0"], "--n must be at least 2"),
             (["consistency", "--n", "1"], "--n must be at least 2"),
             (["consistency", "--noise", "2"], "--noise must lie in [0, 1]"),
-            (["consistency", "--noise", "-1"], "--noise must lie in [0, 1]"),
-            (["train", "fm", "--jobs", "0"], "--jobs: must be positive"),
-            (["cost", "--jobs", "-1"], "--jobs: must be positive")):
+            (["consistency", "--noise", "-1"], "--noise must lie in [0, 1]")):
         assert main(argv + ["--config", str(ini)]) == 1, argv
         assert message in capsys.readouterr().err, argv
     assert not out.exists() or not any(out.glob("model_*"))
@@ -280,14 +278,14 @@ def test_train_and_cost_train_each_method_alike(tmp_path, monkeypatch):
         return real_train(model, task, config)
 
     monkeypatch.setattr(training, "train", spy)
+    # the spy sees only what trains in this process
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
     ini = tmp_path / "fast.ini"
     ini.write_text(FAST_INI.format(out=tmp_path / "run"))
-    # the spy sees only what trains in this process
     for variant in ("fm", "one-step", "ensemble"):
-        assert main(["train", variant, "--config", str(ini),
-                     "--jobs", "1"]) == 0
+        assert main(["train", variant, "--config", str(ini)]) == 0
     trained, calls[:] = list(calls), []
-    assert main(["cost", "--config", str(ini), "--jobs", "1"]) == 0
+    assert main(["cost", "--config", str(ini)]) == 0
     # fm, its dropout twin, one-step and the two ensemble members
     assert len(trained) == 5
     key = lambda call: call[1]
@@ -322,7 +320,7 @@ dropout_passes = 50
 """
 
 
-def _gate_outputs(root, commands=(["train", "fm", "--jobs", "1"],
+def _gate_outputs(root, commands=(["train", "fm"],
                                    ["uq", "tweedie"], ["uq", "mc-dropout"],
                                    ["consistency", "--n", "8"], ["traj"]),
                   methods="tweedie-fm mc-dropout"):
@@ -342,6 +340,8 @@ def test_batched_streams_write_the_bytes_of_one_at_a_time(tmp_path,
     """The batch stream derivation is a refactor: with split_many and
     uniform_draws put back to their one-at-a-time loops, every output file
     keeps its bytes."""
+    # models train in this process, where the patches reach them
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
     batched = _gate_outputs(tmp_path / "batched")
     calls = {"split_many": 0, "uniform_draws": 0}
 
@@ -355,7 +355,6 @@ def test_batched_streams_write_the_bytes_of_one_at_a_time(tmp_path,
 
     monkeypatch.setattr(RngState, "split_many", split_many)
     monkeypatch.setattr(models, "uniform_draws", uniform_draws)
-    # _gate_outputs trains with --jobs 1, so the patches reach each model
     reference = _gate_outputs(tmp_path / "reference")
     assert calls["split_many"] > 0 and calls["uniform_draws"] > 0
     assert {"train_fm.csv", "model_dropout.fvar", "uq_mc-dropout.csv",
@@ -373,7 +372,9 @@ def test_in_place_training_writes_the_bytes_of_the_allocating_step(
     trained model and loss curve keeps its bytes."""
     from test_training import use_reference_training
 
-    commands = [["train", variant, "--jobs", "1"]
+    # models train in this process, where the patches reach them
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
+    commands = [["train", variant]
                 for variant in ("fm", "one-step", "ensemble")]
     in_place = _gate_outputs(tmp_path / "in_place", commands)
     calls = use_reference_training(monkeypatch)
@@ -387,15 +388,17 @@ def test_in_place_training_writes_the_bytes_of_the_allocating_step(
         assert data == reference[name], name
 
 
-def test_worker_count_leaves_every_output_byte_alike(tmp_path):
+def test_worker_count_leaves_every_output_byte_alike(tmp_path, monkeypatch):
     """train and cost write the same models and CSVs on 1 and 2 worker
     processes; only the wall-clock summaries differ."""
     commands = [["train", "ensemble"], ["train", "fm"], ["cost"]]
     methods = "tweedie-fm tweedie-onestep ensemble mc-dropout"
-    runs = [_gate_outputs(tmp_path / f"jobs{jobs}",
-                          [argv + ["--jobs", jobs] for argv in commands],
-                          methods)
-            for jobs in ("1", "2")]
+    runs = []
+    for cpus in (1, 2):
+        with monkeypatch.context() as mp:
+            mp.setattr(training, "_usable_cpus", lambda: cpus)
+            runs.append(_gate_outputs(tmp_path / f"cpus{cpus}", commands,
+                                      methods))
     assert {"train_ensemble.csv", "train_fm.csv", "cost.csv", "model_fm.fvar",
             "model_dropout.fvar", "model_member_4.fvar"} <= set(runs[0])
     assert sorted(runs[0]) == sorted(runs[1])
@@ -403,14 +406,16 @@ def test_worker_count_leaves_every_output_byte_alike(tmp_path):
         assert data == runs[1][name], name
 
 
-def test_worker_training_failure_exits_two_with_one_line(tmp_path, capsys):
+def test_worker_training_failure_exits_two_with_one_line(tmp_path, capsys,
+                                                         monkeypatch):
     ini = tmp_path / "diverge.ini"
     ini.write_text(FAST_INI.format(out=tmp_path / "run").replace(
         "batch_size = 128", "batch_size = 128\nlearning_rate = 1e8"))
     errs = []
-    for jobs in ("1", "2"):
+    for cpus in (1, 2):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
         capsys.readouterr()
-        assert main(["train", "fm", "--config", str(ini), "--jobs", jobs]) == 2
+        assert main(["train", "fm", "--config", str(ini)]) == 2
         errs.append(capsys.readouterr().err.splitlines())
     assert len(errs[0]) == 1 and errs[0][0].startswith(
         "runtime failure: training diverged at epoch 0")

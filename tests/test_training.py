@@ -279,10 +279,12 @@ def test_ensemble_training_is_bit_identical_to_the_allocating_reference(
     """The members from worker processes match the allocating reference,
     trained in this process."""
     args = (2, MlpArch(dim=2), default_gmm_task(), _tiny_config())
-    models, reports = train_ensemble(*args, workers=2)
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 2)
+    models, reports = train_ensemble(*args)
     with monkeypatch.context() as mp:
+        mp.setattr(training, "_usable_cpus", lambda: 1)
         calls = use_reference_training(mp)
-        ref_models, ref_reports = train_ensemble(*args, workers=1)
+        ref_models, ref_reports = train_ensemble(*args)
     assert all(calls.values()), calls
     for m, r, rm, rr in zip(models, reports, ref_models, ref_reports):
         assert np.array_equal(m.params, rm.params)
@@ -425,6 +427,33 @@ def test_worker_training_error_keeps_message_and_partial_report():
     assert _worker_pids() == pids
 
 
+def test_worker_that_died_while_idle_is_replaced():
+    task, jobs = default_gmm_task(), _mixed_jobs()[:2]
+    in_process = train_jobs(task, jobs, workers=1)
+    _same_training(train_jobs(task, jobs, workers=2), in_process)
+    pids = _worker_pids()
+    dead = _workers._POOL._workers[0].proc
+    dead.kill()
+    dead.wait()
+    _same_training(train_jobs(task, jobs, workers=2), in_process)
+    assert len(_worker_pids()) == 2
+    assert pids[0] not in _worker_pids() and pids[1] in _worker_pids()
+
+
+def test_workers_ignore_a_flowvar_in_the_working_directory(tmp_path,
+                                                         monkeypatch):
+    """Workers import the caller's copy of the package and numpy, not the
+    modules of those names in the caller's working directory."""
+    (tmp_path / "flowvar").mkdir()
+    for decoy in ("flowvar/__init__.py", "numpy.py"):
+        (tmp_path / decoy).write_text(f"raise ImportError('{decoy}')\n")
+    monkeypatch.chdir(tmp_path)
+    _workers._POOL.close()
+    task, jobs = default_gmm_task(), _mixed_jobs()[:2]
+    _same_training(train_jobs(task, jobs, workers=2),
+                   train_jobs(task, jobs, workers=1))
+
+
 def test_killed_worker_raises_one_line_error():
     """A worker killed mid-job ends the call with one line, not a hang; the
     next call starts fresh workers."""
@@ -457,26 +486,29 @@ def test_killed_worker_raises_one_line_error():
                    train_jobs(default_gmm_task(), small, workers=1))
 
 
-def test_unguarded_script_trains_an_ensemble_on_workers(tmp_path):
+def test_unguarded_script_trains_an_ensemble_on_workers(tmp_path,
+                                                        monkeypatch):
     """Workers start as fresh interpreters, so a script without a
     ``__name__ == "__main__"`` guard is not imported again."""
     script = tmp_path / "unguarded.py"
     script.write_text(
+        "from flowvar import training\n"
         "from flowvar.data import default_gmm_task\n"
         "from flowvar.models import MlpArch\n"
         "from flowvar.numerics import RngState\n"
         "from flowvar.training import TrainConfig, train_ensemble\n"
+        "training._usable_cpus = lambda: 2  # 2 workers on any machine\n"
         "models, _ = train_ensemble(2, MlpArch(dim=2), default_gmm_task(),\n"
         "    TrainConfig(epochs=1, pairs_per_epoch=256, batch_size=64,\n"
-        "                seed=RngState(3)), workers=2)\n"
+        "                seed=RngState(3)))\n"
         "print(' '.join(m.checksum() for m in models))\n")
     src = os.path.dirname(os.path.dirname(training.__file__))
     out = subprocess.run([sys.executable, str(script)], capture_output=True,
                          text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path)
     assert out.returncode == 0, out.stderr
+    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
     models, _ = train_ensemble(2, MlpArch(dim=2), default_gmm_task(),
                                TrainConfig(epochs=1, pairs_per_epoch=256,
-                                           batch_size=64, seed=RngState(3)),
-                               workers=1)
+                                           batch_size=64, seed=RngState(3)))
     assert out.stdout.split() == [m.checksum() for m in models]
