@@ -43,7 +43,6 @@ from .models import (
     ModelField,
     analytic_handle,
     load_model,
-    mean_velocity_eval,
     save_model,
     time_features,
 )

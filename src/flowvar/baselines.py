@@ -29,15 +29,20 @@ class BaselineError(ValueError):
 
 @dataclass(frozen=True)
 class BaselineEstimate:
-    """Per-pixel variance of the posterior mean across members or passes."""
+    """Per-pixel variance of the posterior mean across members or passes.
 
-    variance: np.ndarray  # (d,), >= 0
-    scalar: float  # sum of per-pixel variances
+    It has the fields of a closed-form estimate that the CLI reads; a
+    variance across members is never negative, so nothing is ever floored.
+    """
+
+    diag: np.ndarray  # (d,), >= 0
+    u: float  # sum of per-pixel variances
     count: int  # members or passes
+    floored = False
 
     @property
     def dim(self) -> int:
-        return self.variance.shape[0]
+        return self.diag.shape[0]
 
 
 def _finish(means, count):
@@ -45,7 +50,7 @@ def _finish(means, count):
     var = np.var(means, axis=0)
     # a pixel on which every member agrees has no spread, not rounding noise
     var[(means == means[0]).all(axis=0)] = 0.0
-    return BaselineEstimate(variance=var, scalar=float(var.sum()), count=count)
+    return BaselineEstimate(diag=var, u=float(var.sum()), count=count)
 
 
 def ensemble_uq(models, xt, t: float) -> BaselineEstimate:

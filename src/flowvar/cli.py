@@ -11,18 +11,17 @@ missing or corrupt model file), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from .baselines import BaselineError, ensemble_uq, mc_dropout_uq
+from .baselines import BaselineError
 from .config import ConfigError, ExperimentConfig, check_seed, load_config
 from .data import DataError
-from .metrics import MetricsError, consistency_protocol
+from .metrics import METHODS, Method, MetricsError, consistency_protocol
 from .models import (EvalCounter, ModelError, ModelField, MlpVelocity,
                      analytic_handle, load_model, save_model)
 from .numerics import NumericsError, RngState, draw_rademacher
@@ -31,89 +30,16 @@ from .reporting import (CostLedger, ReportError, cost_report, write_csv,
                         write_uq_map)
 from .sampler import SamplerError, euler_generate
 from .training import TrainJob, TrainingError, ensemble_jobs, train_jobs
-from .uq import UqError, cov_closed_form, one_step_cov, prior_baseline, \
-    shift_time_grid, trajectory_uq
+from .uq import UqError, cov_closed_form, prior_baseline, shift_time_grid, \
+    trajectory_uq
 
 __all__ = ["main", "METHODS"]
 
 N_EVAL_POINTS = 16
 TRAJ_GRID = (0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.98)
 TRAJ_STEPS = 1000
-
-
-# ---- the uncertainty methods ------------------------------------------------
-# A runner maps (cfg, fields, input, t, rng) to (per-pixel map, scalar score,
-# floored) for one state; rng is that state's own probe or dropout stream.
-
-
-def _closed_form(cfg, fields, xt, t, rng):
-    est = cov_closed_form(fields[0], xt, t,
-                          draw_rademacher(rng, xt.shape[0], cfg.probes))
-    return est.diag, est.u, est.floored
-
-
-def _one_step(cfg, fields, x0, t, rng):
-    # always evaluated at t = epsilon, whatever t the caller passes
-    est = one_step_cov(fields[0], x0, cfg.epsilon,
-                       draw_rademacher(rng, x0.shape[0], cfg.probes))
-    return est.diag, est.u, est.floored
-
-
-def _ensemble(cfg, fields, xt, t, rng):
-    est = ensemble_uq(fields, xt, t)
-    return est.variance, est.scalar, False
-
-
-def _mc_dropout(cfg, fields, xt, t, rng):
-    est = mc_dropout_uq(fields[0], xt, t, cfg.dropout_passes, rng)
-    return est.variance, est.scalar, False
-
-
-@dataclass(frozen=True)
-class Method:
-    """How one uncertainty method is trained, stored, run and reported.
-
-    ``streams`` are the master-stream keys (init, train, cost probes). An
-    ensemble has no init key of its own (``ensemble_jobs`` derives each
-    member's from the train stream), keeps one model file ``{file}_{i}`` per
-    member and labels their training rows ``{row}{i}``. ``size`` names the
-    config field written in the S column.
-    """
-
-    name: str  # config and CSV label
-    uq: str  # `flowvar uq` argument
-    variant: str  # the `flowvar train` variant that trains it
-    row: str  # training CSV label
-    file: str  # model file stem
-    objective: str
-    streams: tuple
-    dropout: bool  # trained at the configured dropout rate
-    size: str
-    run: Callable
-
-    @property
-    def reads_x0(self) -> bool:
-        # a one-step model is a generator of x0, so its uncertainty reads x0
-        return self.objective == "one-step"
-
-
 # the fm model is also the reference of traj, consistency and ablate-probes
-_FM = Method(name="tweedie-fm", uq="tweedie", variant="fm", row="fm",
-             file="fm", objective="fm", streams=(1, 2, 15), dropout=False,
-             size="probes", run=_closed_form)
-
-METHODS = {m.name: m for m in (
-    _FM,
-    Method(name="tweedie-onestep", uq="onestep", variant="one-step",
-           row="one-step", file="onestep", objective="one-step",
-           streams=(3, 4, 16), dropout=False, size="probes", run=_one_step),
-    Method(name="ensemble", uq="ensemble", variant="ensemble", row="member",
-           file="member", objective="fm", streams=(None, 7, None),
-           dropout=False, size="ensemble_members", run=_ensemble),
-    Method(name="mc-dropout", uq="mc-dropout", variant="fm", row="fm-dropout",
-           file="dropout", objective="fm", streams=(5, 6, 17), dropout=True,
-           size="dropout_passes", run=_mc_dropout),
-)}
+_FM = METHODS["tweedie-fm"]
 
 
 class _UsageError(Exception):
@@ -176,8 +102,6 @@ def _build_parser() -> _Parser:
 
 
 def _load(args) -> ExperimentConfig:
-    import dataclasses
-
     cfg = load_config(args.config)
     if args.seed is not None:
         check_seed(args.seed)
@@ -285,12 +209,11 @@ def _eval_states(cfg, task, t_grid):
     return x0s, x1s, {t: t * x1s + (1.0 - t) * x0s for t in t_grid}
 
 
-def _maybe_map(cfg, task, values, path):
+def _maybe_map(task, estimate, path):
     side = getattr(task, "side", None)
     if side is None:
         return "", ""
-    lo, hi = write_uq_map(values, side, "per-frame", path)
-    return lo, hi
+    return write_uq_map(estimate, side, "per-frame", path)
 
 
 def cmd_uq(args, cfg: ExperimentConfig) -> int:
@@ -303,7 +226,7 @@ def cmd_uq(args, cfg: ExperimentConfig) -> int:
                           f"t = epsilon")
     t_grid = (args.t,) if args.t is not None else cfg.t_grid
     x0s, _, states = _eval_states(cfg, task, t_grid)
-    fields = _load_fields(cfg, m)
+    estimate = m.bind(cfg, _load_fields(cfg, m)).estimate
     probe_rng = _master(cfg).split(9)
     # a one-step model reads x0 once, at t = epsilon, and its map is untagged
     grid = ([(cfg.epsilon, x0s, "")] if m.reads_x0 else
@@ -311,14 +234,13 @@ def cmd_uq(args, cfg: ExperimentConfig) -> int:
     rows = []
     for ti, (t, inputs, tag) in enumerate(grid):
         rngs = probe_rng.split(ti).split_many(range(len(inputs)))
-        outs = [m.run(cfg, fields, x, t, r) for x, r in zip(inputs, rngs)]
-        lo, hi = _maybe_map(cfg, task, outs[0][0],
-                            cfg.out / f"uq_{m.uq}{tag}.pgm")
-        for i, (_, u, floored) in enumerate(outs):
-            rows.append((m.name, t, cfg.seed, getattr(cfg, m.size), i, u,
-                         int(floored), lo if i == 0 else "",
+        ests = [estimate(x, t, r) for x, r in zip(inputs, rngs)]
+        lo, hi = _maybe_map(task, ests[0], cfg.out / f"uq_{m.uq}{tag}.pgm")
+        for i, est in enumerate(ests):
+            rows.append((m.name, t, cfg.seed, getattr(cfg, m.size), i, est.u,
+                         int(est.floored), lo if i == 0 else "",
                          hi if i == 0 else ""))
-        print(f"t={t:g}: mean u = {np.mean([out[1] for out in outs]):.6g}")
+        print(f"t={t:g}: mean u = {np.mean([est.u for est in ests]):.6g}")
     write_csv(cfg.out / f"uq_{args.method}.csv", "uq",
               ["method", "t", "seed", "S", "point", "u", "floored",
                "map_lo", "map_hi"], rows)
@@ -362,14 +284,12 @@ def cmd_traj(args, cfg: ExperimentConfig) -> int:
     master = _master(cfg)
     x0 = master.split(10).generator().standard_normal(task.dim)
     traj = euler_generate(field, x0, TRAJ_STEPS)
-    grid = shift_time_grid(TRAJ_GRID)
-    idx = [int(np.searchsorted(traj.times, t - 1e-12)) for t in grid]
-    node_times = [float(traj.times[k]) for k in idx]
-    series = trajectory_uq(field, [traj.states[k] for k in idx], node_times,
-                           cfg.probes, master.split(11))
+    node_times, node_states = traj.at(shift_time_grid(TRAJ_GRID))
+    series = trajectory_uq(field, node_states, node_times, cfg.probes,
+                           master.split(11))
     rows = []
     for k, (t, est) in enumerate(series.entries):
-        lo, hi = _maybe_map(cfg, task, est.diag, cfg.out / f"traj_map_{k}.pgm")
+        lo, hi = _maybe_map(task, est, cfg.out / f"traj_map_{k}.pgm")
         prior = prior_baseline(t, task.dim)
         rows.append((_FM.name, t, cfg.seed, cfg.probes, est.u, prior,
                      est.u / prior, int(est.floored), lo, hi))
@@ -390,12 +310,8 @@ def cmd_consistency(args, cfg: ExperimentConfig) -> int:
         raise ConfigError(f"--noise must lie in [0, 1], got {args.noise:g}")
     task = cfg.build_task()
     reference = _load_fields(cfg, _FM)[0]
-    methods = {}
-    for name in cfg.methods:
-        m = METHODS[name]
-        fields = _load_fields(cfg, m)
-        methods[name] = (lambda xt, t, rng, m=m, fields=fields:
-                         m.run(cfg, fields, xt, t, rng)[:2])
+    methods = {name: METHODS[name].bind(cfg, _load_fields(cfg, METHODS[name]))
+               for name in cfg.methods}
     results = consistency_protocol(reference, methods, task, cfg.t_grid,
                                    args.noise, _master(cfg).split(12),
                                    n_samples=args.n)
@@ -432,12 +348,13 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
     xt = (t * x1s + (1.0 - t) * x0s)[0]
     rows = []
     for si, s in enumerate(s_values):
+        estimate = _FM.bind(dataclasses.replace(cfg, probes=s),
+                            [field]).estimate
         us = []
         rngs = master.split(13).split(1).split(si).split_many(
             range(args.replicates))
         for r, rng in enumerate(rngs):
-            probes = draw_rademacher(rng, task.dim, s)
-            est = cov_closed_form(field, xt, t, probes)
+            est = estimate(xt, t, rng)
             rows.append((_FM.name, t, cfg.seed, s, r, est.u,
                          int(est.floored)))
             us.append(est.u)
@@ -476,12 +393,12 @@ def cmd_cost(args, cfg: ExperimentConfig) -> int:
         ledger.add_training(m.name, sum(r.seconds for r in reports),
                             len(models) * train_equiv)
         counter = EvalCounter()
-        fields = [ModelField(model, counter) for model in models]
+        run = m.bind(cfg, [ModelField(model, counter) for model in models])
         cost_key = m.streams[2]
         t0 = time.perf_counter()
         for i, x in enumerate(x0s if m.reads_x0 else xts):
-            m.run(cfg, fields, x, t, None if cost_key is None else
-                  master.split(cost_key).split(i))
+            run(x, t, None if cost_key is None else
+                master.split(cost_key).split(i))
         ledger.add_inference(m.name, time.perf_counter() - t0,
                              counter.forward_equivalents)
 

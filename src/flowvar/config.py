@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import GmmTask, ImageTask, MnistTask
+from .metrics import METHODS
 from .models import MlpArch
 from .numerics import RngState
 from .oracle import GmmSpec
@@ -29,15 +30,12 @@ __all__ = [
     "parse_config",
     "load_config",
     "PRESETS",
-    "KNOWN_METHODS",
 ]
 
 
 class ConfigError(ValueError):
     pass
 
-
-KNOWN_METHODS = ("tweedie-fm", "tweedie-onestep", "ensemble", "mc-dropout")
 
 # every legal key, per section; parsing rejects anything else
 _SCHEMA = {
@@ -162,7 +160,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         epsilon = float(get("uq", "epsilon", "0.01"))
 
         methods = tuple(get("methods", "use",
-                            " ".join(KNOWN_METHODS)).split())
+                            " ".join(METHODS)).split())
         ensemble_members = int(get("methods", "ensemble_members", "5"))
         dropout_passes = int(get("methods", "dropout_passes", "50"))
         dropout_rate = float(get("methods", "dropout_rate", "0.15"))
@@ -201,7 +199,7 @@ def _validate(cfg: ExperimentConfig, base_dir: Path | None):
     if not np.all(np.diff(cfg.t_grid) > 0):
         raise ConfigError("t grid must be strictly increasing")
     for m in cfg.methods:
-        if m not in KNOWN_METHODS:
+        if m not in METHODS:
             raise ConfigError(f"unknown method: {m!r}")
     if cfg.probes < 1:
         raise ConfigError("probe count must be positive")

@@ -1,5 +1,10 @@
-"""Agreement metrics between uncertainty and error, and the corruption
-consistency protocol.
+"""The uncertainty methods, the agreement metrics between uncertainty and
+error, and the corruption consistency protocol.
+
+``METHODS`` is the one table of the four methods (closed form on an fm
+model, closed form on a one-step model, deep ensemble, MC dropout): how each
+is trained, stored, run on one state and reported. The CLI, the config
+validation and the test fixtures all read it.
 
 Rank metrics follow the usual conventions: Spearman is the Pearson
 correlation of average ranks, and HitRate@K is the overlap fraction of the
@@ -10,6 +15,7 @@ baseline maps then show up as gaps in the tables instead of fake zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +35,8 @@ __all__ = [
     "one_step_method",
     "ensemble_method",
     "dropout_method",
+    "Method",
+    "METHODS",
 ]
 
 DEFAULT_HITRATE_PERCENT = 30.0
@@ -123,45 +131,91 @@ def corrupt(x1, noise_level: float, rng: RngState) -> np.ndarray:
     return (1.0 - noise_level) * x1 + noise_level * n
 
 
-# ---- method adapters --------------------------------------------------------
-# A "method" maps (xt, t, rng) to (per-pixel map, scalar score). The adapters
-# below wrap the estimators; tests inject stubs with the same shape.
+# ---- the uncertainty methods ------------------------------------------------
+# A method's runner maps (xt, t, rng) to (per-pixel map, scalar score) for one
+# state; rng is that state's own probe or dropout stream. Its ``estimate``
+# attribute returns the whole estimate instead (``diag``, ``u``, ``floored``).
+# Tests inject stubs with the call shape.
+
+
+def _runner(estimate):
+    def run(xt, t, rng):
+        est = estimate(xt, t, rng)
+        return est.diag, est.u
+
+    run.estimate = estimate
+    return run
 
 
 def tweedie_method(field, n_probes: int):
-    def run(xt, t, rng):
-        probes = draw_rademacher(rng, xt.shape[0], n_probes)
-        est = cov_closed_form(field, xt, t, probes)
-        return est.diag, est.u
-
-    return run
+    return _runner(lambda xt, t, rng: cov_closed_form(
+        field, xt, t, draw_rademacher(rng, xt.shape[0], n_probes)))
 
 
 def one_step_method(field, n_probes: int, epsilon: float):
-    """One-step uncertainty ignores t: it always reads the generator input."""
-
-    def run(xt, t, rng):
-        probes = draw_rademacher(rng, xt.shape[0], n_probes)
-        est = one_step_cov(field, xt, epsilon, probes)
-        return est.diag, est.u
-
-    return run
+    """One-step uncertainty ignores t: it always reads the generator input
+    at t = epsilon."""
+    return _runner(lambda x0, t, rng: one_step_cov(
+        field, x0, epsilon, draw_rademacher(rng, x0.shape[0], n_probes)))
 
 
 def ensemble_method(models):
-    def run(xt, t, rng):
-        est = ensemble_uq(models, xt, t)
-        return est.variance, est.scalar
-
-    return run
+    return _runner(lambda xt, t, rng: ensemble_uq(models, xt, t))
 
 
 def dropout_method(model, passes: int):
-    def run(xt, t, rng):
-        est = mc_dropout_uq(model, xt, t, passes, rng)
-        return est.variance, est.scalar
+    return _runner(lambda xt, t, rng: mc_dropout_uq(model, xt, t, passes, rng))
 
-    return run
+
+@dataclass(frozen=True)
+class Method:
+    """How one uncertainty method is trained, stored, run and reported.
+
+    ``streams`` are the master-stream keys (init, train, cost probes). An
+    ensemble has no init key of its own (``ensemble_jobs`` derives each
+    member's from the train stream), keeps one model file ``{file}_{i}`` per
+    member and labels their training rows ``{row}{i}``. ``size`` names the
+    config field written in the S column. ``bind(cfg, fields)`` returns the
+    method's runner on its loaded velocity fields.
+    """
+
+    name: str  # config and CSV label
+    uq: str  # `flowvar uq` argument
+    variant: str  # the `flowvar train` variant that trains it
+    row: str  # training CSV label
+    file: str  # model file stem
+    objective: str
+    streams: tuple
+    dropout: bool  # trained at the configured dropout rate
+    size: str
+    bind: Callable
+
+    @property
+    def reads_x0(self) -> bool:
+        # a one-step model is a generator of x0, so its uncertainty reads x0
+        return self.objective == "one-step"
+
+
+METHODS = {m.name: m for m in (
+    Method(name="tweedie-fm", uq="tweedie", variant="fm", row="fm",
+           file="fm", objective="fm", streams=(1, 2, 15), dropout=False,
+           size="probes",
+           bind=lambda cfg, fields: tweedie_method(fields[0], cfg.probes)),
+    Method(name="tweedie-onestep", uq="onestep", variant="one-step",
+           row="one-step", file="onestep", objective="one-step",
+           streams=(3, 4, 16), dropout=False, size="probes",
+           bind=lambda cfg, fields: one_step_method(fields[0], cfg.probes,
+                                                    cfg.epsilon)),
+    Method(name="ensemble", uq="ensemble", variant="ensemble", row="member",
+           file="member", objective="fm", streams=(None, 7, None),
+           dropout=False, size="ensemble_members",
+           bind=lambda cfg, fields: ensemble_method(fields)),
+    Method(name="mc-dropout", uq="mc-dropout", variant="fm", row="fm-dropout",
+           file="dropout", objective="fm", streams=(5, 6, 17), dropout=True,
+           size="dropout_passes",
+           bind=lambda cfg, fields: dropout_method(fields[0],
+                                                   cfg.dropout_passes)),
+)}
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ __all__ = [
     "ModelField",
     "AnalyticField",
     "analytic_handle",
-    "mean_velocity_eval",
     "time_features",
     "save_model",
     "load_model",
@@ -448,12 +447,6 @@ class AnalyticField:
 
 def analytic_handle(spec, counter: EvalCounter | None = None) -> AnalyticField:
     return AnalyticField(spec, counter)
-
-
-def mean_velocity_eval(model: MlpVelocity, x0) -> np.ndarray:
-    """Average-velocity prediction of a one-step model; the generator is
-    g(x0) = x0 + mean_velocity_eval(model, x0)."""
-    return model.velocity(x0, 0.0)
 
 
 # ---- on-disk container ------------------------------------------------------

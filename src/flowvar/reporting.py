@@ -99,22 +99,16 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
 
 
-def _map_values(estimate) -> np.ndarray:
-    for attr in ("diag", "variance"):
-        vals = getattr(estimate, attr, None)
-        if vals is not None:
-            return np.asarray(vals, dtype=np.float64)
-    return np.asarray(estimate, dtype=np.float64)
-
-
 def write_uq_map(estimate, side: int, normalization, path):
-    """Render a per-pixel map as an 8-bit graymap.
+    """Render a per-pixel map (an estimate's ``diag`` or a plain array) as an
+    8-bit graymap.
 
     ``normalization`` is "per-frame" or an explicit (lo, hi) range shared
     across frames. Returns the (lo, hi) actually applied so the caller can
     record it next to the CSV row. A degenerate range maps every pixel to 0.
     """
-    vals = _map_values(estimate).reshape(-1)
+    vals = np.asarray(getattr(estimate, "diag", estimate),
+                      dtype=np.float64).reshape(-1)
     if vals.shape[0] != side * side:
         raise ReportError(f"map has {vals.shape[0]} entries, expected {side * side}")
     if normalization == "per-frame":

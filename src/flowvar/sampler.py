@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import MlpVelocity, ModelField, mean_velocity_eval
-
 __all__ = [
     "Trajectory",
     "SamplerError",
@@ -92,6 +90,4 @@ def one_step_generate(model, x0) -> np.ndarray:
     """x0 + average velocity at (x0, 0): the whole generative pass of a
     one-step model, costing exactly one forward evaluation."""
     x0 = np.asarray(x0, dtype=np.float64)
-    if isinstance(model, MlpVelocity):
-        return x0 + mean_velocity_eval(model, x0)
     return x0 + model.velocity(x0, 0.0)

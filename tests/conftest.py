@@ -2,15 +2,15 @@
 
 Training is deterministic given the seed streams, so every test sees the
 same models. Each model takes its objective and its (init, train) stream
-keys from the CLI's method table, so fixtures and CLI runs train alike. The
+keys from the library's method table, as the CLI does, so fixtures and CLI runs train alike. The
 models of one task train together as one ``train_jobs`` list, on as many
 worker processes as there are usable CPUs.
 """
 import numpy as np
 import pytest
 
-from flowvar.cli import METHODS
 from flowvar.data import GmmTask, ImageTask, default_gmm_task
+from flowvar.metrics import METHODS
 from flowvar.models import MlpArch
 from flowvar.numerics import RngState
 from flowvar.oracle import GmmSpec

@@ -22,8 +22,8 @@ def test_ensemble_hand_example():
     xt = np.zeros(2)
     models = [FixedField([m, 0.0], xt) for m in (0.0, 1.0, 2.0)]
     est = ensemble_uq(models, xt, 0.5)
-    assert np.allclose(est.variance, [2.0 / 3.0, 0.0], atol=1e-12)
-    assert est.scalar == pytest.approx(2.0 / 3.0)
+    assert np.allclose(est.diag, [2.0 / 3.0, 0.0], atol=1e-12)
+    assert est.u == pytest.approx(2.0 / 3.0)
     assert est.count == 3
 
 
@@ -37,11 +37,11 @@ def test_ensemble_on_trained_models(gmm_ensemble, gmm_task):
     models, _ = gmm_ensemble
     xt = np.array([0.8, 0.1])
     est = ensemble_uq(models, xt, 0.5)
-    assert est.variance.shape == (2,)
-    assert np.all(est.variance >= 0.0)
-    assert est.scalar > 0.0  # members genuinely differ
+    assert est.diag.shape == (2,)
+    assert np.all(est.diag >= 0.0)
+    assert est.u > 0.0  # members genuinely differ
     again = ensemble_uq(models, xt, 0.5)
-    assert np.array_equal(est.variance, again.variance)
+    assert np.array_equal(est.diag, again.diag)
 
 
 def test_ensemble_counts_one_forward_per_member(gmm_ensemble):
@@ -59,11 +59,11 @@ def test_dropout_variance_positive_and_deterministic(gmm_dropout):
     xt = np.array([0.4, -0.2])
     est = mc_dropout_uq(handle, xt, 0.5, passes=16, rng=RngState(11))
     assert est.count == 16
-    assert est.scalar > 0.0
+    assert est.u > 0.0
     rerun = mc_dropout_uq(handle, xt, 0.5, passes=16, rng=RngState(11))
-    assert np.array_equal(est.variance, rerun.variance)
+    assert np.array_equal(est.diag, rerun.diag)
     other = mc_dropout_uq(handle, xt, 0.5, passes=16, rng=RngState(12))
-    assert not np.array_equal(est.variance, other.variance)
+    assert not np.array_equal(est.diag, other.diag)
 
 
 def test_dropout_accepts_bare_model(gmm_dropout):
@@ -72,7 +72,7 @@ def test_dropout_accepts_bare_model(gmm_dropout):
     bare = mc_dropout_uq(model, xt, 0.5, passes=8, rng=RngState(3))
     wrapped = mc_dropout_uq(ModelField(model), xt, 0.5, passes=8,
                             rng=RngState(3))
-    assert np.array_equal(bare.variance, wrapped.variance)
+    assert np.array_equal(bare.diag, wrapped.diag)
 
 
 def test_zero_rate_model_gives_zero_variance():
@@ -86,8 +86,8 @@ def test_zero_rate_model_gives_zero_variance():
         counter = EvalCounter()
         est = mc_dropout_uq(ModelField(model, counter), np.ones(2), 0.5,
                             passes=passes, rng=RngState(0))
-        assert est.scalar == 0.0
-        assert np.array_equal(est.variance, np.zeros(2))
+        assert est.u == 0.0
+        assert np.array_equal(est.diag, np.zeros(2))
         assert counter.forwards == passes
 
 
@@ -122,7 +122,7 @@ def test_batched_dropout_matches_per_pass_loop(passes, wrap):
     est = mc_dropout_uq(handle, xt, 0.4, passes=passes, rng=rng)
     ref = _reference_dropout(model, xt, 0.4, passes, rng)
     assert est.count == passes
-    assert est.scalar > 0.0
-    np.testing.assert_allclose(est.variance, ref, rtol=1e-12, atol=0.0)
+    assert est.u > 0.0
+    np.testing.assert_allclose(est.diag, ref, rtol=1e-12, atol=0.0)
     if wrap:
         assert counter.forwards == passes and counter.jvps == 0

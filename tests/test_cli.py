@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from flowvar import models, training
+from flowvar import metrics, models, training
 from flowvar.cli import METHODS, main
-from flowvar.config import KNOWN_METHODS
-from flowvar.numerics import RngState
-from flowvar.reporting import read_pgm
+from flowvar.config import load_config
+from flowvar.metrics import (consistency_protocol, dropout_method,
+                             ensemble_method, one_step_method, tweedie_method)
+from flowvar.models import ModelField, load_model
+from flowvar.numerics import RngState, draw_rademacher
+from flowvar.reporting import format_float, read_pgm
+from flowvar.uq import cov_closed_form
 
 FAST_INI = """
 [experiment]
@@ -262,9 +266,58 @@ use = tweedie-fm
 
 
 def test_method_table_covers_known_methods():
-    assert tuple(METHODS) == KNOWN_METHODS
+    # the CLI's table is the library's, not a copy of it
+    assert METHODS is metrics.METHODS
     assert all(name == m.name for name, m in METHODS.items())
     assert len({m.uq for m in METHODS.values()}) == len(METHODS)
+
+
+def test_cli_and_library_run_each_method_alike(workspace):
+    """`consistency` writes the rows of consistency_protocol on the public
+    method factories, and `uq tweedie` the u and floored of cov_closed_form,
+    on the same saved models, states and streams."""
+    ini, out = workspace
+    cfg = load_config(ini)
+    task = cfg.build_task()
+    fields = {stem: ModelField(load_model(out / f"model_{stem}.fvar"))
+              for stem in ("fm", "onestep", "member_0", "member_1",
+                           "dropout")}
+    methods = {
+        "tweedie-fm": tweedie_method(fields["fm"], cfg.probes),
+        "tweedie-onestep": one_step_method(fields["onestep"], cfg.probes,
+                                           cfg.epsilon),
+        "ensemble": ensemble_method([fields["member_0"],
+                                     fields["member_1"]]),
+        "mc-dropout": dropout_method(fields["dropout"], cfg.dropout_passes),
+    }
+    assert main(["consistency", "--config", str(ini), "--n", "8",
+                 "--noise", "0.5"]) == 0
+    results = consistency_protocol(fields["fm"], methods, task, cfg.t_grid,
+                                   0.5, RngState(cfg.seed).split(12),
+                                   n_samples=8)
+    cell = lambda v: "" if v is None else format_float(v)
+    assert (out / "consistency.csv").read_text().splitlines()[1:] == [
+        ",".join(["consistency-v1", r.method, cell(r.t), str(cfg.seed),
+                  str(getattr(cfg, METHODS[r.method].size)),
+                  cell(r.pixel_spearman), cell(r.hitrate),
+                  cell(r.sample_spearman), str(r.n_samples),
+                  str(r.n_missing)])
+        for r in results]
+
+    assert main(["uq", "tweedie", "--config", str(ini)]) == 0
+    rows = [line.split(",") for line in
+            (out / "uq_tweedie.csv").read_text().splitlines()[1:]]
+    x0s, x1s = task.sample_pairs(RngState(cfg.seed).split(8), 16)
+    probe_rng = RngState(cfg.seed).split(9)
+    expected = []
+    for ti, t in enumerate(cfg.t_grid):
+        for i in range(16):
+            est = cov_closed_form(
+                fields["fm"], t * x1s[i] + (1.0 - t) * x0s[i], t,
+                draw_rademacher(probe_rng.split(ti).split(i), task.dim,
+                                cfg.probes))
+            expected.append([format_float(est.u), str(int(est.floored))])
+    assert [row[6:8] for row in rows] == expected
 
 
 def test_train_and_cost_train_each_method_alike(tmp_path, monkeypatch):

@@ -3,9 +3,10 @@ import struct
 import numpy as np
 import pytest
 
-from flowvar.config import (KNOWN_METHODS, PRESETS, ConfigError,
-                            ExperimentConfig, load_config, parse_config)
+from flowvar.config import (PRESETS, ConfigError, ExperimentConfig,
+                            load_config, parse_config)
 from flowvar.data import GmmTask, ImageTask, MnistTask
+from flowvar.metrics import METHODS
 
 
 def test_empty_config_gets_defaults():
@@ -19,7 +20,7 @@ def test_empty_config_gets_defaults():
     assert cfg.training.pairs_per_epoch == 8192
     assert cfg.probes == 50
     assert cfg.epsilon == pytest.approx(0.01)
-    assert cfg.methods == KNOWN_METHODS
+    assert cfg.methods == tuple(METHODS)
     assert cfg.ensemble_members == 5
     assert cfg.dropout_passes == 50
     assert cfg.dropout_rate == pytest.approx(0.15)
@@ -123,7 +124,7 @@ def test_presets_parse_and_differ():
         cfg = load_config(name)
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.seed == 42
-        assert cfg.methods == KNOWN_METHODS
+        assert cfg.methods == tuple(METHODS)
     assert load_config("gmm2d").task_kind == "gmm"
     assert load_config("bars8").probes == 64
     assert load_config("blobs8").task_kind == "blobs"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flowvar.models import (AnalyticField, EvalCounter, MlpArch, MlpVelocity,
                             ModelError, ModelField, analytic_handle,
-                            load_model, mean_velocity_eval, save_model,
+                            load_model, save_model,
                             time_features)
 from flowvar.numerics import RngState, finite_diff_jvp
 from flowvar.oracle import GmmSpec, optimal_velocity
@@ -195,12 +195,6 @@ def test_analytic_field_matches_oracle():
     ])
     assert np.allclose(ju, fd, atol=1e-6)
     assert counter.jvps == 2
-
-
-def test_mean_velocity_eval_reads_time_zero():
-    m = _model()
-    x0 = np.array([0.5, -0.2, 1.0])
-    assert np.allclose(mean_velocity_eval(m, x0), m.velocity(x0, 0.0))
 
 
 def test_save_load_roundtrip(tmp_path):

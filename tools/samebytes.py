@@ -1,0 +1,162 @@
+"""Check that a revision and the working tree write the same bytes.
+
+    python tools/samebytes.py <rev>
+
+Extracts ``git archive <rev>`` into a temporary directory, then runs one
+fixed matrix of ``flowvar`` commands on that tree and on the working tree,
+at one BLAS thread each. The matrix covers small gmm, bars and blobs configs
+(blobs lists the methods in reverse), every subcommand, the ``uq --t``
+variants and ``oracle-check``. It then compares every CSV, PGM and ``.fvar``
+file and the stdout (with the exit code) of each deterministic command. The
+``*_summary.txt`` files and the stdout of ``train`` and ``cost`` hold
+wall-clock seconds and are not compared.
+
+Prints one line per differing file and a count. Exits 0 when nothing
+differs, 1 when something does, and 2 when the revision cannot be extracted.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+COMPARED = (".csv", ".pgm", ".fvar", ".stdout")
+
+_INI = """
+[experiment]
+seed = 5
+
+[task]
+{task}
+
+[model]
+hidden = 32
+
+[training]
+epochs = 2
+pairs_per_epoch = 512
+batch_size = 64
+
+[uq]
+t_grid = 0.3 0.7
+probes = 8
+
+[methods]
+use = {methods}
+ensemble_members = 3
+dropout_passes = 6
+"""
+
+_METHODS = ["tweedie-fm", "tweedie-onestep", "ensemble", "mc-dropout"]
+CONFIGS = {
+    "gmm": ("kind = gmm\nmeans = 0.5 0 ; 3.5 0\nsigma = 0.15", _METHODS),
+    "bars": ("kind = bars\nside = 8", _METHODS),
+    "blobs": ("kind = blobs\nside = 8", _METHODS[::-1]),
+}
+
+_UQ = ("tweedie", "onestep", "ensemble", "mc-dropout")
+# (argv, whether its stdout is deterministic and compared)
+MATRIX = (
+    *((["train", variant], False)
+      for variant in ("fm", "one-step", "ensemble")),
+    *((["uq", method], True) for method in _UQ),
+    (["oracle-check"], True),
+    (["traj"], True),
+    (["consistency", "--n", "8"], True),
+    (["ablate-probes", "--S", "4,16", "--replicates", "3"], True),
+    (["cost"], False),
+)
+# run on a copy of the trained models, since they rewrite uq_<method>.csv
+T_MATRIX = tuple((["uq", method, "--t", "0.5"], True) for method in _UQ)
+
+
+def _flowvar(src: Path, argv, ini: Path, out: Path, stdout: Path,
+             keep: bool) -> None:
+    """Run one command; record its exit code, and its output if ``keep``."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowvar.cli", *argv, "--config", str(ini),
+         "--out", str(out)],
+        cwd=ini.parent, env=env, capture_output=True, text=True)
+    text = f"exit {proc.returncode}\n"
+    if keep:
+        # error messages may name this run's own directory
+        text += (proc.stdout + proc.stderr).replace(str(ini.parent), "<run>")
+    stdout.write_text(text, encoding="utf-8")
+
+
+def run_matrix(src: Path, root: Path) -> None:
+    """Every command of the matrix on each config, outputs under ``root``."""
+    for name, (task, methods) in CONFIGS.items():
+        base = root / name
+        (base / "stdout").mkdir(parents=True)
+        ini = base / "config.ini"
+        out = base / "run"
+        ini.write_text(_INI.format(task=task, methods=" ".join(methods)),
+                       encoding="utf-8")
+        for k, (argv, keep) in enumerate(MATRIX):
+            _flowvar(src, argv, ini, out,
+                     base / "stdout" / f"{k:02d}_{'_'.join(argv)}.stdout", keep)
+        out_t = base / "run_t"
+        out_t.mkdir()
+        for model in out.glob("*.fvar"):
+            shutil.copyfile(model, out_t / model.name)
+        for k, (argv, keep) in enumerate(T_MATRIX):
+            _flowvar(src, argv, ini, out_t,
+                     base / "stdout" / f"t{k:02d}_{'_'.join(argv)}.stdout",
+                     keep)
+
+
+def compared_files(root: Path) -> set:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*")
+            if p.is_file() and p.suffix in COMPARED}
+
+
+def differing(base: Path, head: Path) -> list:
+    """One line per compared file that is not byte-identical in both."""
+    a, b = compared_files(base), compared_files(head)
+    lines = []
+    for rel in sorted(a | b):
+        if rel not in b:
+            lines.append(f"{rel}: only in the revision")
+        elif rel not in a:
+            lines.append(f"{rel}: only in the working tree")
+        elif (base / rel).read_bytes() != (head / rel).read_bytes():
+            lines.append(f"{rel}: differs")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="the revision to compare against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="samebytes-") as tmp:
+        tmp = Path(tmp)
+        tree = tmp / "tree"
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", args.rev], cwd=REPO,
+                                 capture_output=True)
+        if archive.returncode != 0:
+            print(f"error: git archive {args.rev}: "
+                  f"{archive.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout,
+                       check=True)
+        run_matrix(tree / "src", tmp / "rev")
+        run_matrix(REPO / "src", tmp / "work")
+        lines = differing(tmp / "rev", tmp / "work")
+        total = len(compared_files(tmp / "rev") | compared_files(tmp / "work"))
+    for line in lines:
+        print(line)
+    print(f"{total} files compared, {len(lines)} differ")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
