@@ -17,10 +17,10 @@ import numpy as np
 
 from .data import GmmTask, ImageTask, MnistTask
 from .metrics import METHODS
-from .models import MlpArch
+from .models import MlpArch, ModelError
 from .numerics import RngState
-from .oracle import GmmSpec
-from .training import TrainConfig
+from .oracle import GmmSpec, OracleError
+from .training import TrainConfig, TrainingError
 from .uq import shift_time_grid
 
 __all__ = [
@@ -177,7 +177,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             methods=methods, ensemble_members=ensemble_members,
             dropout_passes=dropout_passes, dropout_rate=dropout_rate,
         )
-    except (ValueError, TypeError) as ex:
+    except (ValueError, TypeError, TrainingError) as ex:
         if isinstance(ex, ConfigError):
             raise
         raise ConfigError(f"bad config value: {ex}") from ex
@@ -211,6 +211,21 @@ def _validate(cfg: ExperimentConfig, base_dir: Path | None):
         raise ConfigError("mc-dropout needs at least 2 passes")
     if not 0.0 < cfg.dropout_rate < 1.0:
         raise ConfigError("dropout rate must lie in (0, 1)")
+    if not (np.isfinite(cfg.gmm_sigma) and cfg.gmm_sigma > 0.0):
+        raise ConfigError(f"sigma must be positive and finite, "
+                          f"got {cfg.gmm_sigma}")
+    # the constructors' own checks, run before any file is written
+    try:
+        cfg.build_arch(1)
+    except ModelError as ex:
+        raise ConfigError(f"bad [model] value: {ex}") from None
+    if cfg.task_kind == "gmm":
+        if len({len(row) for row in cfg.gmm_means}) != 1:
+            raise ConfigError("gmm means must be rows of one length")
+        try:
+            cfg.build_task()
+        except OracleError as ex:
+            raise ConfigError(f"bad gmm task: {ex}") from None
     if cfg.task_kind == "mnist":
         p = Path(cfg.task_path) if cfg.task_path else None
         if base_dir is not None and p is not None and not p.is_absolute():

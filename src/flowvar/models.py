@@ -12,6 +12,7 @@ RngState per call. No call mutates hidden RNG state.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -51,6 +52,14 @@ def time_features(t, n_freq: int) -> np.ndarray:
     freqs = np.pi * (2.0 ** np.arange(n_freq))
     ang = tv[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _scalar_time_features(t: float, n_freq: int) -> np.ndarray:
+    """time_features of one float time, memoised and read-only."""
+    out = time_features(t, n_freq)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -187,16 +196,22 @@ class MlpVelocity:
 
     def _input_features(self, x: np.ndarray, t) -> np.ndarray:
         x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x2.shape[1] != self.arch.dim:
-            raise ModelError(f"x dim {x2.shape[1]} != model dim {self.arch.dim}")
-        emb = time_features(t, self.arch.n_freq)
-        if emb.shape[0] == 1 and x2.shape[0] > 1:
-            emb = np.broadcast_to(emb, (x2.shape[0], emb.shape[1]))
-        elif emb.shape[0] != x2.shape[0]:
-            raise ModelError(
-                f"time batch {emb.shape[0]} incompatible with x batch {x2.shape[0]}"
-            )
-        return np.concatenate([x2, emb], axis=1)
+        dim = self.arch.dim
+        if x2.shape[1] != dim:
+            raise ModelError(f"x dim {x2.shape[1]} != model dim {dim}")
+        # -0.0 and 0.0 are one key but have sines of opposite sign, so a zero
+        # time is not memoised
+        if isinstance(t, float) and t:
+            emb = _scalar_time_features(t, self.arch.n_freq)
+        else:
+            emb = time_features(t, self.arch.n_freq)
+        n, m = x2.shape[0], emb.shape[0]
+        if m != n and (m != 1 or n == 0):
+            raise ModelError(f"time batch {m} incompatible with x batch {n}")
+        feats = np.empty((n, self.arch.in_dim))
+        feats[:, :dim] = x2
+        feats[:, dim:] = emb  # one time row broadcasts over the batch
+        return feats
 
     def _dropout_masks(self, n: int, dropout_rng):
         p = self.arch.dropout
@@ -241,7 +256,7 @@ class MlpVelocity:
             for i in range(self.arch.depth):
                 z = h @ self.weights[i].T
                 z += self.biases[i]
-                if not np.all(np.isfinite(z)):
+                if not np.isfinite(z).all():
                     raise ModelError(
                         "forward pass diverged: non-finite activations")
                 a = _act(act, z)
@@ -253,7 +268,7 @@ class MlpVelocity:
                 h = a
             out = h @ self.weights[-1].T
             out += self.biases[-1]
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ModelError("forward pass diverged: non-finite output")
         if out.shape[0] != rows:  # rate zero: every stream gives this row
             out = np.repeat(out, rows, axis=0)
@@ -301,7 +316,8 @@ class MlpVelocity:
 
         u is (m, dim): either one tangent per cached batch row (m equal to the
         batch size) or many tangents against a single cached row (batch 1).
-        Time is held fixed, so the embedding block contributes zero tangent.
+        Time is held fixed, so the first layer acts through its x columns
+        only: the embedding block would contribute zero tangent.
         """
         u2 = np.atleast_2d(np.asarray(u, dtype=np.float64))
         n = cache["inputs"][0].shape[0]
@@ -313,15 +329,14 @@ class MlpVelocity:
             )
         act = self.arch.activation
         masks = cache["masks"]
-        du = np.concatenate(
-            [u2, np.zeros((u2.shape[0], 2 * self.arch.n_freq))], axis=1
-        )
+        weights = [self.weights[0][:, :self.arch.dim]] + self.weights[1:]
+        du = u2
         for i in range(self.arch.depth):
-            du = du @ self.weights[i].T
+            du = du @ weights[i].T
             _scale_by_act_deriv(act, du, cache["pre"][i], cache["post"][i])
             if masks is not None:
                 du *= masks[i]
-        return du @ self.weights[-1].T
+        return du @ weights[-1].T
 
     def value_and_jvp(self, x, t, u, dropout_rng: RngState | None = None):
         """Velocity and J_v u in one cached pass. x: (d,), u: (d,) or (m, d)."""

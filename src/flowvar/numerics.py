@@ -229,7 +229,7 @@ class ProbeSet:
         p = np.asarray(self.probes, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] < 1:
             raise NumericsError("probes must be a nonempty (S, d) array")
-        if not np.all(np.abs(p) == 1.0):
+        if not (np.abs(p) == 1.0).all():
             raise NumericsError("probe entries must be exactly -1 or +1")
         object.__setattr__(self, "probes", p)
 
@@ -243,12 +243,22 @@ class ProbeSet:
 
 
 def draw_rademacher(rng: RngState, d: int, s: int) -> ProbeSet:
-    """Draw S independent Rademacher sign vectors in {-1,+1}^d."""
+    """Draw S independent Rademacher sign vectors in {-1,+1}^d.
+
+    The signs are the bits ``rng.generator().integers(0, 2, size=(s, d))``
+    draws, read straight from the raw 64-bit outputs: the top bit of each
+    32-bit half, low half first, with the last high half unused when S*d is
+    odd.
+    """
     if d < 1 or s < 1:
         raise NumericsError(f"need d >= 1 and S >= 1, got d={d}, S={s}")
-    g = rng.generator()
-    probes = 2.0 * g.integers(0, 2, size=(s, d)).astype(np.float64) - 1.0
-    return ProbeSet(probes=probes, seed=rng)
+    n = s * d
+    raw = rng.generator().bit_generator.random_raw((n + 1) // 2)
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    probes = (halves[:n] >> 31).astype(np.float64)
+    probes *= 2.0
+    probes -= 1.0
+    return ProbeSet(probes=probes.reshape(s, d), seed=rng)
 
 
 def exhaustive_sign_probes(d: int) -> ProbeSet:
@@ -300,10 +310,14 @@ def hutchinson_diagonal(jvp, probes: ProbeSet) -> np.ndarray:
     its probes with :func:`hutchinson_trace`, so the two estimates satisfy
     sum(diagonal) == trace exactly.
     """
+    # ndarray.mean's sum and divide, without its Python wrapper; products is
+    # a fresh array, never one the jvp returned
     products = probes.probes * _apply_jvp(jvp, probes)
-    return products.mean(axis=0)
+    diag = np.add.reduce(products, axis=0)
+    diag /= probes.count
+    return diag
 
 
 def hutchinson_trace(jvp, probes: ProbeSet) -> float:
     """Stochastic trace estimate (1/S) sum_s eps_s^T (J eps_s)."""
-    return float(hutchinson_diagonal(jvp, probes).sum())
+    return float(np.add.reduce(hutchinson_diagonal(jvp, probes)))

@@ -15,6 +15,7 @@ covariance formula is verified.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ class OracleError(ValueError):
 
 def check_unit_time(t: float) -> float:
     t = float(t)
-    if not np.isfinite(t) or t < 0.0 or t > 1.0:
+    if not math.isfinite(t) or t < 0.0 or t > 1.0:
         raise OracleError(f"flow time must lie in [0, 1], got {t}")
     return t
 

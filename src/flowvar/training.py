@@ -69,8 +69,11 @@ class TrainConfig:
             raise TrainingError("epochs must be >= 1")
         if self.batch_size < 1 or self.pairs_per_epoch < self.batch_size:
             raise TrainingError("need 1 <= batch_size <= pairs_per_epoch")
-        if self.learning_rate < 0:
-            raise TrainingError("learning rate must be nonnegative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise TrainingError("learning rate must be finite and "
+                                "nonnegative")
+        if not np.isfinite(self.weight_decay):
+            raise TrainingError("weight decay must be finite")
         if self.lr_schedule not in ("constant", "cosine"):
             raise TrainingError(f"unknown lr schedule {self.lr_schedule!r}")
         if self.objective not in ("fm", "one-step"):

@@ -144,13 +144,17 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
     if probes.dim != d:
         raise UqError(f"probe dimension mismatch: {probes.dim} != {d}")
 
+    # the ufunc reductions behind ndarray.sum and np.any, without their
+    # Python wrappers
     jdiag = hutchinson_diagonal(lambda u: field.jvp(xt, t, u), probes)
-    div = float(jdiag.sum())
+    div = float(np.add.reduce(jdiag))
 
     pref = (1.0 - t) ** 2 / t
-    diag_raw = pref * (1.0 + (1.0 - t) * jdiag)
-    u_raw = float(diag_raw.sum())
-    floored = bool(np.any(diag_raw < 0.0))
+    diag_raw = (1.0 - t) * jdiag
+    diag_raw += 1.0
+    diag_raw *= pref
+    u_raw = float(np.add.reduce(diag_raw))
+    floored = bool(np.logical_or.reduce(diag_raw < 0.0))
     diag = np.maximum(diag_raw, 0.0)
     u = max(u_raw, 0.0)
 

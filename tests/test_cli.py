@@ -195,6 +195,34 @@ def test_missing_model_and_bad_flags_exit_one(tmp_path, capsys):
         assert err == [f"error: unknown key {key.split()[0]!r} in [{section}]"]
 
 
+@pytest.mark.parametrize("section, setting, message", [
+    ("model", "hidden = 0", "hidden"),
+    ("model", "activation = sigmoid", "activation"),
+    ("training", "batch_size = 0", "batch_size"),
+    ("training", "epochs = 0", "epochs"),
+    ("training", "lr_schedule = bogus", "lr schedule"),
+    ("task", "weights = 0.5 0.6", "weights"),
+    ("task", "sigma = 0", "sigma"),
+    ("training", "learning_rate = nan", "learning rate"),
+    ("training", "learning_rate = inf", "learning rate"),
+    ("training", "weight_decay = nan", "weight decay"),
+    ("task", "sigma = nan", "sigma"),
+    ("task", "sigma = -1", "sigma"),
+    ("task", "means = 0 0 ; 1", "means"),
+])
+def test_bad_config_value_exits_one_before_any_output(tmp_path, capsys,
+                                                      section, setting,
+                                                      message):
+    out = tmp_path / "run"
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[experiment]\nout = {out}\n[{section}]\n{setting}\n")
+    assert main(["train", "fm", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0]
+    assert not out.exists()
+
+
 def test_truncated_model_exits_one_with_one_line(workspace, tmp_path,
                                                  capsys):
     ini, out = workspace

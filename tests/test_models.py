@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowvar import models
 from flowvar.models import (AnalyticField, EvalCounter, MlpArch, MlpVelocity,
                             ModelError, ModelField, analytic_handle,
                             load_model, save_model,
                             time_features)
 from flowvar.numerics import RngState, finite_diff_jvp
 from flowvar.oracle import GmmSpec, optimal_velocity
+from flowvar.sampler import euler_generate
 
 
 def _model(dim=3, **kw):
@@ -24,6 +26,73 @@ def test_time_features_values():
                 np.sin(2 * np.pi * 0.5), np.cos(2 * np.pi * 0.5)]
     assert np.allclose(f, expected, atol=1e-12)
     assert time_features(0.3, 8).shape == (1, 16)
+
+
+def test_time_features_are_fresh_and_writable():
+    m = _model()
+    m.weights[-1][:] = RngState(20).generator().standard_normal(
+        m.weights[-1].shape)
+    x = np.array([0.5, 0.1, -0.4])
+    before = m.velocity(x, 0.37)
+    for t in (0.37, np.array([0.37, 0.5])):
+        a, b = time_features(t, 8), time_features(t, 8)
+        assert a.flags.writeable and not np.shares_memory(a, b)
+        a[:] = 99.0
+        assert np.array_equal(time_features(t, 8), b)
+    assert np.array_equal(m.velocity(x, 0.37), before)
+    # the sines of -0.0 keep their sign after a forward at 0.0
+    for t in (0.0, -0.0, 0.0):
+        _, cache = m.forward_cache(x, t)
+        assert np.array_equal(np.signbit(cache["inputs"][0][:, 3:]),
+                              np.signbit(time_features(t, 8)))
+
+
+def test_euler_over_distinct_times_matches_unmemoised_features(monkeypatch):
+    m = _model(dim=2)
+    m.weights[-1][:] = 0.1 * RngState(20).generator().standard_normal(
+        m.weights[-1].shape)
+    x0 = np.array([0.3, -0.2])
+    runs = [euler_generate(ModelField(m), x0, 1000).states for _ in range(2)]
+    monkeypatch.setattr(models, "_scalar_time_features", time_features)
+    ref = euler_generate(ModelField(m), x0, 1000).states
+    for states in runs:
+        assert np.array_equal(states, ref)
+
+
+def _padded_tangent(model, cache, u):
+    """The tangent pass as a zero time tangent padded onto u."""
+    arch = model.arch
+    du = np.concatenate([u, np.zeros((u.shape[0], 2 * arch.n_freq))], axis=1)
+    for i in range(arch.depth):
+        du = du @ model.weights[i].T
+        z, h = cache["pre"][i], cache["post"][i]
+        du *= (1.0 - h * h) if arch.activation == "tanh" else (z > 0.0)
+        if cache["masks"] is not None:
+            du *= cache["masks"][i]
+    return du @ model.weights[-1].T
+
+
+@pytest.mark.parametrize("dim", [1, 2, 64])
+@pytest.mark.parametrize("n_freq", [1, 8])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_x_column_first_layer_is_the_zero_padded_pass(dim, n_freq, activation,
+                                                      dropout):
+    m = _model(dim=dim, n_freq=n_freq, activation=activation,
+               dropout=dropout)
+    m.weights[-1][:] = RngState(20).generator().standard_normal(
+        m.weights[-1].shape)
+    g = RngState(5).generator()
+    rng = RngState(9) if dropout else None
+    # a batch-1 cache against 64 tangents, and a per-row cache against one
+    # tangent per row
+    x1, u1 = g.standard_normal((1, dim)), g.choice([-1.0, 1.0], (64, dim))
+    xs, us = g.standard_normal((16, dim)), g.standard_normal((16, dim))
+    for x, t, u in ((x1, 0.4, u1), (xs, g.uniform(0.01, 0.99, 16), us)):
+        _, cache = m.forward_cache(x, t, rng)
+        assert (cache["masks"] is None) == (not dropout)
+        assert np.array_equal(m.tangent(cache, u),
+                              _padded_tangent(m, cache, u))
 
 
 def test_arch_validation():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowvar.numerics import (NumericsError, ProbeSet, RngState,
@@ -73,12 +73,19 @@ def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
             call()
 
 
-@given(st.integers(1, 20), st.integers(1, 50), st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_probes_are_signs(d, s, seed):
-    probes = draw_rademacher(RngState(seed), d, s)
+@given(st.integers(1, 70), st.integers(1, 70), _SEEDS, _STREAMS)
+@example(d=1, s=1, seed=0, stream=0)
+@example(d=3, s=5, seed=2**64 - 1, stream=3)
+@settings(max_examples=60, deadline=None)
+def test_probes_are_signs(d, s, seed, stream):
+    """The signs read from raw bits are those of ``integers(0, 2)``, bit for
+    bit, odd S*d included."""
+    rng = RngState(seed, stream)
+    probes = draw_rademacher(rng, d, s)
+    ref = 2.0 * rng.generator().integers(0, 2, size=(s, d)) - 1.0
+    assert probes.probes.dtype == np.float64
     assert probes.probes.shape == (s, d)
-    assert np.all(np.abs(probes.probes) == 1.0)
+    assert np.array_equal(probes.probes, ref)
     assert probes.count == s and probes.dim == d
 
 
