@@ -211,15 +211,15 @@ def _validate(cfg: ExperimentConfig, base_dir: Path | None):
         raise ConfigError("mc-dropout needs at least 2 passes")
     if not 0.0 < cfg.dropout_rate < 1.0:
         raise ConfigError("dropout rate must lie in (0, 1)")
-    if not (np.isfinite(cfg.gmm_sigma) and cfg.gmm_sigma > 0.0):
-        raise ConfigError(f"sigma must be positive and finite, "
-                          f"got {cfg.gmm_sigma}")
     # the constructors' own checks, run before any file is written
     try:
         cfg.build_arch(1)
     except ModelError as ex:
         raise ConfigError(f"bad [model] value: {ex}") from None
     if cfg.task_kind == "gmm":
+        if not (np.isfinite(cfg.gmm_sigma) and cfg.gmm_sigma > 0.0):
+            raise ConfigError(f"sigma must be positive and finite, "
+                              f"got {cfg.gmm_sigma}")
         if len({len(row) for row in cfg.gmm_means}) != 1:
             raise ConfigError("gmm means must be rows of one length")
         try:

@@ -12,7 +12,6 @@ RngState per call. No call mutates hidden RNG state.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -52,14 +51,6 @@ def time_features(t, n_freq: int) -> np.ndarray:
     freqs = np.pi * (2.0 ** np.arange(n_freq))
     ang = tv[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-
-
-@functools.lru_cache(maxsize=64)
-def _scalar_time_features(t: float, n_freq: int) -> np.ndarray:
-    """time_features of one float time, memoised and read-only."""
-    out = time_features(t, n_freq)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -199,12 +190,7 @@ class MlpVelocity:
         dim = self.arch.dim
         if x2.shape[1] != dim:
             raise ModelError(f"x dim {x2.shape[1]} != model dim {dim}")
-        # -0.0 and 0.0 are one key but have sines of opposite sign, so a zero
-        # time is not memoised
-        if isinstance(t, float) and t:
-            emb = _scalar_time_features(t, self.arch.n_freq)
-        else:
-            emb = time_features(t, self.arch.n_freq)
+        emb = time_features(t, self.arch.n_freq)
         n, m = x2.shape[0], emb.shape[0]
         if m != n and (m != 1 or n == 0):
             raise ModelError(f"time batch {m} incompatible with x batch {n}")

@@ -320,4 +320,4 @@ def hutchinson_diagonal(jvp, probes: ProbeSet) -> np.ndarray:
 
 def hutchinson_trace(jvp, probes: ProbeSet) -> float:
     """Stochastic trace estimate (1/S) sum_s eps_s^T (J eps_s)."""
-    return float(np.add.reduce(hutchinson_diagonal(jvp, probes)))
+    return float(hutchinson_diagonal(jvp, probes).sum())

@@ -89,6 +89,8 @@ def test_image_task_construction():
     assert arch.dim == 64 and arch.hidden == 128 and arch.dropout == 0.0
     dropped = cfg.build_arch(task.dim, dropout=0.15)
     assert dropped.dropout == pytest.approx(0.15)
+    # sigma is a gmm value: an image task ignores it
+    assert parse_config("[task]\nkind = bars\nsigma = 0\n").task_kind == "bars"
 
 
 def test_mnist_path_checked_at_parse_time(tmp_path):

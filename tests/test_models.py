@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowvar import models
 from flowvar.models import (AnalyticField, EvalCounter, MlpArch, MlpVelocity,
                             ModelError, ModelField, analytic_handle,
                             load_model, save_model,
                             time_features)
 from flowvar.numerics import RngState, finite_diff_jvp
 from flowvar.oracle import GmmSpec, optimal_velocity
-from flowvar.sampler import euler_generate
 
 
 def _model(dim=3, **kw):
@@ -40,23 +38,6 @@ def test_time_features_are_fresh_and_writable():
         a[:] = 99.0
         assert np.array_equal(time_features(t, 8), b)
     assert np.array_equal(m.velocity(x, 0.37), before)
-    # the sines of -0.0 keep their sign after a forward at 0.0
-    for t in (0.0, -0.0, 0.0):
-        _, cache = m.forward_cache(x, t)
-        assert np.array_equal(np.signbit(cache["inputs"][0][:, 3:]),
-                              np.signbit(time_features(t, 8)))
-
-
-def test_euler_over_distinct_times_matches_unmemoised_features(monkeypatch):
-    m = _model(dim=2)
-    m.weights[-1][:] = 0.1 * RngState(20).generator().standard_normal(
-        m.weights[-1].shape)
-    x0 = np.array([0.3, -0.2])
-    runs = [euler_generate(ModelField(m), x0, 1000).states for _ in range(2)]
-    monkeypatch.setattr(models, "_scalar_time_features", time_features)
-    ref = euler_generate(ModelField(m), x0, 1000).states
-    for states in runs:
-        assert np.array_equal(states, ref)
 
 
 def _padded_tangent(model, cache, u):
