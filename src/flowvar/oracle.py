@@ -12,6 +12,21 @@ standard conjugacy:
 
 These exact moments are the ground truth against which the velocity-Jacobian
 covariance formula is verified.
+
+A ``GmmSpec`` memoises the work its queries repeat. It keeps the component
+system of each time t it was asked about (the Cholesky factors and gains of
+S_k = t^2 Sigma_k + (1-t)^2 I, the component covariances and
+log-determinants), keyed on the float t, in at most ``_SYSTEM_SLOTS`` slots,
+emptied when full. It also keeps the posterior terms of the last single
+point it evaluated (responsibilities, component means, posterior mean and,
+once asked for, the score and mean-Jacobian), keyed on t and the bytes of
+xt. One oracle state (the analytic field's Hutchinson pass, its
+full-Jacobian basis and the conjugacy posterior at the same point) then
+computes them once. A miss computes exactly what an uncached call would,
+so every output bit is the same, and callers always receive fresh arrays.
+The spec holds read-only copies of its weights, means and covariances: a
+caller's later write into its own arrays cannot reach the spec, and
+nothing can leave a memo stale.
 """
 from __future__ import annotations
 
@@ -41,6 +56,10 @@ __all__ = [
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+# a time grid has a handful of times; an Euler trajectory brings a new one at
+# every step and cycles through the slots
+_SYSTEM_SLOTS = 8
 
 
 class OracleError(ValueError):
@@ -108,6 +127,10 @@ class GmmSpec:
                 f"inconsistent mixture shapes: weights {w.shape}, "
                 f"means {mu.shape}, covs {cov.shape}"
             )
+        arrays = {"weights": w, "means": mu, "covs": cov}
+        for name, a in arrays.items():
+            if not np.isfinite(a).all():
+                raise OracleError(f"mixture {name} must be finite")
         if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
             raise OracleError("weights must be positive and sum to 1")
         for j in range(k):
@@ -119,9 +142,16 @@ class GmmSpec:
                 np.linalg.cholesky(a)
             except np.linalg.LinAlgError:
                 raise OracleError(f"covariance {j} is not positive definite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "covs", cov)
+        for name, a in arrays.items():
+            a = a.copy()
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "_systems", {})  # t -> component system
+        object.__setattr__(self, "_states", {})  # (t, xt bytes) -> terms
+
+    def __reduce__(self):
+        # pickled and copied by value; the copy starts with empty memos
+        return GmmSpec, (self.weights, self.means, self.covs)
 
     @property
     def n_components(self) -> int:
@@ -156,43 +186,116 @@ class PosteriorOracle:
 
 
 def _component_system(spec: GmmSpec, t: float):
-    """Per-component marginal factor L_k (chol of S_k = t^2 Sig_k + (1-t)^2 I)
-    and gain G_k = t Sig_k S_k^{-1}."""
+    """Per-component marginal factor L_k (chol of S_k = t^2 Sig_k + (1-t)^2 I),
+    gain G_k = t Sig_k S_k^{-1}, posterior covariance Sig_k - t G_k Sig_k and
+    log det L_k, from the spec's slots or computed into them."""
+    systems = spec._systems
+    system = systems.get(t)
+    if system is not None:
+        return system
     k, d = spec.n_components, spec.dim
     eye = np.eye(d)
     chols = np.empty((k, d, d))
     gains = np.empty((k, d, d))
+    comp_covs = np.empty((k, d, d))
+    logdets = np.empty(k)
     for j in range(k):
         s = t * t * spec.covs[j] + (1.0 - t) ** 2 * eye
         chols[j] = np.linalg.cholesky(s)
         # G_k = t Sig S^{-1}; S and Sig need not commute, solve on the right:
         # (S^{-1} Sig)^T = Sig S^{-1} since both are symmetric.
         gains[j] = t * np.linalg.solve(s, spec.covs[j]).T
-    return chols, gains
+        cj = spec.covs[j] - t * gains[j] @ spec.covs[j]
+        comp_covs[j] = 0.5 * (cj + cj.T)
+        logdets[j] = np.log(np.diag(chols[j])).sum()
+    if len(systems) >= _SYSTEM_SLOTS:
+        systems.clear()
+    systems[t] = system = (chols, gains, comp_covs, logdets)
+    return system
 
 
-def _log_responsibilities(spec: GmmSpec, xts: np.ndarray, t: float, chols):
-    """Log posterior mixture weights at each xt, max-subtracted for stability."""
+class _Terms:
+    """Posterior terms at n points: responsibilities r (n, K), whitened
+    offsets L_k^{-1}(x - t mu_k) (K, d, n), component means (K, n, d) and the
+    posterior mean (n, d); then, once asked for, the score (n, d) and the
+    mean-Jacobian (n, d, d)."""
+
+    __slots__ = ("resp", "white", "comp_means", "mean", "score", "jac")
+
+    def __init__(self, resp, white, comp_means):
+        self.resp = resp
+        self.white = white
+        self.comp_means = comp_means
+        self.mean = np.einsum("nk,knd->nd", resp, comp_means)
+        self.score = self.jac = None
+
+
+def _posterior_terms(spec: GmmSpec, xts: np.ndarray, t: float,
+                     derivatives: bool = False) -> _Terms:
+    """The terms at interior time t and (n, d) points xts; a single point's
+    are kept on the spec for the next call at the same (xt, t). Callers copy
+    what they return."""
+    if xts.shape[1] != spec.dim:
+        raise OracleError(f"xt dimension {xts.shape[1]} != spec dim {spec.dim}")
+    chols, gains, _, logdets = _component_system(spec, t)
+    key = (t, xts.tobytes()) if xts.shape[0] == 1 else None
+    terms = spec._states.get(key)
+    if terms is None:
+        terms = _mixture_terms(spec, xts, t, chols, gains, logdets)
+        if key is not None:
+            spec._states.clear()
+            spec._states[key] = terms
+    if derivatives and terms.jac is None:
+        _add_derivatives(terms, chols, gains)
+    return terms
+
+
+def _mixture_terms(spec: GmmSpec, xts, t, chols, gains, logdets) -> _Terms:
     n = xts.shape[0]
     k, d = spec.n_components, spec.dim
     logj = np.empty((n, k))
+    white = np.empty((k, d, n))
     # overflow to -inf is caught below as a degenerate-region error
     with np.errstate(over="ignore"):
         for j in range(k):
             diff = xts - t * spec.means[j]
-            y = np.linalg.solve(chols[j], diff.T).T
-            logdet = np.log(np.diag(chols[j])).sum()
+            white[j] = np.linalg.solve(chols[j], diff.T)
+            y = white[j].T
             logj[:, j] = (
                 np.log(spec.weights[j])
                 - 0.5 * (y * y).sum(axis=1)
-                - logdet
+                - logdets[j]
                 - 0.5 * d * _LOG_2PI
             )
+    # log posterior mixture weights, max-subtracted for stability
     peak = logj.max(axis=1)
     if not np.all(np.isfinite(peak)):
         raise OracleError("xt in negligible-density region")
     shifted = np.exp(logj - peak[:, None])
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    # outside the errstate, so an overflow in a component mean still warns
+    comp_means = np.empty((k, n, d))
+    for j in range(k):
+        comp_means[j] = spec.means[j] + (xts - t * spec.means[j]) @ gains[j].T
+    return _Terms(shifted / shifted.sum(axis=1, keepdims=True), white,
+                  comp_means)
+
+
+def _add_derivatives(terms: _Terms, chols, gains) -> None:
+    """Score and mean-Jacobian from the component scores
+    g_k = -S_k^{-1}(x - t mu_k) = -L_k^{-T} (whitened offset)."""
+    comp_scores = np.empty_like(terms.comp_means)
+    for j in range(chols.shape[0]):
+        comp_scores[j] = -np.linalg.solve(chols[j].T, terms.white[j]).T
+    resp = terms.resp
+    terms.score = np.einsum("nk,knd->nd", resp, comp_scores)
+    jac = np.einsum("nk,kde->nde", resp, gains)
+    jac += np.einsum("nk,knd,kne->nde", resp, terms.comp_means, comp_scores)
+    jac -= np.einsum("nd,ne->nde", terms.mean, terms.score)
+    terms.jac = jac
+
+
+def _points(xts) -> np.ndarray:
+    return np.atleast_2d(np.asarray(xts, dtype=np.float64))
 
 
 def gmm_posterior_batch(spec: GmmSpec, xts: np.ndarray, t: float):
@@ -201,28 +304,14 @@ def gmm_posterior_batch(spec: GmmSpec, xts: np.ndarray, t: float):
     Returns (means (n,d), covs (n,d,d), resp (n,K)).
     """
     t = check_interior_time(t)
-    xts = np.atleast_2d(np.asarray(xts, dtype=np.float64))
-    if xts.shape[1] != spec.dim:
-        raise OracleError(f"xt dimension {xts.shape[1]} != spec dim {spec.dim}")
-    n = xts.shape[0]
-    k, d = spec.n_components, spec.dim
-
-    chols, gains = _component_system(spec, t)
-    resp = _log_responsibilities(spec, xts, t, chols)
-
-    comp_means = np.empty((k, n, d))
-    comp_covs = np.empty((k, d, d))
-    for j in range(k):
-        comp_means[j] = spec.means[j] + (xts - t * spec.means[j]) @ gains[j].T
-        cj = spec.covs[j] - t * gains[j] @ spec.covs[j]
-        comp_covs[j] = 0.5 * (cj + cj.T)
-
-    means = np.einsum("nk,knd->nd", resp, comp_means)
+    terms = _posterior_terms(spec, _points(xts), t)
+    comp_covs = _component_system(spec, t)[2]
+    resp, means = terms.resp, terms.mean
     # law of total variance: within-component plus between-means spread
     covs = np.einsum("nk,kde->nde", resp, comp_covs)
-    dev = comp_means - means[None, :, :]  # (k, n, d)
+    dev = terms.comp_means - means[None, :, :]  # (k, n, d)
     covs += np.einsum("nk,knd,kne->nde", resp, dev, dev)
-    return means, covs, resp
+    return means.copy(), covs, resp.copy()
 
 
 def gmm_posterior(spec: GmmSpec, xt: np.ndarray, t: float) -> PosteriorOracle:
@@ -246,40 +335,14 @@ def posterior_mean_jacobian(spec: GmmSpec, xts: np.ndarray, t: float) -> np.ndar
     the Jacobian-based covariance formula.
     """
     t = check_interior_time(t)
-    xts = np.atleast_2d(np.asarray(xts, dtype=np.float64))
-    n = xts.shape[0]
-    k, d = spec.n_components, spec.dim
-    chols, gains = _component_system(spec, t)
-    resp = _log_responsibilities(spec, xts, t, chols)
-
-    comp_means = np.empty((k, n, d))
-    comp_scores = np.empty((k, n, d))
-    for j in range(k):
-        diff = xts - t * spec.means[j]
-        comp_means[j] = spec.means[j] + diff @ gains[j].T
-        y = np.linalg.solve(chols[j], diff.T)
-        comp_scores[j] = -np.linalg.solve(chols[j].T, y).T
-
-    mean = np.einsum("nk,knd->nd", resp, comp_means)
-    sbar = np.einsum("nk,knd->nd", resp, comp_scores)
-    jac = np.einsum("nk,kde->nde", resp, gains)
-    jac += np.einsum("nk,knd,kne->nde", resp, comp_means, comp_scores)
-    jac -= np.einsum("nd,ne->nde", mean, sbar)
-    return jac
+    return _posterior_terms(spec, _points(xts), t, derivatives=True).jac.copy()
 
 
 def marginal_score(spec: GmmSpec, xt: np.ndarray, t: float) -> np.ndarray:
     """Score of the interpolant marginal p_t: sum_k r_k * (-S_k^{-1}(xt - t mu_k))."""
     t = check_interior_time(t)
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    chols, _ = _component_system(spec, t)
-    resp = _log_responsibilities(spec, xt[None, :], t, chols)[0]
-    out = np.zeros_like(xt)
-    for j in range(spec.n_components):
-        diff = xt - t * spec.means[j]
-        y = np.linalg.solve(chols[j], diff)
-        out -= resp[j] * np.linalg.solve(chols[j].T, y)
-    return out
+    return _posterior_terms(spec, xt[None, :], t, derivatives=True).score[0].copy()
 
 
 def marginal_moments(spec: GmmSpec):
@@ -294,9 +357,8 @@ def marginal_moments(spec: GmmSpec):
 def optimal_velocity_batch(spec: GmmSpec, xts: np.ndarray, t: float) -> np.ndarray:
     """Population-optimal velocity (E[x1|xt] - xt)/(1-t) at a batch of points."""
     t = check_interior_time(t)
-    xts = np.atleast_2d(np.asarray(xts, dtype=np.float64))
-    means, _, _ = gmm_posterior_batch(spec, xts, t)
-    return (means - xts) / (1.0 - t)
+    xts = _points(xts)
+    return (_posterior_terms(spec, xts, t).mean - xts) / (1.0 - t)
 
 
 def optimal_velocity(spec: GmmSpec, xt: np.ndarray, t: float) -> np.ndarray:

@@ -209,6 +209,9 @@ def test_missing_model_and_bad_flags_exit_one(tmp_path, capsys):
     ("task", "sigma = nan", "sigma"),
     ("task", "sigma = -1", "sigma"),
     ("task", "means = 0 0 ; 1", "means"),
+    ("task", "weights = nan 1", "weights"),
+    ("task", "means = nan 0 ; 3.5 0", "means"),
+    ("task", "means = inf 0 ; 3.5 0", "means"),
 ])
 def test_bad_config_value_exits_one_before_any_output(tmp_path, capsys,
                                                       section, setting,

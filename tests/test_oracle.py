@@ -1,16 +1,21 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowvar.numerics import RngState, finite_diff_jvp
-from flowvar.oracle import (GmmSpec, OracleError, conditional_score,
-                            gmm_posterior, gmm_posterior_batch, interpolate,
+from flowvar.models import EvalCounter, analytic_handle
+from flowvar.numerics import RngState, draw_rademacher, finite_diff_jvp
+from flowvar.oracle import (_SYSTEM_SLOTS, GmmSpec, OracleError,
+                            conditional_score, gmm_posterior,
+                            gmm_posterior_batch, interpolate,
                             marginal_moments, marginal_score,
                             optimal_velocity, optimal_velocity_batch,
                             posterior_mean_jacobian, sample_pairs,
                             single_gaussian_posterior,
                             single_gaussian_velocity_jacobian)
+from flowvar.uq import cov_closed_form
 
 
 def _two_comp():
@@ -44,6 +49,115 @@ def test_spec_validation():
     with pytest.raises(OracleError):
         GmmSpec(weights=np.array([1.0]), means=np.zeros((1, 2)),
                 covs=-np.eye(2)[None])
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("weights", {"weights": [np.nan, 1.0]}),
+    ("means", {"means": [[np.nan, 0.0], [3.5, 0.0]]}),
+    ("means", {"means": [[np.inf, 0.0], [3.5, 0.0]]}),
+    ("covs", {"covs": [np.eye(2), np.full((2, 2), np.inf)]}),
+    ("covs", {"covs": [np.eye(2), np.diag([1.0, np.nan])]}),
+])
+def test_spec_rejects_non_finite_values(field, kwargs):
+    good = {"weights": [0.5, 0.5], "means": [[0.5, 0.0], [3.5, 0.0]],
+            "covs": [np.eye(2), np.eye(2)]}
+    with pytest.raises(OracleError, match=f"{field} must be finite"):
+        GmmSpec(**{**good, **kwargs})
+
+
+def test_spec_is_a_read_only_copy():
+    means = np.array([[-1.0, 0.0], [1.5, 0.5]])
+    spec = GmmSpec.isotropic(means, 0.4)
+    xt = np.array([0.2, -0.3])
+    before = gmm_posterior(spec, xt, 0.4)
+    assert not np.shares_memory(spec.means, means)
+    for a in (spec.weights, spec.means, spec.covs):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    means[0] = 7.0
+    after = gmm_posterior(spec, xt, 0.4)
+    assert np.array_equal(after.covariance, before.covariance)
+    assert np.array_equal(after.mean, before.mean)
+    # a pickled copy is rebuilt: read-only again, same posterior
+    copy = pickle.loads(pickle.dumps(spec))
+    assert not copy.means.flags.writeable
+    assert np.array_equal(gmm_posterior(copy, xt, 0.4).covariance,
+                          before.covariance)
+
+
+def _three_comp():
+    return GmmSpec(weights=np.array([0.2, 0.5, 0.3]),
+                   means=np.array([[0.0, 1.0, 2.0], [-1.0, 0.5, 0.0],
+                                   [2.0, -1.0, 1.0]]),
+                   covs=np.stack([0.3 * np.eye(3), np.diag([0.2, 0.5, 1.0]),
+                                  np.array([[1.0, 0.3, 0.0], [0.3, 0.5, 0.1],
+                                            [0.0, 0.1, 0.4]])]))
+
+
+def _queries(spec, x, t, probes):
+    """Every oracle output at (x, t), each from a call of its own."""
+    est = cov_closed_form(analytic_handle(spec), x[0], t, probes,
+                          materialize_full=True)
+    single = x.shape[0] == 1
+    return (
+        *gmm_posterior_batch(spec, x, t),
+        posterior_mean_jacobian(spec, x, t),
+        optimal_velocity_batch(spec, x, t),
+        *(marginal_score(spec, xi, t) for xi in x),
+        est.diag_raw, est.full, est.min_eigenvalue,
+        *((gmm_posterior(spec, x[0], t).covariance,) if single else ()),
+    )
+
+
+@pytest.mark.parametrize("make", [_two_comp, _three_comp],
+                         ids=["k2d2", "k3d3"])
+def test_memoised_spec_matches_a_fresh_one(make):
+    spec = make()
+    d = spec.dim
+    gen = np.random.default_rng(3)
+    points = [gen.standard_normal((1, d)) for _ in range(3)]
+    points += [gen.standard_normal((4, d)), points[0]]
+    times = [0.3, 0.7, 0.31, 0.5, 0.7, 0.9, 0.3]
+    for i, t in enumerate(times):
+        for j, x in enumerate(points):
+            probes = draw_rademacher(RngState(i).split(j), d, 6)
+            warm = _queries(spec, x, t, probes)
+            cold = _queries(make(), x, t, probes)
+            assert len(warm) == len(cold)
+            for a, b in zip(warm, cold):
+                assert np.array_equal(a, b)
+            # the caller owns what it gets: writing into it changes nothing
+            for a in warm:
+                if isinstance(a, np.ndarray):
+                    a[...] = np.nan
+            again = _queries(spec, x, t, probes)
+            for a, b in zip(again, cold):
+                assert np.array_equal(a, b)
+
+
+def test_memos_stay_bounded_over_distinct_times():
+    spec = _two_comp()
+    field = analytic_handle(spec)
+    x = np.array([0.1, 0.2])
+    for t in np.linspace(0.01, 0.99, 1000):
+        x = x + 1e-3 * field.velocity(x, t)
+    assert 0 < len(spec._systems) <= _SYSTEM_SLOTS
+    assert len(spec._states) == 1
+
+
+def test_analytic_counts_unchanged_on_a_memo_hit():
+    spec = _two_comp()
+    xt, t = np.array([0.3, -0.2]), 0.6
+    probes = draw_rademacher(RngState(4), 2, 7)
+    for _ in range(2):  # a cold spec, then every term from the memo
+        counter = EvalCounter()
+        field = analytic_handle(spec, counter)
+        cov_closed_form(field, xt, t, probes, materialize_full=True)
+        assert (counter.forwards, counter.jvps) == (0, 7 + 2)
+        counter = EvalCounter()
+        field = analytic_handle(spec, counter)
+        field.value_and_jvp(xt, t, probes.probes)
+        assert (counter.forwards, counter.jvps) == (1, 7)
 
 
 def test_single_gaussian_matches_mixture_k1():
