@@ -11,6 +11,9 @@ correlation of average ranks, and HitRate@K is the overlap fraction of the
 top-K percent sets. A constant input has no ranking, so the correlation is
 reported as missing rather than silently coerced to zero; degenerate late-t
 baseline maps then show up as gaps in the tables instead of fake zeros.
+``consistency_protocol`` runs each method once per sample, in sample order,
+then scores the cell's maps as one batch; ``spearman`` and ``hitrate_at_k``
+are the one-row case of the same rank, centre and top-K helpers.
 """
 from __future__ import annotations
 
@@ -47,43 +50,56 @@ class MetricsError(ValueError):
 
 
 def _ranks(x) -> np.ndarray:
-    """1-based ranks with each tie group given its mean rank; all NaN if any
-    input is NaN (the conventions of scipy's ``rankdata(method="average")``).
+    """1-based average ranks along the last axis; a row holding a NaN is all
+    NaN (scipy's ``rankdata(method="average")``, row by row).
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if np.isnan(x).any():
-        return np.full(x.shape, np.nan)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    # start index of each tie group in sorted order, plus the end
-    new_group = np.concatenate(([True], xs[1:] != xs[:-1], [True]))
-    starts = np.flatnonzero(new_group)
-    # a group covering sorted positions [a, b) has mean 1-based rank (a+b+1)/2
-    group_rank = 0.5 * (starts[:-1] + starts[1:] + 1)
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, axis=-1)  # tied entries share a rank: any order
+    xs = np.take_along_axis(x, order, axis=-1)
+    tied = np.zeros(x.shape, dtype=bool)  # sorted entry equals the previous
+    tied[..., 1:] = xs[..., 1:] == xs[..., :-1]
+    # a tie group covering sorted positions [a, b) has mean 1-based rank
+    # (a+b+1)/2: a is the last group start up to an entry, b the first group
+    # end after it (an entry ends a group unless the next one ties it)
+    pos = np.arange(x.shape[-1])
+    a = np.maximum.accumulate(np.where(tied, 0, pos), axis=-1)
+    ends = np.where(np.roll(tied, -1, axis=-1), pos.size, pos + 1)
+    b = np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
     ranks = np.empty(x.shape)
-    ranks[order] = np.repeat(group_rank, np.diff(starts))
-    return ranks
+    np.put_along_axis(ranks, order, 0.5 * (a + b + 1), axis=-1)
+    return np.where(np.isnan(x).any(axis=-1, keepdims=True), np.nan, ranks)
 
 
-def _centred_ranks(x: np.ndarray):
-    """Average ranks minus their mean, and the norm of that vector."""
+def _centred_ranks(x):
+    """Each row's average ranks minus their mean, and the norm of that row."""
     r = _ranks(x)
-    d = r - r.mean()
-    return d, np.sqrt((d * d).sum())
+    d = r - r.mean(axis=-1, keepdims=True)
+    return d, np.sqrt((d * d).sum(axis=-1))
 
 
-def _rank_corr(cu, ce) -> float:
-    """Spearman from two _centred_ranks results."""
+def _rank_corr(cu, ce):
+    """Row-wise Spearman from two _centred_ranks results, and whether each
+    row's is defined (neither row constant); undefined rows hold NaN."""
     (du, su), (de, se) = cu, ce
-    if su == 0.0 or se == 0.0:
-        raise MetricsError("undefined correlation: constant input")
-    return float((du * de).sum() / (su * se))
+    defined = (su != 0.0) & (se != 0.0)
+    rho = np.divide((du * de).sum(axis=-1), su * se,
+                    out=np.full(defined.shape, np.nan), where=defined)
+    return rho, defined
+
+
+def _top_mask(x, kc: int) -> np.ndarray:
+    """Each row's kc largest entries, ties broken by ascending index."""
+    top = np.argsort(-x, axis=-1, kind="stable")[..., :kc]
+    mask = np.zeros(x.shape, dtype=bool)
+    np.put_along_axis(mask, top, True, axis=-1)
+    return mask
 
 
 def _pair(u, e, min_len: int, message: str):
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    e = np.asarray(e, dtype=np.float64).reshape(-1)
-    if u.shape != e.shape or u.shape[0] < min_len:
+    # two maps as one-row arrays
+    u = np.asarray(u, dtype=np.float64).reshape(1, -1)
+    e = np.asarray(e, dtype=np.float64).reshape(1, -1)
+    if u.shape != e.shape or u.shape[1] < min_len:
         raise MetricsError(message)
     return u, e
 
@@ -91,22 +107,16 @@ def _pair(u, e, min_len: int, message: str):
 def spearman(u, e) -> float:
     """Rank correlation with average-rank ties; raises on constant input."""
     u, e = _pair(u, e, 2, "need two equal-length sequences of length >= 2")
-    return _rank_corr(_centred_ranks(u), _centred_ranks(e))
+    rho, defined = _rank_corr(_centred_ranks(u), _centred_ranks(e))
+    if not defined[0]:
+        raise MetricsError("undefined correlation: constant input")
+    return float(rho[0])
 
 
 def _top_count(n: int, k_percent: float) -> int:
     if not 0.0 < k_percent < 100.0:
         raise MetricsError("k_percent must lie in (0, 100)")
     return max(1, int(np.floor(n * k_percent / 100.0)))
-
-
-def _top(x: np.ndarray, kc: int) -> np.ndarray:
-    """Indices of the kc largest entries, ties broken by ascending index."""
-    return np.argsort(-x, kind="stable")[:kc]
-
-
-def _overlap(top_u: np.ndarray, top_e: np.ndarray) -> float:
-    return len(np.intersect1d(top_u, top_e)) / len(top_u)
 
 
 def hitrate_at_k(u, e, k_percent: float = DEFAULT_HITRATE_PERCENT) -> float:
@@ -116,8 +126,8 @@ def hitrate_at_k(u, e, k_percent: float = DEFAULT_HITRATE_PERCENT) -> float:
     ascending index among equal values (stable sort on descending value).
     """
     u, e = _pair(u, e, 1, "need two equal-length nonempty maps")
-    kc = _top_count(u.shape[0], k_percent)
-    return _overlap(_top(u, kc), _top(e, kc))
+    kc = _top_count(u.shape[1], k_percent)
+    return float((_top_mask(u, kc) & _top_mask(e, kc)).sum() / kc)
 
 
 def corrupt(x1, noise_level: float, rng: RngState) -> np.ndarray:
@@ -252,6 +262,10 @@ def consistency_protocol(reference, methods, task, t_grid, noise_level: float,
     the corrupted x1, and the per-pixel error map is the squared difference
     between the reference posterior mean and the clean x1. Returns one
     ConsistencyRow per (t, method).
+
+    In each (t, method) cell the method runs once per sample, in sample
+    order; after the calls the cell's maps are ranked, centred and cut to
+    their top K as one (n, d) array, row i against sample i's error map.
     """
     if n_samples < 2:
         raise MetricsError("need at least 2 samples")
@@ -269,35 +283,34 @@ def consistency_protocol(reference, methods, task, t_grid, noise_level: float,
         x1_hat = posterior_mean_from_velocity(xts, t, vhat)
         err_maps = (x1_hat - x1s) ** 2
         err_scalars = err_maps.sum(axis=1)
-        # each error map is ranked and ordered once, for every method
-        err_ranks = [_centred_ranks(e) for e in err_maps]
-        err_tops = [_top(e, kc) for e in err_maps]
+        # each t's error maps are ranked and ordered once, for every method
+        err_ranks = _centred_ranks(err_maps)
+        err_top = _top_mask(err_maps, kc)
         for mi, (name, method) in enumerate(methods.items()):
             method_rngs = rng.split(2 + mi).split(ti).split_many(
                 range(n_samples))
-            pix, hits, scalars = [], [], []
+            # a map of the wrong length leaves a constant row: no metrics
+            maps = np.zeros(err_maps.shape)
+            scalars = []
             for i in range(n_samples):
                 umap, uscalar = method(xts[i], t, method_rngs[i])
                 scalars.append(uscalar)
-                try:
-                    u, _ = _pair(umap, err_maps[i], 2, "map shape mismatch")
-                    pix.append(_rank_corr(_centred_ranks(u), err_ranks[i]))
-                except MetricsError:
-                    pix.append(None)
-                    hits.append(None)
-                    continue
-                hits.append(_overlap(_top(u, kc), err_tops[i]))
+                u = np.asarray(umap, dtype=np.float64).reshape(-1)
+                if u.shape == err_maps.shape[1:]:
+                    maps[i] = u
+            pix, defined = _rank_corr(_centred_ranks(maps), err_ranks)
+            hits = (_top_mask(maps, kc) & err_top).sum(axis=1) / kc
             try:
                 samp = spearman(scalars, err_scalars)
             except MetricsError:
                 samp = None
             rows.append(ConsistencyRow(
                 t=float(t), method=name,
-                pixel_spearman=_mean_or_none(pix),
-                hitrate=_mean_or_none(hits),
+                pixel_spearman=_mean_or_none(pix[defined]),
+                hitrate=_mean_or_none(hits[defined]),
                 sample_spearman=samp,
                 n_samples=n_samples,
-                n_missing=sum(1 for v in pix if v is None),
+                n_missing=int(n_samples - defined.sum()),
             ))
     return rows
 

@@ -25,16 +25,26 @@ _rank_values = st.lists(
     st.sampled_from([-np.inf, -2.0, -0.0, 0.0, 0.5, 0.5, 3.0, np.inf, np.nan])
     | st.floats(allow_nan=True, allow_infinity=True),
     min_size=1, max_size=40)
+# a few rows of those values, cut to the shortest row's length
+_rank_rows = st.lists(_rank_values, min_size=2, max_size=4).map(
+    lambda rows: [r[:min(map(len, rows))] for r in rows])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rank_values)
+@given(_rank_values | _rank_rows)
 @example([7.0])
 @example([2.0, 1.0, 2.0, 2.0])
 @example([1.0, np.nan, 0.0])
+@example([[1.0, np.nan, 0.0], [2.0, 2.0, -np.inf], [0.0, -0.0, 1.0]])
 def test_ranks_match_scipy_average_ranks(values):
     x = np.array(values, dtype=np.float64)
-    np.testing.assert_array_equal(_ranks(x), rankdata(x, method="average"))
+    ranks = _ranks(x)
+    assert ranks.shape == x.shape
+    for row, got in zip(np.atleast_2d(x), np.atleast_2d(ranks)):
+        np.testing.assert_array_equal(got, rankdata(row, method="average"))
+        # a NaN blanks its own row only
+        assert (np.isnan(got).all() if np.isnan(row).any()
+                else np.isfinite(got).all())
 
 
 def test_import_does_not_load_scipy():
@@ -281,8 +291,18 @@ def _tied_stub_methods():
         m = np.full(xt.shape[0], 2.0) if xt[0] > 0.0 else np.abs(xt)
         return m, float(m[0])
 
+    def sometimes_short(xt, t, rng):  # one pixel short when xt[1] > 0
+        m = np.abs(xt)
+        return (m[:-1] if xt[1] > 0.0 else m), float(m.sum())
+
+    def infinite(xt, t, rng):  # ties at +inf and -inf around rounded values
+        m = np.where(xt > 0.5, np.inf, np.where(xt < -0.5, -np.inf,
+                                                 np.round(xt * 4.0)))
+        return m, float(np.round(xt.sum()))
+
     return {"tied": tied, "drawn": drawn, "constant": constant,
-            "sometimes-constant": sometimes_constant}
+            "sometimes-constant": sometimes_constant,
+            "sometimes-short": sometimes_short, "infinite": infinite}
 
 
 @pytest.mark.parametrize("k_percent", [DEFAULT_HITRATE_PERCENT, 7.0])
@@ -290,15 +310,20 @@ def test_protocol_rows_equal_the_per_method_loop(k_percent):
     task = ImageTask("bars", 4)
     args = (_TiedErrorField(), _tied_stub_methods(), task, (0.5, 0.3), 0.25,
             RngState(13))
-    rows = consistency_protocol(*args, n_samples=24, k_percent=k_percent)
-    ref = _reference_protocol(*args, n_samples=24, k_percent=k_percent)
-    assert rows == ref
+    for n in (2, 24):
+        rows = consistency_protocol(*args, n_samples=n, k_percent=k_percent)
+        ref = _reference_protocol(*args, n_samples=n, k_percent=k_percent)
+        assert rows == ref
     by_key = {(r.t, r.method): r for r in rows}
-    # the premise: constant maps on either side leave gaps, ties do not
+    # the premise: constant or short maps leave gaps, ties (also at ±inf)
+    # do not
     assert by_key[(0.5, "tied")].n_missing == 12
     assert by_key[(0.3, "tied")].n_missing == 0
     assert by_key[(0.3, "constant")].pixel_spearman is None
     assert 0 < by_key[(0.3, "sometimes-constant")].n_missing < 24
+    assert 0 < by_key[(0.3, "sometimes-short")].n_missing < 24
+    infinite = by_key[(0.3, "infinite")]
+    assert infinite.n_missing == 0 and infinite.hitrate is not None
 
 
 def test_protocol_needs_samples():
