@@ -14,7 +14,6 @@ from .numerics import (
     exhaustive_sign_probes,
     finite_diff_jvp,
     hutchinson_diagonal,
-    hutchinson_trace,
 )
 from .oracle import (
     GmmSpec,
@@ -29,7 +28,6 @@ from .oracle import (
     optimal_velocity,
     optimal_velocity_batch,
     posterior_mean_jacobian,
-    sample_pair,
     sample_pairs,
     single_gaussian_posterior,
     single_gaussian_velocity_jacobian,

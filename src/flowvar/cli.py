@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import BaselineError
-from .config import ConfigError, ExperimentConfig, check_seed, load_config
+from .config import (MAX_PROBES, ConfigError, ExperimentConfig, check_seed,
+                     load_config)
 from .data import DataError
 from .metrics import METHODS, Method, MetricsError, consistency_protocol
 from .models import (EvalCounter, ModelError, ModelField, MlpVelocity,
@@ -38,6 +39,7 @@ __all__ = ["main", "METHODS"]
 N_EVAL_POINTS = 16
 TRAJ_GRID = (0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.98)
 TRAJ_STEPS = 1000
+MAX_REPLICATES = 4096
 # the fm model is also the reference of traj, consistency and ablate-probes
 _FM = METHODS["tweedie-fm"]
 
@@ -332,16 +334,18 @@ def cmd_consistency(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_ablate(args, cfg: ExperimentConfig) -> int:
-    task = cfg.build_task()
-    field = _load_fields(cfg, _FM)[0]
     try:
         s_values = [int(tok) for tok in args.S.split(",") if tok]
     except ValueError as ex:
         raise ConfigError(f"bad --S list: {args.S!r}") from ex
-    if not s_values or min(s_values) < 1:
-        raise ConfigError("probe counts must be positive")
-    if args.replicates < 1:
-        raise ConfigError("need at least one replicate")
+    if not s_values or not all(1 <= s <= MAX_PROBES for s in s_values):
+        raise ConfigError(f"probe counts must be positive and at most "
+                          f"{MAX_PROBES}")
+    if not 1 <= args.replicates <= MAX_REPLICATES:
+        raise ConfigError(f"--replicates must lie in [1, {MAX_REPLICATES}], "
+                          f"got {args.replicates}")
+    task = cfg.build_task()
+    field = _load_fields(cfg, _FM)[0]
     master = _master(cfg)
     t = 0.5
     x0s, x1s = task.sample_pairs(master.split(13).split(0), 1)

@@ -26,6 +26,7 @@ from .uq import shift_time_grid
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "MAX_PROBES",
     "check_seed",
     "parse_config",
     "load_config",
@@ -35,6 +36,11 @@ __all__ = [
 
 class ConfigError(ValueError):
     pass
+
+
+# the largest probe block one estimate may draw ([uq] probes, ablate --S);
+# refused at parse time, before anything is allocated
+MAX_PROBES = 4096
 
 
 # every legal key, per section; parsing rejects anything else
@@ -117,7 +123,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     try:
         cp.read_string(text)
     except configparser.Error as ex:
-        raise ConfigError(f"malformed config: {ex}") from ex
+        # configparser's messages quote the offending line on lines of
+        # their own
+        raise ConfigError(f"malformed config: {' '.join(str(ex).split())}") \
+            from ex
 
     for section in cp.sections():
         if section not in _SCHEMA:
@@ -201,8 +210,9 @@ def _validate(cfg: ExperimentConfig, base_dir: Path | None):
     for m in cfg.methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method: {m!r}")
-    if cfg.probes < 1:
-        raise ConfigError("probe count must be positive")
+    if not 1 <= cfg.probes <= MAX_PROBES:
+        raise ConfigError(f"probe count must be positive and at most "
+                          f"{MAX_PROBES}, got {cfg.probes}")
     if not 0.0 < cfg.epsilon <= 0.1:
         raise ConfigError("epsilon must lie in (0, 0.1]")
     if cfg.ensemble_members < 2:
@@ -306,5 +316,9 @@ def load_config(name_or_path) -> ExperimentConfig:
         return parse_config(PRESETS[key])
     p = Path(key)
     if p.exists():
-        return parse_config(p.read_text(encoding="utf-8"), base_dir=p.parent)
+        try:
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as ex:
+            raise ConfigError(f"cannot read config {key}: {ex}") from None
+        return parse_config(text, base_dir=p.parent)
     raise ConfigError(f"no such preset or config file: {key}")

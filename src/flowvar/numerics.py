@@ -1,21 +1,34 @@
-"""Seeded randomness, Rademacher probes, and stochastic trace/diagonal estimation.
+"""Seeded randomness, Rademacher probes, and stochastic diagonal estimation.
 
 All vectors and matrices in this package are plain float64 numpy arrays.
 Every random draw flows through an explicit :class:`RngState`; there is no
 global RNG anywhere.
 
-Callers that need many sibling streams at once (one per MC-dropout pass, one
-per sample of a protocol) derive them as one batch: :meth:`RngState.split_many`
-and :func:`uniform_draws` run numpy's SeedSequence mixing as vectorised
-uint32 arithmetic over all the streams and seed one reused PCG64 from the
-result, with the same bits as :meth:`RngState.split` and
-:meth:`RngState.generator` give one stream at a time. The tests pin the two
-paths to each other, bit for bit.
+An ``RngState(seed, stream)`` is the stream of numpy's
+``default_rng(SeedSequence(seed, spawn_key=(stream,)))``, and ``split(key)``
+is ``RngState(SeedSequence(seed, spawn_key=(stream, key))
+.generate_state(1, np.uint64)[0])``. Every derivation takes one path to those
+bits:
+
+1. the entropy words SeedSequence assembles from the integers, as one uint32
+   array (``_entropy``);
+2. the mixed 4-word pool: numpy's own ``SeedSequence(words).pool`` for one
+   stream, or the same mixing as vectorised uint32 arithmetic over many
+   streams (``_pool``, ``_mix``);
+3. one output hash of the pool (``_hash_out``);
+4. for draws, PCG64's state set from those words on a per-thread bit
+   generator (``_seeded_pcg64``), then its raw output.
+
+No integer-seeded SeedSequence and no Generator is built on the way, except
+by :meth:`RngState.generator`, which hands the same words to ``default_rng``.
+The tests pin each path to numpy's ``SeedSequence`` and ``default_rng``, bit
+for bit.
 """
 from __future__ import annotations
 
 import functools
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +40,6 @@ __all__ = [
     "draw_rademacher",
     "exhaustive_sign_probes",
     "finite_diff_jvp",
-    "hutchinson_trace",
     "hutchinson_diagonal",
 ]
 
@@ -62,39 +74,36 @@ class RngState:
     stream: int = 0
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
-        )
+        return np.random.default_rng(_entropy(self.seed, self.stream))
 
     def split(self, key: int) -> "RngState":
         """Derive an independent child state; pure in (seed, stream, key).
 
         The key must be an integer (anything ``operator.index`` takes).
         """
-        key = _index(key)
-        try:
-            ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream, key))
-        except ValueError as ex:  # a negative seed, stream or key
-            raise NumericsError(f"cannot split {self} by key {key!r}: {ex}") \
-                from None
-        child = int(ss.generate_state(1, np.uint64)[0])
-        return RngState(seed=child, stream=0)
+        (child,) = _hash_out(_seed_pool(self.seed, self.stream, key), 1)
+        return RngState(child)
 
     def split_many(self, keys) -> list:
         """``[self.split(k) for k in keys]``, derived as one batch.
 
-        Integer keys only; any size, each taking as many 32-bit entropy words
-        as ``split`` gives it.
+        Integer keys only, of any size. The parent's words are mixed once;
+        each key's words are then mixed into a copy of that pool.
         """
         head = _entropy(self.seed, self.stream)
-        states = _seed_state([head + _words(k) for k in keys], 1)
-        return [RngState(seed=state[0]) for state in states]
+        words = [_words(k) for k in keys]
+        pools = np.empty((4, len(words)), dtype=np.uint32)
+        parent = np.random.SeedSequence(head).pool[:, None]
+        for cols, rows in _by_length(words):
+            pools[:, cols] = _mix(parent, rows, 4 * len(head))
+        (children,) = _hash_out(pools.astype(np.uint64), 1)
+        # positional: a keyword argument makes each state twice as dear
+        return [RngState(child) for child in children.tolist()]
 
 
-# ---- batched stream seeding ---------------------------------------------------
-# numpy's SeedSequence (pool size 4) and PCG64 seeding, restated as vectorised
-# uint32 arithmetic over many entropy rows; constants from numpy's
-# bit_generator and pcg64 sources.
+# ---- stream seeding ---------------------------------------------------------
+# numpy's SeedSequence (pool size 4) and PCG64 seeding, restated as uint32
+# arithmetic; constants from numpy's bit_generator and pcg64 sources.
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -115,6 +124,7 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
 
 
 _OTHERS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
+_OUT_B = _hash_consts(_INIT_B, _MULT_B, 8).ravel().tolist()
 
 
 def _words(x) -> list:
@@ -133,21 +143,61 @@ def _words(x) -> list:
     return out
 
 
-def _entropy(seed, *spawn_key) -> list:
-    """The entropy words of SeedSequence(seed, spawn_key=spawn_key): the seed
-    padded to the 4-word pool, then the spawn key."""
+def _entropy(seed, *spawn_key) -> np.ndarray:
+    """The entropy words of SeedSequence(seed, spawn_key=spawn_key), as a
+    uint32 array: the seed padded to the 4-word pool, then the spawn key."""
+    try:
+        # a seed below 2^128 is its own padded coding, and a spawn key entry
+        # below 2^32 one word
+        data = seed.to_bytes(16, "little")
+        for x in spawn_key:
+            data += x.to_bytes(4, "little")
+        return np.frombuffer(data, dtype="<u4")
+    except (AttributeError, OverflowError):  # larger, negative or not an int
+        pass
     out = _words(seed)
     out += [0] * (4 - len(out))
     for x in spawn_key:
         out += _words(x)
-    return out
+    return np.array(out, dtype=np.uint32)
+
+
+def _seed_pool(seed, *spawn_key) -> list:
+    """The mixed pool of SeedSequence(seed, spawn_key=spawn_key), as 4 ints;
+    numpy mixes the words."""
+    return np.random.SeedSequence(_entropy(seed, *spawn_key)).pool.tolist()
+
+
+def _by_length(rows: list) -> list:
+    """(column indices, (L, n) uint32 array) for each length L of the word
+    lists ``rows``."""
+    if len(set(map(len, rows))) == 1:
+        return [(slice(None), np.array(rows, dtype=np.uint32).T)]
+    cols_of = {}
+    for i, row in enumerate(rows):
+        cols_of.setdefault(len(row), []).append(i)
+    return [(cols, np.array([rows[i] for i in cols], dtype=np.uint32).T)
+            for cols in cols_of.values()]
+
+
+def _mix(pool: np.ndarray, words: np.ndarray, j: int) -> np.ndarray:
+    """Mix each row of an (L, n) word array into (4, n) pools (or one (4, 1)
+    pool, broadcast), as SeedSequence mixes entropy words past the fourth;
+    the first word takes hash constant j."""
+    a = _hash_consts(_INIT_A, _MULT_A, j + 4 * len(words))
+    for w in words:
+        h = (w ^ a[j:j + 4]) * a[j + 1:j + 5]
+        h ^= h >> 16
+        pool = pool * _MIX_L - h * _MIX_R
+        pool ^= pool >> 16
+        j += 4
+    return pool
 
 
 def _pool(entropy: np.ndarray) -> np.ndarray:
     """SeedSequence's mixed 4-word pool, as a (4, n) array, for each column
     of an (L, n) uint32 entropy array, L >= 4."""
-    n_src = entropy.shape[0]
-    a = _hash_consts(_INIT_A, _MULT_A, 4 * n_src)
+    a = _hash_consts(_INIT_A, _MULT_A, 16)
     # hashmix call j xors with constant j and multiplies by constant j+1
     v = (entropy[:4] ^ a[0:4]) * a[1:5]
     pool = v ^ (v >> 16)
@@ -160,59 +210,81 @@ def _pool(entropy: np.ndarray) -> np.ndarray:
         r = pool[dst] * _MIX_L - h * _MIX_R
         pool[dst] = r ^ (r >> 16)
         j += 3
-    for src in range(4, n_src):
-        h = (entropy[src] ^ a[j:j + 4]) * a[j + 1:j + 5]
-        h ^= h >> 16
-        pool = pool * _MIX_L - h * _MIX_R
-        pool ^= pool >> 16
-        j += 4
-    return pool
+    return _mix(pool, entropy[4:], j)
 
 
-def _seed_state(entropies, n: int) -> list:
-    """``SeedSequence.generate_state(n, np.uint64)``, as a list of n ints,
-    for each list of entropy words; rows of equal length share the
-    vectorised mixing."""
-    out = [None] * len(entropies)
-    rows_of = {}
-    for i, e in enumerate(entropies):
-        rows_of.setdefault(len(e), []).append(i)
-    b = _hash_consts(_INIT_B, _MULT_B, 2 * n)
-    for rows in rows_of.values():
-        pool = _pool(np.array([entropies[i] for i in rows], dtype=np.uint32).T)
-        v = (pool[np.arange(2 * n) % 4] ^ b[:-1]) * b[1:]
-        v = (v ^ (v >> 16)).astype(np.uint64)
-        # each uint64 is two uint32 words, low word first
-        for i, w in zip(rows, (v[0::2] | v[1::2] << np.uint64(32)).T.tolist()):
-            out[i] = w
+def _hash_out(pool, k: int) -> list:
+    """``SeedSequence.generate_state(k, np.uint64)`` from a mixed pool, k <= 4.
+
+    ``pool`` is one stream's 4 pool words as ints, or 4 uint64 rows with one
+    column per stream; the k words come back in the same kind. Ints keep
+    one stream clear of numpy's per-call cost.
+    """
+    out = []
+    for j in range(0, 2 * k, 2):
+        # output word j reads pool word j % 4; a uint64 is two of them,
+        # low word first
+        lo = (pool[j % 4] ^ _OUT_B[j]) * _OUT_B[j + 1] & _MASK32
+        hi = (pool[j % 4 + 1] ^ _OUT_B[j + 1]) * _OUT_B[j + 2] & _MASK32
+        out.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
     return out
+
+
+class _Pcg64(threading.local):
+    """One PCG64 per thread, reseeded for each stream by setting its state,
+    and the state dict it is set from."""
+
+    def __init__(self):
+        self.bitgen = np.random.PCG64(0)
+        self.pcg = {"state": 0, "inc": 0}
+        self.state = {"bit_generator": "PCG64", "state": self.pcg,
+                      "has_uint32": 0, "uinteger": 0}
+
+
+_PCG64 = _Pcg64()
+
+
+def _seeded_pcg64(words) -> np.random.PCG64:
+    """This thread's PCG64, seeded as numpy seeds it from four SeedSequence
+    output words: they are the 128-bit initstate and initseq, high half
+    first; ``inc = 2 initseq + 1``, and the state takes two LCG steps with
+    initstate added between them."""
+    state_hi, state_lo, seq_hi, seq_lo = words
+    local = _PCG64
+    pcg = local.pcg
+    inc = pcg["inc"] = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    pcg["state"] = \
+        ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+    bitgen = local.bitgen
+    bitgen.state = local.state
+    return bitgen
 
 
 def uniform_draws(states, shape: tuple) -> np.ndarray:
     """``np.stack([s.generator().random(shape) for s in states])``, bit for bit.
 
-    Each state's PCG64 is seeded as numpy seeds it: its SeedSequence's four
-    uint64 words are the 128-bit initstate and initseq, high half first;
-    ``inc = 2 initseq + 1``, and the state takes two LCG steps with
-    initstate added between them. The result is set on one reused bit
-    generator, so no per-state Generator or SeedSequence is built.
+    The states' pools are mixed as one array. Each stream's doubles are its
+    raw PCG64 outputs shifted to 53 bits and scaled by 2^-53, as
+    ``Generator.random`` makes them.
     """
     shape = tuple(shape)
-    seeds = _seed_state([_entropy(s.seed, s.stream) for s in states], 4)
-    out = np.empty((len(states),) + shape)
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    pcg = {"state": 0, "inc": 0}
-    bitgen_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
-                    "uinteger": 0}
-    rows = out.reshape(len(states), int(np.prod(shape)))
-    for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(rows, seeds):
-        initstate = state_hi << 64 | state_lo
-        inc = pcg["inc"] = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        pcg["state"] = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = bitgen_state
-        gen.random(out=row)
-    return out
+    try:
+        # a seed below 2^128 is its own padded 4-word coding, and a stream
+        # below 2^32 one word
+        data = b"".join([s.seed.to_bytes(16, "little")
+                         + s.stream.to_bytes(4, "little") for s in states])
+        pools = _pool(np.frombuffer(data, dtype="<u4").reshape(-1, 5).T)
+    except (AttributeError, OverflowError):  # larger, negative or not an int
+        rows = [_entropy(s.seed, s.stream) for s in states]
+        pools = np.empty((4, len(rows)), dtype=np.uint32)
+        for cols, entropy in _by_length(rows):
+            pools[:, cols] = _pool(entropy)
+    size = int(np.prod(shape))
+    words = zip(*[w.tolist() for w in _hash_out(pools.astype(np.uint64), 4)])
+    raw = np.array([_seeded_pcg64(w).random_raw(size) for w in words],
+                   dtype=np.uint64)
+    raw >>= np.uint64(11)
+    return (raw * (1.0 / 9007199254740992.0)).reshape((len(states),) + shape)
 
 
 @dataclass(frozen=True)
@@ -253,7 +325,8 @@ def draw_rademacher(rng: RngState, d: int, s: int) -> ProbeSet:
     if d < 1 or s < 1:
         raise NumericsError(f"need d >= 1 and S >= 1, got d={d}, S={s}")
     n = s * d
-    raw = rng.generator().bit_generator.random_raw((n + 1) // 2)
+    words = _hash_out(_seed_pool(rng.seed, rng.stream), 4)
+    raw = _seeded_pcg64(words).random_raw((n + 1) // 2)
     halves = raw.astype("<u8", copy=False).view("<u4")
     probes = (halves[:n] >> 31).astype(np.float64)
     probes *= 2.0
@@ -306,9 +379,7 @@ def _apply_jvp(jvp, probes: ProbeSet) -> np.ndarray:
 def hutchinson_diagonal(jvp, probes: ProbeSet) -> np.ndarray:
     """Per-coordinate diagonal estimate (1/S) sum_s eps_i^(s) [J eps^(s)]_i.
 
-    ``jvp`` maps a (S, d) batch of tangents to (S, d) products J u. Shares
-    its probes with :func:`hutchinson_trace`, so the two estimates satisfy
-    sum(diagonal) == trace exactly.
+    ``jvp`` maps a (S, d) batch of tangents to (S, d) products J u.
     """
     # ndarray.mean's sum and divide, without its Python wrapper; products is
     # a fresh array, never one the jvp returned
@@ -317,7 +388,3 @@ def hutchinson_diagonal(jvp, probes: ProbeSet) -> np.ndarray:
     diag /= probes.count
     return diag
 
-
-def hutchinson_trace(jvp, probes: ProbeSet) -> float:
-    """Stochastic trace estimate (1/S) sum_s eps_s^T (J eps_s)."""
-    return float(hutchinson_diagonal(jvp, probes).sum())

@@ -51,7 +51,6 @@ __all__ = [
     "optimal_velocity_batch",
     "single_gaussian_posterior",
     "single_gaussian_velocity_jacobian",
-    "sample_pair",
     "sample_pairs",
 ]
 
@@ -420,8 +419,3 @@ def sample_pairs(spec: GmmSpec, rng: RngState, n: int):
         chol = np.linalg.cholesky(spec.covs[j])
         x1[idx] = spec.means[j] + z[idx] @ chol.T
     return x0, x1
-
-
-def sample_pair(spec: GmmSpec, rng: RngState):
-    x0, x1 = sample_pairs(spec, rng, 1)
-    return x0[0], x1[0]

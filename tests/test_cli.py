@@ -226,6 +226,49 @@ def test_bad_config_value_exits_one_before_any_output(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_unreadable_config_exits_one_with_one_line(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.ini"
+    not_utf8.write_bytes("[experiment]\nout = caf\xe9\n".encode("latin-1"))
+    broken = tmp_path / "broken.ini"
+    broken.write_text("[experiment\nseed = 1\n")
+    for path, message in ((tmp_path, "cannot read config"),
+                          (not_utf8, "cannot read config"),
+                          (broken, "malformed config")):
+        capsys.readouterr()
+        assert main(["oracle-check", "--config", str(path)]) == 1, path
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert message in err and "Traceback" not in err
+
+
+def test_probe_block_bounds_are_checked_before_any_work(tmp_path, capsys):
+    """Sizes past the bounds are refused before a model is read or anything
+    drawn; none of them is ever requested."""
+    out = tmp_path / "fresh"
+    ini = tmp_path / "f.ini"
+    for probes in ("0", "4097", "99999999999999999999"):
+        ini.write_text(FAST_INI.format(out=out).replace(
+            "probes = 8", f"probes = {probes}"))
+        capsys.readouterr()
+        assert main(["oracle-check", "--config", str(ini)]) == 1, probes
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: probe count must be positive and at most "
+                       f"4096, got {probes}"], err
+    ini.write_text(FAST_INI.format(out=out))
+    # no model exists, so each must fail on its flag, not the missing model
+    bad_s, bad_r = "probe counts must be positive", "--replicates must lie in"
+    for flags, message in ((["--S", "0,4"], bad_s), (["--S", "4,4097"], bad_s),
+                           (["--S", "99999999999"], bad_s),
+                           (["--replicates", "0"], bad_r),
+                           (["--replicates", "10000000000"], bad_r)):
+        capsys.readouterr()
+        assert main(["ablate-probes", "--config", str(ini), *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], (flags, err)
+    assert main(["ablate-probes", "--config", str(ini), "--S", "4096"]) == 1
+    assert "model not found" in capsys.readouterr().err
+
+
 def test_truncated_model_exits_one_with_one_line(workspace, tmp_path,
                                                  capsys):
     ini, out = workspace

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 from flowvar.numerics import (NumericsError, ProbeSet, RngState,
                               draw_rademacher, exhaustive_sign_probes,
                               finite_diff_jvp, hutchinson_diagonal,
-                              hutchinson_trace, uniform_draws)
+                              uniform_draws)
 
 
 def test_rng_determinism():
@@ -63,14 +66,86 @@ def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
                  lambda: RngState(-7).split_many([0]),
                  lambda: RngState(7, -1).split(0),
                  lambda: RngState(7, -1).split_many([0]),
-                 lambda: uniform_draws([RngState(7), RngState(-7)], (3,))):
+                 lambda: uniform_draws([RngState(7), RngState(-7)], (3,)),
+                 lambda: RngState(-1).generator(),
+                 lambda: RngState(7, -1).generator(),
+                 lambda: draw_rademacher(RngState(-1), 3, 2)):
         with pytest.raises(NumericsError, match="non-negative"):
             call()
-    # neither path takes a non-integer key
+    # neither path takes a non-integer key, seed or stream
     for call in (lambda: RngState(7).split(1.5),
                  lambda: RngState(7).split_many([1.5])):
         with pytest.raises(TypeError):
             call()
+    for call in (lambda: RngState(1.5).generator(),
+                 lambda: draw_rademacher(RngState(7, 1.5), 3, 2),
+                 lambda: uniform_draws([RngState(1.5)], (3,))):
+        with pytest.raises(NumericsError, match="integers"):
+            call()
+
+
+def _numpy_generator(seed, *spawn_key):
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=spawn_key))
+
+
+@given(_SEEDS, _STREAMS, _FIRST_KEYS, st.integers(1, 9), st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_streams_are_numpys_own_seedsequence_and_default_rng(seed, stream, key,
+                                                             d, s):
+    """Each path gives the bits numpy's SeedSequence and default_rng give
+    the same integers, not only the bits of the package's other path."""
+    root = RngState(seed, stream)
+    ref = np.random.SeedSequence(seed, spawn_key=(stream, key))
+    assert root.split(key).seed == int(ref.generate_state(1, np.uint64)[0])
+    signs = 2.0 * _numpy_generator(seed, stream).integers(
+        0, 2, size=(s, d)) - 1.0
+    assert np.array_equal(draw_rademacher(root, d, s).probes, signs)
+    # the state itself and the child of key, at two shapes
+    states = [root, root.split(key)]
+    for shape in ((s, d), (3,)):
+        ref = np.stack([_numpy_generator(r.seed, r.stream).random(shape)
+                        for r in states])
+        assert np.array_equal(uniform_draws(states, shape), ref)
+    assert np.array_equal(root.generator().random(4),
+                          _numpy_generator(seed, stream).random(4))
+
+
+def test_threads_drawing_at_once_get_the_bits_of_a_serial_run():
+    """Each thread draws on its own reseeded bit generator, so probes drawn
+    on several threads at once are those of a serial run."""
+    roots = [RngState(11, 0), RngState(2**70 + 3, 5), RngState(0, 2**33)]
+    n = 200
+
+    def run(root):
+        return [(draw_rademacher(root.split(i), 7, 9).probes,
+                 uniform_draws(root.split_many([i, i + 1]), (5,)))
+                for i in range(n)]
+
+    serial = [run(root) for root in roots]
+    start = threading.Barrier(len(roots))
+    got = [None] * len(roots)
+
+    def worker(k):
+        start.wait()
+        got[k] = run(roots[k])
+
+    threads = [threading.Thread(target=worker, args=(k,))
+               for k in range(len(roots))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between set and draw
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for ref, res in zip(serial, got):
+        assert len(res) == n
+        for (p_ref, u_ref), (p, u) in zip(ref, res):
+            assert np.array_equal(p, p_ref) and np.array_equal(u, u_ref)
 
 
 @given(st.integers(1, 70), st.integers(1, 70), _SEEDS, _STREAMS)
@@ -112,7 +187,7 @@ def test_exhaustive_probes_give_exact_diagonal():
     probes = exhaustive_sign_probes(4)
     diag = hutchinson_diagonal(lambda u: u @ A.T, probes)
     assert np.allclose(diag, np.diag(A), atol=1e-12)
-    tr = hutchinson_trace(lambda u: u @ A.T, probes)
+    tr = float(hutchinson_diagonal(lambda u: u @ A.T, probes).sum())
     assert tr == pytest.approx(np.trace(A), abs=1e-12)
 
 
@@ -122,7 +197,7 @@ def test_trace_equals_diagonal_sum_exactly():
     A = rng.standard_normal((6, 6))
     probes = draw_rademacher(RngState(5), 6, 11)
     diag = hutchinson_diagonal(lambda u: u @ A.T, probes)
-    tr = hutchinson_trace(lambda u: u @ A.T, probes)
+    tr = float(hutchinson_diagonal(lambda u: u @ A.T, probes).sum())
     assert tr == float(diag.sum())
 
 
@@ -132,7 +207,8 @@ def test_hutchinson_unbiased_on_linear_map():
     ests = []
     for r in range(500):
         probes = draw_rademacher(RngState(100).split(r), 8, 8)
-        ests.append(hutchinson_trace(lambda u: u @ A.T, probes))
+        ests.append(float(hutchinson_diagonal(lambda u: u @ A.T,
+                                              probes).sum()))
     ests = np.asarray(ests)
     se = ests.std(ddof=1) / np.sqrt(len(ests))
     assert abs(ests.mean() - np.trace(A)) < 4 * se
