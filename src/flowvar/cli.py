@@ -40,6 +40,7 @@ N_EVAL_POINTS = 16
 TRAJ_GRID = (0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.98)
 TRAJ_STEPS = 1000
 MAX_REPLICATES = 4096
+MAX_SAMPLES = 4096  # consistency --n
 # the fm model is also the reference of traj, consistency and ablate-probes
 _FM = METHODS["tweedie-fm"]
 
@@ -110,8 +111,14 @@ def _load(args) -> ExperimentConfig:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out=Path(args.out))
-    cfg.out.mkdir(parents=True, exist_ok=True)
     return cfg
+
+
+def _make_out(cfg: ExperimentConfig) -> None:
+    """Create the output directory. Each subcommand calls this once its
+    flags and models have passed their checks, so a refused run leaves
+    nothing behind."""
+    cfg.out.mkdir(parents=True, exist_ok=True)
 
 
 def _model_path(cfg: ExperimentConfig, name: str) -> Path:
@@ -179,6 +186,7 @@ def _load_fields(cfg: ExperimentConfig, m: Method):
 
 def cmd_train(args, cfg: ExperimentConfig) -> int:
     task = cfg.build_task()
+    _make_out(cfg)
     # the dropout twin serves only mc-dropout, so it is trained on demand
     methods = [m for m in METHODS.values() if m.variant == args.variant
                and not (m.dropout and m.name not in cfg.methods)]
@@ -229,6 +237,7 @@ def cmd_uq(args, cfg: ExperimentConfig) -> int:
     t_grid = (args.t,) if args.t is not None else cfg.t_grid
     x0s, _, states = _eval_states(cfg, task, t_grid)
     estimate = m.bind(cfg, _load_fields(cfg, m)).estimate
+    _make_out(cfg)
     probe_rng = _master(cfg).split(9)
     # a one-step model reads x0 once, at t = epsilon, and its map is untagged
     grid = ([(cfg.epsilon, x0s, "")] if m.reads_x0 else
@@ -283,6 +292,7 @@ def cmd_oracle_check(args, cfg: ExperimentConfig) -> int:
 def cmd_traj(args, cfg: ExperimentConfig) -> int:
     task = cfg.build_task()
     field = _load_fields(cfg, _FM)[0]
+    _make_out(cfg)
     master = _master(cfg)
     x0 = master.split(10).generator().standard_normal(task.dim)
     traj = euler_generate(field, x0, TRAJ_STEPS)
@@ -306,14 +316,16 @@ def cmd_traj(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_consistency(args, cfg: ExperimentConfig) -> int:
-    if args.n < 2:
-        raise ConfigError(f"--n must be at least 2, got {args.n}")
+    if not 2 <= args.n <= MAX_SAMPLES:
+        raise ConfigError(f"--n must be at least 2 and at most {MAX_SAMPLES}"
+                          f", got {args.n}")
     if not 0.0 <= args.noise <= 1.0:
         raise ConfigError(f"--noise must lie in [0, 1], got {args.noise:g}")
     task = cfg.build_task()
     reference = _load_fields(cfg, _FM)[0]
     methods = {name: METHODS[name].bind(cfg, _load_fields(cfg, METHODS[name]))
                for name in cfg.methods}
+    _make_out(cfg)
     results = consistency_protocol(reference, methods, task, cfg.t_grid,
                                    args.noise, _master(cfg).split(12),
                                    n_samples=args.n)
@@ -346,6 +358,7 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
                           f"got {args.replicates}")
     task = cfg.build_task()
     field = _load_fields(cfg, _FM)[0]
+    _make_out(cfg)
     master = _master(cfg)
     t = 0.5
     x0s, x1s = task.sample_pairs(master.split(13).split(0), 1)
@@ -382,6 +395,7 @@ def cmd_cost(args, cfg: ExperimentConfig) -> int:
     only into cost_summary.txt.
     """
     task = cfg.build_task()
+    _make_out(cfg)
     ledger = CostLedger()
     master = _master(cfg)
     train_equiv = cfg.training.epochs * cfg.training.pairs_per_epoch

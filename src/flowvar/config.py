@@ -27,6 +27,8 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "MAX_PROBES",
+    "MAX_ENSEMBLE_MEMBERS",
+    "MAX_DROPOUT_PASSES",
     "check_seed",
     "parse_config",
     "load_config",
@@ -41,6 +43,10 @@ class ConfigError(ValueError):
 # the largest probe block one estimate may draw ([uq] probes, ablate --S);
 # refused at parse time, before anything is allocated
 MAX_PROBES = 4096
+# the largest ensemble (one model trained and read per member) and the most
+# MC-dropout passes (one forward row per pass), refused the same way
+MAX_ENSEMBLE_MEMBERS = 64
+MAX_DROPOUT_PASSES = 4096
 
 
 # every legal key, per section; parsing rejects anything else
@@ -215,10 +221,12 @@ def _validate(cfg: ExperimentConfig, base_dir: Path | None):
                           f"{MAX_PROBES}, got {cfg.probes}")
     if not 0.0 < cfg.epsilon <= 0.1:
         raise ConfigError("epsilon must lie in (0, 0.1]")
-    if cfg.ensemble_members < 2:
-        raise ConfigError("ensemble needs at least 2 members")
-    if cfg.dropout_passes < 2:
-        raise ConfigError("mc-dropout needs at least 2 passes")
+    if not 2 <= cfg.ensemble_members <= MAX_ENSEMBLE_MEMBERS:
+        raise ConfigError(f"ensemble needs 2 to {MAX_ENSEMBLE_MEMBERS} "
+                          f"members, got {cfg.ensemble_members}")
+    if not 2 <= cfg.dropout_passes <= MAX_DROPOUT_PASSES:
+        raise ConfigError(f"mc-dropout needs 2 to {MAX_DROPOUT_PASSES} "
+                          f"passes, got {cfg.dropout_passes}")
     if not 0.0 < cfg.dropout_rate < 1.0:
         raise ConfigError("dropout rate must lie in (0, 1)")
     # the constructors' own checks, run before any file is written

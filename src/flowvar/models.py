@@ -9,6 +9,14 @@ the primal values, which keeps the two modes consistent to machine precision.
 
 Dropout is the inverted kind: keep mask / (1 - rate), drawn from an explicit
 RngState per call. No call mutates hidden RNG state.
+
+A batch-1 pass (an Euler step, one estimate's primal) costs its GEMMs and
+little else. The clock frequencies and the tangent pass's transposed weight
+views (W0's x columns, then the later layers) are made once per model, as
+views that follow in-place writes to ``params``. One input row at a scalar
+float time gets its sin and cos written straight into the row, the same
+bits as :func:`time_features`; arrays of times and multi-row batches go
+through :func:`time_features`.
 """
 from __future__ import annotations
 
@@ -153,6 +161,10 @@ class MlpVelocity:
         self.arch = arch
         self.params = params
         self.weights, self.biases = _layer_views(params, arch)
+        # the transposed weights ``tangent`` multiplies by, made once
+        self._tangent_wt = tuple(w.T for w in [self.weights[0][:, :arch.dim],
+                                               *self.weights[1:]])
+        self._freqs = np.pi * (2.0 ** np.arange(arch.n_freq))
 
     # ---- construction -----------------------------------------------------
 
@@ -190,8 +202,18 @@ class MlpVelocity:
         dim = self.arch.dim
         if x2.shape[1] != dim:
             raise ModelError(f"x dim {x2.shape[1]} != model dim {dim}")
+        n = x2.shape[0]
+        if n == 1 and isinstance(t, float):  # np.float64 is a float too
+            # time_features' angles and bits, written into the row
+            feats = np.empty((1, self.arch.in_dim))
+            feats[0, :dim] = x2[0]
+            ang = t * self._freqs
+            mid = dim + self.arch.n_freq
+            np.sin(ang, out=feats[0, dim:mid])
+            np.cos(ang, out=feats[0, mid:])
+            return feats
         emb = time_features(t, self.arch.n_freq)
-        n, m = x2.shape[0], emb.shape[0]
+        m = emb.shape[0]
         if m != n and (m != 1 or n == 0):
             raise ModelError(f"time batch {m} incompatible with x batch {n}")
         feats = np.empty((n, self.arch.in_dim))
@@ -315,19 +337,22 @@ class MlpVelocity:
             )
         act = self.arch.activation
         masks = cache["masks"]
-        weights = [self.weights[0][:, :self.arch.dim]] + self.weights[1:]
+        wt = self._tangent_wt
         du = u2
         for i in range(self.arch.depth):
-            du = du @ weights[i].T
+            du = du @ wt[i]
             _scale_by_act_deriv(act, du, cache["pre"][i], cache["post"][i])
             if masks is not None:
                 du *= masks[i]
-        return du @ weights[-1].T
+        return du @ wt[-1]
 
     def value_and_jvp(self, x, t, u, dropout_rng: RngState | None = None):
-        """Velocity and J_v u in one cached pass. x: (d,), u: (d,) or (m, d)."""
-        xv = np.asarray(x, dtype=np.float64).reshape(-1)
-        out, cache = self.forward_cache(xv[None, :], t, dropout_rng)
+        """Velocity and J_v u in one cached pass. x: (d,), u: (d,) or (m, d).
+
+        ``tangent`` converts and checks u; this pass only reads its rank.
+        """
+        xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
+        out, cache = self.forward_cache(xv, t, dropout_rng)
         ju = self.tangent(cache, u)
         return out[0], (ju if np.ndim(u) == 2 else ju[0])
 
@@ -386,16 +411,18 @@ class ModelField:
         self.counter.forwards += np.atleast_2d(out).shape[0]
         return out
 
+    # tangent rows are counted from the result, so the probe block is
+    # converted once, by the model's tangent pass
+
     def value_and_jvp(self, x, t, u):
-        u2 = np.atleast_2d(np.asarray(u))
+        v, ju = self.model.value_and_jvp(x, t, u, dropout_rng=self.dropout_rng)
         self.counter.forwards += 1
-        self.counter.jvps += u2.shape[0]
-        return self.model.value_and_jvp(x, t, u, dropout_rng=self.dropout_rng)
+        self.counter.jvps += ju.shape[0] if ju.ndim == 2 else 1
+        return v, ju
 
     def jvp(self, x, t, u) -> np.ndarray:
-        u2 = np.atleast_2d(np.asarray(u))
-        self.counter.jvps += u2.shape[0]
         _, ju = self.model.value_and_jvp(x, t, u, dropout_rng=self.dropout_rng)
+        self.counter.jvps += ju.shape[0] if ju.ndim == 2 else 1
         return ju
 
 

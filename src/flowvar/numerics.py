@@ -305,6 +305,15 @@ class ProbeSet:
             raise NumericsError("probe entries must be exactly -1 or +1")
         object.__setattr__(self, "probes", p)
 
+    @classmethod
+    def _of_signs(cls, probes: np.ndarray, seed: RngState | None):
+        """A set of float64 entries already made from sign bits, without
+        the entry scan that cannot fail on them."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "probes", probes)
+        object.__setattr__(ps, "seed", seed)
+        return ps
+
     @property
     def count(self) -> int:
         return self.probes.shape[0]
@@ -331,7 +340,7 @@ def draw_rademacher(rng: RngState, d: int, s: int) -> ProbeSet:
     probes = (halves[:n] >> 31).astype(np.float64)
     probes *= 2.0
     probes -= 1.0
-    return ProbeSet(probes=probes.reshape(s, d), seed=rng)
+    return ProbeSet._of_signs(probes.reshape(s, d), rng)
 
 
 def exhaustive_sign_probes(d: int) -> ProbeSet:

@@ -254,19 +254,40 @@ def test_probe_block_bounds_are_checked_before_any_work(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: probe count must be positive and at most "
                        f"4096, got {probes}"], err
+    for key, value, message in (
+            ("ensemble_members = 2", "65", "ensemble needs 2 to 64 members"),
+            ("ensemble_members = 2", "99999999999999999999", "members"),
+            ("dropout_passes = 6", "4097", "mc-dropout needs 2 to 4096"),
+            ("dropout_passes = 6", "99999999999999999999", "passes")):
+        ini.write_text(FAST_INI.format(out=out).replace(
+            key, key.split(" = ")[0] + " = " + value))
+        capsys.readouterr()
+        for argv in (["train", "ensemble"], ["consistency"], ["cost"]):
+            assert main([*argv, "--config", str(ini)]) == 1, (argv, value)
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and message in err[0], (argv, err)
     ini.write_text(FAST_INI.format(out=out))
     # no model exists, so each must fail on its flag, not the missing model
     bad_s, bad_r = "probe counts must be positive", "--replicates must lie in"
-    for flags, message in ((["--S", "0,4"], bad_s), (["--S", "4,4097"], bad_s),
-                           (["--S", "99999999999"], bad_s),
-                           (["--replicates", "0"], bad_r),
-                           (["--replicates", "10000000000"], bad_r)):
+    bad_n = "--n must be at least 2 and at most 4096"
+    for argv, message in (
+            (["ablate-probes", "--S", "0,4"], bad_s),
+            (["ablate-probes", "--S", "4,4097"], bad_s),
+            (["ablate-probes", "--S", "99999999999"], bad_s),
+            (["ablate-probes", "--S", "0"], bad_s),
+            (["ablate-probes", "--replicates", "0"], bad_r),
+            (["ablate-probes", "--replicates", "10000000000"], bad_r),
+            (["consistency", "--n", "1"], bad_n),
+            (["consistency", "--n", "4097"], bad_n),
+            (["consistency", "--n", "99999999999999999999"], bad_n)):
         capsys.readouterr()
-        assert main(["ablate-probes", "--config", str(ini), *flags]) == 1
+        assert main([*argv, "--config", str(ini)]) == 1, argv
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and message in err[0], (flags, err)
+        assert len(err) == 1 and message in err[0], (argv, err)
     assert main(["ablate-probes", "--config", str(ini), "--S", "4096"]) == 1
     assert "model not found" in capsys.readouterr().err
+    # a refused flag, config or missing model leaves no output directory
+    assert not out.exists()
 
 
 def test_truncated_model_exits_one_with_one_line(workspace, tmp_path,

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowvar.models import (AnalyticField, EvalCounter, MlpArch, MlpVelocity,
@@ -38,6 +38,55 @@ def test_time_features_are_fresh_and_writable():
         a[:] = 99.0
         assert np.array_equal(time_features(t, 8), b)
     assert np.array_equal(m.velocity(x, 0.37), before)
+
+
+def _concatenated_row(x, t, n_freq):
+    """The input rows as [x, time_features(t)], one time row broadcast."""
+    x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    emb = time_features(t, n_freq)
+    return np.concatenate(
+        [x2, np.broadcast_to(emb, (x2.shape[0], emb.shape[1]))], axis=1)
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.sampled_from((1, 8)))
+@example(t=1e-3, n_freq=1)
+@example(t=1.0 - 1e-3, n_freq=8)
+@settings(max_examples=100, deadline=None)
+def test_scalar_time_row_is_time_features_bit_for_bit(t, n_freq):
+    m = _model(dim=2, n_freq=n_freq)
+    x = np.array([0.25, -1.5])
+    for xi in (x, x[None, :]):
+        feats = m.forward_cache(xi, t)[1]["inputs"][0]
+        assert np.array_equal(feats, _concatenated_row(x, t, n_freq))
+
+
+@pytest.mark.parametrize("n_freq", [1, 8])
+def test_euler_grid_rows_are_time_features_bit_for_bit(n_freq):
+    m = _model(dim=2, n_freq=n_freq)
+    x = np.array([0.25, -1.5])
+    for t in np.arange(1000) / 1000:  # np.float64, as euler_generate steps
+        assert np.array_equal(m.forward_cache(x, t)[1]["inputs"][0],
+                              _concatenated_row(x, t, n_freq)), t
+
+
+def test_array_times_and_batches_keep_the_concatenated_rows():
+    m = _model()
+    m.weights[-1][:] = RngState(20).generator().standard_normal(
+        m.weights[-1].shape)
+    g = RngState(6).generator()
+    x1, xs = g.standard_normal(3), g.standard_normal((5, 3))
+    ts = g.uniform(0.01, 0.99, 5)
+    for x, t in ((xs, ts), (xs, 0.37), (xs, np.float64(0.37)),
+                 (x1, np.array([0.37])), (x1, np.asarray(0.37)), (x1, 0)):
+        assert np.array_equal(m.forward_cache(x, t)[1]["inputs"][0],
+                              _concatenated_row(x, t, 8)), t
+    # the whole pass: a scalar time and a one-element time array agree
+    for t in (0.37, np.float64(0.37)):
+        assert np.array_equal(m.velocity(x1, t),
+                              m.velocity(x1, np.array([t])))
+        assert np.array_equal(m.velocity(x1[None, :], t),
+                              m.velocity(x1[None, :], np.array([t])))
 
 
 def _padded_tangent(model, cache, u):
@@ -361,6 +410,15 @@ def test_layer_arrays_are_views_of_the_flat_vector():
     assert not np.shares_memory(c.params, m.params)
     assert np.shares_memory(c.weights[0], c.params)
     assert c.checksum() == m.checksum()
+    # what a pass reads (tangent views, clock) follows in-place writes too
+    m.params[:] = RngState(21).generator().standard_normal(m.n_params) / 4
+    fresh = MlpVelocity.from_params(m.arch, m.params.copy())
+    x, u = np.array([0.5, 0.1, -0.4]), RngState(22).generator().choice(
+        [-1.0, 1.0], (8, 3))
+    for t in (0.37, np.array([0.37])):
+        for got, ref in zip(m.value_and_jvp(x, t, u),
+                            fresh.value_and_jvp(x, t, u)):
+            assert np.array_equal(got, ref)
 
 
 def test_checksum_and_container_match_the_per_layer_code(tmp_path):

@@ -165,8 +165,11 @@ def test_probes_are_signs(d, s, seed, stream):
 
 
 def test_probe_validation():
-    with pytest.raises(NumericsError):
-        ProbeSet(probes=np.array([[0.5, 1.0]]), seed=None)
+    # draw_rademacher builds its sets without the entry scan; any other
+    # caller's entries are still checked
+    for bad in ([[0.5, 1.0]], [[1.0, -1.0], [1.0, np.nan]]):
+        with pytest.raises(NumericsError):
+            ProbeSet(probes=np.array(bad), seed=None)
     with pytest.raises(NumericsError):
         draw_rademacher(RngState(0), 0, 4)
     with pytest.raises(NumericsError):
