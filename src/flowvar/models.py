@@ -390,8 +390,9 @@ class EvalCounter:
 class ModelField:
     """Counting wrapper presenting an MlpVelocity as a velocity field.
 
-    Each output row counts as one forward; each tangent row as one JVP. An
-    optional dropout stream turns the wrapper into a single stochastic
+    Each output row counts as one forward; each tangent row as one JVP,
+    counted from the result, so the probe block is converted only once, in
+    the model's tangent pass. An optional dropout stream turns the wrapper into a single stochastic
     sub-network pass, the unit the MC-dropout baseline averages over; a
     sequence of streams runs one such pass per stream, each counted.
     """
@@ -410,9 +411,6 @@ class ModelField:
         out = self.model.velocity(x, t, dropout_rng=self.dropout_rng)
         self.counter.forwards += np.atleast_2d(out).shape[0]
         return out
-
-    # tangent rows are counted from the result, so the probe block is
-    # converted once, by the model's tangent pass
 
     def value_and_jvp(self, x, t, u):
         v, ju = self.model.value_and_jvp(x, t, u, dropout_rng=self.dropout_rng)
