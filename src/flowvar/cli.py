@@ -272,17 +272,28 @@ def cmd_oracle_check(args, cfg: ExperimentConfig) -> int:
     worst = 0.0
     for ti, t in enumerate(cfg.t_grid):
         rngs = master.split(9).split(ti).split_many(range(N_EVAL_POINTS))
-        for xt, rng in zip(states[t], rngs):
+        for i, (xt, rng) in enumerate(zip(states[t], rngs)):
             probes = draw_rademacher(rng, spec.dim, cfg.probes)
             est = cov_closed_form(field, xt, t, probes, materialize_full=True)
             ref = gmm_posterior(spec, xt, t).covariance
-            err = np.linalg.norm(est.full - ref) / np.linalg.norm(ref)
+            # a reference that underflowed to zero or overflowed leaves no
+            # relative error; that is reported below, not warned about
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                scale = np.linalg.norm(ref)
+                err = np.linalg.norm(est.full - ref) / scale
+            if not np.isfinite(err):
+                raise OracleError(f"relative Frobenius error at t={t:g}, "
+                                  f"point {i} is {err} (reference "
+                                  f"covariance norm {scale:.3g})")
             worst = max(worst, err)
     print(f"max relative Frobenius error: {worst:.3e}")
     if worst <= 1e-5:
         print("PASS")
         return 0
     print("FAIL")
+    # every exit 2 names its failure on one stderr line
+    print(f"runtime failure: oracle check error {worst:.3e} is above 1e-5",
+          file=sys.stderr)
     return 2
 
 

@@ -238,6 +238,11 @@ def _validate(cfg: ExperimentConfig, base_dir: Path | None):
         if not (np.isfinite(cfg.gmm_sigma) and cfg.gmm_sigma > 0.0):
             raise ConfigError(f"sigma must be positive and finite, "
                               f"got {cfg.gmm_sigma}")
+        # the covariance is sigma^2 I: a square that underflows or overflows
+        # leaves no usable covariance
+        if not np.finfo(float).tiny <= cfg.gmm_sigma * cfg.gmm_sigma < np.inf:
+            raise ConfigError(f"sigma^2 must be a normal float64, got sigma = "
+                              f"{cfg.gmm_sigma}")
         if len({len(row) for row in cfg.gmm_means}) != 1:
             raise ConfigError("gmm means must be rows of one length")
         try:

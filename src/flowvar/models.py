@@ -228,14 +228,13 @@ class MlpVelocity:
         # one draw per stream covers every layer in order, the same bits as
         # one (rows, hidden) draw per layer
         shape = (self.arch.depth, self.arch.hidden)
+        keep = 1.0 - p
         if isinstance(dropout_rng, RngState):
             u = dropout_rng.generator().random((shape[0], n, shape[1]))
-        else:
-            # (depth, rows, hidden), C-ordered as the per-layer draws were
-            u = np.ascontiguousarray(
-                uniform_draws(dropout_rng, shape).swapaxes(0, 1))
-        keep = 1.0 - p
-        return list((u < keep).astype(np.float64) / keep)
+            return list((u < keep).astype(np.float64) / keep)
+        # (rows, depth, hidden): layer i's masks are the view m[:, i]
+        m = (uniform_draws(dropout_rng, shape) < keep) / keep
+        return [m[:, i] for i in range(shape[0])]
 
     def forward_cache(self, x, t, dropout_rng=None):
         """Full forward pass returning (velocity, cache) for backward/JVP.

@@ -15,9 +15,14 @@ bits:
 2. the mixed 4-word pool: numpy's own ``SeedSequence(words).pool`` for one
    stream, or the same mixing as vectorised uint32 arithmetic over many
    streams (``_pool``, ``_mix``);
-3. one output hash of the pool (``_hash_out``);
+3. one output hash of the pool (``_hash_out``): Python ints for one stream,
+   one (words, streams) uint32 array for many, all hashed at once;
 4. for draws, PCG64's state set from those words on a per-thread bit
    generator (``_seeded_pcg64``), then its raw output.
+
+Setting the state through numpy's public setter and drawing are the floor
+of each stream, about 3 and 2.3 us; every other step costs a few numpy
+calls however many streams there are.
 
 No integer-seeded SeedSequence and no Generator is built on the way, except
 by :meth:`RngState.generator`, which hands the same words to ``default_rng``.
@@ -27,6 +32,7 @@ for bit.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -88,17 +94,24 @@ class RngState:
         """``[self.split(k) for k in keys]``, derived as one batch.
 
         Integer keys only, of any size. The parent's words are mixed once;
-        each key's words are then mixed into a copy of that pool.
+        each key's words are then mixed into a copy of that pool, as one row
+        when the keys are a ``range`` inside one 32-bit word.
         """
         head = _entropy(self.seed, self.stream)
-        words = [_words(k) for k in keys]
-        pools = np.empty((4, len(words)), dtype=np.uint32)
         parent = np.random.SeedSequence(head).pool[:, None]
-        for cols, rows in _by_length(words):
-            pools[:, cols] = _mix(parent, rows, 4 * len(head))
-        (children,) = _hash_out(pools.astype(np.uint64), 1)
+        ends = (keys[0], keys[-1]) if isinstance(keys, range) and keys else (-1,)
+        if 0 <= min(ends) and max(ends) <= _MASK32:
+            # each key is its own one-word coding: one row to mix
+            row = np.arange(keys.start, keys.stop, keys.step).astype(np.uint32)
+            pools = _mix(parent, row[None], 4 * len(head))
+        else:
+            words = [_words(k) for k in keys]
+            pools = np.empty((4, len(words)), dtype=np.uint32)
+            for cols, rows in _by_length(words):
+                pools[:, cols] = _mix(parent, rows, 4 * len(head))
+        children = _hash_out(pools, 1).ravel().tolist()
         # positional: a keyword argument makes each state twice as dear
-        return [RngState(child) for child in children.tolist()]
+        return [RngState(child) for child in children]
 
 
 # ---- stream seeding ---------------------------------------------------------
@@ -124,7 +137,9 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
 
 
 _OTHERS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
-_OUT_B = _hash_consts(_INIT_B, _MULT_B, 8).ravel().tolist()
+_OUT_B = _hash_consts(_INIT_B, _MULT_B, 8)
+_OUT_B_INTS = _OUT_B.ravel().tolist()
+_OUT_ROWS = np.arange(8) % 4  # the pool word each output word reads
 
 
 def _words(x) -> list:
@@ -213,19 +228,28 @@ def _pool(entropy: np.ndarray) -> np.ndarray:
     return _mix(pool, entropy[4:], j)
 
 
-def _hash_out(pool, k: int) -> list:
+def _hash_out(pool, k: int):
     """``SeedSequence.generate_state(k, np.uint64)`` from a mixed pool, k <= 4.
 
-    ``pool`` is one stream's 4 pool words as ints, or 4 uint64 rows with one
-    column per stream; the k words come back in the same kind. Ints keep
-    one stream clear of numpy's per-call cost.
+    ``pool`` is one stream's 4 pool words as ints, which gives a list of k
+    ints: ints keep one stream clear of numpy's per-call cost. Or it is a
+    (4, n) uint32 array with one column per stream, which gives an (n, k)
+    uint64 array with one row per stream, every stream hashed at once.
     """
+    # output word m reads pool word m % 4, xors hash constant m and
+    # multiplies by constant m + 1 (mod 2^32); a uint64 is two of them, low
+    # word first
+    if isinstance(pool, np.ndarray):
+        w = pool[_OUT_ROWS[:2 * k]]
+        w ^= _OUT_B[:2 * k]
+        w *= _OUT_B[1:2 * k + 1]
+        w ^= w >> 16
+        return np.ascontiguousarray(w.T, dtype="<u4").view("<u8")
     out = []
     for j in range(0, 2 * k, 2):
-        # output word j reads pool word j % 4; a uint64 is two of them,
-        # low word first
-        lo = (pool[j % 4] ^ _OUT_B[j]) * _OUT_B[j + 1] & _MASK32
-        hi = (pool[j % 4 + 1] ^ _OUT_B[j + 1]) * _OUT_B[j + 2] & _MASK32
+        lo = (pool[j % 4] ^ _OUT_B_INTS[j]) * _OUT_B_INTS[j + 1] & _MASK32
+        hi = (pool[j % 4 + 1] ^ _OUT_B_INTS[j + 1]) * _OUT_B_INTS[j + 2] \
+            & _MASK32
         out.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
     return out
 
@@ -279,10 +303,9 @@ def uniform_draws(states, shape: tuple) -> np.ndarray:
         pools = np.empty((4, len(rows)), dtype=np.uint32)
         for cols, entropy in _by_length(rows):
             pools[:, cols] = _pool(entropy)
-    size = int(np.prod(shape))
-    words = zip(*[w.tolist() for w in _hash_out(pools.astype(np.uint64), 4)])
-    raw = np.array([_seeded_pcg64(w).random_raw(size) for w in words],
-                   dtype=np.uint64)
+    raw = np.empty((len(states), math.prod(shape)), dtype=np.uint64)
+    for i, words in enumerate(_hash_out(pools, 4).tolist()):
+        raw[i] = _seeded_pcg64(words).random_raw(raw.shape[1])
     raw >>= np.uint64(11)
     return (raw * (1.0 / 9007199254740992.0)).reshape((len(states),) + shape)
 

@@ -130,12 +130,15 @@ class GmmSpec:
         for name, a in arrays.items():
             if not np.isfinite(a).all():
                 raise OracleError(f"mixture {name} must be finite")
-        if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-12:
+        # weights above 1 fail before their sum can overflow
+        if np.any(w <= 0.0) or np.any(w > 1.0) or abs(w.sum() - 1.0) > 1e-12:
             raise OracleError("weights must be positive and sum to 1")
         for j in range(k):
             a = cov[j]
             scale = np.abs(a).max()
-            if scale == 0.0 or np.abs(a - a.T).max() > 1e-9 * scale:
+            if scale == 0.0:
+                raise OracleError(f"covariance {j} is zero")
+            if np.abs(a - a.T).max() > 1e-9 * scale:
                 raise OracleError(f"covariance {j} is not symmetric")
             try:
                 np.linalg.cholesky(a)

@@ -62,6 +62,7 @@ def test_criterion_01_closed_form_matches_conjugacy_oracle(capsys):
                                           materialize_full=True)
                     ref = gmm_posterior(spec, xt, t).covariance
                     err = np.linalg.norm(est.full - ref) / np.linalg.norm(ref)
+                    assert np.isfinite(err), (t, off)  # max() drops a NaN
                     worst = max(worst, err)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 10.0
@@ -123,8 +124,9 @@ def test_criterion_02_monte_carlo_cross_check(capsys):
             fails += 1
         if not np.all(np.abs(mc - est.full) <= band):
             fails += 1
-        zworst = max(zworst, float(np.max(np.abs(mc - ref) /
-                                          np.maximum(se, 1e-300))))
+        z = float(np.max(np.abs(mc - ref) / np.maximum(se, 1e-300)))
+        assert np.isfinite(z), z
+        zworst = max(zworst, z)
     elapsed = time.perf_counter() - t0
     ok = fails == 0 and elapsed < 60.0
     _verdict(capsys, 2, "monte-carlo cross-check", ok,
@@ -143,7 +145,9 @@ def test_criterion_03_standard_gaussian_closed_forms(capsys):
     for t, c in expected.items():
         est = cov_closed_form(field, np.array([0.4, -1.1]), t, probes,
                               materialize_full=True)
-        worst = max(worst, float(np.max(np.abs(est.full - c * np.eye(2)))))
+        dev = float(np.max(np.abs(est.full - c * np.eye(2))))
+        assert np.isfinite(dev), t
+        worst = max(worst, dev)
     ok = worst <= 1e-8
     _verdict(capsys, 3, "isotropic closed forms", ok,
              f"max abs deviation {worst:.2e} (tol 1e-8)")
@@ -163,7 +167,9 @@ def test_criterion_04_small_time_limit_is_marginal_covariance(capsys):
     worst = 0.0
     for x0 in (np.zeros(2), np.array([0.7, -0.3])):
         est = one_step_cov(field, x0, 1e-6, probes)
-        worst = max(worst, abs(est.u - target) / target)
+        rel = abs(est.u - target) / target
+        assert np.isfinite(rel), x0
+        worst = max(worst, rel)
     ok = worst <= 1e-3
     _verdict(capsys, 4, "small-time limit", ok,
              f"trace rel error {worst:.2e} vs marginal (tol 1e-3)")
@@ -199,6 +205,7 @@ def test_criterion_05_jvp_and_gradients_match_finite_differences(capsys):
             fd = (model.velocity(x + h * u, t)
                   - model.velocity(x - h * u, t)) / (2.0 * h)
             rel = np.linalg.norm(ju - fd) / max(np.linalg.norm(fd), 1e-12)
+            assert np.isfinite(rel), (mi, t)
             worst_jvp = max(worst_jvp, float(rel))
             n_tuple += 1
 
@@ -226,6 +233,7 @@ def test_criterion_05_jvp_and_gradients_match_finite_differences(capsys):
             down = loss(pert)
             fd = (up - down) / (2.0 * h)
             rel = abs(d_ws[li][coord] - fd) / max(abs(fd), 1e-10)
+            assert np.isfinite(rel), (mi, li)
             worst_grad = max(worst_grad, float(rel))
     elapsed = time.perf_counter() - t0
     ok = worst_jvp <= 1e-4 and worst_grad <= 1e-5 and elapsed < 30.0

@@ -1,9 +1,19 @@
+import contextlib
+import dataclasses
+import io
+import os
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from flowvar import metrics, models, training
+from flowvar import cli, metrics, models, training
 from flowvar.cli import METHODS, main
-from flowvar.config import load_config
+from flowvar.config import _SCHEMA, load_config
 from flowvar.metrics import (consistency_protocol, dropout_method,
                              ensemble_method, one_step_method, tweedie_method)
 from flowvar.models import ModelField, load_model
@@ -95,6 +105,40 @@ def test_oracle_check_passes_on_gmm(workspace, capsys):
     text = capsys.readouterr().out
     assert "max relative Frobenius error" in text
     assert "PASS" in text
+
+
+def test_oracle_check_fails_on_a_non_finite_error(tmp_path, capsys,
+                                                   monkeypatch):
+    """A NaN error, or a reference covariance that underflowed to zero,
+    is a failure on one line, never a PASS and never a warning."""
+    ini = tmp_path / "gmm.ini"
+    ini.write_text(FAST_INI.format(out=tmp_path / "run"))
+
+    def nan_full(*args, **kwargs):
+        est = cov_closed_form(*args, **kwargs)
+        return dataclasses.replace(est, full=np.full_like(est.full, np.nan))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "cov_closed_form", nan_full)
+        capsys.readouterr()
+        assert main(["oracle-check", "--config", str(ini)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "runtime failure: relative Frobenius error at t=0.3, point 0 is "
+        "nan"), err
+    for sigma in ("1e-120", "1e-150"):
+        # at t = 0.9 the reference covariance underflows to zero
+        ini.write_text(FAST_INI.format(out=tmp_path / "run").replace(
+            "sigma = 0.15", f"sigma = {sigma}").replace(
+            "t_grid = 0.3 0.7", "t_grid = 0.3 0.9"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["oracle-check", "--config", str(ini)]) == 2, sigma
+        assert caught == [], [str(w.message) for w in caught]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "reference covariance norm 0" in err[0], err
 
 
 def test_traj_writes_series_and_maps(workspace):
@@ -208,6 +252,8 @@ def test_missing_model_and_bad_flags_exit_one(tmp_path, capsys):
     ("training", "weight_decay = nan", "weight decay"),
     ("task", "sigma = nan", "sigma"),
     ("task", "sigma = -1", "sigma"),
+    ("task", "sigma = 1e-160", "sigma"),  # sigma^2 is subnormal
+    ("task", "sigma = 1e-300", "sigma"),  # sigma^2 underflows to zero
     ("task", "means = 0 0 ; 1", "means"),
     ("task", "weights = nan 1", "weights"),
     ("task", "means = nan 0 ; 3.5 0", "means"),
@@ -224,6 +270,66 @@ def test_bad_config_value_exits_one_before_any_output(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert message in err[0]
     assert not out.exists()
+
+
+_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+         for key in sorted(keys)]
+# huge, negative, NaN, tiny, non-ASCII and empty; a size that passes its
+# bound is never one allocation can choke on, the bounds see to that
+_HOSTILE = ["1e400", "-1e400", "1e300", "99999999999999999999", "-1",
+            "-0.5", "nan", "-inf", "1e-320", "5e-324", "1e-150", "0", "",
+            "\u00e9", "\uff11\uff12", "0 ; \u00e9", "1e308 1e308", ";"]
+_CONFIGS = st.lists(st.tuples(st.sampled_from(_KEYS),
+                              st.sampled_from(_HOSTILE)),
+                    min_size=1, max_size=3)
+
+
+def _ini(pairs) -> bytes:
+    sections = {}
+    for (section, key), value in pairs:
+        sections.setdefault(section, {})[key] = value
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in sections.items()).encode()
+
+
+@given(_CONFIGS.map(_ini) | st.binary(max_size=80),
+       st.sampled_from([["oracle-check"], ["uq", "tweedie"]]))
+# sigma^2 overflowing raised OverflowError; the reference covariance
+# underflowing to zero warned and failed on two lines; the weights' sum
+# overflowing warned
+@example(text=b"[task]\nsigma = 1e300\n", argv=["oracle-check"])
+@example(text=b"[task]\nsigma = 1e-150\n", argv=["oracle-check"])
+@example(text=b"[task]\nweights = 1e308 1e308\n", argv=["oracle-check"])
+# a failed check printed FAIL with nothing on stderr
+@example(text=b"[task]\nsigma = 1e20\n[uq]\nt_grid = 1e400\n",
+         argv=["oracle-check"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_hostile_config_exits_cleanly(text, argv):
+    """Any config text, hostile values or random bytes, ends in exit 0, 1
+    or 2, with exactly one stderr line on failure and no traceback or
+    warning."""
+    cwd = os.getcwd()
+    err = io.StringIO()
+    # relative output paths land in the temporary directory
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        os.chdir(tmp)
+        try:
+            Path("hostile.ini").write_bytes(text)
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--config", "hostile.ini"])
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), (code, text)
+    assert len(lines) == (0 if code == 0 else 1), (text, lines)
+    assert "Traceback" not in err.getvalue() and "Warning" not in \
+        err.getvalue(), (text, lines)
+    assert caught == [], (text, [str(w.message) for w in caught])
 
 
 def test_unreadable_config_exits_one_with_one_line(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowvar.numerics import (NumericsError, ProbeSet, RngState,
+from flowvar.numerics import (NumericsError, ProbeSet, RngState, _hash_out,
                               draw_rademacher, exhaustive_sign_probes,
                               finite_diff_jvp, hutchinson_diagonal,
                               uniform_draws)
@@ -38,12 +38,39 @@ _FIRST_KEYS = st.sampled_from([0, 2**32 - 25, 2**32, 2**40]) | \
     st.integers(0, 2**70)
 
 
-@given(_SEEDS, _STREAMS, _FIRST_KEYS, st.sampled_from([1, 50]))
+@given(_SEEDS, _STREAMS, _FIRST_KEYS, st.sampled_from([1, 50]),
+       st.sampled_from([1, 7]))
+# the last key is 2^32 - 1, the largest one-word key
+@example(seed=3, stream=0, first=2**32 - 50, count=50, step=1)
+@example(seed=3, stream=1, first=2**32 - 1 - 49 * 7, count=50, step=7)
 @settings(max_examples=60, deadline=None)
-def test_split_many_is_bit_identical_to_split(seed, stream, first, count):
+def test_split_many_is_bit_identical_to_split(seed, stream, first, count,
+                                              step):
     root = RngState(seed, stream)
-    keys = range(first, first + count)
+    keys = range(first, first + count * step, step)
     assert root.split_many(keys) == [root.split(k) for k in keys]
+    # the same keys as a descending range and as a list
+    assert root.split_many(keys[::-1]) == [root.split(k) for k in keys[::-1]]
+    assert root.split_many(list(keys)) == [root.split(k) for k in keys]
+
+
+_POOL_WORDS = st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+
+
+@given(st.lists(st.lists(_POOL_WORDS, min_size=4, max_size=4), min_size=1,
+                max_size=9), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_hash_out_of_many_streams_is_that_of_each_stream(pools, k):
+    """The array path hashes every stream at once; each stream's words are
+    those of the int path, which ``split`` and ``draw_rademacher`` take."""
+    got = _hash_out(np.array(pools, dtype=np.uint32).T, k)
+    assert got.shape == (len(pools), k)
+    for row, pool in zip(got.tolist(), pools):
+        assert row == _hash_out(pool, k)
+    # and numpy's own output hash, for one stream whose pool is known
+    seq = np.random.SeedSequence(12345, spawn_key=(6, 7))
+    assert _hash_out(seq.pool.tolist(), k) == \
+        seq.generate_state(k, np.uint64).tolist()
 
 
 @given(_SEEDS, _STREAMS, st.sampled_from([1, 50]),
