@@ -137,8 +137,8 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
 
 
 _OTHERS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
-_OUT_B = _hash_consts(_INIT_B, _MULT_B, 8)
-_OUT_B_INTS = _OUT_B.ravel().tolist()
+_OUT_B_COL = _hash_consts(_INIT_B, _MULT_B, 8)
+_OUT_B = _OUT_B_COL.ravel().tolist()
 _OUT_ROWS = np.arange(8) % 4  # the pool word each output word reads
 
 
@@ -236,20 +236,21 @@ def _hash_out(pool, k: int):
     (4, n) uint32 array with one column per stream, which gives an (n, k)
     uint64 array with one row per stream, every stream hashed at once.
     """
-    # output word m reads pool word m % 4, xors hash constant m and
-    # multiplies by constant m + 1 (mod 2^32); a uint64 is two of them, low
-    # word first
     if isinstance(pool, np.ndarray):
+        # output word m reads pool word m % 4, xors hash constant m and
+        # multiplies by constant m + 1 (mod 2^32); pairs of words, low word
+        # first, are the uint64s
         w = pool[_OUT_ROWS[:2 * k]]
-        w ^= _OUT_B[:2 * k]
-        w *= _OUT_B[1:2 * k + 1]
+        w ^= _OUT_B_COL[:2 * k]
+        w *= _OUT_B_COL[1:2 * k + 1]
         w ^= w >> 16
         return np.ascontiguousarray(w.T, dtype="<u4").view("<u8")
     out = []
     for j in range(0, 2 * k, 2):
-        lo = (pool[j % 4] ^ _OUT_B_INTS[j]) * _OUT_B_INTS[j + 1] & _MASK32
-        hi = (pool[j % 4 + 1] ^ _OUT_B_INTS[j + 1]) * _OUT_B_INTS[j + 2] \
-            & _MASK32
+        # output word j reads pool word j % 4; a uint64 is two of them,
+        # low word first
+        lo = (pool[j % 4] ^ _OUT_B[j]) * _OUT_B[j + 1] & _MASK32
+        hi = (pool[j % 4 + 1] ^ _OUT_B[j + 1]) * _OUT_B[j + 2] & _MASK32
         out.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
     return out
 

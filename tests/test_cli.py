@@ -274,8 +274,9 @@ def test_bad_config_value_exits_one_before_any_output(tmp_path, capsys,
 
 _KEYS = [(section, key) for section, keys in _SCHEMA.items()
          for key in sorted(keys)]
-# huge, negative, NaN, tiny, non-ASCII and empty; a size that passes its
-# bound is never one allocation can choke on, the bounds see to that
+# huge, negative, NaN, tiny, non-ASCII and empty values; what these commands
+# allocate is bounded at parse time (probes) or by the text (means, t_grid),
+# and uq stops at its missing model, so no value starts large work
 _HOSTILE = ["1e400", "-1e400", "1e300", "99999999999999999999", "-1",
             "-0.5", "nan", "-inf", "1e-320", "5e-324", "1e-150", "0", "",
             "\u00e9", "\uff11\uff12", "0 ; \u00e9", "1e308 1e308", ";"]

@@ -40,8 +40,10 @@ _FIRST_KEYS = st.sampled_from([0, 2**32 - 25, 2**32, 2**40]) | \
 
 @given(_SEEDS, _STREAMS, _FIRST_KEYS, st.sampled_from([1, 50]),
        st.sampled_from([1, 7]))
-# the last key is 2^32 - 1, the largest one-word key
+# the last key is 2^32 - 1, the largest one-word key, then 2^32, the
+# smallest two-word one
 @example(seed=3, stream=0, first=2**32 - 50, count=50, step=1)
+@example(seed=3, stream=0, first=2**32 - 49, count=50, step=1)
 @example(seed=3, stream=1, first=2**32 - 1 - 49 * 7, count=50, step=7)
 @settings(max_examples=60, deadline=None)
 def test_split_many_is_bit_identical_to_split(seed, stream, first, count,

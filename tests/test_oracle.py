@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ def test_spec_validation():
     with pytest.raises(OracleError):
         GmmSpec(weights=np.array([1.0]), means=np.zeros((1, 2)),
                 covs=-np.eye(2)[None])
+    # an all-zero covariance is called zero, not asymmetric
+    with pytest.raises(OracleError, match="covariance 1 is zero"):
+        GmmSpec(weights=np.array([0.5, 0.5]), means=np.zeros((2, 2)),
+                covs=np.stack([np.eye(2), np.zeros((2, 2))]))
+    # weights whose sum overflows are refused without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleError, match="sum to 1"):
+            GmmSpec(weights=np.array([1e308, 1e308]), means=np.zeros((2, 1)),
+                    covs=np.stack([np.eye(1)] * 2))
 
 
 @pytest.mark.parametrize("field, kwargs", [
