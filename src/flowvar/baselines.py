@@ -47,12 +47,7 @@ class BaselineEstimate:
 
 def _finish(means, count):
     means = np.asarray(means)
-    # np.var(means, axis=0)'s own operations, without its Python wrapper
-    n = means.shape[0]
-    dev = means - np.add.reduce(means, axis=0, keepdims=True) / n
-    np.square(dev, out=dev)
-    var = np.add.reduce(dev, axis=0)
-    var /= n
+    var = np.var(means, axis=0)
     # a pixel on which every member agrees has no spread, not rounding noise
     var[(means == means[0]).all(axis=0)] = 0.0
     return BaselineEstimate(diag=var, u=float(var.sum()), count=count)

@@ -291,10 +291,7 @@ def cmd_oracle_check(args, cfg: ExperimentConfig) -> int:
         print("PASS")
         return 0
     print("FAIL")
-    # every exit 2 names its failure on one stderr line
-    print(f"runtime failure: oracle check error {worst:.3e} is above 1e-5",
-          file=sys.stderr)
-    return 2
+    raise OracleError(f"oracle check error {worst:.3e} is above 1e-5")
 
 
 # ---- traj -------------------------------------------------------------------

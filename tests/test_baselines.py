@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from flowvar.baselines import (BaselineError, _finish, ensemble_uq,
-                               mc_dropout_uq)
+from flowvar.baselines import (BaselineError, ensemble_uq, mc_dropout_uq)
 from flowvar.models import EvalCounter, MlpVelocity, ModelField, MlpArch
 from flowvar.numerics import RngState
 
@@ -129,20 +126,3 @@ def test_batched_dropout_matches_per_pass_loop(passes, wrap):
     np.testing.assert_allclose(est.diag, ref, rtol=1e-12, atol=0.0)
     if wrap:
         assert counter.forwards == passes and counter.jvps == 0
-
-
-@given(st.integers(2, 60), st.integers(1, 70), st.integers(0, 2**32 - 1),
-       st.sampled_from([1e-12, 1.0, 1e6]))
-@settings(max_examples=60, deadline=None)
-def test_variance_is_np_var_bit_for_bit(rows, cols, seed, scale):
-    """_finish spells out np.var's operations; the bits are np.var's, and
-    only the columns on which every row agrees are set to zero."""
-    g = np.random.default_rng(seed)
-    means = g.standard_normal((rows, cols)) * scale + g.standard_normal(cols)
-    means[:, ::3] = means[0, ::3]  # every third column agrees
-    ref = np.var(means, axis=0)
-    ref[::3] = 0.0
-    for given_as in (means, list(means)):
-        est = _finish(given_as, rows)
-        assert np.array_equal(est.diag, ref)
-        assert est.u == float(ref.sum()) and est.count == rows

@@ -2,24 +2,28 @@
 working tree.
 
     python tools/benchpairs.py <rev> --workload compare-bars8 \
-        --seeds 1301-1310 --out BENCH_13.json [--seconds 20] [--trace 1]
+        --seeds 1301-1310 --out BENCH_13.json [--trace 1]
 
 Extracts ``git archive <rev>`` (the base) and the working tree's tracked and
 untracked, not ignored, files (the head) into two temporary directories.
-For each seed it runs ``perfbench/run.py --workload W --seed S --seconds N``
-in both, one after the other, the base first on odd pairs and the head
-first on even ones, so drift over the session falls on both sides alike.
+For each seed it runs one run of each tree's own ``perfbench/repeat.py``
+(``run_once``, which runs that tree's ``perfbench/run.py``) for the
+``run_seconds`` of BENCHMARK.json, one tree after the other, the base first
+on odd pairs and the head first on even ones, so drift over the session
+falls on both sides alike.
 
 Writes (or updates, keyed by workload and trace) a JSON file holding, per
 workload and side, the seeds, each run's metrics (the five end-to-end ones,
 or the per-layer ones with ``--trace 1``), and each metric's median with its
-quartiles; and per metric the pairs the head won, in the direction
-BENCHMARK.json gives. Exits 1 when a run fails or reports a failed check,
-2 when the revision cannot be extracted.
+quartiles, taken as ``repeat.py`` takes them; and per metric the pairs the
+head won, in the direction BENCHMARK.json gives. Exits 1 when a run fails or
+reports a failed check, 2 when the revision cannot be extracted.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib.util
 import json
 import shutil
 import statistics
@@ -39,8 +43,7 @@ def _seeds(text: str) -> list:
     return [int(x) for x in text.split(",")]
 
 
-def _better() -> dict:
-    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+def _better(spec: dict) -> dict:
     return {m["name"]: m["better"]
             for m in spec["end_to_end"] + spec["per_layer"]}
 
@@ -67,26 +70,19 @@ def _extract(rev: str | None, dest: Path) -> None:
                    check=True)
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float,
-         trace: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace",
-         str(trace)], cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{tree.name} {workload} seed {seed} exited "
-                           f"{proc.returncode}: {proc.stderr.strip()[-400:]}")
-    result = json.loads(lines[-1])
-    return {"seed": seed, "correct": result["correct"],
-            "attempted": result["attempted"], "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+def _repeat(tree: Path):
+    """The tree's own ``perfbench/repeat.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(
+        f"repeat_{tree.name}", tree / "perfbench" / "repeat.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spread(values: list) -> dict:
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    # repeat.py's quartiles: statistics.quantiles' default (exclusive) method
+    q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
+                      else (values[0],) * 3)
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -118,9 +114,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=_seeds)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
     base_commit = subprocess.run(
         ["git", "rev-parse", args.rev], cwd=REPO, capture_output=True,
         text=True).stdout.strip()
@@ -133,16 +129,20 @@ def main(argv=None) -> int:
             print(f"error: {ex}", file=sys.stderr)
             return 2
         _extract(None, trees["head"])
+        repeats = {side: _repeat(tree) for side, tree in trees.items()}
         for i, seed in enumerate(args.seeds):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                try:
-                    run = _run(trees[side], args.workload, seed,
-                               args.seconds, args.trace)
-                except RuntimeError as ex:
-                    print(f"error: {ex}", file=sys.stderr)
-                    return 1
-                run["first"] = side == order[0]
+                # run.py takes the package from its working directory
+                with contextlib.chdir(trees[side]):
+                    _, result = repeats[side].run_once(
+                        args.workload, seed, spec["run_seconds"], args.trace)
+                run = {"seed": seed, "first": side == order[0],
+                       "correct": result["correct"],
+                       "attempted": result["attempted"],
+                       "failed": result["failed"],
+                       "metrics": {k: v["value"] for k, v
+                                   in result["metrics"].items()}}
                 runs[side].append(run)
                 print(f"{args.workload} seed {seed} {side}: " + ", ".join(
                     f"{k} {v:.4g}" for k, v in run["metrics"].items()
@@ -152,14 +152,15 @@ def main(argv=None) -> int:
     record[key] = {
         "base": {"rev": args.rev, "commit": base_commit},
         "head": "working tree",
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "trace": args.trace,
         "seeds": args.seeds,
         "runs": runs,
-        "summary": summarize(runs, _better()),
+        "summary": summarize(runs, _better(spec)),
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    bad = [r for side in runs.values() for r in side if not r["correct"]]
+    bad = [r for side in runs.values() for r in side
+           if not r["correct"] or r["failed"]]
     for r in bad:
         print(f"error: seed {r['seed']}: {r['failed']} failed checks",
               file=sys.stderr)
