@@ -2,8 +2,19 @@
 
 Three task families feed the experiments: analytic Gaussian mixtures, toy
 images whose randomness lives only at object boundaries, and an optional
-MNIST path loaded from IDX files. Every task exposes ``dim`` and
-``sample_pairs(rng, n) -> (x0, x1)`` with x0 drawn from a unit Gaussian.
+MNIST path loaded from IDX files. Every task exposes ``dim``,
+``pair_batches(rng, n, batch)``, which yields an epoch's n (x0, x1) pairs in
+blocks of ``batch`` rows (the last may be short), and ``sample_pairs(rng, n)
+-> (x0, x1)``, the bits of those blocks concatenated. x0 is drawn from a unit
+Gaussian.
+
+Image and MNIST tasks draw an epoch's randomness in two parts: x0 from one
+standard-normal generator, a (rows, dim) block per batch, whose blocks give
+the bits of one call; and x1's per-image integers (bar offsets, blob
+jitters, pool indices) in one call per epoch, since chunked bounded-integer
+draws need not give the bits of one call. Each batch's images are rendered
+from its slice, so a batch costs batch-sized memory. The mixture task keeps
+its epoch whole (see ``GmmTask.pair_batches``).
 """
 from __future__ import annotations
 
@@ -123,26 +134,49 @@ def toy_image_dataset(kind: str, side: int, n: int, rng: RngState) -> np.ndarray
     side = _check_side(side)
     if n < 1:
         raise DataError("need at least one image")
+    return _render_images(kind, side, _image_placements(kind, side, n, rng))
+
+
+def _image_placements(kind: str, side: int, n: int, rng: RngState) -> np.ndarray:
+    """The random part of n toy images: bars' left edges (n,), or blobs'
+    center jitters (n, 2), drawn in one call."""
     g = rng.generator()
     if kind == "bars":
+        return g.integers(0, side - side // 2 + 1, size=n)
+    if kind == "blobs":
+        return g.integers(-1, 2, size=(n, 2))
+    raise DataError(f"unknown toy image kind: {kind!r}")
+
+
+def _render_images(kind: str, side: int, placements: np.ndarray) -> np.ndarray:
+    """The flattened images of ``_image_placements`` rows; each row's image
+    depends on that row alone."""
+    n = placements.shape[0]
+    if kind == "bars":
         width = side // 2
-        lefts = g.integers(0, side - width + 1, size=n)[:, None, None]
+        lefts = placements[:, None, None]
         cols = np.arange(side)
         on = (cols >= lefts) & (cols < lefts + width)
         imgs = np.where(np.broadcast_to(on, (n, side, side)), 1.0, -1.0)
-    elif kind == "blobs":
+    else:
         # radius must beat the jitter so the disc core never flickers
         radius = side / 3.0
-        jitter = g.integers(-1, 2, size=(n, 2)).astype(np.float64)
-        centers = (side - 1) / 2.0 + jitter
+        centers = (side - 1) / 2.0 + placements.astype(np.float64)
         pos = np.arange(side, dtype=np.float64)
         dy2 = (pos - centers[:, 0:1]) ** 2
         dx2 = (pos - centers[:, 1:2]) ** 2
         dist2 = dy2[:, :, None] + dx2[:, None, :]
         imgs = np.where(dist2 <= radius * radius, 1.0, -1.0)
-    else:
-        raise DataError(f"unknown toy image kind: {kind!r}")
     return imgs.reshape(n, side * side)
+
+
+def _blocks(n: int, batch: int) -> list:
+    """(lo, hi) row bounds of n rows in blocks of ``batch``; the last block
+    may be short."""
+    if n < 1 or batch < 1:
+        raise DataError(f"need at least one pair and a batch of at least "
+                        f"one, got {n} pairs in batches of {batch}")
+    return [(lo, min(lo + batch, n)) for lo in range(0, n, batch)]
 
 
 class GmmTask:
@@ -155,8 +189,34 @@ class GmmTask:
     def sample_pairs(self, rng: RngState, n: int):
         return _gmm_sample_pairs(self.spec, rng, n)
 
+    def pair_batches(self, rng: RngState, n: int, batch: int):
+        """Views of one whole-epoch draw. The mixture's ``z[idx] @ chol.T``
+        is a GEMM whose rows' bits can depend on the row count at small d,
+        so a per-batch draw would not give ``sample_pairs``' bits; at the
+        mixture's small d the epoch is small too."""
+        blocks = _blocks(n, batch)
+        x0, x1 = self.sample_pairs(rng, n)
+        for lo, hi in blocks:
+            yield x0[lo:hi], x1[lo:hi]
 
-class ImageTask:
+
+class _RenderedTask:
+    """A task whose x1 rows are rendered from one per-epoch draw (``_draw``,
+    from ``rng.split(1)``) and whose x0 comes from ``rng.split(0)``."""
+
+    def pair_batches(self, rng: RngState, n: int, batch: int):
+        blocks = _blocks(n, batch)
+        g0 = rng.split(0).generator()
+        draw = self._draw(rng.split(1), n)
+        for lo, hi in blocks:
+            yield (g0.standard_normal((hi - lo, self.dim)),
+                   self._render(draw[lo:hi]))
+
+    def sample_pairs(self, rng: RngState, n: int):
+        return next(self.pair_batches(rng, n, n))
+
+
+class ImageTask(_RenderedTask):
     def __init__(self, kind: str, side: int):
         self.kind = kind
         self.side = _check_side(side)
@@ -164,13 +224,14 @@ class ImageTask:
         if kind not in ("bars", "blobs"):
             raise DataError(f"unknown toy image kind: {kind!r}")
 
-    def sample_pairs(self, rng: RngState, n: int):
-        x0 = rng.split(0).generator().standard_normal((n, self.dim))
-        x1 = toy_image_dataset(self.kind, self.side, n, rng.split(1))
-        return x0, x1
+    def _draw(self, rng: RngState, n: int) -> np.ndarray:
+        return _image_placements(self.kind, self.side, n, rng)
+
+    def _render(self, placements: np.ndarray) -> np.ndarray:
+        return _render_images(self.kind, self.side, placements)
 
 
-class MnistTask:
+class MnistTask(_RenderedTask):
     """Digits loaded from an IDX image file, pooled down to 8 x 8.
 
     28 x 28 inputs are center-cropped to 24 x 24 and average-pooled with a
@@ -193,10 +254,11 @@ class MnistTask:
         self.images = pooled.reshape(n, 64)
         self.dim = 64
 
-    def sample_pairs(self, rng: RngState, n: int):
-        x0 = rng.split(0).generator().standard_normal((n, self.dim))
-        idx = rng.split(1).generator().integers(0, len(self.images), size=n)
-        return x0, self.images[idx]
+    def _draw(self, rng: RngState, n: int) -> np.ndarray:
+        return rng.generator().integers(0, len(self.images), size=n)
+
+    def _render(self, idx: np.ndarray) -> np.ndarray:
+        return self.images[idx]
 
 
 def default_gmm_task() -> GmmTask:

@@ -31,6 +31,7 @@ from .numerics import RngState, uniform_draws
 __all__ = [
     "MlpArch",
     "MlpVelocity",
+    "StepBuffers",
     "EvalCounter",
     "ModelField",
     "AnalyticField",
@@ -106,22 +107,59 @@ def _layer_views(flat: np.ndarray, arch: MlpArch):
     return weights, biases
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
+def _act(name: str, z: np.ndarray, out=None) -> np.ndarray:
     if name == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        return np.tanh(z, out=out)
+    return np.maximum(z, 0.0, out=out)
 
 
 def _scale_by_act_deriv(name: str, dz: np.ndarray, z: np.ndarray,
-                        h: np.ndarray) -> None:
+                        h: np.ndarray, tmp=None) -> None:
     """dz *= act'(z) in place; h = act(z) is already cached and tanh'
-    reuses it."""
+    reuses it, through ``tmp`` (shaped like dz) when given."""
     if name == "tanh":
-        d = h * h
+        d = h * h if tmp is None else np.multiply(h, h, out=tmp)
         np.subtract(1.0, d, out=d)
         dz *= d
     else:
         dz *= z > 0.0
+
+
+class StepBuffers:
+    """The (rows, hidden) arrays of a training step, made once for batches
+    of up to ``rows`` rows and passed to ``forward_cache`` and ``backward``.
+
+    They hold each layer's pre-activations, activations and, with dropout,
+    dropped-out activations and masks (the masks' uniform draw is made in
+    place), plus two arrays that ``backward`` alternates between its deltas
+    and the tanh-derivative temporary. A batch of m rows uses the first m
+    rows of each. A cache made with the buffers holds views of them, so it
+    lasts only until the next pass writes them.
+    """
+
+    def __init__(self, arch: MlpArch, rows: int):
+        shape = (arch.depth, rows, arch.hidden)
+        self.rows = rows
+        self.pre = np.empty(shape)
+        self.post = np.empty(shape)
+        self.work = np.empty((2, rows, arch.hidden))
+        self.dropped = self.uniform = None
+        if arch.dropout > 0.0:
+            self.dropped = np.empty(shape)
+            # flat, so the first m rows of every layer are one contiguous
+            # block, as ``Generator.random(out=)`` needs
+            self.uniform = np.empty(arch.depth * rows * arch.hidden)
+
+    def masks(self, rows: int) -> np.ndarray:
+        """The (depth, rows, hidden) block for a batch's dropout masks."""
+        depth, _, hidden = self.pre.shape
+        return self.uniform[:depth * rows * hidden].reshape(depth, rows,
+                                                            hidden)
+
+
+def _rows_of(buf, i: int, rows: int):
+    """Layer i's first ``rows`` rows of a buffer, or None without one."""
+    return None if buf is None else buf[i, :rows]
 
 
 class MlpVelocity:
@@ -221,7 +259,7 @@ class MlpVelocity:
         feats[:, dim:] = emb  # one time row broadcasts over the batch
         return feats
 
-    def _dropout_masks(self, n: int, dropout_rng):
+    def _dropout_masks(self, n: int, dropout_rng, bufs=None):
         p = self.arch.dropout
         if dropout_rng is None or p == 0.0:
             return None
@@ -230,19 +268,29 @@ class MlpVelocity:
         shape = (self.arch.depth, self.arch.hidden)
         keep = 1.0 - p
         if isinstance(dropout_rng, RngState):
-            u = dropout_rng.generator().random((shape[0], n, shape[1]))
-            return list((u < keep).astype(np.float64) / keep)
+            g = dropout_rng.generator()
+            if bufs is None:
+                u = g.random((shape[0], n, shape[1]))
+            else:
+                u = g.random(out=bufs.masks(n))
+            # the bits of (u < keep).astype(np.float64) / keep, in place
+            np.less(u, keep, out=u)
+            u /= keep
+            return list(u)
         # (rows, depth, hidden): layer i's masks are the view m[:, i]
         m = (uniform_draws(dropout_rng, shape) < keep) / keep
         return [m[:, i] for i in range(shape[0])]
 
-    def forward_cache(self, x, t, dropout_rng=None):
+    def forward_cache(self, x, t, dropout_rng=None, *,
+                      bufs: StepBuffers | None = None):
         """Full forward pass returning (velocity, cache) for backward/JVP.
 
         ``dropout_rng`` is one RngState for the whole batch, or a sequence of
         them, one per output row: row p then gets exactly the masks a batch-1
         pass on stream p would draw. A single input row is shared by all the
         streams, and its first layer runs once before the masks fan it out.
+        With ``bufs`` the hidden layers' arrays are written into them, with
+        the same bits.
         """
         feats = self._input_features(x, t)
         rows = feats.shape[0]
@@ -251,7 +299,10 @@ class MlpVelocity:
                 raise ModelError(f"{len(dropout_rng)} dropout streams for a "
                                  f"batch of {rows}")
             rows = len(dropout_rng)
-        masks = self._dropout_masks(rows, dropout_rng)
+        if bufs is not None and rows > bufs.rows:
+            raise ModelError(f"a batch of {rows} in buffers of {bufs.rows} "
+                             f"rows")
+        masks = self._dropout_masks(rows, dropout_rng, bufs)
         inputs = [feats]
         if masks is not None and rows != feats.shape[0]:
             inputs[0] = np.broadcast_to(feats, (rows, feats.shape[1]))
@@ -261,16 +312,25 @@ class MlpVelocity:
         # overflow surfaces as the explicit divergence error, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(self.arch.depth):
-                z = h @ self.weights[i].T
+                # kept apart so the unbuffered batch-1 pass pays for no
+                # buffer lookups
+                if bufs is None:
+                    z, a_out, drop_out = h @ self.weights[i].T, None, None
+                else:
+                    n_in = h.shape[0]
+                    z = np.matmul(h, self.weights[i].T,
+                                  out=bufs.pre[i, :n_in])
+                    a_out = bufs.post[i, :n_in]
+                    drop_out = _rows_of(bufs.dropped, i, rows)
                 z += self.biases[i]
                 if not np.isfinite(z).all():
                     raise ModelError(
                         "forward pass diverged: non-finite activations")
-                a = _act(act, z)
+                a = _act(act, z, a_out)
                 pre.append(z)
                 post.append(a)  # pre-dropout, feeds the activation derivative
                 if masks is not None:
-                    a = a * masks[i]
+                    a = np.multiply(a, masks[i], out=drop_out)
                 inputs.append(a)
                 h = a
             out = h @ self.weights[-1].T
@@ -289,11 +349,13 @@ class MlpVelocity:
     def __call__(self, x, t) -> np.ndarray:
         return self.velocity(x, t)
 
-    def backward(self, cache, dout: np.ndarray, out: np.ndarray | None = None):
+    def backward(self, cache, dout: np.ndarray, out: np.ndarray | None = None,
+                 *, bufs: StepBuffers | None = None):
         """Parameter gradients for sum(dout * output); returns (dWs, dbs).
 
         The gradients are written into ``out``, a flat vector laid out like
         ``params`` (allocated when None), and returned as its per-layer views.
+        With ``bufs`` the hidden-layer deltas are written into them.
         """
         if out is None:
             out = np.empty_like(self.params)
@@ -305,15 +367,21 @@ class MlpVelocity:
         masks = cache["masks"]
         np.matmul(dout.T, cache["inputs"][-1], out=d_ws[-1])
         np.sum(dout, axis=0, out=d_bs[-1])
-        dz = dout @ self.weights[-1]
+        # the delta and the derivative temporary swap work arrays each layer
+        work = None if bufs is None else bufs.work
+        rows, k = dout.shape[0], 0
+        dz = np.matmul(dout, self.weights[-1], out=_rows_of(work, k, rows))
         for i in range(self.arch.depth - 1, -1, -1):
             if masks is not None:
                 dz *= masks[i]
-            _scale_by_act_deriv(act, dz, cache["pre"][i], cache["post"][i])
+            _scale_by_act_deriv(act, dz, cache["pre"][i], cache["post"][i],
+                                _rows_of(work, 1 - k, rows))
             np.matmul(dz.T, cache["inputs"][i], out=d_ws[i])
             np.sum(dz, axis=0, out=d_bs[i])
             if i > 0:
-                dz = dz @ self.weights[i]
+                k = 1 - k
+                dz = np.matmul(dz, self.weights[i],
+                               out=_rows_of(work, k, rows))
         return d_ws, d_bs
 
     # ---- forward-mode tangents ---------------------------------------------
@@ -379,11 +447,6 @@ class EvalCounter:
     @property
     def forward_equivalents(self) -> int:
         return self.forwards + self.jvps
-
-    def reset(self) -> None:
-        self.forwards = 0
-        self.jvps = 0
-        self.sampler_steps = 0
 
 
 class ModelField:

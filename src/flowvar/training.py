@@ -10,6 +10,12 @@ with AdamW (decoupled weight decay, beta 0.9/0.999, eps 1e-8) and an optional
 cosine learning-rate schedule. Data is regenerated from the seed stream every
 epoch, so the run is fully determined by (task, config, initial parameters).
 
+A run holds one batch of pairs at a time: each epoch's pairs come from the
+task's ``pair_batches`` stream, with the bits of ``sample_pairs`` over the
+epoch, and the step's hidden-layer arrays live in one ``StepBuffers`` set
+made per run. The one epoch-sized array is epoch 0's x1 - x0, from which a
+fresh model's initial loss is taken (see ``_initial_loss``).
+
 ``train_jobs`` trains a list of such runs, each a ``TrainJob``, in-process or
 on reusable worker processes (``flowvar._workers``), with the same bits either
 way.
@@ -22,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import MlpArch, MlpVelocity
+from .models import MlpArch, MlpVelocity, StepBuffers
 from .numerics import RngState
 
 __all__ = [
@@ -98,21 +104,23 @@ def _regression_input(x0, x1, t):
     return tc * x1 + (1.0 - tc) * x0, t
 
 
-def _batch_loss_and_grads(model, x0, x1, t, dropout_rng=None, grad=None):
+def _batch_loss_and_grads(model, x0, x1, t, dropout_rng=None, grad=None,
+                          bufs=None):
     """Shared core of both objectives: regress velocity onto x1 - x0.
 
     The gradients go into ``grad`` (a flat vector laid out like
-    ``model.params``, allocated when None) and come back as its views.
+    ``model.params``, allocated when None) and come back as its views; the
+    passes' hidden-layer arrays go into ``bufs`` when given.
     """
     resid, cache = model.forward_cache(*_regression_input(x0, x1, t),
-                                       dropout_rng)
+                                       dropout_rng, bufs=bufs)
     resid -= x1 - x0
     n = x0.shape[0]
     loss = float((resid * resid).sum() / n)
     if not np.isfinite(loss):
         raise TrainingError("non-finite loss")
     resid *= 2.0 / n
-    d_ws, d_bs = model.backward(cache, resid, out=grad)
+    d_ws, d_bs = model.backward(cache, resid, out=grad, bufs=bufs)
     return loss, d_ws, d_bs
 
 
@@ -178,38 +186,65 @@ def _lr_at(config: TrainConfig, step: int, total_steps: int) -> float:
     return config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
 
 
-def _initial_loss(model, x0, x1, t, batch: int) -> float:
+def _initial_loss(model, task, rng, t, n: int, batch: int):
     """Pre-training reference: the dropout-free mean squared residual over
-    the epoch's pairs.
+    epoch 0's pairs (``task.pair_batches(rng, n, batch)``), or None when
+    ``train`` takes it from the epoch-0 steps.
 
     A model whose output head (last weights and bias) is all zero, as every
     ``MlpVelocity.init`` model's is, outputs exactly 0, so the residual is
     x0 - x1 and the loss is ``sum((x1 - x0)**2) / n`` to the bit, with no
-    forward. Any other model goes through ``_chunked_loss``.
+    forward. ``train`` writes each epoch-0 batch's x1 - x0 into one (n, d)
+    array as its steps draw them and reduces it after them, so the epoch is
+    drawn once. Any other model streams epoch 0 through ``_chunked_loss``
+    before the first step.
     """
     if model.weights[-1].any() or model.biases[-1].any():
-        return _chunked_loss(model, x0, x1, t, batch)
-    diff = x1 - x0
-    return float(np.sum(np.square(diff, out=diff)) / x0.shape[0])
+        return _chunked_loss(model, task, rng, t, n, batch)
+    return None
 
 
-def _chunked_loss(model, x0, x1, t, batch: int) -> float:
-    """The dropout-free mean squared residual, evaluated in batch-sized
-    chunks into one output.
+def _sum_of_squares_mean(diff: np.ndarray) -> float:
+    """``sum(diff**2) / rows``, squaring in place."""
+    return float(np.sum(np.square(diff, out=diff)) / diff.shape[0])
+
+
+def _recording_diffs(pairs, diff: np.ndarray):
+    """``pairs``, writing each batch's x1 - x0 into its rows of ``diff``."""
+    lo = 0
+    for x0, x1 in pairs:
+        np.subtract(x1, x0, out=diff[lo:lo + x0.shape[0]])
+        lo += x0.shape[0]
+        yield x0, x1
+
+
+def _fresh_initial_loss(pairs, diff: np.ndarray) -> float:
+    """A fresh model's initial loss from a ``_recording_diffs`` stream,
+    drawing the batches the steps did not (after a divergence)."""
+    for _ in pairs:
+        pass
+    return _sum_of_squares_mean(diff)
+
+
+def _chunked_loss(model, task, rng, t, n: int, batch: int) -> float:
+    """The dropout-free mean squared residual over the pairs of
+    ``task.pair_batches(rng, n, batch)``, evaluated batch by batch into one
+    output.
 
     The bits equal those of one call over the epoch wherever the BLAS gives
     each GEMM row the same bits at any row count. OpenBLAS does at d = 64;
     at d <= 8 its small-matrix kernels may not, which can move a non-zero
     head's loss by an ulp.
     """
-    n = x0.shape[0]
-    out = np.empty_like(x1)
-    for lo in range(0, n, batch):
-        sl = slice(lo, lo + batch)
+    out = np.empty((n, task.dim))
+    lo = 0
+    for x0, x1 in task.pair_batches(rng, n, batch):
+        sl = slice(lo, lo + x0.shape[0])
         out[sl] = model.velocity(
-            *_regression_input(x0[sl], x1[sl], None if t is None else t[sl]))
-    out -= x1 - x0
-    return float(np.sum(np.square(out, out=out)) / n)
+            *_regression_input(x0, x1, None if t is None else t[sl]))
+        out[sl] -= x1 - x0
+        lo = sl.stop
+    return _sum_of_squares_mean(out)
 
 
 def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
@@ -225,32 +260,38 @@ def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
     params = model.params
     grad = np.empty_like(params)
     opt = _AdamW(params, config.weight_decay)
-    n = config.pairs_per_epoch
-    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
+    bufs = StepBuffers(model.arch, config.batch_size)
+    n, batch = config.pairs_per_epoch, config.batch_size
+    steps_per_epoch = (n + batch - 1) // batch
     total_steps = config.epochs * steps_per_epoch
     use_dropout = model.arch.dropout > 0.0
 
     epoch_losses = []
-    initial_loss = None
+    initial_loss = diff = None
     step = 0
     for epoch in range(config.epochs):
         ep = config.seed.split(epoch)
-        x0, x1 = task.sample_pairs(ep.split(0), n)
         t_all = None
         if config.objective == "fm":
             t_all = ep.split(1).generator().uniform(size=n)
             t_all = np.clip(t_all, T_CLAMP[0], T_CLAMP[1])
+        pairs = task.pair_batches(ep.split(0), n, batch)
         if epoch == 0:
-            initial_loss = _initial_loss(model, x0, x1, t_all,
-                                         config.batch_size)
+            initial_loss = _initial_loss(model, task, ep.split(0), t_all, n,
+                                         batch)
+            if initial_loss is None:
+                diff = np.empty((n, task.dim))
+                pairs = _recording_diffs(pairs, diff)
         losses = []
-        for k in range(steps_per_epoch):
-            sl = slice(k * config.batch_size, (k + 1) * config.batch_size)
+        for k, (x0, x1) in enumerate(pairs):
             drop = ep.split(2 + k) if use_dropout else None
             loss, _, _ = _batch_loss_and_grads(
-                model, x0[sl], x1[sl], None if t_all is None else t_all[sl],
-                drop, grad)
+                model, x0, x1,
+                None if t_all is None else t_all[k * batch:(k + 1) * batch],
+                drop, grad, bufs)
             if loss > 1e6:
+                if diff is not None:
+                    initial_loss = _fresh_initial_loss(pairs, diff)
                 partial = TrainReport(tuple(epoch_losses), initial_loss,
                                       time.perf_counter() - t0, model.checksum())
                 raise TrainingError(
@@ -260,6 +301,9 @@ def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
             opt.step(params, grad, _lr_at(config, step, total_steps))
             losses.append(loss)
             step += 1
+        if diff is not None:
+            initial_loss = _fresh_initial_loss(pairs, diff)
+            diff = None
         epoch_losses.append(float(np.mean(losses)))
 
     notes = ()

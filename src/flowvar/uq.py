@@ -192,8 +192,18 @@ def one_step_cov(field, x0, epsilon: float = DEFAULT_EPSILON,
 
 
 def shift_time_grid(times, eps: float = 1e-3):
-    """Pull grid endpoints into the open interval where the formulas hold."""
-    out = tuple(min(max(float(t), eps), 1.0 - eps) for t in times)
+    """Pull grid times into [eps, 1 - eps], where the formulas hold.
+
+    Only the endpoints 0 and 1 need the pull: an empty grid, or a time that
+    is not finite or lies outside [0, 1], raises UqError.
+    """
+    times = [float(t) for t in times]
+    if not times:
+        raise UqError("time grid is empty")
+    for t in times:
+        if not 0.0 <= t <= 1.0:  # NaN fails the comparison too
+            raise UqError(f"time grid values must lie in [0, 1], got {t:g}")
+    out = tuple(min(max(t, eps), 1.0 - eps) for t in times)
     if any(b <= a for a, b in zip(out, out[1:])):
         raise UqError("time grid not strictly increasing after endpoint shift")
     return out

@@ -258,6 +258,11 @@ def test_missing_model_and_bad_flags_exit_one(tmp_path, capsys):
     ("task", "weights = nan 1", "weights"),
     ("task", "means = nan 0 ; 3.5 0", "means"),
     ("task", "means = inf 0 ; 3.5 0", "means"),
+    ("uq", "t_grid = 5", "must lie in [0, 1], got 5"),
+    ("uq", "t_grid = -3", "must lie in [0, 1], got -3"),
+    ("uq", "t_grid = 1e400", "must lie in [0, 1], got inf"),
+    ("uq", "t_grid = nan", "must lie in [0, 1], got nan"),
+    ("uq", "t_grid =", "time grid is empty"),
 ])
 def test_bad_config_value_exits_one_before_any_output(tmp_path, capsys,
                                                       section, setting,

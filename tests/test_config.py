@@ -53,9 +53,12 @@ def test_value_validation():
         parse_config("[uq]\nprobes = many\n")
     with pytest.raises(ConfigError, match="increasing"):
         parse_config("[uq]\nt_grid = 0.5 0.5\n")
-    # endpoints are clamped into the open interval rather than rejected
-    clamped = parse_config("[uq]\nt_grid = 0.5 1.2\n")
+    # the endpoints are pulled into the open interval; times outside [0, 1]
+    # are refused
+    clamped = parse_config("[uq]\nt_grid = 0.5 1\n")
     assert clamped.t_grid[-1] == pytest.approx(1.0 - 1e-3)
+    with pytest.raises(ConfigError, match=r"must lie in \[0, 1\], got 1.2"):
+        parse_config("[uq]\nt_grid = 0.5 1.2\n")
     with pytest.raises(ConfigError, match="positive"):
         parse_config("[uq]\nprobes = 0\n")
     with pytest.raises(ConfigError, match="epsilon"):

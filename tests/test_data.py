@@ -210,3 +210,45 @@ def test_toy_images_equal_the_per_image_loop(kind, side):
         assert got.shape == ref.shape == (n, side * side)
         assert got.flags.c_contiguous and got.flags.writeable
         assert got.tobytes() == ref.tobytes()
+
+
+def _mnist_task(tmp_path):
+    imgs = np.random.default_rng(1).integers(0, 256, size=(9, 28, 28),
+                                             dtype=np.uint8)
+    path = tmp_path / "digits.idx3-ubyte"
+    path.write_bytes(_image_bytes((9, 28, 28), imgs.tobytes()))
+    return MnistTask(path)
+
+
+_TASKS = {
+    "bars": lambda tmp_path: ImageTask("bars", 8),
+    "blobs": lambda tmp_path: ImageTask("blobs", 5),
+    "mnist": _mnist_task,
+    "gmm": lambda tmp_path: default_gmm_task(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TASKS))
+def test_pair_batches_concatenate_to_sample_pairs(kind, tmp_path):
+    """An epoch streamed in batches has the bits of one draw, whatever the
+    batch size; 300 rows leave a short last batch for 7 and 128."""
+    task, n = _TASKS[kind](tmp_path), 300
+    for seed in (0, 8):
+        x0, x1 = task.sample_pairs(RngState(seed), n)
+        assert x0.shape == x1.shape == (n, task.dim)
+        for batch in (1, 7, 128, n, n + 5):
+            blocks = list(task.pair_batches(RngState(seed), n, batch))
+            assert len(blocks) == -(-n // batch)
+            assert all(b0.shape[0] == min(batch, n) for b0, _ in blocks[:-1])
+            got0 = np.concatenate([b0 for b0, _ in blocks])
+            got1 = np.concatenate([b1 for _, b1 in blocks])
+            assert got0.tobytes() == x0.tobytes()
+            assert got1.tobytes() == x1.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_TASKS))
+def test_pair_batches_need_pairs_and_a_batch(kind, tmp_path):
+    task = _TASKS[kind](tmp_path)
+    for n, batch in ((0, 4), (4, 0)):
+        with pytest.raises(DataError, match="at least one"):
+            next(task.pair_batches(RngState(0), n, batch))

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowvar.models import (AnalyticField, EvalCounter, MlpArch, MlpVelocity,
-                            ModelError, ModelField, analytic_handle,
-                            load_model, save_model,
+                            ModelError, ModelField, StepBuffers,
+                            analytic_handle, load_model, save_model,
                             time_features)
 from flowvar.numerics import RngState, finite_diff_jvp
 from flowvar.oracle import GmmSpec, optimal_velocity
@@ -472,3 +472,28 @@ def test_backward_writes_into_a_flat_gradient_buffer():
         assert np.shares_memory(b, buf) and np.array_equal(a, b)
     with pytest.raises(ModelError, match="gradient buffer"):
         m.backward(cache, dout, out=np.empty(m.n_params + 1))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_step_buffers_give_the_bits_of_fresh_arrays(activation, dropout):
+    """A training pass written into buffers of 10 rows gives the bits of one
+    in fresh arrays, for a full batch and a short one, pass after pass."""
+    m = _model(dim=4, hidden=16, depth=3, activation=activation,
+               dropout=dropout)
+    m.weights[-1][:] = RngState(2).generator().standard_normal(
+        m.weights[-1].shape)
+    bufs = StepBuffers(m.arch, 10)
+    g = RngState(3).generator()
+    for rows in (10, 7, 10):
+        x, dout = g.standard_normal((2, rows, 4))
+        t = g.uniform(0.1, 0.9, size=rows)
+        out, cache = m.forward_cache(x, t, RngState(rows))
+        ref = m.backward(cache, dout)
+        got_out, got_cache = m.forward_cache(x, t, RngState(rows), bufs=bufs)
+        got = m.backward(got_cache, dout, bufs=bufs)
+        assert got_out.tobytes() == out.tobytes()
+        for a, b in zip(ref[0] + ref[1], got[0] + got[1]):
+            assert a.tobytes() == b.tobytes()
+    with pytest.raises(ModelError, match="buffers of 10 rows"):
+        m.forward_cache(np.zeros((11, 4)), 0.5, bufs=bufs)

@@ -3,12 +3,14 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from flowvar import _workers, training
+from flowvar.config import load_config
 from flowvar.data import ImageTask, default_gmm_task
 from flowvar.models import MlpArch, MlpVelocity
 from flowvar.numerics import RngState
@@ -170,8 +172,9 @@ def _reference_act_deriv(name, z, h):
     return (z > 0.0).astype(np.float64)
 
 
-def reference_backward(self, cache, dout, out=None):
-    """Per-layer gradients in fresh arrays, copied into ``out`` when given."""
+def reference_backward(self, cache, dout, out=None, *, bufs=None):
+    """Per-layer gradients in fresh arrays, copied into ``out`` when given;
+    ``bufs`` is not used."""
     act = self.arch.activation
     masks = cache["masks"]
     d_ws = [None] * len(self.weights)
@@ -193,8 +196,9 @@ def reference_backward(self, cache, dout, out=None):
     return d_ws, d_bs
 
 
-def reference_initial_loss(model, x0, x1, t, batch):
+def reference_initial_loss(model, task, rng, t, n, batch):
     """The pre-training loss from one velocity call over the whole epoch."""
+    x0, x1 = task.sample_pairs(rng, n)
     if t is None:
         out = model.velocity(x0, 0.0)
     else:
@@ -317,27 +321,48 @@ def test_loss_gradients_match_the_allocating_reference():
 def test_fresh_model_initial_loss_skips_the_forward(dim, objective, dropout,
                                                     monkeypatch):
     """A fresh model's head is zero, so its initial loss comes without a
-    forward and equals the chunked forward's to the bit."""
+    forward, from the epoch-0 steps' pairs, and equals the chunked forward's
+    to the bit."""
     task = default_gmm_task() if dim == 2 else ImageTask("bars", 8)
     cfg = _tiny_config(objective=objective, pairs_per_epoch=300)
     model = MlpVelocity.init(MlpArch(dim=dim, dropout=dropout), RngState(5))
     ep = cfg.seed.split(0)
-    x0, x1 = task.sample_pairs(ep.split(0), cfg.pairs_per_epoch)
+    epoch0 = (task, ep.split(0))
     t = None
     if objective == "fm":
         t = np.clip(ep.split(1).generator().uniform(size=cfg.pairs_per_epoch),
                     *training.T_CLAMP)
-    chunked = training._chunked_loss(model, x0, x1, t, cfg.batch_size)
+    sizes = (t, cfg.pairs_per_epoch, cfg.batch_size)
+    chunked = training._chunked_loss(model, *epoch0, *sizes)
     calls = {}
     monkeypatch.setattr(MlpVelocity, "velocity",
                         counted(calls, "velocity", MlpVelocity.velocity))
-    assert training._initial_loss(model, x0, x1, t, cfg.batch_size) == chunked
+    assert training._initial_loss(model, *epoch0, *sizes) is None
     assert train(model, task, cfg).initial_loss == chunked
     assert calls["velocity"] == 0
     _nonzero_head(model)
-    assert training._initial_loss(model, x0, x1, t, cfg.batch_size) == \
-        training._chunked_loss(model, x0, x1, t, cfg.batch_size)
+    assert training._initial_loss(model, *epoch0, *sizes) == \
+        training._chunked_loss(model, *epoch0, *sizes)
     assert calls["velocity"] == 2 * -(-cfg.pairs_per_epoch // cfg.batch_size)
+
+
+def test_training_holds_one_epoch_sized_array():
+    """One bars8 epoch of 8192 pairs at the preset architecture traces under
+    8 MiB of new allocations: each of x0, x1 and x1 - x0 over the epoch
+    would take 4 MiB, and only the initial loss's x1 - x0 is kept whole."""
+    cfg = load_config("bars8")
+    task = cfg.build_task()
+    model = MlpVelocity.init(cfg.build_arch(task.dim), RngState(1))
+    tcfg = replace(cfg.train_config(), epochs=1)
+    assert (tcfg.pairs_per_epoch, tcfg.batch_size) == (8192, 128)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train(model, task, tcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 8 * 2**20
 
 
 # ---- the runner --------------------------------------------------------------

@@ -158,6 +158,11 @@ def test_shift_time_grid():
     assert grid[1:] == (0.1, 0.9, 0.98)
     with pytest.raises(UqError, match="increasing"):
         shift_time_grid((0.0, 0.0005, 0.1))
+    for bad in (-0.1, 1.5, np.inf, np.nan):
+        with pytest.raises(UqError, match=r"must lie in \[0, 1\]"):
+            shift_time_grid((0.5, bad))
+    with pytest.raises(UqError, match="empty"):
+        shift_time_grid(())
 
 
 def test_trajectory_series_matches_standard_gaussian_curve():
