@@ -189,8 +189,12 @@ class PosteriorOracle:
 
 def _component_system(spec: GmmSpec, t: float):
     """Per-component marginal factor L_k (chol of S_k = t^2 Sig_k + (1-t)^2 I),
-    gain G_k = t Sig_k S_k^{-1}, posterior covariance Sig_k - t G_k Sig_k and
-    log det L_k, from the spec's slots or computed into them."""
+    gain G_k = t Sig_k S_k^{-1}, posterior covariance (1-t)^2 Sig_k S_k^{-1}
+    and log det L_k, from the spec's slots or computed into them.
+
+    The covariance equals Sig_k - t G_k Sig_k, whose subtraction cancels
+    when Sig_k is large: at sigma 1e7 that form is 21% off, and from 1e9 it
+    is exactly zero."""
     systems = spec._systems
     system = systems.get(t)
     if system is not None:
@@ -204,10 +208,11 @@ def _component_system(spec: GmmSpec, t: float):
     for j in range(k):
         s = t * t * spec.covs[j] + (1.0 - t) ** 2 * eye
         chols[j] = np.linalg.cholesky(s)
-        # G_k = t Sig S^{-1}; S and Sig need not commute, solve on the right:
-        # (S^{-1} Sig)^T = Sig S^{-1} since both are symmetric.
-        gains[j] = t * np.linalg.solve(s, spec.covs[j]).T
-        cj = spec.covs[j] - t * gains[j] @ spec.covs[j]
+        # Sig S^{-1}, solved on the right: (S^{-1} Sig)^T = Sig S^{-1} since
+        # both are symmetric
+        sig_sinv = np.linalg.solve(s, spec.covs[j]).T
+        gains[j] = t * sig_sinv
+        cj = (1.0 - t) ** 2 * sig_sinv
         comp_covs[j] = 0.5 * (cj + cj.T)
         logdets[j] = np.log(np.diag(chols[j])).sum()
     if len(systems) >= _SYSTEM_SLOTS:

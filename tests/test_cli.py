@@ -107,6 +107,16 @@ def test_oracle_check_passes_on_gmm(workspace, capsys):
     assert "PASS" in text
 
 
+@pytest.mark.parametrize("sigma", ["1e5", "1e7"])
+def test_oracle_check_passes_at_large_sigma(tmp_path, capsys, sigma):
+    """The reference covariance keeps its digits when sigma is large."""
+    ini = tmp_path / "gmm.ini"
+    ini.write_text(FAST_INI.format(out=tmp_path / "run").replace(
+        "sigma = 0.15", f"sigma = {sigma}"))
+    assert main(["oracle-check", "--config", str(ini)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_oracle_check_fails_on_a_non_finite_error(tmp_path, capsys,
                                                    monkeypatch):
     """A NaN error, or a reference covariance that underflowed to zero,

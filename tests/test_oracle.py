@@ -195,6 +195,17 @@ def test_standard_normal_posterior_closed_form():
         assert np.allclose(post.mean, t * xt / q, atol=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [0.15, 1e5, 1e7, 1e9, 1e50])
+def test_isotropic_posterior_covariance_at_large_sigma(sigma):
+    """One isotropic component's posterior covariance is
+    sigma^2 (1-t)^2 / (t^2 sigma^2 + (1-t)^2) I, with no cancellation."""
+    spec = GmmSpec.isotropic([[0.5, 0.0]], sigma)
+    for t in (0.3, 0.9):
+        cov = gmm_posterior(spec, np.array([0.2, -0.3]), t).covariance
+        var = sigma**2 * (1 - t) ** 2 / (t * t * sigma**2 + (1 - t) ** 2)
+        np.testing.assert_allclose(cov, var * np.eye(2), rtol=1e-12, atol=0)
+
+
 def test_responsibilities_shift_invariance_of_covariance():
     # translating the whole mixture translates means but not covariances
     spec = _two_comp()
