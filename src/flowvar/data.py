@@ -202,7 +202,11 @@ class GmmTask:
 
 class _RenderedTask:
     """A task whose x1 rows are rendered from one per-epoch draw (``_draw``,
-    from ``rng.split(1)``) and whose x0 comes from ``rng.split(0)``."""
+    from ``rng.split(1)``) and whose x0 comes from ``rng.split(0)``.
+
+    Each subclass defines its own ``sample_pairs``, the one-batch case, so
+    that perfbench's tracer, which wraps the methods a public class defines,
+    books it under the subclass's name."""
 
     def pair_batches(self, rng: RngState, n: int, batch: int):
         blocks = _blocks(n, batch)
@@ -212,9 +216,6 @@ class _RenderedTask:
             yield (g0.standard_normal((hi - lo, self.dim)),
                    self._render(draw[lo:hi]))
 
-    def sample_pairs(self, rng: RngState, n: int):
-        return next(self.pair_batches(rng, n, n))
-
 
 class ImageTask(_RenderedTask):
     def __init__(self, kind: str, side: int):
@@ -223,6 +224,9 @@ class ImageTask(_RenderedTask):
         self.dim = self.side * self.side
         if kind not in ("bars", "blobs"):
             raise DataError(f"unknown toy image kind: {kind!r}")
+
+    def sample_pairs(self, rng: RngState, n: int):
+        return next(self.pair_batches(rng, n, n))
 
     def _draw(self, rng: RngState, n: int) -> np.ndarray:
         return _image_placements(self.kind, self.side, n, rng)
@@ -253,6 +257,9 @@ class MnistTask(_RenderedTask):
         pooled = crop.reshape(n, 8, 3, 8, 3).mean(axis=(2, 4))
         self.images = pooled.reshape(n, 64)
         self.dim = 64
+
+    def sample_pairs(self, rng: RngState, n: int):
+        return next(self.pair_batches(rng, n, n))
 
     def _draw(self, rng: RngState, n: int) -> np.ndarray:
         return rng.generator().integers(0, len(self.images), size=n)

@@ -31,7 +31,6 @@ from .numerics import RngState, uniform_draws
 __all__ = [
     "MlpArch",
     "MlpVelocity",
-    "StepBuffers",
     "EvalCounter",
     "ModelField",
     "AnalyticField",
