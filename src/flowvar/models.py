@@ -16,7 +16,9 @@ views (W0's x columns, then the later layers) are made once per model, as
 views that follow in-place writes to ``params``. One input row at a scalar
 float time gets its sin and cos written straight into the row, the same
 bits as :func:`time_features`; arrays of times and multi-row batches go
-through :func:`time_features`.
+through :func:`time_features`. A training step's forward and backward write
+their (batch, hidden) arrays into a :class:`StepBuffers` set made once per
+run.
 """
 from __future__ import annotations
 

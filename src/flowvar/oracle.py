@@ -192,9 +192,8 @@ def _component_system(spec: GmmSpec, t: float):
     gain G_k = t Sig_k S_k^{-1}, posterior covariance (1-t)^2 Sig_k S_k^{-1}
     and log det L_k, from the spec's slots or computed into them.
 
-    The covariance equals Sig_k - t G_k Sig_k, whose subtraction cancels
-    when Sig_k is large: at sigma 1e7 that form is 21% off, and from 1e9 it
-    is exactly zero."""
+    The covariance equals Sig_k - t G_k Sig_k, but that form's subtraction
+    cancels when Sig_k is large."""
     systems = spec._systems
     system = systems.get(t)
     if system is not None:
