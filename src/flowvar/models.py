@@ -310,28 +310,25 @@ class MlpVelocity:
         pre, post = [], []
         h = feats
         act = self.arch.activation
+        z_buf = a_buf = drop_buf = None
+        if bufs is not None:
+            z_buf, a_buf, drop_buf = bufs.pre, bufs.post, bufs.dropped
         # overflow surfaces as the explicit divergence error, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(self.arch.depth):
-                # kept apart so the unbuffered batch-1 pass pays for no
-                # buffer lookups
-                if bufs is None:
-                    z, a_out, drop_out = h @ self.weights[i].T, None, None
-                else:
-                    n_in = h.shape[0]
-                    z = np.matmul(h, self.weights[i].T,
-                                  out=bufs.pre[i, :n_in])
-                    a_out = bufs.post[i, :n_in]
-                    drop_out = _rows_of(bufs.dropped, i, rows)
+                n_in = h.shape[0]
+                z = np.matmul(h, self.weights[i].T,
+                              out=_rows_of(z_buf, i, n_in))
                 z += self.biases[i]
                 if not np.isfinite(z).all():
                     raise ModelError(
                         "forward pass diverged: non-finite activations")
-                a = _act(act, z, a_out)
+                a = _act(act, z, _rows_of(a_buf, i, n_in))
                 pre.append(z)
                 post.append(a)  # pre-dropout, feeds the activation derivative
                 if masks is not None:
-                    a = np.multiply(a, masks[i], out=drop_out)
+                    a = np.multiply(a, masks[i],
+                                    out=_rows_of(drop_buf, i, rows))
                 inputs.append(a)
                 h = a
             out = h @ self.weights[-1].T
