@@ -13,6 +13,7 @@ import numpy as np
 
 from .models import MlpVelocity, ModelField
 from .numerics import RngState
+from .oracle import check_unit_time
 from .uq import posterior_mean_from_velocity
 
 __all__ = [
@@ -45,12 +46,26 @@ class BaselineEstimate:
         return self.diag.shape[0]
 
 
+def _population_var(means: np.ndarray) -> np.ndarray:
+    """``np.var(means, axis=0)``, bit for bit: its ufunc sum, divide,
+    subtract, square, sum and divide, without its Python wrappers."""
+    count = means.shape[0]
+    mean = np.add.reduce(means, axis=0, keepdims=True)
+    mean /= count
+    dev = np.subtract(means, mean)
+    np.square(dev, out=dev)
+    var = np.add.reduce(dev, axis=0)
+    var /= count
+    return var
+
+
 def _finish(means, count):
     means = np.asarray(means)
-    var = np.var(means, axis=0)
+    var = _population_var(means)
     # a pixel on which every member agrees has no spread, not rounding noise
-    var[(means == means[0]).all(axis=0)] = 0.0
-    return BaselineEstimate(diag=var, u=float(var.sum()), count=count)
+    var[np.logical_and.reduce(means == means[0], axis=0)] = 0.0
+    return BaselineEstimate(diag=var, u=float(np.add.reduce(var)),
+                            count=count)
 
 
 def ensemble_uq(models, xt, t: float) -> BaselineEstimate:
@@ -72,12 +87,13 @@ def mc_dropout_uq(model, xt, t: float, passes: int,
                   rng: RngState) -> BaselineEstimate:
     """Variance of the posterior mean across stochastic dropout passes.
 
-    Pass p draws its masks from the child stream ``rng.split(p)`` (all the
-    streams derived as one batch by ``rng.split_many``), so the
-    estimate is reproducible and distinct call sites never share masks. All
-    passes run as one forward with one row per pass, and a counting handle
-    counts one forward per pass. With dropout rate zero every pass coincides
-    and the variance is zero.
+    Pass p draws its masks from the child stream ``rng.split(p)``: the
+    passes' seeds come from ``rng.split_seeds`` as one array, which the
+    forward hands to ``uniform_draws``, so the estimate is reproducible and
+    distinct call sites never share masks. All passes run as one forward
+    with one row per pass, and a counting handle counts one forward per
+    pass. With dropout rate zero every pass coincides and the variance is
+    zero.
     """
     if passes < 2:
         raise BaselineError("need at least 2 dropout passes")
@@ -87,8 +103,12 @@ def mc_dropout_uq(model, xt, t: float, passes: int,
         net, counter = model, None
     else:
         raise BaselineError("mc dropout needs an MLP model or its handle")
+    t = check_unit_time(t)
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    streams = rng.split_many(range(passes))
-    v = ModelField(net, counter, dropout_rng=streams).velocity(xt, t)
-    means = posterior_mean_from_velocity(np.broadcast_to(xt, v.shape), t, v)
+    seeds = rng.split_seeds(range(passes))
+    means = ModelField(net, counter, dropout_rng=seeds).velocity(xt, t)
+    # posterior_mean_from_velocity's xt + (1 - t) v, in the fresh forward
+    # output
+    means *= 1.0 - t
+    means += xt
     return _finish(means, passes)

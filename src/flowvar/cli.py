@@ -25,7 +25,7 @@ from .data import DataError
 from .metrics import METHODS, Method, MetricsError, consistency_protocol
 from .models import (EvalCounter, ModelError, ModelField, MlpVelocity,
                      analytic_handle, load_model, save_model)
-from .numerics import NumericsError, RngState, draw_rademacher
+from .numerics import NumericsError, RngState, draw_rademacher_many
 from .oracle import OracleError, gmm_posterior
 from .reporting import (CostLedger, ReportError, cost_report, write_csv,
                         write_uq_map)
@@ -271,9 +271,10 @@ def cmd_oracle_check(args, cfg: ExperimentConfig) -> int:
     _, _, states = _eval_states(cfg, task, cfg.t_grid)
     worst = 0.0
     for ti, t in enumerate(cfg.t_grid):
-        rngs = master.split(9).split(ti).split_many(range(N_EVAL_POINTS))
-        for i, (xt, rng) in enumerate(zip(states[t], rngs)):
-            probes = draw_rademacher(rng, spec.dim, cfg.probes)
+        blocks = draw_rademacher_many(master.split(9).split(ti),
+                                      range(N_EVAL_POINTS), spec.dim,
+                                      cfg.probes)
+        for i, (xt, probes) in enumerate(zip(states[t], blocks)):
             est = cov_closed_form(field, xt, t, probes, materialize_full=True)
             ref = gmm_posterior(spec, xt, t).covariance
             # a reference that underflowed to zero or overflowed leaves no

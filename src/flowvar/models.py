@@ -31,6 +31,9 @@ import numpy as np
 from .numerics import RngState, uniform_draws
 
 __all__ = [
+    "MAX_DEPTH",
+    "MAX_HIDDEN",
+    "MAX_N_FREQ",
     "MlpArch",
     "MlpVelocity",
     "EvalCounter",
@@ -43,6 +46,13 @@ __all__ = [
 ]
 
 _ACTIVATIONS = ("tanh", "relu")
+# the largest MLP: hidden x hidden weights, with their gradients and AdamW
+# moments, in each of depth layers
+MAX_HIDDEN = 1024
+MAX_DEPTH = 8
+# the most clock frequencies: pi 2^k overflows float64 from k = 1023, and
+# from about k = 50 the angle t pi 2^k no longer resolves t in [0, 1]
+MAX_N_FREQ = 32
 
 
 class ModelError(ValueError):
@@ -77,6 +87,11 @@ class MlpArch:
     def __post_init__(self):
         if self.dim < 1 or self.hidden < 1 or self.depth < 1 or self.n_freq < 1:
             raise ModelError("dim, hidden, depth and n_freq must be positive")
+        for name, top in (("hidden", MAX_HIDDEN), ("depth", MAX_DEPTH),
+                          ("n_freq", MAX_N_FREQ)):
+            if getattr(self, name) > top:
+                raise ModelError(f"{name} must be at most {top}, "
+                                 f"got {getattr(self, name)}")
         if self.activation not in _ACTIVATIONS:
             raise ModelError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -286,10 +301,12 @@ class MlpVelocity:
                       bufs: StepBuffers | None = None):
         """Full forward pass returning (velocity, cache) for backward/JVP.
 
-        ``dropout_rng`` is one RngState for the whole batch, or a sequence of
-        them, one per output row: row p then gets exactly the masks a batch-1
-        pass on stream p would draw. A single input row is shared by all the
-        streams, and its first layer runs once before the masks fan it out.
+        ``dropout_rng`` is one RngState for the whole batch, or one stream
+        per output row: a sequence of RngStates, or a uint64 array of the
+        seeds of stream-0 states (``RngState.split_seeds``). Row p then gets
+        exactly the masks a batch-1 pass on stream p would draw. A single
+        input row is shared by all the streams, and its first layer runs
+        once before the masks fan it out.
         With ``bufs`` the hidden layers' arrays are written into them, with
         the same bits.
         """
@@ -453,12 +470,13 @@ class ModelField:
     Each output row counts as one forward; each tangent row as one JVP,
     counted from the result, so the probe block is converted only once, in
     the model's tangent pass. An optional dropout stream turns the wrapper into a single stochastic
-    sub-network pass, the unit the MC-dropout baseline averages over; a
-    sequence of streams runs one such pass per stream, each counted.
+    sub-network pass, the unit the MC-dropout baseline averages over; one
+    stream per row (as ``forward_cache`` takes them) runs one such pass per
+    stream, each counted.
     """
 
     def __init__(self, model: MlpVelocity, counter: EvalCounter | None = None,
-                 dropout_rng: RngState | None = None):
+                 dropout_rng=None):
         self.model = model
         self.counter = counter if counter is not None else EvalCounter()
         self.dropout_rng = dropout_rng

@@ -20,9 +20,14 @@ bits:
 4. for draws, PCG64's state set from those words on a per-thread bit
    generator (``_seeded_pcg64``), then its raw output.
 
-Setting the state through numpy's public setter and drawing are the floor
-of each stream, about 3 and 2.3 us; every other step costs a few numpy
-calls however many streams there are.
+Many sibling streams travel as one uint64 array of child seeds: the hash of
+``RngState.split_seeds`` is that array, and ``_seed_raw`` takes it to each
+child's raw words (its entropy rows are a view of the array, mixed and
+hashed at once), with no RngState per child. ``uniform_draws`` and
+``draw_rademacher_many`` read MC-dropout masks and per-state probe blocks
+from it. Setting the state through numpy's public setter and drawing are
+the floor of each stream, about 3 and 2.3 us; every other step costs a few
+numpy calls however many streams there are.
 
 No integer-seeded SeedSequence and no Generator is built on the way, except
 by :meth:`RngState.generator`, which hands the same words to ``default_rng``.
@@ -44,6 +49,7 @@ __all__ = [
     "uniform_draws",
     "ProbeSet",
     "draw_rademacher",
+    "draw_rademacher_many",
     "exhaustive_sign_probes",
     "finite_diff_jvp",
     "hutchinson_diagonal",
@@ -91,11 +97,19 @@ class RngState:
         return RngState(child)
 
     def split_many(self, keys) -> list:
-        """``[self.split(k) for k in keys]``, derived as one batch.
+        """``[self.split(k) for k in keys]``, derived as one batch by
+        ``split_seeds``."""
+        # positional: a keyword argument makes each state twice as dear
+        return [RngState(child) for child in self.split_seeds(keys).tolist()]
 
-        Integer keys only, of any size. The parent's words are mixed once;
-        each key's words are then mixed into a copy of that pool, as one row
-        when the keys are a ``range`` inside one 32-bit word.
+    def split_seeds(self, keys) -> np.ndarray:
+        """The seeds of ``split_many(keys)``, as one uint64 array.
+
+        Each child is a stream-0 state, so the array is all that
+        ``uniform_draws`` and ``draw_rademacher_many`` need of them. Integer
+        keys only, of any size. The parent's words are mixed once; each
+        key's words are then mixed into a copy of that pool, as one row when
+        the keys are a ``range`` inside one 32-bit word.
         """
         head = _entropy(self.seed, self.stream)
         parent = np.random.SeedSequence(head).pool[:, None]
@@ -109,9 +123,7 @@ class RngState:
             pools = np.empty((4, len(words)), dtype=np.uint32)
             for cols, rows in _by_length(words):
                 pools[:, cols] = _mix(parent, rows, 4 * len(head))
-        children = _hash_out(pools, 1).ravel().tolist()
-        # positional: a keyword argument makes each state twice as dear
-        return [RngState(child) for child in children]
+        return _hash_out(pools, 1).ravel()
 
 
 # ---- stream seeding ---------------------------------------------------------
@@ -136,7 +148,21 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
     return out
 
 
-_OTHERS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
+def _round_consts() -> tuple:
+    """Per word ``src`` of the pool's mixing rounds, the (4, 1) xor and
+    multiply hash-constant columns of the three other words, in order, as
+    hashmix calls 4.. take them; the src row's entries are unused zeros."""
+    a = _hash_consts(_INIT_A, _MULT_A, 16).ravel()
+    xors, mults = np.zeros((2, 4, 4, 1), dtype=np.uint32)
+    j = 4
+    for src in range(4):
+        for dst in (d for d in range(4) if d != src):
+            xors[src, dst], mults[src, dst] = a[j], a[j + 1]
+            j += 1
+    return tuple(zip(xors, mults))
+
+
+_ROUND_CONSTS = _round_consts()
 _OUT_B_COL = _hash_consts(_INIT_B, _MULT_B, 8)
 _OUT_B = _OUT_B_COL.ravel().tolist()
 _OUT_ROWS = np.arange(8) % 4  # the pool word each output word reads
@@ -214,18 +240,21 @@ def _pool(entropy: np.ndarray) -> np.ndarray:
     of an (L, n) uint32 entropy array, L >= 4."""
     a = _hash_consts(_INIT_A, _MULT_A, 16)
     # hashmix call j xors with constant j and multiplies by constant j+1
-    v = (entropy[:4] ^ a[0:4]) * a[1:5]
-    pool = v ^ (v >> 16)
-    j = 4
-    for src in range(4):
-        # mixer[src] is fixed while it is mixed into the three other words
-        dst = _OTHERS[src]
-        h = (pool[src] ^ a[j:j + 3]) * a[j + 1:j + 4]
+    pool = (entropy[:4] ^ a[0:4]) * a[1:5]
+    pool ^= pool >> 16
+    for src, (xor, mult) in enumerate(_ROUND_CONSTS):
+        # word src, fixed, is mixed into the three other words: all four
+        # rows are mixed, and row src is then put back
+        fixed = pool[src].copy()
+        h = fixed ^ xor
+        h *= mult
         h ^= h >> 16
-        r = pool[dst] * _MIX_L - h * _MIX_R
-        pool[dst] = r ^ (r >> 16)
-        j += 3
-    return _mix(pool, entropy[4:], j)
+        h *= _MIX_R
+        pool *= _MIX_L
+        pool -= h
+        pool ^= pool >> 16
+        pool[src] = fixed
+    return _mix(pool, entropy[4:], 16)
 
 
 def _hash_out(pool, k: int):
@@ -285,30 +314,65 @@ def _seeded_pcg64(words) -> np.random.PCG64:
     return bitgen
 
 
-def uniform_draws(states, shape: tuple) -> np.ndarray:
-    """``np.stack([s.generator().random(shape) for s in states])``, bit for bit.
+def _raw(pools: np.ndarray, n: int) -> np.ndarray:
+    """The first n raw PCG64 outputs of the stream of each column of a
+    (4, m) mixed-pool array, as an (m, n) uint64 array."""
+    words = _hash_out(pools, 4).tolist()
+    raw = np.empty((len(words), n), dtype=np.uint64)
+    for i, w in enumerate(words):
+        raw[i] = _seeded_pcg64(w).random_raw(n)
+    return raw
 
-    The states' pools are mixed as one array. Each stream's doubles are its
-    raw PCG64 outputs shifted to 53 bits and scaled by 2^-53, as
-    ``Generator.random`` makes them.
+
+def _seed_raw(seeds: np.ndarray, n: int) -> np.ndarray:
+    """``np.stack([RngState(s).generator().bit_generator.random_raw(n)
+    for s in seeds])`` for a uint64 array of seeds, bit for bit.
+
+    Each seed's entropy row (its two words, read through a uint32 view of
+    the array, two zero pad words and stream 0) is mixed and hashed with all
+    the others at once; only the PCG64 state set and the draw are per
+    stream.
     """
-    shape = tuple(shape)
+    entropy = np.zeros((5, len(seeds)), dtype=np.uint32)
+    entropy[:2] = np.ascontiguousarray(seeds, dtype="<u8").view("<u4").reshape(
+        -1, 2).T
+    return _raw(_pool(entropy), n)
+
+
+def _state_pools(states) -> np.ndarray:
+    """The (4, n) mixed pools of a sequence of RngStates."""
     try:
         # a seed below 2^128 is its own padded 4-word coding, and a stream
         # below 2^32 one word
         data = b"".join([s.seed.to_bytes(16, "little")
                          + s.stream.to_bytes(4, "little") for s in states])
-        pools = _pool(np.frombuffer(data, dtype="<u4").reshape(-1, 5).T)
+        return _pool(np.frombuffer(data, dtype="<u4").reshape(-1, 5).T)
     except (AttributeError, OverflowError):  # larger, negative or not an int
         rows = [_entropy(s.seed, s.stream) for s in states]
         pools = np.empty((4, len(rows)), dtype=np.uint32)
         for cols, entropy in _by_length(rows):
             pools[:, cols] = _pool(entropy)
-    raw = np.empty((len(states), math.prod(shape)), dtype=np.uint64)
-    for i, words in enumerate(_hash_out(pools, 4).tolist()):
-        raw[i] = _seeded_pcg64(words).random_raw(raw.shape[1])
+        return pools
+
+
+def uniform_draws(streams, shape: tuple) -> np.ndarray:
+    """``np.stack([s.generator().random(shape) for s in streams])``, bit for
+    bit.
+
+    ``streams`` is a sequence of RngStates, or a uint64 array of seeds of
+    stream-0 states (as ``RngState.split_seeds`` gives), which goes straight
+    to ``_seed_raw``. Each stream's doubles are its raw PCG64 outputs
+    shifted to 53 bits and scaled by 2^-53, as ``Generator.random`` makes
+    them.
+    """
+    shape = tuple(shape)
+    size = math.prod(shape)
+    if isinstance(streams, np.ndarray):
+        raw = _seed_raw(streams, size)
+    else:
+        raw = _raw(_state_pools(streams), size)
     raw >>= np.uint64(11)
-    return (raw * (1.0 / 9007199254740992.0)).reshape((len(states),) + shape)
+    return (raw * (1.0 / 9007199254740992.0)).reshape((len(raw),) + shape)
 
 
 @dataclass(frozen=True)
@@ -347,6 +411,21 @@ class ProbeSet:
         return self.probes.shape[1]
 
 
+def _check_probe_shape(d: int, s: int) -> None:
+    if d < 1 or s < 1:
+        raise NumericsError(f"need d >= 1 and S >= 1, got d={d}, S={s}")
+
+
+def _signs(raw: np.ndarray, n: int) -> np.ndarray:
+    """The first n signs of each row of raw 64-bit outputs, as float64 -1.0
+    or +1.0: the top bit of each 32-bit half, low half first."""
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    signs = (halves[..., :n] >> 31).astype(np.float64)
+    signs *= 2.0
+    signs -= 1.0
+    return signs
+
+
 def draw_rademacher(rng: RngState, d: int, s: int) -> ProbeSet:
     """Draw S independent Rademacher sign vectors in {-1,+1}^d.
 
@@ -355,16 +434,25 @@ def draw_rademacher(rng: RngState, d: int, s: int) -> ProbeSet:
     32-bit half, low half first, with the last high half unused when S*d is
     odd.
     """
-    if d < 1 or s < 1:
-        raise NumericsError(f"need d >= 1 and S >= 1, got d={d}, S={s}")
+    _check_probe_shape(d, s)
     n = s * d
     words = _hash_out(_seed_pool(rng.seed, rng.stream), 4)
     raw = _seeded_pcg64(words).random_raw((n + 1) // 2)
-    halves = raw.astype("<u8", copy=False).view("<u4")
-    probes = (halves[:n] >> 31).astype(np.float64)
-    probes *= 2.0
-    probes -= 1.0
-    return ProbeSet._of_signs(probes.reshape(s, d), rng)
+    return ProbeSet._of_signs(_signs(raw, n).reshape(s, d), rng)
+
+
+def draw_rademacher_many(rng: RngState, keys, d: int, s: int) -> list:
+    """``[draw_rademacher(rng.split(k), d, s) for k in keys]``, bit for bit.
+
+    The children's seeds come from ``rng.split_seeds`` as one array, and
+    their raw outputs from ``_seed_raw``; each set records its child state.
+    """
+    _check_probe_shape(d, s)
+    seeds = rng.split_seeds(keys)
+    n = s * d
+    signs = _signs(_seed_raw(seeds, (n + 1) // 2), n)
+    return [ProbeSet._of_signs(block.reshape(s, d), RngState(seed))
+            for block, seed in zip(signs, seeds.tolist())]
 
 
 def exhaustive_sign_probes(d: int) -> ProbeSet:

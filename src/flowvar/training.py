@@ -32,6 +32,9 @@ from .models import MlpArch, MlpVelocity, StepBuffers
 from .numerics import RngState
 
 __all__ = [
+    "MAX_BATCH_SIZE",
+    "MAX_EPOCHS",
+    "MAX_PAIRS_PER_EPOCH",
     "TrainConfig",
     "TrainJob",
     "TrainReport",
@@ -47,6 +50,12 @@ __all__ = [
 # training samples t uniformly but keeps clear of the interpolant endpoints,
 # where the downstream covariance formulas are singular
 T_CLAMP = (1e-3, 1.0 - 1e-3)
+# the longest run and the largest epoch and batch: epoch 0 keeps one
+# (pairs_per_epoch, d) array, and a step's buffers hold (batch_size, hidden)
+# per layer
+MAX_EPOCHS = 10_000
+MAX_PAIRS_PER_EPOCH = 1 << 18
+MAX_BATCH_SIZE = 4096
 
 
 class TrainingError(RuntimeError):
@@ -71,6 +80,12 @@ class TrainConfig:
     pairs_per_epoch: int = 8192
 
     def __post_init__(self):
+        for name, top in (("epochs", MAX_EPOCHS),
+                          ("pairs_per_epoch", MAX_PAIRS_PER_EPOCH),
+                          ("batch_size", MAX_BATCH_SIZE)):
+            if getattr(self, name) > top:
+                raise TrainingError(f"{name} must be at most {top}, "
+                                    f"got {getattr(self, name)}")
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
         if self.batch_size < 1 or self.pairs_per_epoch < self.batch_size:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelField
-from .numerics import (ProbeSet, RngState, draw_rademacher,
+from .numerics import (ProbeSet, RngState, draw_rademacher_many,
                        hutchinson_diagonal)
 from .oracle import check_interior_time, check_unit_time
 
@@ -213,8 +213,9 @@ def trajectory_uq(field, states, times, n_probes: int,
                   rng: RngState) -> UncertaintyMapSeries:
     """One posterior estimate per (state, time) pair along a trajectory.
 
-    Each point draws a fresh ProbeSet from its own child stream of ``rng``
-    (recorded in the estimate), so points can be recomputed independently.
+    Point i draws a fresh ProbeSet from its own child stream ``rng.split(i)``
+    (recorded in the estimate), so points can be recomputed independently;
+    all the points' sets are drawn as one batch by ``draw_rademacher_many``.
     """
     states = [np.asarray(s, dtype=np.float64).reshape(-1) for s in states]
     times = [float(t) for t in times]
@@ -222,8 +223,10 @@ def trajectory_uq(field, states, times, n_probes: int,
         raise UqError(f"{len(states)} states vs {len(times)} times")
     if n_probes < 1:
         raise UqError("need at least one probe per point")
-    entries = []
-    for x, t, r in zip(states, times, rng.split_many(range(len(states)))):
-        probes = draw_rademacher(r, x.shape[0], n_probes)
-        entries.append((t, cov_closed_form(field, x, t, probes)))
-    return UncertaintyMapSeries(entries=tuple(entries))
+    if not states:
+        return UncertaintyMapSeries(entries=())
+    blocks = draw_rademacher_many(rng, range(len(states)), states[0].shape[0],
+                                  n_probes)
+    return UncertaintyMapSeries(entries=tuple(
+        (t, cov_closed_form(field, x, t, probes))
+        for x, t, probes in zip(states, times, blocks)))

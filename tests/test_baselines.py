@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowvar.baselines import (BaselineError, ensemble_uq, mc_dropout_uq)
+from flowvar import models
+from flowvar.baselines import (BaselineError, _finish, _population_var,
+                               ensemble_uq, mc_dropout_uq)
 from flowvar.models import EvalCounter, MlpVelocity, ModelField, MlpArch
 from flowvar.numerics import RngState
 
@@ -126,3 +130,49 @@ def test_batched_dropout_matches_per_pass_loop(passes, wrap):
     np.testing.assert_allclose(est.diag, ref, rtol=1e-12, atol=0.0)
     if wrap:
         assert counter.forwards == passes and counter.jvps == 0
+
+
+@given(st.sampled_from([2, 50]), st.integers(1, 9), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.1, 1e-300, 3.0, 1e150]))
+@settings(max_examples=40, deadline=None)
+def test_inline_variance_is_np_var_bit_for_bit(passes, d, seed, constant):
+    """The estimate's variance is ``np.var(means, axis=0)``'s bits, constant
+    columns included, before those columns are set to zero."""
+    means = RngState(seed).generator().standard_normal((passes, d)) * 3.0
+    means[:, 0] = constant  # a sum of copies of 0.1 does not divide back
+    ref = np.var(means, axis=0)
+    got = _population_var(means)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    est = _finish(means.copy(), passes)
+    ref[0] = 0.0
+    assert np.array_equal(est.diag, ref)
+    assert est.u == float(ref.sum())
+
+
+def test_dropout_estimate_is_the_bits_of_one_generator_per_pass(monkeypatch):
+    """The pass seeds' array draws the masks each pass's own generator
+    draws: with the masks put back to one ``rng.split(p).generator()`` per
+    pass, the estimate keeps its bits."""
+    arch = MlpArch(dim=5, hidden=16, depth=3, n_freq=4, dropout=0.25)
+    model = MlpVelocity.init(arch, RngState(3))
+    model.weights[-1][:] = RngState(4).generator().standard_normal(
+        model.weights[-1].shape)
+    xt = RngState(5).generator().standard_normal(5)
+    rng = RngState(2**64 + 17, 3)
+    ests = [mc_dropout_uq(model, xt, t, passes, rng)
+            for t in (0.2, 0.7) for passes in (2, 50)]
+    calls = []
+
+    def uniform_draws(seeds, shape):
+        calls.append(len(seeds))
+        return np.stack([RngState(int(s)).generator().random(shape)
+                         for s in seeds])
+
+    monkeypatch.setattr(models, "uniform_draws", uniform_draws)
+    monkeypatch.setattr(RngState, "split_seeds", lambda self, keys: np.array(
+        [self.split(k).seed for k in keys], dtype=np.uint64))
+    refs = [mc_dropout_uq(model, xt, t, passes, rng)
+            for t in (0.2, 0.7) for passes in (2, 50)]
+    assert calls == [2, 50, 2, 50]
+    for est, ref in zip(ests, refs):
+        assert np.array_equal(est.diag, ref.diag) and est.u == ref.u

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from flowvar import cli, metrics, models, training
+from flowvar import cli, metrics, models, numerics, training
 from flowvar.cli import METHODS, main
 from flowvar.config import _SCHEMA, load_config
 from flowvar.metrics import (consistency_protocol, dropout_method,
@@ -105,6 +105,32 @@ def test_oracle_check_passes_on_gmm(workspace, capsys):
     text = capsys.readouterr().out
     assert "max relative Frobenius error" in text
     assert "PASS" in text
+
+
+def test_oracle_check_draws_each_points_own_probes(tmp_path, capsys,
+                                                  monkeypatch):
+    """Point i at grid time ti is checked on the probes of
+    ``draw_rademacher(master.split(9).split(ti).split(i))``, bit for bit,
+    at a master seed of three entropy words."""
+    ini = tmp_path / "gmm.ini"
+    ini.write_text(FAST_INI.format(out=tmp_path / "run").replace(
+        "seed = 7", f"seed = {2**64 + 5}"))
+    seen = []
+
+    def recording(field, xt, t, probes, materialize_full=False):
+        seen.append(probes)
+        return cov_closed_form(field, xt, t, probes, materialize_full)
+
+    monkeypatch.setattr(cli, "cov_closed_form", recording)
+    assert main(["oracle-check", "--config", str(ini)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(seen) == 2 * cli.N_EVAL_POINTS
+    master = RngState(2**64 + 5)
+    for k, probes in enumerate(seen):
+        ref = master.split(9).split(k // cli.N_EVAL_POINTS).split(
+            k % cli.N_EVAL_POINTS)
+        assert probes.seed == ref
+        assert np.array_equal(probes.probes, draw_rademacher(ref, 2, 8).probes)
 
 
 @pytest.mark.parametrize("sigma", ["1e5", "1e7"])
@@ -309,23 +335,46 @@ def _ini(pairs) -> bytes:
         for section, keys in sections.items()).encode()
 
 
-@given(_CONFIGS.map(_ini) | st.binary(max_size=80),
-       st.sampled_from([["oracle-check"], ["uq", "tweedie"]]))
+# sizes one past their bounds, or far past them, refused at parse time; the
+# training commands take a config only with one of these last, so no case
+# ever requests a size that is not refused
+_REFUSED_SIZES = st.sampled_from(
+    [(("model", "n_freq"), v) for v in ("33", "1100")]
+    + [(("model", "hidden"), v) for v in ("1025", "99999999999999999999")]
+    + [(("model", "depth"), v) for v in ("9", "99999999999999999999")]
+    + [(("training", "epochs"), v) for v in ("10001", "99999999999999999999")]
+    + [(("training", "pairs_per_epoch"), v)
+       for v in ("262145", "99999999999999999999")]
+    + [(("training", "batch_size"), v)
+       for v in ("4097", "99999999999999999999")])
+_CASES = (st.tuples(_CONFIGS.map(_ini) | st.binary(max_size=80),
+                    st.sampled_from([["oracle-check"], ["uq", "tweedie"]]))
+          | st.tuples(st.tuples(_CONFIGS, _REFUSED_SIZES)
+                      .map(lambda c: _ini(c[0] + [c[1]])),
+                      st.sampled_from([["train", "fm"], ["train", "one-step"],
+                                       ["train", "ensemble"], ["cost"]])))
+
+
+@given(_CASES)
 # sigma^2 overflowing raised OverflowError; the reference covariance
 # underflowing to zero warned and failed on two lines; the weights' sum
 # overflowing warned
-@example(text=b"[task]\nsigma = 1e300\n", argv=["oracle-check"])
-@example(text=b"[task]\nsigma = 1e-150\n", argv=["oracle-check"])
-@example(text=b"[task]\nweights = 1e308 1e308\n", argv=["oracle-check"])
+@example(case=(b"[task]\nsigma = 1e300\n", ["oracle-check"]))
+@example(case=(b"[task]\nsigma = 1e-150\n", ["oracle-check"]))
+@example(case=(b"[task]\nweights = 1e308 1e308\n", ["oracle-check"]))
 # a failed check printed FAIL with nothing on stderr
-@example(text=b"[task]\nsigma = 1e20\n[uq]\nt_grid = 1e400\n",
-         argv=["oracle-check"])
+@example(case=(b"[task]\nsigma = 1e20\n[uq]\nt_grid = 1e400\n",
+               ["oracle-check"]))
+# the clock frequencies overflowed: RuntimeWarnings, then exit 2
+@example(case=(b"[model]\nn_freq = 1100\n", ["train", "fm"]))
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_hostile_config_exits_cleanly(text, argv):
+def test_hostile_config_exits_cleanly(case):
     """Any config text, hostile values or random bytes, ends in exit 0, 1
     or 2, with exactly one stderr line on failure and no traceback or
-    warning."""
+    warning. A training command's config always holds a refused size, so
+    it must exit 1."""
+    text, argv = case
     cwd = os.getcwd()
     err = io.StringIO()
     # relative output paths land in the temporary directory
@@ -346,6 +395,8 @@ def test_hostile_config_exits_cleanly(text, argv):
     assert "Traceback" not in err.getvalue() and "Warning" not in \
         err.getvalue(), (text, lines)
     assert caught == [], (text, [str(w.message) for w in caught])
+    if argv[0] in ("train", "cost"):
+        assert code == 1, (code, text)
 
 
 def test_unreadable_config_exits_one_with_one_line(tmp_path, capsys):
@@ -607,26 +658,40 @@ def _gate_outputs(root, commands=(["train", "fm"],
 
 def test_batched_streams_write_the_bytes_of_one_at_a_time(tmp_path,
                                                           monkeypatch):
-    """The batch stream derivation is a refactor: with split_many and
-    uniform_draws put back to their one-at-a-time loops, every output file
-    keeps its bytes."""
+    """The batch stream derivation is a refactor: with split_many,
+    split_seeds, uniform_draws and the seed-array draw put back to their
+    one-at-a-time loops over split and generator(), every output file keeps
+    its bytes."""
     # models train in this process, where the patches reach them
     monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
     batched = _gate_outputs(tmp_path / "batched")
-    calls = {"split_many": 0, "uniform_draws": 0}
+    calls = {"split_many": 0, "split_seeds": 0, "uniform_draws": 0,
+             "seed_raw": 0}
 
     def split_many(self, keys):
         calls["split_many"] += 1
         return [self.split(k) for k in keys]
 
-    def uniform_draws(states, shape):
+    def split_seeds(self, keys):
+        calls["split_seeds"] += 1
+        return np.array([self.split(k).seed for k in keys], dtype=np.uint64)
+
+    def uniform_draws(seeds, shape):
         calls["uniform_draws"] += 1
-        return np.stack([s.generator().random(shape) for s in states])
+        return np.stack([RngState(int(s)).generator().random(shape)
+                         for s in seeds])
+
+    def seed_raw(seeds, n):
+        calls["seed_raw"] += 1
+        return np.stack([RngState(int(s)).generator().bit_generator
+                         .random_raw(n) for s in seeds])
 
     monkeypatch.setattr(RngState, "split_many", split_many)
+    monkeypatch.setattr(RngState, "split_seeds", split_seeds)
     monkeypatch.setattr(models, "uniform_draws", uniform_draws)
+    monkeypatch.setattr(numerics, "_seed_raw", seed_raw)
     reference = _gate_outputs(tmp_path / "reference")
-    assert calls["split_many"] > 0 and calls["uniform_draws"] > 0
+    assert all(count > 0 for count in calls.values()), calls
     assert {"train_fm.csv", "model_dropout.fvar", "uq_mc-dropout.csv",
             "uq_mc-dropout_t1.pgm", "consistency.csv",
             "traj.csv"} <= set(batched)

@@ -7,6 +7,9 @@ from flowvar.config import (PRESETS, ConfigError, ExperimentConfig,
                             load_config, parse_config)
 from flowvar.data import GmmTask, ImageTask, MnistTask
 from flowvar.metrics import METHODS
+from flowvar.models import MAX_DEPTH, MAX_HIDDEN, MAX_N_FREQ
+from flowvar.training import (MAX_BATCH_SIZE, MAX_EPOCHS,
+                              MAX_PAIRS_PER_EPOCH)
 
 
 def test_empty_config_gets_defaults():
@@ -71,6 +74,26 @@ def test_value_validation():
         parse_config("[methods]\ndropout_passes = 1\n")
     with pytest.raises(ConfigError, match="dropout rate"):
         parse_config("[methods]\ndropout_rate = 1.5\n")
+
+
+@pytest.mark.parametrize("section, key, top", [
+    ("model", "hidden", MAX_HIDDEN), ("model", "depth", MAX_DEPTH),
+    ("model", "n_freq", MAX_N_FREQ), ("training", "epochs", MAX_EPOCHS),
+    ("training", "pairs_per_epoch", MAX_PAIRS_PER_EPOCH),
+    ("training", "batch_size", MAX_BATCH_SIZE)])
+def test_model_and_training_sizes_are_bounded_at_parse_time(section, key,
+                                                            top):
+    """Each size one past its bound, or far past it, is refused by name;
+    parsing allocates nothing, so the bound itself is parsed too."""
+    # a batch at its bound needs an epoch at least as large
+    pairs = "\npairs_per_epoch = 4096" if key == "batch_size" else ""
+    for value in (top + 1, 10**20):
+        with pytest.raises(ConfigError,
+                           match=f"{key} must be at most {top}, got {value}"):
+            parse_config(f"[{section}]\n{key} = {value}{pairs}\n")
+    cfg = parse_config(f"[{section}]\n{key} = {top}{pairs}\n")
+    size = getattr(cfg.training if section == "training" else cfg, key)
+    assert size == top
 
 
 def test_gmm_task_construction():

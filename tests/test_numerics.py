@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowvar.numerics import (NumericsError, ProbeSet, RngState, _hash_out,
-                              draw_rademacher, exhaustive_sign_probes,
+                              _pool, _seed_raw, draw_rademacher,
+                              draw_rademacher_many, exhaustive_sign_probes,
                               finite_diff_jvp, hutchinson_diagonal,
                               uniform_draws)
 
@@ -87,6 +88,61 @@ def test_uniform_draws_are_bit_identical_to_generators(seed, stream, count,
     assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
+# parent seeds of one, two and three entropy words
+_PARENTS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1]) \
+    | st.integers(0, 2**96 - 1)
+
+
+@given(_PARENTS, st.sampled_from([0, 1, 2**32 + 5]),
+       st.sampled_from([0, 2**32 - 3, 2**40]), st.sampled_from([1, 2, 50]),
+       st.integers(1, 9), st.integers(1, 9))
+# the keys 2^32 - 3 .. 2^32 + 46 cross from one-word to two-word keys
+@example(parent=2**64 + 9, stream=0, first=2**32 - 3, count=50, d=3, s=5)
+@settings(max_examples=40, deadline=None)
+def test_seed_arrays_draw_the_bits_of_each_child_generator(parent, stream,
+                                                           first, count, d,
+                                                           s):
+    """The seed-array path gives each child the bits of its own generator:
+    uniforms as ``random`` makes them, signs as ``draw_rademacher`` reads
+    them (odd S*d included)."""
+    root = RngState(parent, stream)
+    keys = range(first, first + count)
+    seeds = root.split_seeds(keys)
+    assert seeds.dtype == np.uint64 and seeds.shape == (count,)
+    children = [RngState(int(x)) for x in seeds]
+    assert children == [root.split(k) for k in keys]
+    for shape in ((2, 7), (5,)):
+        ref = np.stack([c.generator().random(shape) for c in children])
+        got = uniform_draws(seeds, shape)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+    raw = _seed_raw(seeds, 3)
+    assert np.array_equal(raw, np.stack([
+        c.generator().bit_generator.random_raw(3) for c in children]))
+    blocks = draw_rademacher_many(root, keys, d, s)
+    assert len(blocks) == count
+    for block, child in zip(blocks, children):
+        ref = draw_rademacher(child, d, s)
+        assert block.seed == child
+        assert block.probes.shape == (s, d)
+        assert np.array_equal(block.probes, ref.probes)
+
+
+@given(st.sampled_from([1, 2, 50]), st.integers(4, 8),
+       st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_pool_of_many_columns_is_numpys_pool_of_each(n, length, fill):
+    """``_pool`` mixes every column at once, with no row gather or scatter;
+    each column is the pool numpy's SeedSequence mixes from its words."""
+    words = np.random.default_rng(fill).integers(
+        0, 2**32, size=(length, n), dtype=np.uint32)
+    words[0, 0] = fill
+    got = _pool(words)
+    assert got.shape == (4, n) and got.dtype == np.uint32
+    for col in range(n):
+        assert np.array_equal(got[:, col],
+                              np.random.SeedSequence(words[:, col]).pool)
+
+
 def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
     assert issubclass(NumericsError, ValueError)
     for call in (lambda: RngState(7).split(-1),
@@ -148,7 +204,9 @@ def test_threads_drawing_at_once_get_the_bits_of_a_serial_run():
 
     def run(root):
         return [(draw_rademacher(root.split(i), 7, 9).probes,
-                 uniform_draws(root.split_many([i, i + 1]), (5,)))
+                 uniform_draws(root.split_many([i, i + 1]), (5,)),
+                 uniform_draws(root.split_seeds(range(i, i + 3)), (4,)),
+                 draw_rademacher_many(root, [i, i + 1], 3, 5)[1].probes)
                 for i in range(n)]
 
     serial = [run(root) for root in roots]
@@ -173,8 +231,9 @@ def test_threads_drawing_at_once_get_the_bits_of_a_serial_run():
     assert not any(th.is_alive() for th in threads)
     for ref, res in zip(serial, got):
         assert len(res) == n
-        for (p_ref, u_ref), (p, u) in zip(ref, res):
-            assert np.array_equal(p, p_ref) and np.array_equal(u, u_ref)
+        for draws_ref, draws in zip(ref, res):
+            for a, b in zip(draws_ref, draws):
+                assert np.array_equal(a, b)
 
 
 @given(st.integers(1, 70), st.integers(1, 70), _SEEDS, _STREAMS)

@@ -178,6 +178,24 @@ def test_trajectory_series_matches_standard_gaussian_curve():
     assert all(a > b for a, b in zip(us, us[1:]))  # strictly decreasing
 
 
+def test_trajectory_probes_are_each_points_own_draw():
+    """Point i's estimate is the one of ``draw_rademacher(rng.split(i))``,
+    bit for bit; its state is recorded."""
+    rng = np.random.default_rng(11)
+    field = LinearField(rng.standard_normal((5, 5)) * 0.3)
+    states = list(rng.standard_normal((6, 5)))
+    times = (0.1, 0.2, 0.4, 0.5, 0.7, 0.9)
+    root = RngState(2**40 + 1, 2)
+    series = trajectory_uq(field, states, times, 7, root)
+    assert series.times == times
+    for i, (x, t, est) in enumerate(zip(states, times, series.estimates)):
+        ref = cov_closed_form(field, x, t, draw_rademacher(root.split(i), 5, 7))
+        assert est.probe_seed == root.split(i)
+        assert np.array_equal(est.diag_raw, ref.diag_raw)
+        assert est.u_raw == ref.u_raw
+    assert trajectory_uq(field, [], [], 7, root).entries == ()
+
+
 def test_trajectory_validation():
     field = LinearField(np.eye(2))
     with pytest.raises(UqError):

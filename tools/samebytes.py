@@ -7,8 +7,10 @@ fixed matrix of ``flowvar`` commands on that tree and on the working tree,
 at one BLAS thread each. The matrix covers small gmm, bars and blobs configs
 (blobs lists the methods in reverse) at master seed 5, and a 3-d gmm with 5
 probes at master seed 2^64 + 5, whose odd count of probe signs leaves half
-of a raw draw unused and whose seed takes three 32-bit entropy words; every
-subcommand, the ``uq --t`` variants and ``oracle-check``. It then compares
+of a raw draw unused and whose seed takes three 32-bit entropy words. The
+bars config runs the presets' 50 MC-dropout passes, the others 6. Each
+config runs every subcommand, the ``uq --t`` variants and ``oracle-check``.
+It then compares
 every CSV, PGM and ``.fvar`` file and the stdout (with the exit code) of each
 deterministic command. The ``*_summary.txt`` files and the stdout of
 ``train`` and ``cost`` hold wall-clock seconds and are not compared.
@@ -51,18 +53,20 @@ probes = {probes}
 [methods]
 use = {methods}
 ensemble_members = 3
-dropout_passes = 6
+dropout_passes = {passes}
 """
 
 _METHODS = ["tweedie-fm", "tweedie-onestep", "ensemble", "mc-dropout"]
-# (task section, methods, probes, master seed); gmm3's 3 x 5 probe signs are
-# an odd count, and its seed is a multi-word SeedSequence entropy
+# (task section, methods, probes, master seed, dropout passes); gmm3's 3 x 5
+# probe signs are an odd count, and its seed is a multi-word SeedSequence
+# entropy; bars runs the presets' pass count
 CONFIGS = {
-    "gmm": ("kind = gmm\nmeans = 0.5 0 ; 3.5 0\nsigma = 0.15", _METHODS, 8, 5),
+    "gmm": ("kind = gmm\nmeans = 0.5 0 ; 3.5 0\nsigma = 0.15", _METHODS, 8, 5,
+            6),
     "gmm3": ("kind = gmm\nmeans = 0.5 0 0 ; 3.5 0 1\nsigma = 0.15",
-             _METHODS, 5, 2**64 + 5),
-    "bars": ("kind = bars\nside = 8", _METHODS, 8, 5),
-    "blobs": ("kind = blobs\nside = 8", _METHODS[::-1], 8, 5),
+             _METHODS, 5, 2**64 + 5, 6),
+    "bars": ("kind = bars\nside = 8", _METHODS, 8, 5, 50),
+    "blobs": ("kind = blobs\nside = 8", _METHODS[::-1], 8, 5, 6),
 }
 
 _UQ = ("tweedie", "onestep", "ensemble", "mc-dropout")
@@ -99,13 +103,13 @@ def _flowvar(src: Path, argv, ini: Path, out: Path, stdout: Path,
 
 def run_matrix(src: Path, root: Path) -> None:
     """Every command of the matrix on each config, outputs under ``root``."""
-    for name, (task, methods, probes, seed) in CONFIGS.items():
+    for name, (task, methods, probes, seed, passes) in CONFIGS.items():
         base = root / name
         (base / "stdout").mkdir(parents=True)
         ini = base / "config.ini"
         out = base / "run"
         ini.write_text(_INI.format(task=task, methods=" ".join(methods),
-                                   probes=probes, seed=seed),
+                                   probes=probes, seed=seed, passes=passes),
                        encoding="utf-8")
         for k, (argv, keep) in enumerate(MATRIX):
             _flowvar(src, argv, ini, out,
