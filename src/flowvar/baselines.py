@@ -88,12 +88,11 @@ def mc_dropout_uq(model, xt, t: float, passes: int,
     """Variance of the posterior mean across stochastic dropout passes.
 
     Pass p draws its masks from the child stream ``rng.split(p)``: the
-    passes' seeds come from ``rng.split_seeds`` as one array, which the
-    forward hands to ``uniform_draws``, so the estimate is reproducible and
-    distinct call sites never share masks. All passes run as one forward
-    with one row per pass, and a counting handle counts one forward per
-    pass. With dropout rate zero every pass coincides and the variance is
-    zero.
+    passes' seeds come from ``rng.split_seeds`` as one array, the model's
+    per-row dropout streams, so the estimate is reproducible and distinct
+    call sites never share masks. All passes run as one forward with one row
+    per pass, and a counting handle's counter gets one forward per pass.
+    With dropout rate zero every pass coincides and the variance is zero.
     """
     if passes < 2:
         raise BaselineError("need at least 2 dropout passes")
@@ -105,8 +104,9 @@ def mc_dropout_uq(model, xt, t: float, passes: int,
         raise BaselineError("mc dropout needs an MLP model or its handle")
     t = check_unit_time(t)
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    seeds = rng.split_seeds(range(passes))
-    means = ModelField(net, counter, dropout_rng=seeds).velocity(xt, t)
+    means = net.velocity(xt, t, dropout_rng=rng.split_seeds(range(passes)))
+    if counter is not None:
+        counter.forwards += passes
     # posterior_mean_from_velocity's xt + (1 - t) v, in the fresh forward
     # output
     means *= 1.0 - t

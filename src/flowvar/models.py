@@ -8,7 +8,8 @@ through the exact same cached activations (and dropout masks, when active) as
 the primal values, which keeps the two modes consistent to machine precision.
 
 Dropout is the inverted kind: keep mask / (1 - rate), drawn from an explicit
-RngState per call. No call mutates hidden RNG state.
+RngState per call, or per output row from a uint64 seed array. No call
+mutates hidden RNG state.
 
 A batch-1 pass (an Euler step, one estimate's primal) costs its GEMMs and
 little else. The clock frequencies and the tangent pass's transposed weight
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngState, uniform_draws
+from .numerics import RngState, _check_seeds, uniform_draws
 
 __all__ = [
     "MAX_DEPTH",
@@ -302,17 +303,19 @@ class MlpVelocity:
         """Full forward pass returning (velocity, cache) for backward/JVP.
 
         ``dropout_rng`` is one RngState for the whole batch, or one stream
-        per output row: a sequence of RngStates, or a uint64 array of the
-        seeds of stream-0 states (``RngState.split_seeds``). Row p then gets
-        exactly the masks a batch-1 pass on stream p would draw. A single
-        input row is shared by all the streams, and its first layer runs
-        once before the masks fan it out.
+        per output row as a uint64 array of the seeds of stream-0 states
+        (``RngState.split_seeds``; anything else raises ``NumericsError``).
+        Row p then gets exactly the masks a batch-1 pass on
+        ``RngState(seeds[p])`` would draw. A single input row is shared by
+        all the streams, and its first layer runs once before the masks fan
+        it out.
         With ``bufs`` the hidden layers' arrays are written into them, with
         the same bits.
         """
         feats = self._input_features(x, t)
         rows = feats.shape[0]
         if dropout_rng is not None and not isinstance(dropout_rng, RngState):
+            _check_seeds(dropout_rng)
             if len(dropout_rng) < 1 or rows not in (1, len(dropout_rng)):
                 raise ModelError(f"{len(dropout_rng)} dropout streams for a "
                                  f"batch of {rows}")
@@ -428,19 +431,19 @@ class MlpVelocity:
                 du *= masks[i]
         return du @ wt[-1]
 
-    def value_and_jvp(self, x, t, u, dropout_rng: RngState | None = None):
+    def value_and_jvp(self, x, t, u):
         """Velocity and J_v u in one cached pass. x: (d,), u: (d,) or (m, d).
 
         ``tangent`` converts and checks u; this pass only reads its rank.
         """
         xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        out, cache = self.forward_cache(xv, t, dropout_rng)
+        out, cache = self.forward_cache(xv, t)
         ju = self.tangent(cache, u)
         return out[0], (ju if np.ndim(u) == 2 else ju[0])
 
-    def jacobian(self, x, t, dropout_rng: RngState | None = None) -> np.ndarray:
+    def jacobian(self, x, t) -> np.ndarray:
         """Dense d x d velocity Jacobian from d basis tangents."""
-        _, ju = self.value_and_jvp(x, t, np.eye(self.arch.dim), dropout_rng)
+        _, ju = self.value_and_jvp(x, t, np.eye(self.arch.dim))
         return ju.T
 
 
@@ -469,35 +472,32 @@ class ModelField:
 
     Each output row counts as one forward; each tangent row as one JVP,
     counted from the result, so the probe block is converted only once, in
-    the model's tangent pass. An optional dropout stream turns the wrapper into a single stochastic
-    sub-network pass, the unit the MC-dropout baseline averages over; one
-    stream per row (as ``forward_cache`` takes them) runs one such pass per
-    stream, each counted.
+    the model's tangent pass. Passes run in inference mode, with no dropout;
+    the MC-dropout baseline runs its stochastic passes on the model itself
+    and counts them on this handle's counter.
     """
 
-    def __init__(self, model: MlpVelocity, counter: EvalCounter | None = None,
-                 dropout_rng=None):
+    def __init__(self, model: MlpVelocity, counter: EvalCounter | None = None):
         self.model = model
         self.counter = counter if counter is not None else EvalCounter()
-        self.dropout_rng = dropout_rng
 
     @property
     def dim(self) -> int:
         return self.model.arch.dim
 
     def velocity(self, x, t) -> np.ndarray:
-        out = self.model.velocity(x, t, dropout_rng=self.dropout_rng)
+        out = self.model.velocity(x, t)
         self.counter.forwards += np.atleast_2d(out).shape[0]
         return out
 
     def value_and_jvp(self, x, t, u):
-        v, ju = self.model.value_and_jvp(x, t, u, dropout_rng=self.dropout_rng)
+        v, ju = self.model.value_and_jvp(x, t, u)
         self.counter.forwards += 1
         self.counter.jvps += ju.shape[0] if ju.ndim == 2 else 1
         return v, ju
 
     def jvp(self, x, t, u) -> np.ndarray:
-        _, ju = self.model.value_and_jvp(x, t, u, dropout_rng=self.dropout_rng)
+        _, ju = self.model.value_and_jvp(x, t, u)
         self.counter.jvps += ju.shape[0] if ju.ndim == 2 else 1
         return ju
 

@@ -20,14 +20,16 @@ bits:
 4. for draws, PCG64's state set from those words on a per-thread bit
    generator (``_seeded_pcg64``), then its raw output.
 
-Many sibling streams travel as one uint64 array of child seeds: the hash of
-``RngState.split_seeds`` is that array, and ``_seed_raw`` takes it to each
-child's raw words (its entropy rows are a view of the array, mixed and
-hashed at once), with no RngState per child. ``uniform_draws`` and
-``draw_rademacher_many`` read MC-dropout masks and per-state probe blocks
-from it. Setting the state through numpy's public setter and drawing are
-the floor of each stream, about 3 and 2.3 us; every other step costs a few
-numpy calls however many streams there are.
+Many sibling streams travel one way only: as one uint64 array of child
+seeds. ``RngState.split_seeds`` gives that array (one vectorised mix for a
+``range`` of keys inside one 32-bit word, the single-stream ``split`` per key
+for any other keys), and ``_seed_raw`` takes it to each child's raw words
+(its entropy rows are a view of the array, mixed and hashed at once), with
+no RngState per child. ``uniform_draws``, which refuses any other input,
+and ``draw_rademacher_many`` read MC-dropout masks and per-state probe
+blocks from it. Setting the state through numpy's public setter and drawing
+are the floor of each stream, about 3 and 2.3 us; every other step costs a
+few numpy calls however many streams there are.
 
 No integer-seeded SeedSequence and no Generator is built on the way, except
 by :meth:`RngState.generator`, which hands the same words to ``default_rng``.
@@ -106,24 +108,20 @@ class RngState:
         """The seeds of ``split_many(keys)``, as one uint64 array.
 
         Each child is a stream-0 state, so the array is all that
-        ``uniform_draws`` and ``draw_rademacher_many`` need of them. Integer
-        keys only, of any size. The parent's words are mixed once; each
-        key's words are then mixed into a copy of that pool, as one row when
-        the keys are a ``range`` inside one 32-bit word.
+        ``uniform_draws`` and ``draw_rademacher_many`` need of them. A
+        ``range`` inside one 32-bit word, which every batch caller passes,
+        is mixed as one row into the parent's pool, mixed once; any other
+        integer keys take ``split`` one at a time.
         """
+        ends = (keys[0], keys[-1]) if isinstance(keys, range) and keys else (-1,)
+        if not (0 <= min(ends) and max(ends) <= _MASK32):
+            return np.array([self.split(k).seed for k in keys],
+                            dtype=np.uint64)
         head = _entropy(self.seed, self.stream)
         parent = np.random.SeedSequence(head).pool[:, None]
-        ends = (keys[0], keys[-1]) if isinstance(keys, range) and keys else (-1,)
-        if 0 <= min(ends) and max(ends) <= _MASK32:
-            # each key is its own one-word coding: one row to mix
-            row = np.arange(keys.start, keys.stop, keys.step).astype(np.uint32)
-            pools = _mix(parent, row[None], 4 * len(head))
-        else:
-            words = [_words(k) for k in keys]
-            pools = np.empty((4, len(words)), dtype=np.uint32)
-            for cols, rows in _by_length(words):
-                pools[:, cols] = _mix(parent, rows, 4 * len(head))
-        return _hash_out(pools, 1).ravel()
+        # each key is its own one-word coding: one row to mix
+        row = np.arange(keys.start, keys.stop, keys.step).astype(np.uint32)
+        return _hash_out(_mix(parent, row[None], 4 * len(head)), 1).ravel()
 
 
 # ---- stream seeding ---------------------------------------------------------
@@ -207,18 +205,6 @@ def _seed_pool(seed, *spawn_key) -> list:
     """The mixed pool of SeedSequence(seed, spawn_key=spawn_key), as 4 ints;
     numpy mixes the words."""
     return np.random.SeedSequence(_entropy(seed, *spawn_key)).pool.tolist()
-
-
-def _by_length(rows: list) -> list:
-    """(column indices, (L, n) uint32 array) for each length L of the word
-    lists ``rows``."""
-    if len(set(map(len, rows))) == 1:
-        return [(slice(None), np.array(rows, dtype=np.uint32).T)]
-    cols_of = {}
-    for i, row in enumerate(rows):
-        cols_of.setdefault(len(row), []).append(i)
-    return [(cols, np.array([rows[i] for i in cols], dtype=np.uint32).T)
-            for cols in cols_of.values()]
 
 
 def _mix(pool: np.ndarray, words: np.ndarray, j: int) -> np.ndarray:
@@ -314,16 +300,6 @@ def _seeded_pcg64(words) -> np.random.PCG64:
     return bitgen
 
 
-def _raw(pools: np.ndarray, n: int) -> np.ndarray:
-    """The first n raw PCG64 outputs of the stream of each column of a
-    (4, m) mixed-pool array, as an (m, n) uint64 array."""
-    words = _hash_out(pools, 4).tolist()
-    raw = np.empty((len(words), n), dtype=np.uint64)
-    for i, w in enumerate(words):
-        raw[i] = _seeded_pcg64(w).random_raw(n)
-    return raw
-
-
 def _seed_raw(seeds: np.ndarray, n: int) -> np.ndarray:
     """``np.stack([RngState(s).generator().bit_generator.random_raw(n)
     for s in seeds])`` for a uint64 array of seeds, bit for bit.
@@ -336,41 +312,36 @@ def _seed_raw(seeds: np.ndarray, n: int) -> np.ndarray:
     entropy = np.zeros((5, len(seeds)), dtype=np.uint32)
     entropy[:2] = np.ascontiguousarray(seeds, dtype="<u8").view("<u4").reshape(
         -1, 2).T
-    return _raw(_pool(entropy), n)
+    words = _hash_out(_pool(entropy), 4).tolist()
+    raw = np.empty((len(words), n), dtype=np.uint64)
+    for i, w in enumerate(words):
+        raw[i] = _seeded_pcg64(w).random_raw(n)
+    return raw
 
 
-def _state_pools(states) -> np.ndarray:
-    """The (4, n) mixed pools of a sequence of RngStates."""
-    try:
-        # a seed below 2^128 is its own padded 4-word coding, and a stream
-        # below 2^32 one word
-        data = b"".join([s.seed.to_bytes(16, "little")
-                         + s.stream.to_bytes(4, "little") for s in states])
-        return _pool(np.frombuffer(data, dtype="<u4").reshape(-1, 5).T)
-    except (AttributeError, OverflowError):  # larger, negative or not an int
-        rows = [_entropy(s.seed, s.stream) for s in states]
-        pools = np.empty((4, len(rows)), dtype=np.uint32)
-        for cols, entropy in _by_length(rows):
-            pools[:, cols] = _pool(entropy)
-        return pools
+def _check_seeds(seeds) -> None:
+    """Refuse anything but a 1-d uint64 array of seeds: a cast would turn
+    -1 into 2^64 - 1 and 0.9 into 0."""
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64
+            and seeds.ndim == 1):
+        what = (f"a {seeds.dtype} array of shape {seeds.shape}"
+                if isinstance(seeds, np.ndarray) else type(seeds).__name__)
+        raise NumericsError(f"many streams take a 1-d uint64 array of seeds "
+                            f"(non-negative integers, as "
+                            f"RngState.split_seeds gives), got {what}")
 
 
-def uniform_draws(streams, shape: tuple) -> np.ndarray:
-    """``np.stack([s.generator().random(shape) for s in streams])``, bit for
-    bit.
+def uniform_draws(seeds: np.ndarray, shape: tuple) -> np.ndarray:
+    """``np.stack([RngState(s).generator().random(shape) for s in seeds])``,
+    bit for bit, for a uint64 array of seeds (``RngState.split_seeds``).
 
-    ``streams`` is a sequence of RngStates, or a uint64 array of seeds of
-    stream-0 states (as ``RngState.split_seeds`` gives), which goes straight
-    to ``_seed_raw``. Each stream's doubles are its raw PCG64 outputs
+    Each stream's doubles are its raw PCG64 outputs from ``_seed_raw``,
     shifted to 53 bits and scaled by 2^-53, as ``Generator.random`` makes
     them.
     """
+    _check_seeds(seeds)
     shape = tuple(shape)
-    size = math.prod(shape)
-    if isinstance(streams, np.ndarray):
-        raw = _seed_raw(streams, size)
-    else:
-        raw = _raw(_state_pools(streams), size)
+    raw = _seed_raw(seeds, math.prod(shape))
     raw >>= np.uint64(11)
     return (raw * (1.0 / 9007199254740992.0)).reshape((len(raw),) + shape)
 

@@ -170,19 +170,18 @@ class CostLedger:
         e._check()
 
 
-def cost_report(ledger: CostLedger, out_dir, reference: str | None = None):
+def cost_report(ledger: CostLedger, out_dir):
     """Write cost.csv (deterministic counts) and cost_summary.txt (seconds).
 
-    Ratios compare each method's total to the reference method, default
+    Ratios compare each method's total to the reference method:
     "tweedie-fm" when present, otherwise the cheapest method by counts.
     """
     if not ledger.entries:
         raise ReportError("empty cost ledger")
     out_dir = Path(out_dir)
     methods = list(ledger.entries)
-    if reference is None:
-        reference = ("tweedie-fm" if "tweedie-fm" in ledger.entries else
-                     min(methods, key=lambda m: ledger.entries[m].total_equivalents))
+    reference = ("tweedie-fm" if "tweedie-fm" in ledger.entries else
+                 min(methods, key=lambda m: ledger.entries[m].total_equivalents))
     ref = ledger.entries[reference]
 
     rows = []

@@ -379,29 +379,21 @@ def train_jobs(task, jobs, workers: int | None = None) -> list:
     return _workers.run(task, jobs, workers)
 
 
-def ensemble_jobs(count: int, arch: MlpArch, config: TrainConfig,
-                  member_seeds=None) -> list:
+def ensemble_jobs(count: int, arch: MlpArch, config: TrainConfig) -> list:
     """The jobs of ``count`` ensemble members.
 
     Members differ only in their seeds: member i initializes from
     config.seed.split(10_000 + i) and orders data by config.seed.split(i).
-    ``member_seeds`` overrides the per-member (init, data) seed pairs, which
-    the determinism tests use to force collisions.
     """
     if count < 2:
         raise TrainingError("an ensemble needs at least 2 members")
-    if member_seeds is None:
-        member_seeds = [
-            (config.seed.split(10_000 + i), config.seed.split(i))
-            for i in range(count)
-        ]
-    return [TrainJob(arch, init_rng, replace(config, seed=data_rng))
-            for init_rng, data_rng in member_seeds]
+    return [TrainJob(arch, config.seed.split(10_000 + i),
+                     replace(config, seed=config.seed.split(i)))
+            for i in range(count)]
 
 
-def train_ensemble(count: int, arch: MlpArch, task, config: TrainConfig,
-                   member_seeds=None):
+def train_ensemble(count: int, arch: MlpArch, task, config: TrainConfig):
     """Train ``count`` independent members (see ``ensemble_jobs``) with
     ``train_jobs``; returns (models, reports)."""
-    pairs = train_jobs(task, ensemble_jobs(count, arch, config, member_seeds))
+    pairs = train_jobs(task, ensemble_jobs(count, arch, config))
     return [m for m, _ in pairs], [r for _, r in pairs]

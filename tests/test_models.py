@@ -248,11 +248,11 @@ def test_per_row_dropout_streams_draw_the_batch_one_masks():
     m.weights[-1][:] = RngState(20).generator().standard_normal(
         m.weights[-1].shape)
     x = np.array([0.5, 0.1, -0.4])
-    streams = [RngState(4).split(p) for p in range(5)]
+    streams = RngState(4).split_seeds(range(5))
     out, cache = m.forward_cache(x, 0.6, streams)
     assert out.shape == (5, 3)
     for p, s in enumerate(streams):
-        one, one_cache = m.forward_cache(x, 0.6, s)
+        one, one_cache = m.forward_cache(x, 0.6, RngState(int(s)))
         for mask, mask1 in zip(cache["masks"], one_cache["masks"]):
             assert np.array_equal(mask[p], mask1[0])
         np.testing.assert_allclose(out[p], one[0], rtol=1e-12, atol=1e-15)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowvar.models import MlpArch, MlpVelocity
 from flowvar.numerics import (NumericsError, ProbeSet, RngState, _hash_out,
                               _pool, _seed_raw, draw_rademacher,
                               draw_rademacher_many, exhaustive_sign_probes,
@@ -39,11 +40,12 @@ _FIRST_KEYS = st.sampled_from([0, 2**32 - 25, 2**32, 2**40]) | \
     st.integers(0, 2**70)
 
 
-@given(_SEEDS, _STREAMS, _FIRST_KEYS, st.sampled_from([1, 50]),
+@given(_SEEDS, _STREAMS, _FIRST_KEYS, st.sampled_from([0, 1, 50]),
        st.sampled_from([1, 7]))
 # the last key is 2^32 - 1, the largest one-word key, then 2^32, the
 # smallest two-word one
 @example(seed=3, stream=0, first=2**32 - 50, count=50, step=1)
+@example(seed=3, stream=0, first=0, count=0, step=1)
 @example(seed=3, stream=0, first=2**32 - 49, count=50, step=1)
 @example(seed=3, stream=1, first=2**32 - 1 - 49 * 7, count=50, step=7)
 @settings(max_examples=60, deadline=None)
@@ -51,10 +53,16 @@ def test_split_many_is_bit_identical_to_split(seed, stream, first, count,
                                               step):
     root = RngState(seed, stream)
     keys = range(first, first + count * step, step)
-    assert root.split_many(keys) == [root.split(k) for k in keys]
+    ref = [root.split(k) for k in keys]
+    assert root.split_many(keys) == ref
     # the same keys as a descending range and as a list
-    assert root.split_many(keys[::-1]) == [root.split(k) for k in keys[::-1]]
-    assert root.split_many(list(keys)) == [root.split(k) for k in keys]
+    assert root.split_many(keys[::-1]) == ref[::-1]
+    assert root.split_many(list(keys)) == ref
+    seeds = root.split_seeds(keys)
+    assert seeds.dtype == np.uint64 and seeds.shape == (count,)
+    assert [RngState(s) for s in seeds.tolist()] == ref
+    blocks = draw_rademacher_many(root, keys, 2, 3)
+    assert [block.seed for block in blocks] == ref
 
 
 _POOL_WORDS = st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)
@@ -76,15 +84,23 @@ def test_hash_out_of_many_streams_is_that_of_each_stream(pools, k):
         seq.generate_state(k, np.uint64).tolist()
 
 
-@given(_SEEDS, _STREAMS, st.sampled_from([1, 50]),
+_SEED_WORDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | \
+    st.integers(0, 2**64 - 1)
+
+
+@given(_SEEDS, _STREAMS, _SEED_WORDS, st.sampled_from([1, 50]),
        st.sampled_from([(2, 128), (3,)]))
 @settings(max_examples=40, deadline=None)
-def test_uniform_draws_are_bit_identical_to_generators(seed, stream, count,
-                                                       shape):
-    states = [RngState(seed, stream)] + \
-        RngState(seed, stream).split_many(range(count - 1))
-    ref = np.stack([s.generator().random(shape) for s in states])
-    got = uniform_draws(states, shape)
+def test_uniform_draws_are_bit_identical_to_generators(seed, stream, first,
+                                                       count, shape):
+    """Any uint64 seed, and each child of ``split_seeds``, draws the
+    uniforms of its own generator."""
+    seeds = np.concatenate([
+        np.array([first], dtype=np.uint64),
+        RngState(seed, stream).split_seeds(range(count - 1))])
+    ref = np.stack([RngState(int(s)).generator().random(shape)
+                    for s in seeds])
+    got = uniform_draws(seeds, shape)
     assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
@@ -145,13 +161,23 @@ def test_pool_of_many_columns_is_numpys_pool_of_each(n, length, fill):
 
 def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
     assert issubclass(NumericsError, ValueError)
+    dropout, inference = (MlpVelocity.init(MlpArch(dim=2, hidden=4,
+                                                   dropout=rate), RngState(0))
+                          for rate in (0.3, 0.0))
+    x = np.array([0.1, -0.2])
     for call in (lambda: RngState(7).split(-1),
                  lambda: RngState(7).split_many([0, -1]),
                  lambda: RngState(-7).split(0),
                  lambda: RngState(-7).split_many([0]),
                  lambda: RngState(7, -1).split(0),
                  lambda: RngState(7, -1).split_many([0]),
-                 lambda: uniform_draws([RngState(7), RngState(-7)], (3,)),
+                 lambda: RngState(7).split_seeds([0, -1]),
+                 lambda: RngState(7).split_seeds(range(-1, 3)),
+                 # a cast would read -7 and -1 as the seeds 2^64 - 7 and
+                 # 2^64 - 1
+                 lambda: uniform_draws(np.array([7, -7]), (3,)),
+                 lambda: dropout.velocity(x, 0.5,
+                                          dropout_rng=np.array([-1, 2**63])),
                  lambda: RngState(-1).generator(),
                  lambda: RngState(7, -1).generator(),
                  lambda: draw_rademacher(RngState(-1), 3, 2)):
@@ -164,9 +190,21 @@ def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
             call()
     for call in (lambda: RngState(1.5).generator(),
                  lambda: draw_rademacher(RngState(7, 1.5), 3, 2),
-                 lambda: uniform_draws([RngState(1.5)], (3,))):
+                 # and a cast would make this seed 0, twice
+                 lambda: uniform_draws(np.array([0.9, 0.2]), (3,)),
+                 lambda: dropout.velocity(x, 0.5,
+                                          dropout_rng=np.array([0.9, 0.2]))):
         with pytest.raises(NumericsError, match="integers"):
             call()
+    # many streams are a 1-d uint64 seed array only: not a list of states,
+    # of ints, nor a 2-d array, and at dropout rate zero too
+    for streams in ([RngState(7), RngState(8)], [7, 8],
+                    np.array([[7, 8]], dtype=np.uint64)):
+        for model in (dropout, inference):
+            with pytest.raises(NumericsError, match="uint64 array"):
+                model.forward_cache(x, 0.5, streams)
+        with pytest.raises(NumericsError, match="uint64 array"):
+            uniform_draws(streams, (3,))
 
 
 def _numpy_generator(seed, *spawn_key):
@@ -186,12 +224,14 @@ def test_streams_are_numpys_own_seedsequence_and_default_rng(seed, stream, key,
     signs = 2.0 * _numpy_generator(seed, stream).integers(
         0, 2, size=(s, d)) - 1.0
     assert np.array_equal(draw_rademacher(root, d, s).probes, signs)
-    # the state itself and the child of key, at two shapes
-    states = [root, root.split(key)]
+    # the child of key, and the seed of its parent (taken mod 2^64) as a
+    # stream-0 state, at two shapes
+    seeds = np.concatenate([np.array([seed % 2**64], dtype=np.uint64),
+                            root.split_seeds([key])])
     for shape in ((s, d), (3,)):
-        ref = np.stack([_numpy_generator(r.seed, r.stream).random(shape)
-                        for r in states])
-        assert np.array_equal(uniform_draws(states, shape), ref)
+        ref = np.stack([_numpy_generator(int(x), 0).random(shape)
+                        for x in seeds])
+        assert np.array_equal(uniform_draws(seeds, shape), ref)
     assert np.array_equal(root.generator().random(4),
                           _numpy_generator(seed, stream).random(4))
 
@@ -204,7 +244,7 @@ def test_threads_drawing_at_once_get_the_bits_of_a_serial_run():
 
     def run(root):
         return [(draw_rademacher(root.split(i), 7, 9).probes,
-                 uniform_draws(root.split_many([i, i + 1]), (5,)),
+                 uniform_draws(root.split_seeds([i, i + 1]), (5,)),
                  uniform_draws(root.split_seeds(range(i, i + 3)), (4,)),
                  draw_rademacher_many(root, [i, i + 1], 3, 5)[1].probes)
                 for i in range(n)]

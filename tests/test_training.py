@@ -123,12 +123,12 @@ def test_ensemble_members_are_distinct(gmm_ensemble):
 
 
 def test_ensemble_seed_override_forces_collisions():
-    task = default_gmm_task()
-    seed = RngState(77)
-    pair = (seed, RngState(78))
-    models, _ = train_ensemble(2, MlpArch(dim=2), task, _tiny_config(),
-                               member_seeds=[pair, pair])
-    assert models[0].checksum() == models[1].checksum()
+    """Two members with the same (init, data) seeds collide: training is a
+    pure function of its job."""
+    job = TrainJob(MlpArch(dim=2), RngState(77),
+                   replace(_tiny_config(), seed=RngState(78)))
+    (first, _), (second, _) = train_jobs(default_gmm_task(), [job, job])
+    assert first.checksum() == second.checksum()
 
 
 def test_ensemble_needs_two_members():
