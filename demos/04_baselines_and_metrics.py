@@ -9,8 +9,8 @@ MC dropout needs many stochastic passes.
 import time
 
 from flowvar.data import GmmTask
-from flowvar.metrics import (dropout_method, ensemble_method,
-                             error_correlation, tweedie_method)
+from flowvar.metrics import (consistency_protocol, dropout_method,
+                             ensemble_method, tweedie_method)
 from flowvar.models import MlpArch, MlpVelocity, ModelField
 from flowvar.numerics import RngState
 from flowvar.oracle import GmmSpec
@@ -46,10 +46,13 @@ def main():
     }
     print("sample-level rank correlation with squared prediction error")
     print("(t = 0.5, 64 held-out samples, higher is better)")
-    rhos = error_correlation(field, methods, task, 0.5, 64, RngState(7))
-    for name, rho in rhos.items():
+    # the consistency protocol on clean data (noise level 0), one time
+    rows = consistency_protocol(field, methods, task, (0.5,), 0.0,
+                                RngState(7), n_samples=64)
+    for row in rows:
+        rho = row.sample_spearman
         shown = "undefined" if rho is None else f"{rho:+.3f}"
-        print(f"  {name:12s} {shown}")
+        print(f"  {row.method:12s} {shown}")
     print("\nthe closed form reads uncertainty out of the one model it")
     print("already has; the baselines buy theirs with extra training or")
     print("extra forward passes.")

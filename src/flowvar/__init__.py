@@ -56,7 +56,6 @@ from .training import (
     train_jobs,
 )
 from .uq import (
-    DEFAULT_EPSILON,
     PosteriorEstimate,
     UncertaintyMapSeries,
     UqError,
@@ -85,7 +84,6 @@ from .metrics import (
     MetricsError,
     consistency_protocol,
     corrupt,
-    error_correlation,
     hitrate_at_k,
     spearman,
 )

@@ -49,13 +49,19 @@ MAX_ENSEMBLE_MEMBERS = 64
 MAX_DROPOUT_PASSES = 4096
 
 
+# the [model] and [training] keys and their types; a key a config leaves out
+# takes the default of the MlpArch or TrainConfig field of that name
+_MODEL_KEYS = {"hidden": int, "depth": int, "n_freq": int, "activation": str}
+_TRAINING_KEYS = {"epochs": int, "batch_size": int, "learning_rate": float,
+                  "lr_schedule": str, "weight_decay": float,
+                  "pairs_per_epoch": int}
+
 # every legal key, per section; parsing rejects anything else
 _SCHEMA = {
     "experiment": {"out", "seed"},
     "task": {"kind", "side", "path", "subsample", "means", "sigma", "weights"},
-    "model": {"hidden", "depth", "n_freq", "activation"},
-    "training": {"epochs", "batch_size", "learning_rate", "lr_schedule",
-                 "weight_decay", "pairs_per_epoch"},
+    "model": set(_MODEL_KEYS),
+    "training": set(_TRAINING_KEYS),
     "uq": {"t_grid", "probes", "epsilon"},
     "methods": {"use", "ensemble_members", "dropout_passes", "dropout_rate"},
 }
@@ -105,14 +111,9 @@ class ExperimentConfig:
                        n_freq=self.n_freq, activation=self.activation,
                        dropout=0.0 if dropout is None else dropout)
 
-    def train_config(self, seed: RngState | None = None,
-                     objective: str | None = None) -> TrainConfig:
-        cfg = self.training
-        if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=seed)
-        if objective is not None:
-            cfg = dataclasses.replace(cfg, objective=objective)
-        return cfg
+    def train_config(self, seed: RngState, objective: str) -> TrainConfig:
+        return dataclasses.replace(self.training, seed=seed,
+                                   objective=objective)
 
 
 def _floats(text: str) -> tuple:
@@ -146,6 +147,10 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             return cp.get(section, key)
         return default
 
+    def given(section, keys):
+        return {key: cast(cp.get(section, key)) for key, cast in keys.items()
+                if cp.has_option(section, key)}
+
     try:
         seed = int(get("experiment", "seed", "0"))
         out = Path(get("experiment", "out", "runs/out"))
@@ -153,21 +158,17 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         kind = get("task", "kind", "gmm")
         side = int(get("task", "side", "8"))
         path = get("task", "path")
+        # a relative path names a file next to the config file
+        if path and base_dir is not None and not Path(path).is_absolute():
+            path = str(base_dir / path)
         subsample = int(get("task", "subsample", "2048"))
         means = _mean_rows(get("task", "means", "0.5 0 ; 3.5 0"))
         sigma = float(get("task", "sigma", "0.15"))
         weights_txt = get("task", "weights")
         weights = _floats(weights_txt) if weights_txt else None
 
-        training = TrainConfig(
-            epochs=int(get("training", "epochs", "30")),
-            batch_size=int(get("training", "batch_size", "128")),
-            learning_rate=float(get("training", "learning_rate", "2e-4")),
-            lr_schedule=get("training", "lr_schedule", "cosine"),
-            weight_decay=float(get("training", "weight_decay", "0.01")),
-            pairs_per_epoch=int(get("training", "pairs_per_epoch", "8192")),
-            seed=RngState(seed),
-        )
+        training = TrainConfig(seed=RngState(seed),
+                               **given("training", _TRAINING_KEYS))
 
         raw_grid = _floats(get("uq", "t_grid", "0.3 0.5 0.7 0.9"))
         t_grid = shift_time_grid(raw_grid)
@@ -179,16 +180,15 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         ensemble_members = int(get("methods", "ensemble_members", "5"))
         dropout_passes = int(get("methods", "dropout_passes", "50"))
         dropout_rate = float(get("methods", "dropout_rate", "0.15"))
+        arch = {f.name: f.default for f in dataclasses.fields(MlpArch)
+                if f.name in _MODEL_KEYS}
+        arch.update(given("model", _MODEL_KEYS))
 
         cfg = ExperimentConfig(
             out=out, seed=seed, task_kind=kind, task_side=side,
             task_path=path, task_subsample=subsample, gmm_means=means,
-            gmm_sigma=sigma, gmm_weights=weights,
-            hidden=int(get("model", "hidden", "128")),
-            depth=int(get("model", "depth", "2")),
-            n_freq=int(get("model", "n_freq", "8")),
-            activation=get("model", "activation", "tanh"),
-            training=training, t_grid=t_grid, probes=probes, epsilon=epsilon,
+            gmm_sigma=sigma, gmm_weights=weights, **arch, training=training,
+            t_grid=t_grid, probes=probes, epsilon=epsilon,
             methods=methods, ensemble_members=ensemble_members,
             dropout_passes=dropout_passes, dropout_rate=dropout_rate,
         )
@@ -197,7 +197,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
             raise
         raise ConfigError(f"bad config value: {ex}") from ex
 
-    _validate(cfg, base_dir)
+    _validate(cfg)
     return cfg
 
 
@@ -207,7 +207,7 @@ def check_seed(seed: int) -> None:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
-def _validate(cfg: ExperimentConfig, base_dir: Path | None):
+def _validate(cfg: ExperimentConfig):
     check_seed(cfg.seed)
     for m in cfg.methods:
         if m not in METHODS:
@@ -246,10 +246,7 @@ def _validate(cfg: ExperimentConfig, base_dir: Path | None):
         except OracleError as ex:
             raise ConfigError(f"bad gmm task: {ex}") from None
     if cfg.task_kind == "mnist":
-        p = Path(cfg.task_path) if cfg.task_path else None
-        if base_dir is not None and p is not None and not p.is_absolute():
-            p = base_dir / p
-        if p is None or not p.exists():
+        if not (cfg.task_path and Path(cfg.task_path).exists()):
             raise ConfigError(f"mnist path does not exist: {cfg.task_path}")
 
 

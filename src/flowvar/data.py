@@ -18,6 +18,7 @@ its epoch whole (see ``GmmTask.pair_batches``).
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,9 +59,10 @@ class IdxTensor:
     payload: bytes
 
     def __post_init__(self):
-        if int(np.prod(self.dims, dtype=np.int64)) != len(self.payload):
-            raise DataError("size mismatch: dims "
-                            f"{self.dims} imply {int(np.prod(self.dims))} "
+        # the exact product: fixed-width integers would wrap
+        size = math.prod(self.dims)
+        if size != len(self.payload):
+            raise DataError(f"size mismatch: dims {self.dims} imply {size} "
                             f"bytes, got {len(self.payload)}")
 
 
@@ -77,7 +79,7 @@ def parse_idx(data: bytes) -> IdxTensor:
     if len(data) < header_end:
         raise DataError("truncated IDX header: dimension fields cut short")
     dims = struct.unpack(f">{ndim}I", data[4:header_end])
-    expected = int(np.prod(dims, dtype=np.int64))
+    expected = math.prod(dims)
     payload = data[header_end:]
     if len(payload) != expected:
         raise DataError(f"size mismatch: expected {expected} payload bytes, "
@@ -244,7 +246,7 @@ class MnistTask(_RenderedTask):
 
     side = 8
 
-    def __init__(self, path, subsample: int = 2048):
+    def __init__(self, path, subsample: int):
         raw = parse_idx(Path(path).read_bytes())
         if raw.magic != IDX_IMAGES or len(raw.dims) != 3:
             raise DataError("not an IDX image file")

@@ -13,7 +13,10 @@ reported as missing rather than silently coerced to zero; degenerate late-t
 baseline maps then show up as gaps in the tables instead of fake zeros.
 ``consistency_protocol`` runs each method once per sample, in sample order,
 then scores the cell's maps as one batch; ``spearman`` and ``hitrate_at_k``
-are the one-row case of the same rank, centre and top-K helpers.
+are the one-row case of the same rank, centre and top-K helpers. Its
+``sample_spearman`` column is the one sample-level score: at
+``noise_level = 0`` it ranks each method's scalar against the clean-data
+error of the reference posterior mean.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ __all__ = [
     "hitrate_at_k",
     "corrupt",
     "consistency_protocol",
-    "error_correlation",
     "tweedie_method",
     "one_step_method",
     "ensemble_method",
@@ -314,27 +316,3 @@ def consistency_protocol(reference, methods, task, t_grid, noise_level: float,
             ))
     return rows
 
-
-def error_correlation(reference, methods, task, t: float, n_samples: int,
-                      rng: RngState):
-    """Sample-level Spearman between each method's scalar score and the
-    squared prediction error of the reference posterior mean, on clean data.
-    """
-    if n_samples < 8:
-        raise MetricsError("need at least 8 samples")
-    x0s, x1s = task.sample_pairs(rng.split(0), n_samples)
-    xts = t * x1s + (1.0 - t) * x0s
-    vhat = np.atleast_2d(reference.velocity(xts, t))
-    x1_hat = posterior_mean_from_velocity(xts, t, vhat)
-    err_scalars = ((x1_hat - x1s) ** 2).sum(axis=1)
-
-    out = {}
-    for mi, (name, method) in enumerate(methods.items()):
-        method_rngs = rng.split(100 + mi).split_many(range(n_samples))
-        scalars = [method(xts[i], t, method_rngs[i])[1]
-                   for i in range(n_samples)]
-        try:
-            out[name] = spearman(scalars, err_scalars)
-        except MetricsError:
-            out[name] = None
-    return out

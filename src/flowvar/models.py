@@ -364,9 +364,6 @@ class MlpVelocity:
         out, _ = self.forward_cache(x, t, dropout_rng)
         return out[0] if np.ndim(x) < 2 and out.shape[0] == 1 else out
 
-    def __call__(self, x, t) -> np.ndarray:
-        return self.velocity(x, t)
-
     def backward(self, cache, dout: np.ndarray, out: np.ndarray | None = None,
                  *, bufs: StepBuffers | None = None):
         """Parameter gradients for sum(dout * output); returns (dWs, dbs).

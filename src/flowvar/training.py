@@ -356,22 +356,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def train_jobs(task, jobs, workers: int | None = None) -> list:
+def train_jobs(task, jobs) -> list:
     """Train every job on ``task``; (model, report) pairs in job order.
 
     The results are bit-identical to ``run_job`` on each job in turn, and so
-    is the error raised: the one the first failing job raises. ``workers``
-    defaults to ``min(len(jobs), usable CPUs)`` and never exceeds the job
-    count. One worker trains in this process; more hand the jobs to worker
-    processes that start on first use, are reused by later calls and stop
-    when the interpreter exits.
+    is the error raised: the one the first failing job raises. The jobs run
+    on ``min(len(jobs), usable CPUs)`` workers. One worker trains in this
+    process; more hand the jobs to worker processes that start on first use,
+    are reused by later calls and stop when the interpreter exits.
     """
     jobs = list(jobs)
-    if workers is None:
-        workers = _usable_cpus()
-    if workers < 1:
-        raise TrainingError(f"need at least one worker, got {workers}")
-    workers = min(workers, len(jobs))
+    workers = min(_usable_cpus(), len(jobs))
     if workers <= 1:
         return [run_job(task, job) for job in jobs]
     from . import _workers  # loads subprocess only when a pool is used

@@ -6,9 +6,12 @@ function of the velocity Jacobian,
 
     Cov(x1 | xt) = (1-t)^2/t * [I + (1-t) J_v(xt, t)],
 
-so the trace (scalar uncertainty U) needs only the divergence of the velocity
-field, and the divergence plus the Jacobian diagonal come from a handful of
-Hutchinson probes. No sampling, no ensembles, no extra training.
+so the per-pixel variances need only the Jacobian diagonal, and their sum
+(the scalar uncertainty U) only its trace, the divergence. Both come from a
+handful of Hutchinson probes, each one JVP of a field handle (``ModelField``
+or ``AnalyticField``). No sampling, no ensembles, no extra training.
+``one_step_cov`` runs the same pipeline on a generator input at a small time
+epsilon.
 
 Estimates carry both raw and floored values: a trained field's Jacobian can
 produce slightly negative variances, and the sign of those entries is a
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelField
 from .numerics import (ProbeSet, RngState, draw_rademacher_many,
                        hutchinson_diagonal)
 from .oracle import check_interior_time, check_unit_time
@@ -39,7 +41,6 @@ __all__ = [
 ]
 
 FULL_COV_DIM_LIMIT = 64
-DEFAULT_EPSILON = 1e-2
 
 
 class UqError(ValueError):
@@ -80,8 +81,9 @@ class PosteriorEstimate:
 
     ``u`` and ``diag`` are floored at zero; the raw values are kept alongside
     because negative mass diagnoses the gap between the trained field and the
-    population optimum. ``full`` (when materialized) stays unfloored, with the
-    smallest eigenvalue of its symmetric part reported rather than clipped.
+    population optimum. ``full`` (when materialized) stays unfloored.
+    ``probe_seed`` is the stream the probes were drawn from, so an estimate
+    can be recomputed.
     """
 
     t: float
@@ -89,11 +91,9 @@ class PosteriorEstimate:
     diag: np.ndarray
     u_raw: float
     diag_raw: np.ndarray
-    divergence: float
     floored: bool
     probe_seed: RngState | None
     full: np.ndarray | None = None
-    min_eigenvalue: float | None = None
 
     @property
     def dim(self) -> int:
@@ -120,22 +120,16 @@ class UncertaintyMapSeries:
         return tuple(e for _, e in self.entries)
 
 
-def _as_field(field):
-    # accept a bare model where a counting handle was not needed
-    return field if hasattr(field, "jvp") else ModelField(field)
-
-
 def cov_closed_form(field, xt, t: float, probes: ProbeSet,
                     materialize_full: bool = False) -> PosteriorEstimate:
     """Posterior covariance statistics from velocity-Jacobian probes.
 
-    The divergence and Jacobian diagonal are Hutchinson estimates on the
-    shared ``probes`` (exact when the probes enumerate all sign vectors), so
-    the scalar u equals the diagonal sum identically. ``materialize_full``
-    additionally assembles the exact d x d covariance from d basis-vector
-    JVPs; it is refused above dimension 64.
+    ``field`` is a handle with ``jvp(x, t, u)``. The Jacobian diagonal is a
+    Hutchinson estimate on ``probes`` (exact when the probes enumerate all
+    sign vectors), and the scalar u is the sum of the diagonal.
+    ``materialize_full`` additionally assembles the exact d x d covariance
+    from d basis-vector JVPs; it is refused above dimension 64.
     """
-    field = _as_field(field)
     t = check_interior_time(t)
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
     d = xt.shape[0]
@@ -144,22 +138,20 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
     if probes.dim != d:
         raise UqError(f"probe dimension mismatch: {probes.dim} != {d}")
 
-    # the ufunc reductions behind ndarray.sum and np.any, without their
-    # Python wrappers
     jdiag = hutchinson_diagonal(lambda u: field.jvp(xt, t, u), probes)
-    div = float(np.add.reduce(jdiag))
 
     pref = (1.0 - t) ** 2 / t
     diag_raw = (1.0 - t) * jdiag
     diag_raw += 1.0
     diag_raw *= pref
+    # the ufunc reductions behind ndarray.sum and np.any, without their
+    # Python wrappers
     u_raw = float(np.add.reduce(diag_raw))
     floored = bool(np.logical_or.reduce(diag_raw < 0.0))
     diag = np.maximum(diag_raw, 0.0)
     u = max(u_raw, 0.0)
 
     full = None
-    min_eig = None
     if materialize_full:
         if d > FULL_COV_DIM_LIMIT:
             raise UqError(
@@ -168,17 +160,15 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
         basis = np.atleast_2d(field.jvp(xt, t, np.eye(d)))
         jac = basis.T
         full = pref * (np.eye(d) + (1.0 - t) * jac)
-        min_eig = float(np.linalg.eigvalsh(0.5 * (full + full.T)).min())
 
     return PosteriorEstimate(
         t=t, u=u, diag=diag, u_raw=u_raw, diag_raw=diag_raw,
-        divergence=div, floored=floored, probe_seed=probes.seed,
-        full=full, min_eigenvalue=min_eig,
+        floored=floored, probe_seed=probes.seed, full=full,
     )
 
 
-def one_step_cov(field, x0, epsilon: float = DEFAULT_EPSILON,
-                 probes: ProbeSet = None) -> PosteriorEstimate:
+def one_step_cov(field, x0, epsilon: float,
+                 probes: ProbeSet) -> PosteriorEstimate:
     """Uncertainty of a one-step (average-velocity) generator.
 
     Evaluates the same covariance pipeline on the generator input x0 at a

@@ -67,7 +67,8 @@ def gmm_ensemble(gmm_models):
 @pytest.fixture(scope="session")
 def hetero_gmm_task():
     # one tight and one wide component: cross-sample uncertainty actually
-    # varies, which is what the error-correlation protocol measures
+    # varies, which is what the sample-level score (consistency_protocol's
+    # sample_spearman on clean data) measures
     spec = GmmSpec(
         weights=np.array([0.5, 0.5]),
         means=np.array([[0.0, 0.0], [2.5, 0.0]]),

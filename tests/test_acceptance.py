@@ -14,8 +14,8 @@ from flowvar.baselines import ensemble_uq, mc_dropout_uq
 from flowvar.cli import main
 from flowvar.data import GmmTask, ImageTask
 from flowvar.metrics import (consistency_protocol, dropout_method,
-                             ensemble_method, error_correlation, hitrate_at_k,
-                             spearman, tweedie_method)
+                             ensemble_method, hitrate_at_k, spearman,
+                             tweedie_method)
 from flowvar.models import (EvalCounter, MlpArch, MlpVelocity, ModelField,
                             analytic_handle)
 from flowvar.numerics import RngState, draw_rademacher, exhaustive_sign_probes
@@ -328,9 +328,10 @@ def test_criterion_08_uncertainty_tracks_prediction_error(capsys, hetero_fm,
     model, _ = hetero_fm
     field = ModelField(model)
     methods = {"tweedie-fm": tweedie_method(field, 50)}
-    out = error_correlation(field, methods, hetero_gmm_task, 0.5, 64,
-                            RngState(7))
-    rho = out["tweedie-fm"]
+    # the protocol's sample-level score on clean data (noise level 0)
+    (row,) = consistency_protocol(field, methods, hetero_gmm_task, (0.5,),
+                                  0.0, RngState(7), n_samples=64)
+    rho = row.sample_spearman
     ok = rho is not None and rho > 0.2
     _verdict(capsys, 8, "error correlation", ok,
              f"sample spearman {rho:.3f} over 64 held-out samples "
@@ -460,14 +461,14 @@ def test_criterion_11_metric_reference_values(capsys):
         vals = rng.generator().standard_normal(xt.shape[0]) ** 2
         return vals, float(vals.sum())
 
-    null = error_correlation(field, {"noise": noise}, task, 0.5, 64,
-                             RngState(64))
-    checks.append(abs(null["noise"]) <= 0.35)
+    (null,) = consistency_protocol(field, {"noise": noise}, task, (0.5,),
+                                   0.0, RngState(64), n_samples=64)
+    checks.append(abs(null.sample_spearman) <= 0.35)
 
     ok = all(checks)
     _verdict(capsys, 11, "metric reference values", ok,
              f"{sum(checks)}/{len(checks)} pinned checks exact "
-             f"(null rho {null['noise']:.3f}, band 0.35)")
+             f"(null rho {null.sample_spearman:.3f}, band 0.35)")
     assert ok, checks
 
 

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import os
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -412,6 +413,19 @@ def test_unreadable_config_exits_one_with_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, err
         assert message in err and "Traceback" not in err
+
+
+def test_overflowing_idx_header_exits_one_with_one_line(tmp_path, capsys):
+    """IDX dims whose product is 2^64 do not wrap to an empty tensor."""
+    idx = tmp_path / "digits.idx"
+    idx.write_bytes(struct.pack(">IIII", 0x803, 2 ** 22, 2 ** 21, 2 ** 21))
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\nout = {tmp_path / 'out'}\n"
+                   f"[task]\nkind = mnist\npath = {idx}\n")
+    capsys.readouterr()
+    assert main(["train", "fm", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "size mismatch" in err[0], err
 
 
 def test_probe_block_bounds_are_checked_before_any_work(tmp_path, capsys):

@@ -119,7 +119,7 @@ def test_image_task_construction():
     assert parse_config("[task]\nkind = bars\nsigma = 0\n").task_kind == "bars"
 
 
-def test_mnist_path_checked_at_parse_time(tmp_path):
+def test_mnist_path_checked_at_parse_time(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="path does not exist"):
         parse_config("[task]\nkind = mnist\npath = /nonexistent/file\n")
     with pytest.raises(ConfigError, match="path"):
@@ -132,18 +132,23 @@ def test_mnist_path_checked_at_parse_time(tmp_path):
     cfg_file.write_text("[task]\nkind = mnist\npath = digits.idx\n")
     cfg = load_config(cfg_file)
     assert cfg.task_kind == "mnist"
+    # ... and the task opens that same file from any working directory
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert cfg.build_task().images.shape == (2, 64)
 
 
 def test_train_config_override_helpers():
     from flowvar.numerics import RngState
 
     cfg = parse_config("[experiment]\nseed = 9\n")
-    tc = cfg.train_config()
-    assert tc.objective == "fm"
-    one_step = cfg.train_config(objective="one-step")
+    tc = cfg.train_config(RngState(9), "fm")
+    assert tc == cfg.training
+    one_step = cfg.train_config(RngState(9), "one-step")
     assert one_step.objective == "one-step"
     assert one_step.epochs == tc.epochs
-    reseeded = cfg.train_config(seed=RngState(77))
+    reseeded = cfg.train_config(RngState(77), "fm")
     assert reseeded.seed.seed != tc.seed.seed
 
 

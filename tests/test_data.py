@@ -49,6 +49,13 @@ def test_idx_size_mismatch():
         parse_idx(raw)
     with pytest.raises(DataError, match="size mismatch"):
         IdxTensor(magic=IDX_LABELS, dims=(4,), payload=bytes(3))
+    # dims whose product is 2^64: a 64-bit product wraps to 0, which an
+    # empty payload would match
+    huge = (2 ** 22, 2 ** 21, 2 ** 21)
+    with pytest.raises(DataError, match="size mismatch"):
+        parse_idx(_image_bytes(huge, b""))
+    with pytest.raises(DataError, match="size mismatch"):
+        IdxTensor(magic=IDX_IMAGES, dims=huge, payload=b"")
 
 
 def test_idx_float_view_scales_to_unit_interval():
@@ -174,11 +181,11 @@ def test_mnist_task_rejects_wrong_container(tmp_path):
     path = tmp_path / "labels.idx"
     path.write_bytes(struct.pack(">II", IDX_LABELS, 3) + bytes(3))
     with pytest.raises(DataError, match="image"):
-        MnistTask(path)
+        MnistTask(path, 3)
     small = tmp_path / "small.idx"
     small.write_bytes(_image_bytes((2, 20, 20), bytes(800)))
     with pytest.raises(DataError, match="too small"):
-        MnistTask(small)
+        MnistTask(small, 2)
 
 
 def _reference_toy_images(kind, side, n, rng):
@@ -217,7 +224,7 @@ def _mnist_task(tmp_path):
                                              dtype=np.uint8)
     path = tmp_path / "digits.idx3-ubyte"
     path.write_bytes(_image_bytes((9, 28, 28), imgs.tobytes()))
-    return MnistTask(path)
+    return MnistTask(path, 9)
 
 
 _TASKS = {

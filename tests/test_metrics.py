@@ -12,8 +12,8 @@ import flowvar
 from flowvar.data import GmmTask, ImageTask
 from flowvar.metrics import (DEFAULT_HITRATE_PERCENT, ConsistencyRow,
                              MetricsError, _mean_or_none, _ranks,
-                             consistency_protocol, corrupt, error_correlation,
-                             hitrate_at_k, spearman)
+                             consistency_protocol, corrupt, hitrate_at_k,
+                             spearman)
 from flowvar.models import analytic_handle
 from flowvar.numerics import RngState
 from flowvar.oracle import GmmSpec
@@ -181,6 +181,7 @@ def test_protocol_shapes_and_missing_propagation():
     assert info.n_missing == 0
     assert -1.0 <= info.pixel_spearman <= 1.0
     assert 0.0 <= info.hitrate <= 1.0
+    assert -1.0 <= info.sample_spearman <= 1.0
     # the constant map has no pixel ranking and a constant scalar score
     flat = by_key[(0.3, "flat")]
     assert flat.pixel_spearman is None and flat.hitrate is None
@@ -332,16 +333,3 @@ def test_protocol_needs_samples():
         consistency_protocol(analytic_handle(spec), _stub_methods(2),
                              GmmTask(spec), (0.5,), 0.5, RngState(0),
                              n_samples=1)
-
-
-def test_error_correlation_scores_methods():
-    spec = GmmSpec.isotropic([[0.5, 0.0], [3.5, 0.0]], 0.15)
-    task = GmmTask(spec)
-    field = analytic_handle(spec)
-    out = error_correlation(field, _stub_methods(2), task, 0.5,
-                            n_samples=32, rng=RngState(2))
-    assert set(out) == {"informative", "flat"}
-    assert out["flat"] is None  # constant scores have no ranking
-    assert -1.0 <= out["informative"] <= 1.0
-    with pytest.raises(MetricsError, match="8"):
-        error_correlation(field, _stub_methods(2), task, 0.5, 4, RngState(0))

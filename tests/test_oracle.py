@@ -115,7 +115,7 @@ def _queries(spec, x, t, probes):
         posterior_mean_jacobian(spec, x, t),
         optimal_velocity_batch(spec, x, t),
         *(marginal_score(spec, xi, t) for xi in x),
-        est.diag_raw, est.full, est.min_eigenvalue,
+        est.diag_raw, est.full,
         *((gmm_posterior(spec, x[0], t).covariance,) if single else ()),
     )
 

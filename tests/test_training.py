@@ -353,7 +353,7 @@ def test_training_holds_one_epoch_sized_array():
     cfg = load_config("bars8")
     task = cfg.build_task()
     model = MlpVelocity.init(cfg.build_arch(task.dim), RngState(1))
-    tcfg = replace(cfg.train_config(), epochs=1)
+    tcfg = replace(cfg.training, epochs=1)
     assert (tcfg.pairs_per_epoch, tcfg.batch_size) == (8192, 128)
     tracemalloc.start()
     try:
@@ -389,14 +389,21 @@ def _same_training(pairs, ref_pairs):
             (rr.initial_loss, rr.epoch_losses, rr.notes)
 
 
+def _train_on(cpus, task, jobs):
+    """``train_jobs`` as it runs where ``cpus`` CPUs are usable."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_usable_cpus", lambda: cpus)
+        return train_jobs(task, jobs)
+
+
 def test_workers_train_the_bits_of_the_in_process_runner():
     task, jobs = default_gmm_task(), _mixed_jobs()
-    in_process = train_jobs(task, jobs, workers=1)
+    in_process = _train_on(1, task, jobs)
     _same_training(in_process, [run_job(task, job) for job in jobs])
-    _same_training(train_jobs(task, jobs, workers=2), in_process)
+    _same_training(_train_on(2, task, jobs), in_process)
     pids = _worker_pids()
     # a second call reuses the running workers
-    _same_training(train_jobs(task, jobs[::-1], workers=2), in_process[::-1])
+    _same_training(_train_on(2, task, jobs[::-1]), in_process[::-1])
     assert _worker_pids() == pids
 
 
@@ -408,11 +415,9 @@ def test_runner_starts_no_more_workers_than_jobs():
     _workers._POOL.close()
     assert _worker_pids() == []
     task = default_gmm_task()
-    assert train_jobs(task, [], workers=8) == []
-    assert train_jobs(task, _mixed_jobs()[:2], workers=8)
+    assert _train_on(8, task, []) == []
+    assert _train_on(8, task, _mixed_jobs()[:2])
     assert len(_worker_pids()) == 2
-    with pytest.raises(TrainingError, match="at least one worker"):
-        train_jobs(task, _mixed_jobs(), workers=0)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -420,7 +425,7 @@ def test_runner_starts_no_more_workers_than_jobs():
 def test_workers_run_one_blas_thread():
     """OpenBLAS starts its thread pool when numpy loads; a worker pinned to
     one BLAS thread has no thread beside its main one."""
-    train_jobs(default_gmm_task(), _mixed_jobs()[:2], workers=2)
+    _train_on(2, default_gmm_task(), _mixed_jobs()[:2])
     pids = _worker_pids()
     assert len(pids) >= 2
     for pid in pids:
@@ -435,7 +440,7 @@ def test_worker_training_error_keeps_message_and_partial_report():
     errors = []
     for workers in (1, 2):
         with pytest.raises(TrainingError) as exc:
-            train_jobs(task, jobs, workers=workers)
+            _train_on(workers, task, jobs)
         errors.append(exc.value)
     local, remote = errors
     assert type(remote) is TrainingError
@@ -447,20 +452,20 @@ def test_worker_training_error_keeps_message_and_partial_report():
                                         local.report.checksum)
     # the workers stay in use
     pids = _worker_pids()
-    _same_training(train_jobs(task, jobs[2:], workers=2),
-                   train_jobs(task, jobs[2:], workers=1))
+    _same_training(_train_on(2, task, jobs[2:]),
+                   _train_on(1, task, jobs[2:]))
     assert _worker_pids() == pids
 
 
 def test_worker_that_died_while_idle_is_replaced():
     task, jobs = default_gmm_task(), _mixed_jobs()[:2]
-    in_process = train_jobs(task, jobs, workers=1)
-    _same_training(train_jobs(task, jobs, workers=2), in_process)
+    in_process = _train_on(1, task, jobs)
+    _same_training(_train_on(2, task, jobs), in_process)
     pids = _worker_pids()
     dead = _workers._POOL._workers[0].proc
     dead.kill()
     dead.wait()
-    _same_training(train_jobs(task, jobs, workers=2), in_process)
+    _same_training(_train_on(2, task, jobs), in_process)
     assert len(_worker_pids()) == 2
     assert pids[0] not in _worker_pids() and pids[1] in _worker_pids()
 
@@ -475,8 +480,8 @@ def test_workers_ignore_a_flowvar_in_the_working_directory(tmp_path,
     monkeypatch.chdir(tmp_path)
     _workers._POOL.close()
     task, jobs = default_gmm_task(), _mixed_jobs()[:2]
-    _same_training(train_jobs(task, jobs, workers=2),
-                   train_jobs(task, jobs, workers=1))
+    _same_training(_train_on(2, task, jobs),
+                   _train_on(1, task, jobs))
 
 
 def test_killed_worker_raises_one_line_error():
@@ -499,7 +504,7 @@ def test_killed_worker_raises_one_line_error():
     t0 = time.monotonic()
     try:
         with pytest.raises(TrainingError, match="stopped during a job") as exc:
-            train_jobs(task, jobs, workers=2)
+            _train_on(2, task, jobs)
     finally:
         killer.join(timeout=60.0)
     assert not killer.is_alive()
@@ -507,8 +512,8 @@ def test_killed_worker_raises_one_line_error():
     assert "\n" not in str(exc.value)
     assert _worker_pids() == []
     small = _mixed_jobs()[:2]
-    _same_training(train_jobs(default_gmm_task(), small, workers=2),
-                   train_jobs(default_gmm_task(), small, workers=1))
+    _same_training(_train_on(2, default_gmm_task(), small),
+                   _train_on(1, default_gmm_task(), small))
 
 
 def test_unguarded_script_trains_an_ensemble_on_workers(tmp_path,

@@ -4,9 +4,9 @@ import pytest
 from flowvar.models import EvalCounter, ModelField, analytic_handle
 from flowvar.numerics import RngState, draw_rademacher, exhaustive_sign_probes
 from flowvar.oracle import GmmSpec, conditional_score, gmm_posterior
-from flowvar.uq import (DEFAULT_EPSILON, UqError, cov_closed_form,
-                        one_step_cov, posterior_mean_from_velocity,
-                        prior_baseline, shift_time_grid, trajectory_uq,
+from flowvar.uq import (UqError, cov_closed_form, one_step_cov,
+                        posterior_mean_from_velocity, prior_baseline,
+                        shift_time_grid, trajectory_uq,
                         tweedie_posterior_mean)
 
 
@@ -137,7 +137,6 @@ def test_one_step_epsilon_validation():
     for bad in (0.0, -0.01, 0.2, 1.0):
         with pytest.raises(UqError, match="epsilon"):
             one_step_cov(field, np.zeros(2), bad, probes)
-    assert DEFAULT_EPSILON == pytest.approx(1e-2)
 
 
 def test_one_step_counts_probe_forwards_only():

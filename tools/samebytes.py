@@ -7,10 +7,11 @@ fixed matrix of ``flowvar`` commands on that tree and on the working tree,
 at one BLAS thread each. The matrix covers small gmm, bars and blobs configs
 (blobs lists the methods in reverse) at master seed 5, and a 3-d gmm with 5
 probes at master seed 2^64 + 5, whose odd count of probe signs leaves half
-of a raw draw unused and whose seed takes three 32-bit entropy words. The
-bars config runs the presets' 50 MC-dropout passes, the others 6. Each
-config runs every subcommand, the ``uq --t`` variants and ``oracle-check``.
-It then compares
+of a raw draw unused and whose seed takes three 32-bit entropy words. An
+mnist config reads an IDX file of 32 seeded 28 x 28 images that the tool
+writes next to its ``config.ini``. The bars config runs the presets' 50
+MC-dropout passes, the others 6. Each config runs every subcommand, the
+``uq --t`` variants and ``oracle-check``. It then compares
 every CSV, PGM and ``.fvar`` file and the stdout (with the exit code) of each
 deterministic command. The ``*_summary.txt`` files and the stdout of
 ``train`` and ``cost`` hold wall-clock seconds and are not compared.
@@ -22,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -67,6 +70,14 @@ CONFIGS = {
              _METHODS, 5, 2**64 + 5, 6),
     "bars": ("kind = bars\nside = 8", _METHODS, 8, 5, 50),
     "blobs": ("kind = blobs\nside = 8", _METHODS[::-1], 8, 5, 6),
+    "mnist": ("kind = mnist\npath = digits.idx\nsubsample = 32", _METHODS, 8,
+              5, 6),
+}
+# files a config reads, written next to its config.ini: 32 seeded images
+# in an IDX container
+FILES = {
+    "mnist": {"digits.idx": struct.pack(">IIII", 0x803, 32, 28, 28)
+              + random.Random(0).randbytes(32 * 28 * 28)},
 }
 
 _UQ = ("tweedie", "onestep", "ensemble", "mc-dropout")
@@ -108,6 +119,8 @@ def run_matrix(src: Path, root: Path) -> None:
         (base / "stdout").mkdir(parents=True)
         ini = base / "config.ini"
         out = base / "run"
+        for file, data in FILES.get(name, {}).items():
+            (base / file).write_bytes(data)
         ini.write_text(_INI.format(task=task, methods=" ".join(methods),
                                    probes=probes, seed=seed, passes=passes),
                        encoding="utf-8")
