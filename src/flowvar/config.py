@@ -248,6 +248,9 @@ def _validate(cfg: ExperimentConfig):
     if cfg.task_kind == "mnist":
         if not (cfg.task_path and Path(cfg.task_path).exists()):
             raise ConfigError(f"mnist path does not exist: {cfg.task_path}")
+        if cfg.task_subsample < 1:
+            raise ConfigError(f"subsample must be positive, got "
+                              f"{cfg.task_subsample}")
 
 
 PRESETS = {

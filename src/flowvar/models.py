@@ -20,6 +20,13 @@ bits as :func:`time_features`; arrays of times and multi-row batches go
 through :func:`time_features`. A training step's forward and backward write
 their (batch, hidden) arrays into a :class:`StepBuffers` set made once per
 run.
+
+A batch-1 block of m tangents with m >= d, at d <= hidden, is formed as
+u @ J^T: the d basis tangents go through the cached pass (the first layer's
+product with I is its x-column weight view, copied) and J^T serves all m
+rows, for no more multiply-adds than the m-row pass. Per-row caches, blocks
+of fewer than d tangents and d > hidden propagate their own rows. The choice
+reads array shapes only; :class:`EvalCounter` counts m products either way.
 """
 from __future__ import annotations
 
@@ -408,6 +415,11 @@ class MlpVelocity:
         batch size) or many tangents against a single cached row (batch 1).
         Time is held fixed, so the first layer acts through its x columns
         only: the embedding block would contribute zero tangent.
+
+        A batch-1 cache with m >= dim tangents, at dim <= hidden, propagates
+        the dim basis tangents instead and returns u @ J^T, which never costs
+        more multiply-adds than propagating the m rows. Other blocks
+        propagate their own rows.
         """
         u2 = np.atleast_2d(np.asarray(u, dtype=np.float64))
         n = cache["inputs"][0].shape[0]
@@ -417,16 +429,29 @@ class MlpVelocity:
             raise ModelError(
                 f"tangent batch {u2.shape[0]} incompatible with cached batch {n}"
             )
+        dim = self.arch.dim
+        if n == 1 and u2.shape[0] >= dim and dim <= self.arch.hidden:
+            return u2 @ self._jacobian_t(cache)
+        return self._propagate(cache, u2 @ self._tangent_wt[0])
+
+    def _propagate(self, cache, du: np.ndarray) -> np.ndarray:
+        """Tangent rows after the first layer's product, through the rest of
+        the cached pass to the output."""
         act = self.arch.activation
         masks = cache["masks"]
         wt = self._tangent_wt
-        du = u2
         for i in range(self.arch.depth):
-            du = du @ wt[i]
+            if i > 0:
+                du = du @ wt[i]
             _scale_by_act_deriv(act, du, cache["pre"][i], cache["post"][i])
             if masks is not None:
                 du *= masks[i]
         return du @ wt[-1]
+
+    def _jacobian_t(self, cache) -> np.ndarray:
+        """J^T (d x d) of a batch-1 cache: row k is the tangent of e_k. The
+        first layer's product with I is its x-column weight view itself."""
+        return self._propagate(cache, self._tangent_wt[0].copy())
 
     def value_and_jvp(self, x, t, u):
         """Velocity and J_v u in one cached pass. x: (d,), u: (d,) or (m, d).
@@ -440,8 +465,9 @@ class MlpVelocity:
 
     def jacobian(self, x, t) -> np.ndarray:
         """Dense d x d velocity Jacobian from d basis tangents."""
-        _, ju = self.value_and_jvp(x, t, np.eye(self.arch.dim))
-        return ju.T
+        xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
+        _, cache = self.forward_cache(xv, t)
+        return self._jacobian_t(cache).T
 
 
 @dataclass
@@ -453,6 +479,10 @@ class EvalCounter:
     tangents counts as S: the single primal pass it shares is amortized
     across the batch and is not billed separately unless the caller actually
     consumes the primal value (value_and_jvp does, jvp does not).
+
+    jvps counts the tangent products delivered, not the rows propagated: a
+    batch-1 block of m >= d tangents (at d <= hidden) propagates d basis
+    rows and forms its m products from J^T, and still counts m.
     """
 
     forwards: int = 0

@@ -300,6 +300,11 @@ def test_missing_model_and_bad_flags_exit_one(tmp_path, capsys):
     ("uq", "t_grid = 1e400", "must lie in [0, 1], got inf"),
     ("uq", "t_grid = nan", "must lie in [0, 1], got nan"),
     ("uq", "t_grid =", "time grid is empty"),
+    # the path is the config file itself, so only the subsample is refused
+    ("task", "kind = mnist\npath = bad.ini\nsubsample = 0",
+     "subsample must be positive, got 0"),
+    ("task", "kind = mnist\npath = bad.ini\nsubsample = -1",
+     "subsample must be positive, got -1"),
 ])
 def test_bad_config_value_exits_one_before_any_output(tmp_path, capsys,
                                                       section, setting,
@@ -368,6 +373,10 @@ _CASES = (st.tuples(_CONFIGS.map(_ini) | st.binary(max_size=80),
                ["oracle-check"]))
 # the clock frequencies overflowed: RuntimeWarnings, then exit 2
 @example(case=(b"[model]\nn_freq = 1100\n", ["train", "fm"]))
+# an mnist subsample of 0 ended in a worker's traceback, and -1 trained on
+# all but the last image
+@example(case=(b"[task]\nkind = mnist\npath = hostile.ini\nsubsample = 0\n",
+               ["train", "fm"]))
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_hostile_config_exits_cleanly(case):

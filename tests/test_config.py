@@ -74,6 +74,12 @@ def test_value_validation():
         parse_config("[methods]\ndropout_passes = 1\n")
     with pytest.raises(ConfigError, match="dropout rate"):
         parse_config("[methods]\ndropout_rate = 1.5\n")
+    # an existing path, so only the subsample is refused
+    for value in (0, -1):
+        with pytest.raises(ConfigError,
+                           match=f"subsample must be positive, got {value}"):
+            parse_config(f"[task]\nkind = mnist\npath = {__file__}\n"
+                         f"subsample = {value}\n")
 
 
 @pytest.mark.parametrize("section, key, top", [

@@ -108,21 +108,43 @@ def _padded_tangent(model, cache, u):
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 def test_x_column_first_layer_is_the_zero_padded_pass(dim, n_freq, activation,
                                                       dropout):
-    m = _model(dim=dim, n_freq=n_freq, activation=activation,
-               dropout=dropout)
-    m.weights[-1][:] = RngState(20).generator().standard_normal(
-        m.weights[-1].shape)
+    def model(hidden):
+        m = _model(dim=dim, hidden=hidden, n_freq=n_freq,
+                   activation=activation, dropout=dropout)
+        m.weights[-1][:] = RngState(20).generator().standard_normal(
+            m.weights[-1].shape)
+        return m
+
     g = RngState(5).generator()
     rng = RngState(9) if dropout else None
-    # a batch-1 cache against 64 tangents, and a per-row cache against one
-    # tangent per row
-    x1, u1 = g.standard_normal((1, dim)), g.choice([-1.0, 1.0], (64, dim))
+    x1, t1 = g.standard_normal((1, dim)), 0.4
+    signs = g.choice([-1.0, 1.0], (dim + 50, dim))
     xs, us = g.standard_normal((16, dim)), g.standard_normal((16, dim))
-    for x, t, u in ((x1, 0.4, u1), (xs, g.uniform(0.01, 0.99, 16), us)):
+    wide = model(128)
+    # the m-row pass, bit for bit: a per-row cache against one tangent per
+    # row, a batch-1 cache against fewer than d tangents, and d > hidden
+    blocks = [(wide, xs, g.uniform(0.01, 0.99, 16), us),
+              (wide, x1, t1, signs[:dim - 1])]
+    if dim > 1:
+        blocks.append((model(dim - 1), x1, t1, signs))
+    for m, x, t, u in blocks:
         _, cache = m.forward_cache(x, t, rng)
         assert (cache["masks"] is None) == (not dropout)
         assert np.array_equal(m.tangent(cache, u),
                               _padded_tangent(m, cache, u))
+    # a batch-1 cache against m >= d tangents, at d <= hidden, is u @ J^T
+    jac = wide.jacobian(x1, t1)
+    for u in (signs[:dim], signs):
+        for r in (None, rng):
+            _, cache = wide.forward_cache(x1, t1, r)
+            ju = wide.tangent(cache, u)
+            if r is None:
+                assert np.array_equal(ju, u @ jac.T)
+            ref = _padded_tangent(wide, cache, u)
+            assert np.abs(ju - ref).max() <= 1e-13 * np.abs(ref).max()
+    field = ModelField(wide)
+    field.jvp(x1[0], t1, signs)
+    assert field.counter.jvps == dim + 50
 
 
 def test_arch_validation():
