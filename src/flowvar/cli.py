@@ -118,7 +118,11 @@ def _make_out(cfg: ExperimentConfig) -> None:
     """Create the output directory. Each subcommand calls this once its
     flags and models have passed their checks, so a refused run leaves
     nothing behind."""
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    except OSError as ex:  # a file at the path or above it, or no permission
+        raise ConfigError(f"cannot make output directory {cfg.out}: "
+                          f"{ex.strerror}") from None
 
 
 def _model_path(cfg: ExperimentConfig, name: str) -> Path:

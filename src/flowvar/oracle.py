@@ -293,10 +293,14 @@ def _add_derivatives(terms: _Terms, chols, gains) -> None:
     for j in range(chols.shape[0]):
         comp_scores[j] = -np.linalg.solve(chols[j].T, terms.white[j]).T
     resp = terms.resp
-    terms.score = np.einsum("nk,knd->nd", resp, comp_scores)
-    jac = np.einsum("nk,kde->nde", resp, gains)
-    jac += np.einsum("nk,knd,kne->nde", resp, terms.comp_means, comp_scores)
-    jac -= np.einsum("nd,ne->nde", terms.mean, terms.score)
+    # huge means overflow these to inf or nan without a warning; the
+    # oracle check's finite test reports that on one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms.score = np.einsum("nk,knd->nd", resp, comp_scores)
+        jac = np.einsum("nk,kde->nde", resp, gains)
+        jac += np.einsum("nk,knd,kne->nde", resp, terms.comp_means,
+                         comp_scores)
+        jac -= np.einsum("nd,ne->nde", terms.mean, terms.score)
     terms.jac = jac
 
 

@@ -12,9 +12,10 @@ epoch, so the run is fully determined by (task, config, initial parameters).
 
 A run holds one batch of pairs at a time: each epoch's pairs come from the
 task's ``pair_batches`` stream, with the bits of ``sample_pairs`` over the
-epoch, and the step's hidden-layer arrays live in one ``StepBuffers`` set
-made per run. The one epoch-sized array is epoch 0's x1 - x0, from which a
-fresh model's initial loss is taken (see ``_initial_loss``).
+epoch, the fm times are drawn batch by batch from one generator, and the
+step's hidden-layer arrays live in one ``StepBuffers`` set made per run.
+The initial loss is one running total of batch sums (see
+``_initial_loss``), so no array of the epoch's size is kept.
 
 ``train_jobs`` trains a list of such runs, each a ``TrainJob``, in-process or
 on reusable worker processes (``flowvar._workers``), with the same bits either
@@ -50,9 +51,9 @@ __all__ = [
 # training samples t uniformly but keeps clear of the interpolant endpoints,
 # where the downstream covariance formulas are singular
 T_CLAMP = (1e-3, 1.0 - 1e-3)
-# the longest run and the largest epoch and batch: epoch 0 keeps one
-# (pairs_per_epoch, d) array, and a step's buffers hold (batch_size, hidden)
-# per layer
+# the longest run and the largest epoch and batch: an epoch draws its
+# task's per-pair integers (and the gmm task its pairs) whole, and a step's
+# buffers hold (batch_size, hidden) per layer
 MAX_EPOCHS = 10_000
 MAX_PAIRS_PER_EPOCH = 1 << 18
 MAX_BATCH_SIZE = 4096
@@ -131,7 +132,9 @@ def _batch_loss_and_grads(model, x0, x1, t, dropout_rng=None, grad=None,
                                        dropout_rng, bufs=bufs)
     resid -= x1 - x0
     n = x0.shape[0]
-    loss = float((resid * resid).sum() / n)
+    # an overflow gives a non-finite loss, reported below on one line
+    with np.errstate(over="ignore"):
+        loss = float((resid * resid).sum() / n)
     if not np.isfinite(loss):
         raise TrainingError("non-finite loss")
     resid *= 2.0 / n
@@ -201,65 +204,65 @@ def _lr_at(config: TrainConfig, step: int, total_steps: int) -> float:
     return config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
 
 
-def _initial_loss(model, task, rng, t, n: int, batch: int):
+def _epoch_batches(task, ep: RngState, config: TrainConfig):
+    """Epoch ``ep``'s (x0, x1, t) batches: the pairs of
+    ``task.pair_batches(ep.split(0), n, batch)`` and, for the fm objective,
+    each batch's times, drawn in turn from one ``ep.split(1)`` generator and
+    clipped to ``T_CLAMP`` (None for one-step). The times have the bits of
+    one ``uniform(size=n)`` draw over the epoch."""
+    times = ep.split(1).generator() if config.objective == "fm" else None
+    for x0, x1 in task.pair_batches(ep.split(0), config.pairs_per_epoch,
+                                    config.batch_size):
+        t = None
+        if times is not None:
+            t = np.clip(times.uniform(size=x0.shape[0]), *T_CLAMP)
+        yield x0, x1, t
+
+
+def _square_sum(a: np.ndarray) -> float:
+    """``sum(a**2)`` of one batch-sized array, squaring it in place; an
+    overflow gives inf, which the step's finite check reports."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.square(a, out=a)))
+
+
+def _initial_loss(model, task, ep: RngState, config: TrainConfig):
     """Pre-training reference: the dropout-free mean squared residual over
-    epoch 0's pairs (``task.pair_batches(rng, n, batch)``), or None when
+    epoch 0's batches (``_epoch_batches(task, ep, config)``), or None when
     ``train`` takes it from the epoch-0 steps.
 
-    A model whose output head (last weights and bias) is all zero, as every
-    ``MlpVelocity.init`` model's is, outputs exactly 0, so the residual is
-    x0 - x1 and the loss is ``sum((x1 - x0)**2) / n`` to the bit, with no
-    forward. ``train`` writes each epoch-0 batch's x1 - x0 into one (n, d)
-    array as its steps draw them and reduces it after them, so the epoch is
-    drawn once. Any other model streams epoch 0 through ``_chunked_loss``
-    before the first step.
+    The loss is a running total of the batches' ``_square_sum``s, added in
+    batch order, over the pair count. A model whose output head (last
+    weights and bias) is all zero, as every ``MlpVelocity.init`` model's
+    is, outputs exactly 0, so each batch's residual is x0 - x1 and its sum
+    is that of (x1 - x0)**2 to the bit, with no forward: ``train`` adds
+    those as its epoch-0 steps draw the batches. Any other model streams
+    epoch 0 through ``_chunked_loss`` before the first step.
     """
     if model.weights[-1].any() or model.biases[-1].any():
-        return _chunked_loss(model, task, rng, t, n, batch)
+        return _chunked_loss(model, _epoch_batches(task, ep, config),
+                             config.pairs_per_epoch)
     return None
 
 
-def _sum_of_squares_mean(diff: np.ndarray) -> float:
-    """``sum(diff**2) / rows``, squaring in place."""
-    return float(np.sum(np.square(diff, out=diff)) / diff.shape[0])
+def _chunked_loss(model, batches, n: int) -> float:
+    """The dropout-free mean squared residual over ``batches``' n pairs,
+    evaluated and summed batch by batch."""
+    total = 0.0
+    for x0, x1, t in batches:
+        out = model.velocity(*_regression_input(x0, x1, t))
+        out -= x1 - x0
+        total += _square_sum(out)
+    return total / n
 
 
-def _recording_diffs(pairs, diff: np.ndarray):
-    """``pairs``, writing each batch's x1 - x0 into its rows of ``diff``."""
-    lo = 0
-    for x0, x1 in pairs:
-        np.subtract(x1, x0, out=diff[lo:lo + x0.shape[0]])
-        lo += x0.shape[0]
-        yield x0, x1
-
-
-def _fresh_initial_loss(pairs, diff: np.ndarray) -> float:
-    """A fresh model's initial loss from a ``_recording_diffs`` stream,
-    drawing the batches the steps did not (after a divergence)."""
-    for _ in pairs:
-        pass
-    return _sum_of_squares_mean(diff)
-
-
-def _chunked_loss(model, task, rng, t, n: int, batch: int) -> float:
-    """The dropout-free mean squared residual over the pairs of
-    ``task.pair_batches(rng, n, batch)``, evaluated batch by batch into one
-    output.
-
-    The bits equal those of one call over the epoch wherever the BLAS gives
-    each GEMM row the same bits at any row count. OpenBLAS does at d = 64;
-    at d <= 8 its small-matrix kernels may not, which can move a non-zero
-    head's loss by an ulp.
-    """
-    out = np.empty((n, task.dim))
-    lo = 0
-    for x0, x1 in task.pair_batches(rng, n, batch):
-        sl = slice(lo, lo + x0.shape[0])
-        out[sl] = model.velocity(
-            *_regression_input(x0, x1, None if t is None else t[sl]))
-        out[sl] -= x1 - x0
-        lo = sl.stop
-    return _sum_of_squares_mean(out)
+def _drained_loss(batches, total: float, n: int) -> float:
+    """A fresh model's initial loss from the running ``total`` of the
+    batches its steps drew, adding those they did not (after a
+    divergence)."""
+    for x0, x1, _ in batches:
+        total += _square_sum(x1 - x0)
+    return total / n
 
 
 def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
@@ -282,31 +285,25 @@ def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
     use_dropout = model.arch.dropout > 0.0
 
     epoch_losses = []
-    initial_loss = diff = None
+    initial_loss = total = None
     step = 0
     for epoch in range(config.epochs):
         ep = config.seed.split(epoch)
-        t_all = None
-        if config.objective == "fm":
-            t_all = ep.split(1).generator().uniform(size=n)
-            t_all = np.clip(t_all, T_CLAMP[0], T_CLAMP[1])
-        pairs = task.pair_batches(ep.split(0), n, batch)
+        batches = _epoch_batches(task, ep, config)
         if epoch == 0:
-            initial_loss = _initial_loss(model, task, ep.split(0), t_all, n,
-                                         batch)
+            initial_loss = _initial_loss(model, task, ep, config)
             if initial_loss is None:
-                diff = np.empty((n, task.dim))
-                pairs = _recording_diffs(pairs, diff)
+                total = 0.0  # a fresh model's: epoch 0's batch sums, in order
         losses = []
-        for k, (x0, x1) in enumerate(pairs):
+        for k, (x0, x1, t) in enumerate(batches):
+            if total is not None:
+                total += _square_sum(x1 - x0)
             drop = ep.split(2 + k) if use_dropout else None
-            loss, _, _ = _batch_loss_and_grads(
-                model, x0, x1,
-                None if t_all is None else t_all[k * batch:(k + 1) * batch],
-                drop, grad, bufs)
+            loss, _, _ = _batch_loss_and_grads(model, x0, x1, t, drop, grad,
+                                               bufs)
             if loss > 1e6:
-                if diff is not None:
-                    initial_loss = _fresh_initial_loss(pairs, diff)
+                if total is not None:
+                    initial_loss = _drained_loss(batches, total, n)
                 partial = TrainReport(tuple(epoch_losses), initial_loss,
                                       time.perf_counter() - t0, model.checksum())
                 raise TrainingError(
@@ -316,9 +313,9 @@ def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
             opt.step(params, grad, _lr_at(config, step, total_steps))
             losses.append(loss)
             step += 1
-        if diff is not None:
-            initial_loss = _fresh_initial_loss(pairs, diff)
-            diff = None
+        if total is not None:
+            initial_loss = total / n
+            total = None
         epoch_losses.append(float(np.mean(losses)))
 
     notes = ()

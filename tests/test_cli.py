@@ -3,6 +3,8 @@ import dataclasses
 import io
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -509,6 +511,49 @@ def test_uq_onestep_rejects_t(workspace, capsys):
     assert main(["uq", "onestep", "--config", str(ini), "--t", "0.5"]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: --t does not apply to onestep: it reads x0 at t = epsilon"]
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_out_that_cannot_be_a_directory_exits_one_with_one_line(
+        tmp_path, capsys, nested):
+    """An output directory naming a file (given by --out), or a path under
+    one (given by [experiment] out), is refused on one line and leaves the
+    file as it was."""
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / "run" if nested else taken
+    ini = tmp_path / "f.ini"
+    ini.write_text(FAST_INI.format(out=out if nested else tmp_path / "unused"))
+    flag = [] if nested else ["--out", str(out)]
+    capsys.readouterr()
+    assert main(["train", "fm", "--config", str(ini), *flag]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"error: cannot make output directory {out}: "), err
+    assert taken.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("argv, means, message", [
+    (["train", "fm"], "1e200 0 ; 3.5 0", "runtime failure: non-finite loss"),
+    (["oracle-check"], "1e308 0 ; 3.5 0",
+     "runtime failure: relative Frobenius error at t="),
+])
+def test_overflowing_means_fail_with_one_stderr_line(tmp_path, argv, means,
+                                                     message):
+    """Means that overflow the training loss or the oracle's derivatives end
+    the run on its failure line, with no warning before it from this process
+    or a training worker."""
+    ini = tmp_path / "huge.ini"
+    ini.write_text(FAST_INI.format(out=tmp_path / "run").replace(
+        "means = 0.5 0 ; 3.5 0", f"means = {means}"))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowvar.cli", *argv, "--config", str(ini)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
 
 
 def test_oracle_check_rejects_image_task(tmp_path, capsys):

@@ -107,10 +107,14 @@ def test_one_step_loss_runs_at_time_zero():
 def test_divergence_aborts_with_partial_report():
     task = default_gmm_task()
     model = MlpVelocity.init(MlpArch(dim=2), RngState(1))
-    with pytest.raises(TrainingError) as exc:
+    with pytest.raises(TrainingError, match="at epoch 0") as exc:
         train(model, task, _tiny_config(epochs=10, learning_rate=1e8))
     assert exc.value.report is not None
     assert len(exc.value.report.epoch_losses) < 10
+    # the initial loss still covers all of epoch 0, as without a divergence
+    fresh = MlpVelocity.init(MlpArch(dim=2), RngState(1))
+    assert exc.value.report.initial_loss == train(
+        fresh, task, _tiny_config(epochs=1, learning_rate=0.0)).initial_loss
 
 
 def test_ensemble_members_are_distinct(gmm_ensemble):
@@ -196,15 +200,25 @@ def reference_backward(self, cache, dout, out=None, *, bufs=None):
     return d_ws, d_bs
 
 
-def reference_initial_loss(model, task, rng, t, n, batch):
-    """The pre-training loss from one velocity call over the whole epoch."""
-    x0, x1 = task.sample_pairs(rng, n)
-    if t is None:
-        out = model.velocity(x0, 0.0)
-    else:
+def reference_initial_loss(model, task, ep, config):
+    """The pre-training loss from one velocity call over the whole epoch,
+    with its times from one draw, summed in batch-sized blocks in order.
+    A non-zero head gets the bits of per-batch calls only where the BLAS
+    gives each GEMM row the same bits at any row count, as OpenBLAS does
+    at d = 64."""
+    n, batch = config.pairs_per_epoch, config.batch_size
+    x0, x1 = task.sample_pairs(ep.split(0), n)
+    if config.objective == "fm":
+        t = np.clip(ep.split(1).generator().uniform(size=n), *training.T_CLAMP)
         tc = t[:, None]
         out = model.velocity(tc * x1 + (1.0 - tc) * x0, t)
-    return float(np.sum((out - (x1 - x0)) ** 2) / x0.shape[0])
+    else:
+        out = model.velocity(x0, 0.0)
+    sq = (out - (x1 - x0)) ** 2
+    total = 0.0
+    for lo in range(0, n, batch):
+        total += float(np.sum(sq[lo:lo + batch]))
+    return total / n
 
 
 def counted(calls, name, fn):
@@ -327,34 +341,55 @@ def test_fresh_model_initial_loss_skips_the_forward(dim, objective, dropout,
     cfg = _tiny_config(objective=objective, pairs_per_epoch=300)
     model = MlpVelocity.init(MlpArch(dim=dim, dropout=dropout), RngState(5))
     ep = cfg.seed.split(0)
-    epoch0 = (task, ep.split(0))
-    t = None
-    if objective == "fm":
-        t = np.clip(ep.split(1).generator().uniform(size=cfg.pairs_per_epoch),
-                    *training.T_CLAMP)
-    sizes = (t, cfg.pairs_per_epoch, cfg.batch_size)
-    chunked = training._chunked_loss(model, *epoch0, *sizes)
+
+    def chunked():
+        return training._chunked_loss(
+            model, training._epoch_batches(task, ep, cfg), cfg.pairs_per_epoch)
+
+    fresh = chunked()
     calls = {}
     monkeypatch.setattr(MlpVelocity, "velocity",
                         counted(calls, "velocity", MlpVelocity.velocity))
-    assert training._initial_loss(model, *epoch0, *sizes) is None
-    assert train(model, task, cfg).initial_loss == chunked
+    assert training._initial_loss(model, task, ep, cfg) is None
+    assert train(model, task, cfg).initial_loss == fresh
     assert calls["velocity"] == 0
     _nonzero_head(model)
-    assert training._initial_loss(model, *epoch0, *sizes) == \
-        training._chunked_loss(model, *epoch0, *sizes)
+    assert training._initial_loss(model, task, ep, cfg) == chunked()
     assert calls["velocity"] == 2 * -(-cfg.pairs_per_epoch // cfg.batch_size)
 
 
-def test_training_holds_one_epoch_sized_array():
-    """One bars8 epoch of 8192 pairs at the preset architecture traces under
-    8 MiB of new allocations: each of x0, x1 and x1 - x0 over the epoch
-    would take 4 MiB, and only the initial loss's x1 - x0 is kept whole."""
+@pytest.mark.parametrize("n,batch", [(8192, 128), (500, 64), (301, 7)])
+@pytest.mark.parametrize("objective", ["fm", "one-step"])
+def test_epoch_batches_have_the_bits_of_one_epoch_draw(n, batch, objective):
+    """Each batch's times, drawn in turn from one generator and clipped,
+    are the rows of one clipped draw over the epoch, short last batch
+    included; the pairs are ``sample_pairs``' rows."""
+    task = ImageTask("bars", 8)
+    cfg = _tiny_config(objective=objective, pairs_per_epoch=n,
+                       batch_size=batch)
+    ep = cfg.seed.split(0)
+    x0s, x1s, ts = zip(*training._epoch_batches(task, ep, cfg))
+    sizes = [len(x) for x in x0s]
+    assert sizes == [batch] * (n // batch) + ([n % batch] if n % batch else [])
+    x0, x1 = task.sample_pairs(ep.split(0), n)
+    assert np.array_equal(np.concatenate(x0s), x0)
+    assert np.array_equal(np.concatenate(x1s), x1)
+    if objective == "one-step":
+        assert ts == (None,) * len(sizes)
+        return
+    assert [len(t) for t in ts] == sizes
+    t = np.clip(ep.split(1).generator().uniform(size=n), *training.T_CLAMP)
+    assert np.array_equal(np.concatenate(ts), t)
+
+
+def _traced_epoch_mib(pairs):
+    """The tracemalloc peak, in MiB, of one bars8 epoch of ``pairs`` pairs
+    at the preset architecture and batch size."""
     cfg = load_config("bars8")
     task = cfg.build_task()
     model = MlpVelocity.init(cfg.build_arch(task.dim), RngState(1))
-    tcfg = replace(cfg.training, epochs=1)
-    assert (tcfg.pairs_per_epoch, tcfg.batch_size) == (8192, 128)
+    tcfg = replace(cfg.training, epochs=1, pairs_per_epoch=pairs)
+    assert tcfg.batch_size == 128
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -362,7 +397,16 @@ def test_training_holds_one_epoch_sized_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start < 8 * 2**20
+    return (peak - start) / 2**20
+
+
+def test_training_memory_stays_batch_sized():
+    """A bars8 epoch of 8192 pairs traces under 4 MiB, and 4 times the
+    pairs add under 1 MiB: one epoch-sized (pairs, 64) float64 array would
+    take 4 MiB at 8192 pairs and 16 MiB at 32768."""
+    small = _traced_epoch_mib(8192)
+    assert small < 4.0
+    assert _traced_epoch_mib(32768) - small < 1.0
 
 
 # ---- the runner --------------------------------------------------------------

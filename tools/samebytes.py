@@ -10,7 +10,9 @@ probes at master seed 2^64 + 5, whose odd count of probe signs leaves half
 of a raw draw unused and whose seed takes three 32-bit entropy words. An
 mnist config reads an IDX file of 32 seeded 28 x 28 images that the tool
 writes next to its ``config.ini``. The bars config runs the presets' 50
-MC-dropout passes, the others 6. Each config runs every subcommand, the
+MC-dropout passes, the others 6. Every config trains on 512 pairs per epoch
+in batches of 64 but bars500, a bars config on 500 pairs, whose epochs end
+in a short batch. Each config runs every subcommand, the
 ``uq --t`` variants and ``oracle-check``. It then compares
 every CSV, PGM and ``.fvar`` file and the stdout (with the exit code) of each
 deterministic command. The ``*_summary.txt`` files and the stdout of
@@ -46,7 +48,7 @@ hidden = 32
 
 [training]
 epochs = 2
-pairs_per_epoch = 512
+pairs_per_epoch = {pairs}
 batch_size = 64
 
 [uq]
@@ -69,10 +71,14 @@ CONFIGS = {
     "gmm3": ("kind = gmm\nmeans = 0.5 0 0 ; 3.5 0 1\nsigma = 0.15",
              _METHODS, 5, 2**64 + 5, 6),
     "bars": ("kind = bars\nside = 8", _METHODS, 8, 5, 50),
+    "bars500": ("kind = bars\nside = 8", _METHODS, 8, 5, 6),
     "blobs": ("kind = blobs\nside = 8", _METHODS[::-1], 8, 5, 6),
     "mnist": ("kind = mnist\npath = digits.idx\nsubsample = 32", _METHODS, 8,
               5, 6),
 }
+# pairs per epoch where not 512: 500 = 7 * 64 + 52, so each epoch ends in a
+# short batch, whose time draw and initial-loss sum are compared too
+PAIRS = {"bars500": 500}
 # files a config reads, written next to its config.ini: 32 seeded images
 # in an IDX container
 FILES = {
@@ -122,7 +128,8 @@ def run_matrix(src: Path, root: Path) -> None:
         for file, data in FILES.get(name, {}).items():
             (base / file).write_bytes(data)
         ini.write_text(_INI.format(task=task, methods=" ".join(methods),
-                                   probes=probes, seed=seed, passes=passes),
+                                   probes=probes, seed=seed, passes=passes,
+                                   pairs=PAIRS.get(name, 512)),
                        encoding="utf-8")
         for k, (argv, keep) in enumerate(MATRIX):
             _flowvar(src, argv, ini, out,
