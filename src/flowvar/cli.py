@@ -129,14 +129,20 @@ def _model_path(cfg: ExperimentConfig, name: str) -> Path:
     return cfg.out / f"model_{name}.fvar"
 
 
-def _require_model(cfg: ExperimentConfig, name: str) -> MlpVelocity:
+def _require_model(cfg: ExperimentConfig, name: str, dim: int) -> MlpVelocity:
+    """The saved model ``name``, refused unless it reads and maps the
+    task's dimension ``dim``."""
     path = _model_path(cfg, name)
     if not path.exists():
         raise ConfigError(f"model not found: {path}")
     try:
-        return load_model(path)
+        model = load_model(path)
     except ModelError as ex:  # a corrupt model is as unusable as a missing one
         raise ConfigError(f"{path}: {ex}") from None
+    if model.arch.dim != dim:
+        raise ConfigError(f"{path}: model dim {model.arch.dim} != task dim "
+                          f"{dim}")
+    return model
 
 
 def _master(cfg: ExperimentConfig) -> RngState:
@@ -177,9 +183,9 @@ def _train_methods(cfg: ExperimentConfig, task, methods) -> list:
     return trained
 
 
-def _load_fields(cfg: ExperimentConfig, m: Method):
-    """The saved model(s) of ``m`` as velocity fields."""
-    models = [_require_model(cfg, stem) for stem, _ in _members(cfg, m)]
+def _load_fields(cfg: ExperimentConfig, m: Method, dim: int):
+    """The saved model(s) of ``m`` as velocity fields of dimension ``dim``."""
+    models = [_require_model(cfg, stem, dim) for stem, _ in _members(cfg, m)]
     if m.dropout and models[0].arch.dropout <= 0.0:
         raise ConfigError("saved model was trained without dropout")
     return [ModelField(model) for model in models]
@@ -240,7 +246,7 @@ def cmd_uq(args, cfg: ExperimentConfig) -> int:
                           f"t = epsilon")
     t_grid = (args.t,) if args.t is not None else cfg.t_grid
     x0s, _, states = _eval_states(cfg, task, t_grid)
-    estimate = m.bind(cfg, _load_fields(cfg, m)).estimate
+    estimate = m.bind(cfg, _load_fields(cfg, m, task.dim)).estimate
     _make_out(cfg)
     probe_rng = _master(cfg).split(9)
     # a one-step model reads x0 once, at t = epsilon, and its map is untagged
@@ -304,7 +310,7 @@ def cmd_oracle_check(args, cfg: ExperimentConfig) -> int:
 
 def cmd_traj(args, cfg: ExperimentConfig) -> int:
     task = cfg.build_task()
-    field = _load_fields(cfg, _FM)[0]
+    field = _load_fields(cfg, _FM, task.dim)[0]
     _make_out(cfg)
     master = _master(cfg)
     x0 = master.split(10).generator().standard_normal(task.dim)
@@ -335,9 +341,10 @@ def cmd_consistency(args, cfg: ExperimentConfig) -> int:
     if not 0.0 <= args.noise <= 1.0:
         raise ConfigError(f"--noise must lie in [0, 1], got {args.noise:g}")
     task = cfg.build_task()
-    reference = _load_fields(cfg, _FM)[0]
-    methods = {name: METHODS[name].bind(cfg, _load_fields(cfg, METHODS[name]))
-               for name in cfg.methods}
+    reference = _load_fields(cfg, _FM, task.dim)[0]
+    methods = {name: METHODS[name].bind(
+        cfg, _load_fields(cfg, METHODS[name], task.dim))
+        for name in cfg.methods}
     _make_out(cfg)
     results = consistency_protocol(reference, methods, task, cfg.t_grid,
                                    args.noise, _master(cfg).split(12),
@@ -370,7 +377,7 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
         raise ConfigError(f"--replicates must lie in [1, {MAX_REPLICATES}], "
                           f"got {args.replicates}")
     task = cfg.build_task()
-    field = _load_fields(cfg, _FM)[0]
+    field = _load_fields(cfg, _FM, task.dim)[0]
     _make_out(cfg)
     master = _master(cfg)
     t = 0.5

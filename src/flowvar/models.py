@@ -11,26 +11,33 @@ Dropout is the inverted kind: keep mask / (1 - rate), drawn from an explicit
 RngState per call, or per output row from a uint64 seed array. No call
 mutates hidden RNG state.
 
-A batch-1 pass (an Euler step, one estimate's primal) costs its GEMMs and
-little else. The clock frequencies and the tangent pass's transposed weight
-views (W0's x columns, then the later layers) are made once per model, as
-views that follow in-place writes to ``params``. One input row at a scalar
-float time gets its sin and cos written straight into the row, the same
-bits as :func:`time_features`; arrays of times and multi-row batches go
-through :func:`time_features`. A training step's forward and backward write
-their (batch, hidden) arrays into a :class:`StepBuffers` set made once per
-run.
+A training step's forward and backward write their (batch, hidden) arrays
+into a :class:`StepBuffers` set made once per run. Batched passes (training,
+the consistency reference, MC dropout's per-row streams) go through
+``forward_cache``, which keeps what ``backward`` and ``tangent`` read.
 
-A batch-1 block of m tangents with m >= d, at d <= hidden, is formed as
-u @ J^T: the d basis tangents go through the cached pass (the first layer's
-product with I is its x-column weight view, copied) and J^T serves all m
-rows, for no more multiply-adds than the m-row pass. Per-row caches, blocks
-of fewer than d tangents and d > hidden propagate their own rows. The choice
-reads array shapes only; :class:`EvalCounter` counts m products either way.
+One input row without dropout (an Euler step, one estimate's primal) takes
+a one-row pass instead: the layers run as 1-D products, with the bits of
+the (1, k) ones, and no cache is kept. When the Jacobian is wanted, the d
+basis tangents ride along: they start as a C-order copy of the first
+layer's x-column weight view (its product with I), are scaled in place by
+each layer's activation derivative and end as J^T. ``jacobian`` always
+takes that route; ``value_and_jvp`` takes it for a block of m >= d tangents
+at d <= hidden, and forms u @ J^T for no more multiply-adds than the m-row
+pass; smaller blocks and d > hidden propagate their own rows through
+``tangent``. The choice reads array shapes only; :class:`EvalCounter`
+counts m products either way.
+
+The clock frequencies and the transposed weight views both passes read are
+made once per model, as views that follow in-place writes to ``params``.
+One input row at a scalar float time gets its sin and cos written straight
+into the row, the same bits as :func:`time_features`; arrays of times and
+multi-row batches go through :func:`time_features`.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -181,6 +188,15 @@ class StepBuffers:
                                                             hidden)
 
 
+def _all_finite(v: np.ndarray) -> bool:
+    """Whether every entry of the 1-D v is finite. v @ v is finite only
+    then; the entry-wise check runs only when it is not, to tell squares
+    that overflow from an entry that is not finite. Overflow in v @ v is
+    for the caller's ``np.errstate`` to silence."""
+    return (math.isfinite(v @ v)
+            or bool(np.logical_and.reduce(np.isfinite(v))))
+
+
 def _rows_of(buf, i: int, rows: int):
     """Layer i's first ``rows`` rows of a buffer, or None without one."""
     return None if buf is None else buf[i, :rows]
@@ -223,9 +239,12 @@ class MlpVelocity:
         self.arch = arch
         self.params = params
         self.weights, self.biases = _layer_views(params, arch)
-        # the transposed weights ``tangent`` multiplies by, made once
-        self._tangent_wt = tuple(w.T for w in [self.weights[0][:, :arch.dim],
-                                               *self.weights[1:]])
+        # the transposed weights the passes multiply by, made once: every
+        # layer's for the one-row forward, W0's x columns and the later
+        # layers' for tangents
+        self._forward_wt = tuple(w.T for w in self.weights)
+        self._tangent_wt = (self._forward_wt[0][:arch.dim],
+                            *self._forward_wt[1:])
         self._freqs = np.pi * (2.0 ** np.arange(arch.n_freq))
 
     # ---- construction -----------------------------------------------------
@@ -367,7 +386,38 @@ class MlpVelocity:
         cache = {"inputs": inputs, "pre": pre, "post": post, "masks": masks}
         return out, cache
 
+    def _one_row(self, x, t, basis: bool = False):
+        """Velocity (dim,) of one input row without dropout and, with
+        ``basis``, J^T (dim x dim), whose row k is the tangent of e_k; else
+        None. The same bits as ``forward_cache`` on the row and ``tangent``
+        on the basis rows.
+        """
+        h = self._input_features(x, t)[0]
+        act = self.arch.activation
+        wt, tw = self._forward_wt, self._tangent_wt
+        jt = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(self.arch.depth):
+                z = h @ wt[i]
+                z += self.biases[i]
+                if not _all_finite(z):
+                    raise ModelError(
+                        "forward pass diverged: non-finite activations")
+                h = _act(act, z)
+                if basis:
+                    # the first layer's product with I is its x-column
+                    # weight view; a C-order copy, as the bits need
+                    jt = tw[0].copy() if i == 0 else jt @ tw[i]
+                    _scale_by_act_deriv(act, jt, z, h)
+            out = h @ wt[-1]
+            out += self.biases[-1]
+            if not _all_finite(out):
+                raise ModelError("forward pass diverged: non-finite output")
+        return out, (jt @ tw[-1] if basis else None)
+
     def velocity(self, x, t, dropout_rng=None) -> np.ndarray:
+        if dropout_rng is None and np.ndim(x) < 2:
+            return self._one_row(x, t)[0]
         out, _ = self.forward_cache(x, t, dropout_rng)
         return out[0] if np.ndim(x) < 2 and out.shape[0] == 1 else out
 
@@ -415,11 +465,6 @@ class MlpVelocity:
         batch size) or many tangents against a single cached row (batch 1).
         Time is held fixed, so the first layer acts through its x columns
         only: the embedding block would contribute zero tangent.
-
-        A batch-1 cache with m >= dim tangents, at dim <= hidden, propagates
-        the dim basis tangents instead and returns u @ J^T, which never costs
-        more multiply-adds than propagating the m rows. Other blocks
-        propagate their own rows.
         """
         u2 = np.atleast_2d(np.asarray(u, dtype=np.float64))
         n = cache["inputs"][0].shape[0]
@@ -429,17 +474,10 @@ class MlpVelocity:
             raise ModelError(
                 f"tangent batch {u2.shape[0]} incompatible with cached batch {n}"
             )
-        dim = self.arch.dim
-        if n == 1 and u2.shape[0] >= dim and dim <= self.arch.hidden:
-            return u2 @ self._jacobian_t(cache)
-        return self._propagate(cache, u2 @ self._tangent_wt[0])
-
-    def _propagate(self, cache, du: np.ndarray) -> np.ndarray:
-        """Tangent rows after the first layer's product, through the rest of
-        the cached pass to the output."""
         act = self.arch.activation
         masks = cache["masks"]
         wt = self._tangent_wt
+        du = u2 @ wt[0]
         for i in range(self.arch.depth):
             if i > 0:
                 du = du @ wt[i]
@@ -448,26 +486,29 @@ class MlpVelocity:
                 du *= masks[i]
         return du @ wt[-1]
 
-    def _jacobian_t(self, cache) -> np.ndarray:
-        """J^T (d x d) of a batch-1 cache: row k is the tangent of e_k. The
-        first layer's product with I is its x-column weight view itself."""
-        return self._propagate(cache, self._tangent_wt[0].copy())
-
     def value_and_jvp(self, x, t, u):
-        """Velocity and J_v u in one cached pass. x: (d,), u: (d,) or (m, d).
+        """Velocity and J_v u in one pass. x: (d,), u: (d,) or (m, d).
 
-        ``tangent`` converts and checks u; this pass only reads its rank.
+        A block of m >= d tangents at d <= hidden is u @ J^T from the
+        one-row pass; any other block goes through ``tangent``, which
+        checks u.
         """
         xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        out, cache = self.forward_cache(xv, t)
-        ju = self.tangent(cache, u)
-        return out[0], (ju if np.ndim(u) == 2 else ju[0])
+        u2 = np.atleast_2d(np.asarray(u, dtype=np.float64))
+        dim = self.arch.dim
+        if (u2.shape[1] == dim and u2.shape[0] >= dim
+                and dim <= self.arch.hidden):
+            v, jt = self._one_row(xv, t, basis=True)
+            ju = u2 @ jt
+        else:
+            out, cache = self.forward_cache(xv, t)
+            v, ju = out[0], self.tangent(cache, u2)
+        return v, (ju if np.ndim(u) == 2 else ju[0])
 
     def jacobian(self, x, t) -> np.ndarray:
         """Dense d x d velocity Jacobian from d basis tangents."""
         xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        _, cache = self.forward_cache(xv, t)
-        return self._jacobian_t(cache).T
+        return self._one_row(xv, t, basis=True)[1].T
 
 
 @dataclass
@@ -481,8 +522,8 @@ class EvalCounter:
     consumes the primal value (value_and_jvp does, jvp does not).
 
     jvps counts the tangent products delivered, not the rows propagated: a
-    batch-1 block of m >= d tangents (at d <= hidden) propagates d basis
-    rows and forms its m products from J^T, and still counts m.
+    block of m >= d tangents (at d <= hidden) propagates d basis rows and
+    forms its m products from J^T, and still counts m.
     """
 
     forwards: int = 0
@@ -499,7 +540,7 @@ class ModelField:
 
     Each output row counts as one forward; each tangent row as one JVP,
     counted from the result, so the probe block is converted only once, in
-    the model's tangent pass. Passes run in inference mode, with no dropout;
+    the model's pass. Passes run in inference mode, with no dropout;
     the MC-dropout baseline runs its stochastic passes on the model itself
     and counts them on this handle's counter.
     """
@@ -514,7 +555,7 @@ class ModelField:
 
     def velocity(self, x, t) -> np.ndarray:
         out = self.model.velocity(x, t)
-        self.counter.forwards += np.atleast_2d(out).shape[0]
+        self.counter.forwards += out.shape[0] if out.ndim == 2 else 1
         return out
 
     def value_and_jvp(self, x, t, u):

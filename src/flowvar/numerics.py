@@ -459,24 +459,17 @@ def finite_diff_jvp(f, x: np.ndarray, u: np.ndarray, h: float = 1e-5) -> np.ndar
     return out
 
 
-def _apply_jvp(jvp, probes: ProbeSet) -> np.ndarray:
-    out = np.asarray(jvp(probes.probes), dtype=np.float64)
-    if out.shape != probes.probes.shape:
-        raise NumericsError(
-            f"jvp returned shape {out.shape}, expected {probes.probes.shape}"
-        )
-    return out
-
-
-def hutchinson_diagonal(jvp, probes: ProbeSet) -> np.ndarray:
+def hutchinson_diagonal(products, probes: ProbeSet) -> np.ndarray:
     """Per-coordinate diagonal estimate (1/S) sum_s eps_i^(s) [J eps^(s)]_i.
 
-    ``jvp`` maps a (S, d) batch of tangents to (S, d) products J u.
+    ``products`` is the (S, d) block of products J eps^(s), one row per
+    probe of ``probes``.
     """
-    # ndarray.mean's sum and divide, without its Python wrapper; products is
-    # a fresh array, never one the jvp returned
-    products = probes.probes * _apply_jvp(jvp, probes)
-    diag = np.add.reduce(products, axis=0)
+    if np.shape(products) != probes.probes.shape:
+        raise NumericsError(f"products of shape {np.shape(products)} for "
+                            f"probes of shape {probes.probes.shape}")
+    # ndarray.mean's sum and divide, without its Python wrapper, on a fresh
+    # array, never the products the caller holds
+    diag = np.add.reduce(probes.probes * products, axis=0)
     diag /= probes.count
     return diag
-

@@ -124,9 +124,10 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
                     materialize_full: bool = False) -> PosteriorEstimate:
     """Posterior covariance statistics from velocity-Jacobian probes.
 
-    ``field`` is a handle with ``jvp(x, t, u)``. The Jacobian diagonal is a
-    Hutchinson estimate on ``probes`` (exact when the probes enumerate all
-    sign vectors), and the scalar u is the sum of the diagonal.
+    ``field`` is a handle with ``jvp(x, t, u)``, asked once for the whole
+    probe block. The Jacobian diagonal is a Hutchinson estimate on
+    ``probes`` (exact when the probes enumerate all sign vectors), and the
+    scalar u is the sum of the diagonal.
     ``materialize_full`` additionally assembles the exact d x d covariance
     from d basis-vector JVPs; it is refused above dimension 64.
     """
@@ -138,7 +139,7 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
     if probes.dim != d:
         raise UqError(f"probe dimension mismatch: {probes.dim} != {d}")
 
-    jdiag = hutchinson_diagonal(lambda u: field.jvp(xt, t, u), probes)
+    jdiag = hutchinson_diagonal(field.jvp(xt, t, probes.probes), probes)
 
     pref = (1.0 - t) ** 2 / t
     diag_raw = (1.0 - t) * jdiag

@@ -505,6 +505,28 @@ def test_truncated_model_exits_one_with_one_line(workspace, tmp_path,
         assert err[0].startswith(f"error: {path}: truncated container: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["uq", "tweedie"], ["uq", "onestep"], ["uq", "ensemble"],
+    ["uq", "mc-dropout"], ["traj"], ["ablate-probes"],
+    ["consistency", "--n", "2"]])
+def test_model_of_another_dimension_exits_one_with_one_line(
+        workspace, tmp_path, capsys, argv):
+    """The gmm workspace's 2-d models under a bars (d = 64) config are
+    refused as unusable model files, before any output is written."""
+    _, out = workspace
+    ini = tmp_path / "bars.ini"
+    ini.write_text(FAST_INI.format(out=out).replace(
+        "kind = gmm\nmeans = 0.5 0 ; 3.5 0\nsigma = 0.15",
+        "kind = bars\nside = 8"))
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert main([*argv, "--config", str(ini)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {out}"), err
+    assert err[0].endswith(".fvar: model dim 2 != task dim 64"), err
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
 def test_uq_onestep_rejects_t(workspace, capsys):
     ini, _ = workspace
     capsys.readouterr()

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -122,9 +123,10 @@ def test_x_column_first_layer_is_the_zero_padded_pass(dim, n_freq, activation,
     xs, us = g.standard_normal((16, dim)), g.standard_normal((16, dim))
     wide = model(128)
     # the m-row pass, bit for bit: a per-row cache against one tangent per
-    # row, a batch-1 cache against fewer than d tangents, and d > hidden
+    # row, a batch-1 cache against fewer than d tangents and against m >= d,
+    # and d > hidden
     blocks = [(wide, xs, g.uniform(0.01, 0.99, 16), us),
-              (wide, x1, t1, signs[:dim - 1])]
+              (wide, x1, t1, signs[:dim - 1]), (wide, x1, t1, signs)]
     if dim > 1:
         blocks.append((model(dim - 1), x1, t1, signs))
     for m, x, t, u in blocks:
@@ -132,19 +134,88 @@ def test_x_column_first_layer_is_the_zero_padded_pass(dim, n_freq, activation,
         assert (cache["masks"] is None) == (not dropout)
         assert np.array_equal(m.tangent(cache, u),
                               _padded_tangent(m, cache, u))
-    # a batch-1 cache against m >= d tangents, at d <= hidden, is u @ J^T
+    # value_and_jvp on a block of m >= d tangents, at d <= hidden, is u @ J^T
     jac = wide.jacobian(x1, t1)
+    _, cache = wide.forward_cache(x1, t1)
     for u in (signs[:dim], signs):
-        for r in (None, rng):
-            _, cache = wide.forward_cache(x1, t1, r)
-            ju = wide.tangent(cache, u)
-            if r is None:
-                assert np.array_equal(ju, u @ jac.T)
-            ref = _padded_tangent(wide, cache, u)
-            assert np.abs(ju - ref).max() <= 1e-13 * np.abs(ref).max()
+        ju = wide.value_and_jvp(x1[0], t1, u)[1]
+        assert np.array_equal(ju, u @ jac.T)
+        ref = _padded_tangent(wide, cache, u)
+        assert np.abs(ju - ref).max() <= 1e-13 * np.abs(ref).max()
     field = ModelField(wide)
     field.jvp(x1[0], t1, signs)
     assert field.counter.jvps == dim + 50
+
+
+def _reference_row(model, x, t):
+    """The one-row pass restated: (1, k) products through the layers, with
+    the basis block a C-order copy of W0's x columns, transposed, scaled by
+    each activation derivative. Returns (v, J^T)."""
+    arch = model.arch
+    h = np.concatenate([np.reshape(x, (1, -1)),
+                        time_features(t, arch.n_freq)], axis=1)
+    basis = np.ascontiguousarray(model.weights[0][:, :arch.dim].T)
+    for i in range(arch.depth):
+        z = h @ model.weights[i].T + model.biases[i]
+        h = np.tanh(z) if arch.activation == "tanh" else np.maximum(z, 0.0)
+        if i > 0:
+            basis = basis @ model.weights[i].T
+        basis = basis * ((1.0 - h * h) if arch.activation == "tanh"
+                         else (z > 0.0))
+    return ((h @ model.weights[-1].T + model.biases[-1])[0],
+            basis @ model.weights[-1].T)
+
+
+@pytest.mark.parametrize("dim,hidden", [
+    (d, h) for d in (1, 2, 3, 8, 64) for h in sorted({d - 1, d, 128}) if h])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_one_row_pass_is_the_batch_one_arithmetic_bit_for_bit(dim, hidden,
+                                                              activation):
+    m = _model(dim=dim, hidden=hidden, activation=activation)
+    m.params[:] = RngState(4).generator().standard_normal(m.n_params)
+    m.params /= np.sqrt(m.arch.in_dim)
+    g = RngState(5).generator()
+    x = g.standard_normal(dim)
+    signs = g.choice([-1.0, 1.0], (dim + 50, dim))
+    _, cache = m.forward_cache(x, 0.37)
+    for t in (0.37, np.float64(0.37)):
+        v, jt = _reference_row(m, x, t)
+        assert m.velocity(x, t).tobytes() == v.tobytes()
+        assert m.jacobian(x, t).tobytes() == jt.T.tobytes()
+        for u in (signs[:dim], signs):
+            got_v, ju = m.value_and_jvp(x, t, u)
+            ref = u @ jt if dim <= hidden else _padded_tangent(m, cache, u)
+            assert got_v.tobytes() == v.tobytes()
+            assert ju.tobytes() == ref.tobytes()
+
+
+def test_one_row_pass_keeps_its_checks():
+    m = _model()
+    u = np.ones((5, 3))
+    for call in (lambda x: m.velocity(x, 0.5), lambda x: m.jacobian(x, 0.5),
+                 lambda x: m.value_and_jvp(x, 0.5, u)):
+        with pytest.raises(ModelError, match="x dim 4 != model dim 3"):
+            call(np.zeros(4))
+        m.weights[0][:] = 1e300
+        with pytest.raises(ModelError, match="non-finite activations"):
+            call(np.full(3, 1e300))
+        with pytest.raises(ModelError, match="non-finite activations"):
+            call(np.array([np.nan, 0.0, 0.0]))
+        m.weights[0][:] = 0.1
+        m.weights[-1][:] = 1e308
+        with pytest.raises(ModelError, match="non-finite output"):
+            call(np.ones(3))
+        m.weights[-1][:] = 0.0
+    # finite activations whose squares overflow pass, silently
+    m.weights[0][:] = 1e200
+    m.weights[-1][:] = 1.0
+    x = np.ones(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = m.velocity(x, 0.5)
+        jac = m.jacobian(x, 0.5)
+    assert v.tobytes() == m.forward_cache(x, 0.5)[0][0].tobytes()
+    assert np.isfinite(jac).all()
 
 
 def test_arch_validation():

@@ -316,10 +316,13 @@ def test_exhaustive_probes_give_exact_diagonal():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4))
     probes = exhaustive_sign_probes(4)
-    diag = hutchinson_diagonal(lambda u: u @ A.T, probes)
+    diag = hutchinson_diagonal(probes.probes @ A.T, probes)
     assert np.allclose(diag, np.diag(A), atol=1e-12)
-    tr = float(hutchinson_diagonal(lambda u: u @ A.T, probes).sum())
+    tr = float(hutchinson_diagonal(probes.probes @ A.T, probes).sum())
     assert tr == pytest.approx(np.trace(A), abs=1e-12)
+    # a product block of another shape than the probes' is refused
+    with pytest.raises(NumericsError, match="products of shape"):
+        hutchinson_diagonal(probes.probes[:-1] @ A.T, probes)
 
 
 def test_trace_equals_diagonal_sum_exactly():
@@ -327,8 +330,8 @@ def test_trace_equals_diagonal_sum_exactly():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((6, 6))
     probes = draw_rademacher(RngState(5), 6, 11)
-    diag = hutchinson_diagonal(lambda u: u @ A.T, probes)
-    tr = float(hutchinson_diagonal(lambda u: u @ A.T, probes).sum())
+    diag = hutchinson_diagonal(probes.probes @ A.T, probes)
+    tr = float(hutchinson_diagonal(probes.probes @ A.T, probes).sum())
     assert tr == float(diag.sum())
 
 
@@ -338,7 +341,7 @@ def test_hutchinson_unbiased_on_linear_map():
     ests = []
     for r in range(500):
         probes = draw_rademacher(RngState(100).split(r), 8, 8)
-        ests.append(float(hutchinson_diagonal(lambda u: u @ A.T,
+        ests.append(float(hutchinson_diagonal(probes.probes @ A.T,
                                               probes).sum()))
     ests = np.asarray(ests)
     se = ests.std(ddof=1) / np.sqrt(len(ests))

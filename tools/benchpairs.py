@@ -16,7 +16,11 @@ Writes (or updates, keyed by workload and trace) a JSON file holding, per
 workload and side, the seeds, each run's metrics (the five end-to-end ones,
 or the per-layer ones with ``--trace 1``), and each metric's median with its
 quartiles, taken as ``repeat.py`` takes them; and per metric the pairs the
-head won, in the direction BENCHMARK.json gives. Exits 1 when a run fails or
+head won, in the direction BENCHMARK.json gives. Without ``--trace`` each
+run also keeps the raw figures ``run.py`` prints (set-up time and rate
+before scaling, and the reference-kernel speed factor that scales them),
+summarized the same way under ``raw_summary``, so that a move made by the
+code can be told from one made by the factor. Exits 1 when a run fails or
 reports a failed check, 2 when the revision cannot be extracted.
 """
 from __future__ import annotations
@@ -43,9 +47,25 @@ def _seeds(text: str) -> list:
     return [int(x) for x in text.split(",")]
 
 
+# the unscaled figures run.py prints, with the direction that is better;
+# a higher speed factor means the machine ran faster
+RAW = {"raw_setup_s": "lower", "raw_work_per_s": "higher",
+       "speed_factor": "higher"}
+
+
 def _better(spec: dict) -> dict:
     return {m["name"]: m["better"]
-            for m in spec["end_to_end"] + spec["per_layer"]}
+            for m in spec["end_to_end"] + spec["per_layer"]} | RAW
+
+
+def _raw(lines: list) -> dict:
+    """The RAW figures among run.py's printed ``name value unit`` lines."""
+    out = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) > 1 and parts[0] in RAW:
+            out[parts[0]] = float(parts[1])
+    return out
 
 
 def _extract(rev: str | None, dest: Path) -> None:
@@ -86,14 +106,14 @@ def _spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict, better: dict) -> dict:
-    """Per metric: each side's median and quartiles, the head's pair wins,
-    and whether the medians differ by more than the base's quartile spread
-    in the head's favour."""
+def summarize(runs: dict, better: dict, field: str = "metrics") -> dict:
+    """Per figure of each run's ``field``: each side's median and quartiles,
+    the head's pair wins, and whether the medians differ by more than the
+    base's quartile spread in the head's favour."""
     out = {}
-    for name in runs["base"][0]["metrics"]:
-        base = [r["metrics"][name] for r in runs["base"]]
-        head = [r["metrics"][name] for r in runs["head"]]
+    for name in runs["base"][0][field]:
+        base = [r[field][name] for r in runs["base"]]
+        head = [r[field][name] for r in runs["head"]]
         sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
         b, h = _spread(base), _spread(head)
         gain = sign * (b["median"] - h["median"])
@@ -135,14 +155,15 @@ def main(argv=None) -> int:
             for side in order:
                 # run.py takes the package from its working directory
                 with contextlib.chdir(trees[side]):
-                    _, result = repeats[side].run_once(
+                    text, result = repeats[side].run_once(
                         args.workload, seed, spec["run_seconds"], args.trace)
                 run = {"seed": seed, "first": side == order[0],
                        "correct": result["correct"],
                        "attempted": result["attempted"],
                        "failed": result["failed"],
                        "metrics": {k: v["value"] for k, v
-                                   in result["metrics"].items()}}
+                                   in result["metrics"].items()},
+                       "raw": _raw(text)}
                 runs[side].append(run)
                 print(f"{args.workload} seed {seed} {side}: " + ", ".join(
                     f"{k} {v:.4g}" for k, v in run["metrics"].items()
@@ -157,6 +178,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "runs": runs,
         "summary": summarize(runs, _better(spec)),
+        "raw_summary": summarize(runs, _better(spec), "raw"),
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     bad = [r for side in runs.values() for r in side

@@ -12,7 +12,10 @@ mnist config reads an IDX file of 32 seeded 28 x 28 images that the tool
 writes next to its ``config.ini``. The bars config runs the presets' 50
 MC-dropout passes, the others 6. Every config trains on 512 pairs per epoch
 in batches of 64 but bars500, a bars config on 500 pairs, whose epochs end
-in a short batch. Each config runs every subcommand, the
+in a short batch. Every model has 32 hidden units and tanh but those of
+bars128, which has the presets' 128 hidden units and 64 probes (so its
+probe blocks take the basis-tangent route at d = 64), and gmmrelu, which
+uses relu. Each config runs every subcommand, the
 ``uq --t`` variants and ``oracle-check``. It then compares
 every CSV, PGM and ``.fvar`` file and the stdout (with the exit code) of each
 deterministic command. The ``*_summary.txt`` files and the stdout of
@@ -44,7 +47,7 @@ seed = {seed}
 {task}
 
 [model]
-hidden = 32
+{model}
 
 [training]
 epochs = 2
@@ -72,6 +75,9 @@ CONFIGS = {
              _METHODS, 5, 2**64 + 5, 6),
     "bars": ("kind = bars\nside = 8", _METHODS, 8, 5, 50),
     "bars500": ("kind = bars\nside = 8", _METHODS, 8, 5, 6),
+    "bars128": ("kind = bars\nside = 8", _METHODS, 64, 5, 6),
+    "gmmrelu": ("kind = gmm\nmeans = 0.5 0 ; 3.5 0\nsigma = 0.15", _METHODS,
+                8, 5, 6),
     "blobs": ("kind = blobs\nside = 8", _METHODS[::-1], 8, 5, 6),
     "mnist": ("kind = mnist\npath = digits.idx\nsubsample = 32", _METHODS, 8,
               5, 6),
@@ -79,6 +85,9 @@ CONFIGS = {
 # pairs per epoch where not 512: 500 = 7 * 64 + 52, so each epoch ends in a
 # short batch, whose time draw and initial-loss sum are compared too
 PAIRS = {"bars500": 500}
+# [model] lines where not "hidden = 32"
+MODEL = {"bars128": "hidden = 128",
+         "gmmrelu": "hidden = 32\nactivation = relu"}
 # files a config reads, written next to its config.ini: 32 seeded images
 # in an IDX container
 FILES = {
@@ -129,7 +138,8 @@ def run_matrix(src: Path, root: Path) -> None:
             (base / file).write_bytes(data)
         ini.write_text(_INI.format(task=task, methods=" ".join(methods),
                                    probes=probes, seed=seed, passes=passes,
-                                   pairs=PAIRS.get(name, 512)),
+                                   pairs=PAIRS.get(name, 512),
+                                   model=MODEL.get(name, "hidden = 32")),
                        encoding="utf-8")
         for k, (argv, keep) in enumerate(MATRIX):
             _flowvar(src, argv, ini, out,
