@@ -523,7 +523,8 @@ class EvalCounter:
 
     jvps counts the tangent products delivered, not the rows propagated: a
     block of m >= d tangents (at d <= hidden) propagates d basis rows and
-    forms its m products from J^T, and still counts m.
+    forms its m products from J^T, and still counts m. A field's dense
+    ``jacobian`` counts d, the products with the d basis vectors.
     """
 
     forwards: int = 0
@@ -540,7 +541,8 @@ class ModelField:
 
     Each output row counts as one forward; each tangent row as one JVP,
     counted from the result, so the probe block is converted only once, in
-    the model's pass. Passes run in inference mode, with no dropout;
+    the model's pass. ``jacobian`` counts d JVPs, its d basis tangents.
+    Passes run in inference mode, with no dropout;
     the MC-dropout baseline runs its stochastic passes on the model itself
     and counts them on this handle's counter.
     """
@@ -569,13 +571,19 @@ class ModelField:
         self.counter.jvps += ju.shape[0] if ju.ndim == 2 else 1
         return ju
 
+    def jacobian(self, x, t) -> np.ndarray:
+        jac = self.model.jacobian(x, t)
+        self.counter.jvps += jac.shape[0]
+        return jac
+
 
 class AnalyticField:
     """Population-optimal velocity of a known mixture, with exact tangents.
 
     The Jacobian comes from differentiating the posterior-mean formulas, so
     this field is exact and lets estimator code be tested with zero model
-    error.
+    error. ``jacobian`` returns it and counts d JVPs, as many as the basis
+    tangents it stands for.
     """
 
     def __init__(self, spec, counter: EvalCounter | None = None):
@@ -599,6 +607,10 @@ class AnalyticField:
         xv = np.asarray(x, dtype=np.float64).reshape(-1)
         jm = self._oracle.posterior_mean_jacobian(self.spec, xv[None, :], t)[0]
         return (jm - np.eye(self.dim)) / (1.0 - t)
+
+    def jacobian(self, x, t) -> np.ndarray:
+        self.counter.jvps += self.dim
+        return self._jacobian(x, t)
 
     def value_and_jvp(self, x, t, u):
         xv = np.asarray(x, dtype=np.float64).reshape(-1)

@@ -13,6 +13,12 @@ standard conjugacy:
 These exact moments are the ground truth against which the velocity-Jacobian
 covariance formula is verified.
 
+Each term is computed for all K components at once: one stacked Cholesky
+factorization or solve over the (K, d, d) factors and one array expression
+over the (K, n, d) offsets. A stacked call runs the same LAPACK routine on
+each matrix, and every term is kept in C order, so each bit is the one a
+per-component loop gives.
+
 A ``GmmSpec`` memoises the work its queries repeat. It keeps the component
 system of each time t it was asked about (the Cholesky factors and gains of
 S_k = t^2 Sigma_k + (1-t)^2 I, the component covariances and
@@ -20,13 +26,14 @@ log-determinants), keyed on the float t, in at most ``_SYSTEM_SLOTS`` slots,
 emptied when full. It also keeps the posterior terms of the last single
 point it evaluated (responsibilities, component means, posterior mean and,
 once asked for, the score and mean-Jacobian), keyed on t and the bytes of
-xt. One oracle state (the analytic field's Hutchinson pass, its
-full-Jacobian basis and the conjugacy posterior at the same point) then
-computes them once. A miss computes exactly what an uncached call would,
-so every output bit is the same, and callers always receive fresh arrays.
-The spec holds read-only copies of its weights, means and covariances: a
-caller's later write into its own arrays cannot reach the spec, and
-nothing can leave a memo stale.
+xt. One oracle state (the analytic field's Hutchinson pass, its dense
+Jacobian and the conjugacy posterior at the same point) then computes them
+once. A miss computes exactly what an uncached call would, so every output
+bit is the same, and callers always receive fresh arrays. The spec holds
+read-only copies of its weights, means and covariances, and the Cholesky
+factors of the covariances that its validation computes: a caller's later
+write into its own arrays cannot reach the spec, and nothing can leave a
+memo stale.
 """
 from __future__ import annotations
 
@@ -133,6 +140,7 @@ class GmmSpec:
         # weights above 1 fail before their sum can overflow
         if np.any(w <= 0.0) or np.any(w > 1.0) or abs(w.sum() - 1.0) > 1e-12:
             raise OracleError("weights must be positive and sum to 1")
+        chols = np.empty((k, d, d))
         for j in range(k):
             a = cov[j]
             scale = np.abs(a).max()
@@ -141,9 +149,11 @@ class GmmSpec:
             if np.abs(a - a.T).max() > 1e-9 * scale:
                 raise OracleError(f"covariance {j} is not symmetric")
             try:
-                np.linalg.cholesky(a)
+                chols[j] = np.linalg.cholesky(a)
             except np.linalg.LinAlgError:
                 raise OracleError(f"covariance {j} is not positive definite")
+        # the covariances' own factors, which sample_pairs draws through
+        arrays["_chols"] = chols
         for name, a in arrays.items():
             a = a.copy()
             a.flags.writeable = False
@@ -152,7 +162,8 @@ class GmmSpec:
         object.__setattr__(self, "_states", {})  # (t, xt bytes) -> terms
 
     def __reduce__(self):
-        # pickled and copied by value; the copy starts with empty memos
+        # pickled and copied by value; the copy refactors its covariances
+        # and starts with empty memos
         return GmmSpec, (self.weights, self.means, self.covs)
 
     @property
@@ -198,22 +209,15 @@ def _component_system(spec: GmmSpec, t: float):
     system = systems.get(t)
     if system is not None:
         return system
-    k, d = spec.n_components, spec.dim
-    eye = np.eye(d)
-    chols = np.empty((k, d, d))
-    gains = np.empty((k, d, d))
-    comp_covs = np.empty((k, d, d))
-    logdets = np.empty(k)
-    for j in range(k):
-        s = t * t * spec.covs[j] + (1.0 - t) ** 2 * eye
-        chols[j] = np.linalg.cholesky(s)
-        # Sig S^{-1}, solved on the right: (S^{-1} Sig)^T = Sig S^{-1} since
-        # both are symmetric
-        sig_sinv = np.linalg.solve(s, spec.covs[j]).T
-        gains[j] = t * sig_sinv
-        cj = (1.0 - t) ** 2 * sig_sinv
-        comp_covs[j] = 0.5 * (cj + cj.T)
-        logdets[j] = np.log(np.diag(chols[j])).sum()
+    s = t * t * spec.covs + (1.0 - t) ** 2 * np.eye(spec.dim)
+    chols = np.linalg.cholesky(s)
+    # Sig S^{-1}, solved on the right: (S^{-1} Sig)^T = Sig S^{-1} since both
+    # are symmetric; C-order, as the products that read it need for their bits
+    sig_sinv = np.linalg.solve(s, spec.covs).swapaxes(1, 2).copy()
+    gains = t * sig_sinv
+    cj = (1.0 - t) ** 2 * sig_sinv
+    comp_covs = 0.5 * (cj + cj.swapaxes(1, 2))
+    logdets = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     if len(systems) >= _SYSTEM_SLOTS:
         systems.clear()
     systems[t] = system = (chols, gains, comp_covs, logdets)
@@ -257,31 +261,20 @@ def _posterior_terms(spec: GmmSpec, xts: np.ndarray, t: float,
 
 
 def _mixture_terms(spec: GmmSpec, xts, t, chols, gains, logdets) -> _Terms:
-    n = xts.shape[0]
-    k, d = spec.n_components, spec.dim
-    logj = np.empty((n, k))
-    white = np.empty((k, d, n))
+    diff = xts - (t * spec.means)[:, None, :]  # (K, n, d)
+    white = np.linalg.solve(chols, diff.swapaxes(1, 2))
+    y = white.swapaxes(1, 2)
     # overflow to -inf is caught below as a degenerate-region error
     with np.errstate(over="ignore"):
-        for j in range(k):
-            diff = xts - t * spec.means[j]
-            white[j] = np.linalg.solve(chols[j], diff.T)
-            y = white[j].T
-            logj[:, j] = (
-                np.log(spec.weights[j])
-                - 0.5 * (y * y).sum(axis=1)
-                - logdets[j]
-                - 0.5 * d * _LOG_2PI
-            )
+        logj = (np.log(spec.weights)[:, None] - 0.5 * (y * y).sum(axis=2)
+                - logdets[:, None] - 0.5 * spec.dim * _LOG_2PI).T.copy()
     # log posterior mixture weights, max-subtracted for stability
     peak = logj.max(axis=1)
     if not np.all(np.isfinite(peak)):
         raise OracleError("xt in negligible-density region")
     shifted = np.exp(logj - peak[:, None])
     # outside the errstate, so an overflow in a component mean still warns
-    comp_means = np.empty((k, n, d))
-    for j in range(k):
-        comp_means[j] = spec.means[j] + (xts - t * spec.means[j]) @ gains[j].T
+    comp_means = spec.means[:, None, :] + diff @ gains.swapaxes(1, 2)
     return _Terms(shifted / shifted.sum(axis=1, keepdims=True), white,
                   comp_means)
 
@@ -289,9 +282,8 @@ def _mixture_terms(spec: GmmSpec, xts, t, chols, gains, logdets) -> _Terms:
 def _add_derivatives(terms: _Terms, chols, gains) -> None:
     """Score and mean-Jacobian from the component scores
     g_k = -S_k^{-1}(x - t mu_k) = -L_k^{-T} (whitened offset)."""
-    comp_scores = np.empty_like(terms.comp_means)
-    for j in range(chols.shape[0]):
-        comp_scores[j] = -np.linalg.solve(chols[j].T, terms.white[j]).T
+    comp_scores = -np.linalg.solve(chols.swapaxes(1, 2),
+                                   terms.white).swapaxes(1, 2)
     resp = terms.resp
     # huge means overflow these to inf or nan without a warning; the
     # oracle check's finite test reports that on one line
@@ -427,6 +419,5 @@ def sample_pairs(spec: GmmSpec, rng: RngState, n: int):
         idx = comps == j
         if not np.any(idx):
             continue
-        chol = np.linalg.cholesky(spec.covs[j])
-        x1[idx] = spec.means[j] + z[idx] @ chol.T
+        x1[idx] = spec.means[j] + z[idx] @ spec._chols[j].T
     return x0, x1

@@ -129,7 +129,8 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
     ``probes`` (exact when the probes enumerate all sign vectors), and the
     scalar u is the sum of the diagonal.
     ``materialize_full`` additionally assembles the exact d x d covariance
-    from d basis-vector JVPs; it is refused above dimension 64.
+    from the field's dense ``jacobian(x, t)``, which counts d JVPs; it is
+    refused above dimension 64.
     """
     t = check_interior_time(t)
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
@@ -158,9 +159,7 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
             raise UqError(
                 f"full covariance limited to d <= {FULL_COV_DIM_LIMIT}, got {d}"
             )
-        basis = np.atleast_2d(field.jvp(xt, t, np.eye(d)))
-        jac = basis.T
-        full = pref * (np.eye(d) + (1.0 - t) * jac)
+        full = pref * (np.eye(d) + (1.0 - t) * field.jacobian(xt, t))
 
     return PosteriorEstimate(
         t=t, u=u, diag=diag, u_raw=u_raw, diag_raw=diag_raw,

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from flowvar.models import EvalCounter, analytic_handle
 from flowvar.numerics import RngState, draw_rademacher, finite_diff_jvp
 from flowvar.oracle import (_SYSTEM_SLOTS, GmmSpec, OracleError,
-                            conditional_score, gmm_posterior,
+                            _add_derivatives, _component_system,
+                            _posterior_terms, conditional_score, gmm_posterior,
                             gmm_posterior_batch, interpolate,
                             marginal_moments, marginal_score,
                             optimal_velocity, optimal_velocity_batch,
@@ -82,7 +83,7 @@ def test_spec_is_a_read_only_copy():
     xt = np.array([0.2, -0.3])
     before = gmm_posterior(spec, xt, 0.4)
     assert not np.shares_memory(spec.means, means)
-    for a in (spec.weights, spec.means, spec.covs):
+    for a in (spec.weights, spec.means, spec.covs, spec._chols):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     means[0] = 7.0
@@ -92,6 +93,8 @@ def test_spec_is_a_read_only_copy():
     # a pickled copy is rebuilt: read-only again, same posterior
     copy = pickle.loads(pickle.dumps(spec))
     assert not copy.means.flags.writeable
+    assert not copy._chols.flags.writeable
+    assert np.array_equal(copy._chols, spec._chols)
     assert np.array_equal(gmm_posterior(copy, xt, 0.4).covariance,
                           before.covariance)
 
@@ -298,9 +301,102 @@ def test_marginal_moments_match_sampling():
     assert np.allclose(np.cov(x1.T, ddof=0), cov, atol=0.03)
 
 
+def test_sample_pairs_draw_through_the_kept_factors():
+    """The spec's validation factors give the bits of factoring each
+    component's covariance on every call."""
+    spec = _anisotropic(3, 4, 2)
+    x0, x1 = sample_pairs(spec, RngState(6), 40)
+    g1 = RngState(6).split(1).generator()
+    comps = g1.choice(3, size=40, p=spec.weights)
+    z = g1.standard_normal((40, 4))
+    for j in range(3):
+        idx = comps == j
+        chol = np.linalg.cholesky(spec.covs[j])
+        assert np.array_equal(x1[idx], spec.means[j] + z[idx] @ chol.T)
+    assert np.array_equal(x0, RngState(6).split(0).generator()
+                          .standard_normal((40, 4)))
+
+
 def test_sample_pairs_deterministic_and_shaped():
     spec = _two_comp()
     a0, a1 = sample_pairs(spec, RngState(4), 32)
     b0, b1 = sample_pairs(spec, RngState(4), 32)
     assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
     assert a0.shape == (32, 2) and a1.shape == (32, 2)
+
+
+# ---- the stacked component algebra against per-component loops -------------
+
+
+def _loop_system(spec, t):
+    """Per-component restatement of the component system: one Cholesky, one
+    solve and one log-determinant per component."""
+    k, d = spec.n_components, spec.dim
+    chols, gains = np.empty((k, d, d)), np.empty((k, d, d))
+    comp_covs, logdets = np.empty((k, d, d)), np.empty(k)
+    for j in range(k):
+        s = t * t * spec.covs[j] + (1.0 - t) ** 2 * np.eye(d)
+        chols[j] = np.linalg.cholesky(s)
+        sig_sinv = np.linalg.solve(s, spec.covs[j]).T
+        gains[j] = t * sig_sinv
+        cj = (1.0 - t) ** 2 * sig_sinv
+        comp_covs[j] = 0.5 * (cj + cj.T)
+        logdets[j] = np.log(np.diag(chols[j])).sum()
+    return chols, gains, comp_covs, logdets
+
+
+def _loop_terms(spec, xts, t):
+    """Per-component restatement of the posterior terms: responsibilities,
+    component means, posterior mean, score and mean-Jacobian."""
+    chols, gains, _, logdets = _loop_system(spec, t)
+    n, (k, d) = xts.shape[0], (spec.n_components, spec.dim)
+    logj, white = np.empty((n, k)), np.empty((k, d, n))
+    for j in range(k):
+        white[j] = np.linalg.solve(chols[j], (xts - t * spec.means[j]).T)
+        y = white[j].T
+        logj[:, j] = (np.log(spec.weights[j]) - 0.5 * (y * y).sum(axis=1)
+                      - logdets[j] - 0.5 * d * np.log(2.0 * np.pi))
+    shifted = np.exp(logj - logj.max(axis=1)[:, None])
+    resp = shifted / shifted.sum(axis=1, keepdims=True)
+    comp_means, comp_scores = np.empty((k, n, d)), np.empty((k, n, d))
+    for j in range(k):
+        comp_means[j] = spec.means[j] + (xts - t * spec.means[j]) @ gains[j].T
+        comp_scores[j] = -np.linalg.solve(chols[j].T, white[j]).T
+    mean = np.einsum("nk,knd->nd", resp, comp_means)
+    score = np.einsum("nk,knd->nd", resp, comp_scores)
+    jac = np.einsum("nk,kde->nde", resp, gains)
+    jac += np.einsum("nk,knd,kne->nde", resp, comp_means, comp_scores)
+    jac -= np.einsum("nd,ne->nde", mean, score)
+    return resp, comp_means, mean, score, jac
+
+
+def _anisotropic(k, d, seed):
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((k, d, d))
+    covs = 0.2 * a @ a.swapaxes(1, 2) / d + 0.05 * np.eye(d)
+    weights = gen.uniform(0.5, 1.5, k)
+    return GmmSpec(weights=weights / weights.sum(),
+                   means=gen.standard_normal((k, d)), covs=covs)
+
+
+@pytest.mark.parametrize("make", [_two_comp, _three_comp,
+                                  lambda: _anisotropic(9, 8, 11)],
+                         ids=["k2d2", "k3d3", "k9d8"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_stacked_terms_match_component_loops(make, n):
+    """Every component system and posterior term is the per-component
+    loop's bits: the stacked factorizations and solves run the same LAPACK
+    routine on each matrix, and each term keeps its memory layout, so its
+    reductions sum in the same order. K = 9 fills and spills an 8-wide
+    vector register in the stacked logarithms."""
+    spec = make()
+    x = np.random.default_rng(n).standard_normal((n, spec.dim))
+    for t in (0.2, 0.55, 0.9):
+        system = _component_system(spec, t)
+        terms = _posterior_terms(spec, x, t)
+        _add_derivatives(terms, *system[:2])
+        got = (terms.resp, terms.comp_means, terms.mean, terms.score,
+               terms.jac)
+        for a, b in zip(system + got, _loop_system(spec, t)
+                        + _loop_terms(spec, x, t)):
+            assert a.flags.c_contiguous and np.array_equal(a, b)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flowvar.models import EvalCounter, ModelField, analytic_handle
+from flowvar.models import (EvalCounter, MlpArch, MlpVelocity, ModelField,
+                            analytic_handle)
 from flowvar.numerics import RngState, draw_rademacher, exhaustive_sign_probes
 from flowvar.oracle import GmmSpec, conditional_score, gmm_posterior
 from flowvar.uq import (UqError, cov_closed_form, one_step_cov,
@@ -21,6 +22,9 @@ class LinearField:
 
     def jvp(self, x, t, u):
         return np.atleast_2d(u) @ self.A.T
+
+    def jacobian(self, x, t):
+        return self.A
 
 
 def test_tweedie_posterior_mean_examples():
@@ -215,3 +219,64 @@ def test_probe_refinement_variance_shrinks():
         variances.append(np.var(us))
     for a, b in zip(variances, variances[1:]):
         assert b <= 1.1 * a  # 10% statistical slack
+
+
+def _old_full(field, x, t):
+    """The covariance assembled from d basis-vector JVPs."""
+    d = x.shape[0]
+    jac = np.atleast_2d(field.jvp(x, t, np.eye(d))).T
+    return (1.0 - t) ** 2 / t * (np.eye(d) + (1.0 - t) * jac)
+
+
+def _mlp_field(d, hidden, activation, counter):
+    m = MlpVelocity.init(MlpArch(dim=d, hidden=hidden,
+                                 activation=activation), RngState(d))
+    m.params[:] = RngState(d + 1).generator().standard_normal(m.n_params)
+    m.params /= np.sqrt(m.arch.in_dim)
+    return ModelField(m, counter)
+
+
+@pytest.mark.parametrize("d, hidden", [(1, 32), (2, 32), (8, 32), (64, 64),
+                                       (8, 4), (64, 16)])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_full_from_the_field_jacobian(d, hidden, activation):
+    """``full`` from ``field.jacobian`` is the basis-JVP covariance bit for
+    bit where the model forms both from its one-row pass (d <= hidden),
+    and within 1e-13 relative where the basis products took the m-row pass;
+    either way the counter books the same d JVPs."""
+    counter = EvalCounter()
+    field = _mlp_field(d, hidden, activation, counter)
+    x = RngState(3).generator().standard_normal(d)
+    probes = draw_rademacher(RngState(4), d, 5)
+    for t in (0.2, 0.7):
+        est = cov_closed_form(field, x, t, probes, materialize_full=True)
+        assert (counter.forwards, counter.jvps) == (0, 5 + d)
+        ref = _old_full(field, x, t)
+        if d <= hidden:
+            assert np.array_equal(est.full, ref)
+        else:
+            scale = np.abs(ref).max()
+            assert np.abs(est.full - ref).max() <= 1e-13 * scale
+        counter.jvps = 0
+
+
+@pytest.mark.parametrize("spec", [
+    GmmSpec.standard_normal(3),
+    GmmSpec.isotropic([[0.5, 0.0], [3.5, 0.0]], 0.15),
+    GmmSpec(weights=np.array([0.2, 0.3, 0.5]),
+            means=np.array([[0.5, 0.0, 1.0], [3.5, 0.0, 0.0],
+                            [2.0, 1.5, -1.0]]),
+            covs=np.stack([np.diag([0.1, 0.4, 0.2]), 0.3 * np.eye(3),
+                           np.array([[0.5, 0.2, 0.0], [0.2, 0.3, 0.1],
+                                     [0.0, 0.1, 0.2]])])),
+], ids=["normal3", "gmm2d", "k3d3"])
+def test_full_from_the_analytic_jacobian(spec):
+    counter = EvalCounter()
+    field = analytic_handle(spec, counter)
+    x = np.linspace(0.3, 1.7, spec.dim)
+    probes = draw_rademacher(RngState(5), spec.dim, 6)
+    for t in (0.1, 0.5, 0.9):
+        est = cov_closed_form(field, x, t, probes, materialize_full=True)
+        assert (counter.forwards, counter.jvps) == (0, 6 + spec.dim)
+        assert np.array_equal(est.full, _old_full(field, x, t))
+        counter.jvps = 0

@@ -15,7 +15,9 @@ in batches of 64 but bars500, a bars config on 500 pairs, whose epochs end
 in a short batch. Every model has 32 hidden units and tanh but those of
 bars128, which has the presets' 128 hidden units and 64 probes (so its
 probe blocks take the basis-tangent route at d = 64), and gmmrelu, which
-uses relu. Each config runs every subcommand, the
+uses relu. gmmk3 is a gmm of three unequally weighted components, so the
+oracle's stacked component algebra is compared at K = 3 as well as K = 2.
+Each config runs every subcommand, the
 ``uq --t`` variants and ``oracle-check``. It then compares
 every CSV, PGM and ``.fvar`` file and the stdout (with the exit code) of each
 deterministic command. The ``*_summary.txt`` files and the stdout of
@@ -78,6 +80,8 @@ CONFIGS = {
     "bars128": ("kind = bars\nside = 8", _METHODS, 64, 5, 6),
     "gmmrelu": ("kind = gmm\nmeans = 0.5 0 ; 3.5 0\nsigma = 0.15", _METHODS,
                 8, 5, 6),
+    "gmmk3": ("kind = gmm\nmeans = 0.5 0 ; 3.5 0 ; 2 1.5\nsigma = 0.15\n"
+              "weights = 0.2 0.3 0.5", _METHODS, 8, 5, 6),
     "blobs": ("kind = blobs\nside = 8", _METHODS[::-1], 8, 5, 6),
     "mnist": ("kind = mnist\npath = digits.idx\nsubsample = 32", _METHODS, 8,
               5, 6),
