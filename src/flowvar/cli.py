@@ -139,6 +139,8 @@ def _require_model(cfg: ExperimentConfig, name: str, dim: int) -> MlpVelocity:
         model = load_model(path)
     except ModelError as ex:  # a corrupt model is as unusable as a missing one
         raise ConfigError(f"{path}: {ex}") from None
+    except OSError as ex:  # a directory at the path, or no permission
+        raise ConfigError(f"cannot read model {path}: {ex.strerror}") from None
     if model.arch.dim != dim:
         raise ConfigError(f"{path}: model dim {model.arch.dim} != task dim "
                           f"{dim}")

@@ -247,11 +247,18 @@ class MnistTask(_RenderedTask):
     side = 8
 
     def __init__(self, path, subsample: int):
-        raw = parse_idx(Path(path).read_bytes())
+        try:
+            blob = Path(path).read_bytes()
+        except OSError as ex:  # a directory at the path, or no permission
+            raise DataError(f"cannot read IDX file {path}: "
+                            f"{ex.strerror}") from None
+        raw = parse_idx(blob)
         if raw.magic != IDX_IMAGES or len(raw.dims) != 3:
             raise DataError("not an IDX image file")
         imgs = idx_to_float(raw)[:subsample]
         n, h, w = imgs.shape
+        if n == 0:
+            raise DataError(f"IDX file {path} holds no images")
         if h < 24 or w < 24:
             raise DataError(f"images too small to pool: {h}x{w}")
         r0, c0 = (h - 24) // 2, (w - 24) // 2

@@ -3,9 +3,9 @@
 The workhorse is a small MLP taking [x, sinusoidal(t)] and returning a
 velocity in data space. Training needs parameter gradients and uncertainty
 needs Jacobian-vector products in x, so the network carries its own
-reverse-mode backward pass and forward-mode tangent propagation. Tangents go
-through the exact same cached activations (and dropout masks, when active) as
-the primal values, which keeps the two modes consistent to machine precision.
+reverse-mode backward pass and forward-mode tangent propagation. Tangents
+ride along the one-row pass and are scaled by the same activations as the
+primal values, which keeps the two modes consistent to machine precision.
 
 Dropout is the inverted kind: keep mask / (1 - rate), drawn from an explicit
 RngState per call, or per output row from a uint64 seed array. No call
@@ -14,21 +14,22 @@ mutates hidden RNG state.
 A training step's forward and backward write their (batch, hidden) arrays
 into a :class:`StepBuffers` set made once per run. Batched passes (training,
 the consistency reference, MC dropout's per-row streams) go through
-``forward_cache``, which keeps what ``backward`` and ``tangent`` read.
+``forward_cache``, which keeps what ``backward`` reads.
 
 One input row without dropout (an Euler step, one estimate's primal) takes
 a one-row pass instead: the layers run as 1-D products, with the bits of
-the (1, k) ones, and no cache is kept. When the Jacobian is wanted, the d
-basis tangents ride along: they start as a C-order copy of the first
-layer's x-column weight view (its product with I), are scaled in place by
-each layer's activation derivative and end as J^T. ``jacobian`` always
-takes that route; ``value_and_jvp`` takes it for a block of m >= d tangents
-at d <= hidden, and forms u @ J^T for no more multiply-adds than the m-row
-pass; smaller blocks and d > hidden propagate their own rows through
-``tangent``. The choice reads array shapes only; :class:`EvalCounter`
-counts m products either way.
+the (1, k) ones, and no cache is kept. It is the only code that propagates
+x-tangents. A tangent block enters at the first layer's pre-activations
+and is scaled in place by each layer's activation derivative. It is either
+the d basis rows, a C-order copy of the first layer's x-column weight view
+(its product with I), which end as J^T, or the caller's (m, d) block times
+that view. ``jacobian`` carries the basis. ``value_and_jvp`` carries it
+for a block of m >= d tangents at d <= hidden and forms u @ J^T, for no
+more multiply-adds than the m-row pass; it carries any other block as it
+is. The choice reads array shapes only; :class:`EvalCounter` counts m
+products either way.
 
-The clock frequencies and the transposed weight views both passes read are
+The clock frequencies and the transposed weight views the passes read are
 made once per model, as views that follow in-place writes to ``params``.
 One input row at a scalar float time gets its sin and cos written straight
 into the row, the same bits as :func:`time_features`; arrays of times and
@@ -239,12 +240,10 @@ class MlpVelocity:
         self.arch = arch
         self.params = params
         self.weights, self.biases = _layer_views(params, arch)
-        # the transposed weights the passes multiply by, made once: every
-        # layer's for the one-row forward, W0's x columns and the later
-        # layers' for tangents
+        # the transposed weights the one-row pass multiplies by, made once,
+        # and W0's x columns, where x-tangents enter
         self._forward_wt = tuple(w.T for w in self.weights)
-        self._tangent_wt = (self._forward_wt[0][:arch.dim],
-                            *self._forward_wt[1:])
+        self._w0x = self._forward_wt[0][:arch.dim]
         self._freqs = np.pi * (2.0 ** np.arange(arch.n_freq))
 
     # ---- construction -----------------------------------------------------
@@ -326,7 +325,7 @@ class MlpVelocity:
 
     def forward_cache(self, x, t, dropout_rng=None, *,
                       bufs: StepBuffers | None = None):
-        """Full forward pass returning (velocity, cache) for backward/JVP.
+        """Full forward pass returning (velocity, cache) for ``backward``.
 
         ``dropout_rng`` is one RngState for the whole batch, or one stream
         per output row as a uint64 array of the seeds of stream-0 states
@@ -386,16 +385,20 @@ class MlpVelocity:
         cache = {"inputs": inputs, "pre": pre, "post": post, "masks": masks}
         return out, cache
 
-    def _one_row(self, x, t, basis: bool = False):
+    def _one_row(self, x, t, du=None):
         """Velocity (dim,) of one input row without dropout and, with
-        ``basis``, J^T (dim x dim), whose row k is the tangent of e_k; else
-        None. The same bits as ``forward_cache`` on the row and ``tangent``
-        on the basis rows.
+        ``du``, its output tangents (m, dim); else None.
+
+        ``du`` is the (m, hidden) tangent of the first layer's
+        pre-activations: a C-order copy of the x-column weight view for the
+        d basis rows (the output is then J^T), or u @ that view for a block
+        u. It is scaled in place and carried through the later layers. The
+        same bits as ``forward_cache`` on the row, with the tangents scaled
+        by its activations.
         """
         h = self._input_features(x, t)[0]
         act = self.arch.activation
-        wt, tw = self._forward_wt, self._tangent_wt
-        jt = None
+        wt = self._forward_wt
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(self.arch.depth):
                 z = h @ wt[i]
@@ -404,16 +407,15 @@ class MlpVelocity:
                     raise ModelError(
                         "forward pass diverged: non-finite activations")
                 h = _act(act, z)
-                if basis:
-                    # the first layer's product with I is its x-column
-                    # weight view; a C-order copy, as the bits need
-                    jt = tw[0].copy() if i == 0 else jt @ tw[i]
-                    _scale_by_act_deriv(act, jt, z, h)
+                if du is not None:
+                    if i > 0:
+                        du = du @ wt[i]
+                    _scale_by_act_deriv(act, du, z, h)
             out = h @ wt[-1]
             out += self.biases[-1]
             if not _all_finite(out):
                 raise ModelError("forward pass diverged: non-finite output")
-        return out, (jt @ tw[-1] if basis else None)
+        return out, (None if du is None else du @ wt[-1])
 
     def velocity(self, x, t, dropout_rng=None) -> np.ndarray:
         if dropout_rng is None and np.ndim(x) < 2:
@@ -458,71 +460,43 @@ class MlpVelocity:
 
     # ---- forward-mode tangents ---------------------------------------------
 
-    def tangent(self, cache, u: np.ndarray) -> np.ndarray:
-        """Propagate x-tangents through a cached forward pass.
-
-        u is (m, dim): either one tangent per cached batch row (m equal to the
-        batch size) or many tangents against a single cached row (batch 1).
-        Time is held fixed, so the first layer acts through its x columns
-        only: the embedding block would contribute zero tangent.
-        """
-        u2 = np.atleast_2d(np.asarray(u, dtype=np.float64))
-        n = cache["inputs"][0].shape[0]
-        if u2.shape[1] != self.arch.dim:
-            raise ModelError(f"tangent dim {u2.shape[1]} != model dim {self.arch.dim}")
-        if n != 1 and u2.shape[0] != n:
-            raise ModelError(
-                f"tangent batch {u2.shape[0]} incompatible with cached batch {n}"
-            )
-        act = self.arch.activation
-        masks = cache["masks"]
-        wt = self._tangent_wt
-        du = u2 @ wt[0]
-        for i in range(self.arch.depth):
-            if i > 0:
-                du = du @ wt[i]
-            _scale_by_act_deriv(act, du, cache["pre"][i], cache["post"][i])
-            if masks is not None:
-                du *= masks[i]
-        return du @ wt[-1]
-
     def value_and_jvp(self, x, t, u):
-        """Velocity and J_v u in one pass. x: (d,), u: (d,) or (m, d).
+        """Velocity and J_v u in one one-row pass. x: (d,), u: (d,) or (m, d).
 
-        A block of m >= d tangents at d <= hidden is u @ J^T from the
-        one-row pass; any other block goes through ``tangent``, which
-        checks u.
+        Time is held fixed, so the tangents enter through the first layer's
+        x columns only. A block of m >= d tangents at d <= hidden is u @ J^T
+        from the d basis rows; any other block is carried as it is.
         """
         xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
         u2 = np.atleast_2d(np.asarray(u, dtype=np.float64))
         dim = self.arch.dim
-        if (u2.shape[1] == dim and u2.shape[0] >= dim
-                and dim <= self.arch.hidden):
-            v, jt = self._one_row(xv, t, basis=True)
+        if u2.shape[1] != dim:
+            raise ModelError(f"tangent dim {u2.shape[1]} != model dim {dim}")
+        if u2.shape[0] >= dim and dim <= self.arch.hidden:
+            v, jt = self._one_row(xv, t, self._w0x.copy())
             ju = u2 @ jt
         else:
-            out, cache = self.forward_cache(xv, t)
-            v, ju = out[0], self.tangent(cache, u2)
+            v, ju = self._one_row(xv, t, u2 @ self._w0x)
         return v, (ju if np.ndim(u) == 2 else ju[0])
 
     def jacobian(self, x, t) -> np.ndarray:
         """Dense d x d velocity Jacobian from d basis tangents."""
         xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        return self._one_row(xv, t, basis=True)[1].T
+        return self._one_row(xv, t, self._w0x.copy())[1].T
 
 
 @dataclass
 class EvalCounter:
     """Tally of field work, used by the cost audit.
 
-    One tangent propagation costs about one forward pass, so the audit
-    reports forwards + jvps as forward-equivalents. A fused batch of S
-    tangents counts as S: the single primal pass it shares is amortized
-    across the batch and is not billed separately unless the caller actually
+    One tangent row costs about one forward pass, so the audit reports
+    forwards + jvps as forward-equivalents. A block of S tangents rides one
+    one-row pass and counts as S: the primal pass it shares is amortized
+    across the block and is not billed separately unless the caller actually
     consumes the primal value (value_and_jvp does, jvp does not).
 
     jvps counts the tangent products delivered, not the rows propagated: a
-    block of m >= d tangents (at d <= hidden) propagates d basis rows and
+    block of m >= d tangents (at d <= hidden) carries d basis rows and
     forms its m products from J^T, and still counts m. A field's dense
     ``jacobian`` counts d, the products with the d basis vectors.
     """
@@ -541,7 +515,8 @@ class ModelField:
 
     Each output row counts as one forward; each tangent row as one JVP,
     counted from the result, so the probe block is converted only once, in
-    the model's pass. ``jacobian`` counts d JVPs, its d basis tangents.
+    the model's one-row pass. ``jacobian`` counts d JVPs, its d basis
+    tangents.
     Passes run in inference mode, with no dropout;
     the MC-dropout baseline runs its stochastic passes on the model itself
     and counts them on this handle's counter.

@@ -19,6 +19,7 @@ diagnostic of model misfit rather than noise to be hidden.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,8 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
     # the ufunc reductions behind ndarray.sum and np.any, without their
     # Python wrappers
     u_raw = float(np.add.reduce(diag_raw))
+    if not math.isfinite(u_raw):  # as when (1-t)^2/t overflows near t = 0
+        raise UqError(f"posterior variance is not finite at t = {t:g}")
     floored = bool(np.logical_or.reduce(diag_raw < 0.0))
     diag = np.maximum(diag_raw, 0.0)
     u = max(u_raw, 0.0)

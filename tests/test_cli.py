@@ -439,6 +439,75 @@ def test_overflowing_idx_header_exits_one_with_one_line(tmp_path, capsys):
     assert len(err) == 1 and "size mismatch" in err[0], err
 
 
+def _mnist_ini(tmp_path, idx):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\nout = {tmp_path / 'out'}\n"
+                   f"[task]\nkind = mnist\npath = {idx}\n")
+    return ini
+
+
+def test_idx_path_that_is_a_directory_exits_one_with_one_line(tmp_path,
+                                                              capsys):
+    ini = _mnist_ini(tmp_path, tmp_path)
+    for argv in (["train", "fm"], ["uq", "tweedie"]):
+        capsys.readouterr()
+        assert main([*argv, "--config", str(ini)]) == 1, argv
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read IDX file {tmp_path}: Is a directory"], argv
+
+
+def test_idx_file_of_no_images_exits_one_with_one_line(tmp_path, capsys):
+    idx = tmp_path / "digits.idx"
+    idx.write_bytes(struct.pack(">IIII", 0x803, 0, 28, 28))
+    ini = _mnist_ini(tmp_path, idx)
+    for argv in (["train", "fm"], ["uq", "tweedie"]):
+        capsys.readouterr()
+        assert main([*argv, "--config", str(ini)]) == 1, argv
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: IDX file {idx} holds no images"], argv
+
+
+def test_model_path_that_is_a_directory_exits_one_with_one_line(tmp_path,
+                                                                capsys):
+    out = tmp_path / "run"
+    path = out / "model_fm.fvar"
+    path.mkdir(parents=True)
+    ini = tmp_path / "f.ini"
+    ini.write_text(FAST_INI.format(out=out))
+    for argv in (["uq", "tweedie"], ["traj"]):
+        capsys.readouterr()
+        assert main([*argv, "--config", str(ini)]) == 1, argv
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot read model {path}: Is a directory"], argv
+    assert sorted(p.name for p in out.iterdir()) == ["model_fm.fvar"]
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["uq", "tweedie", "--t", "1e-310"], None),
+    (["uq", "onestep"], ("epsilon = 0.01", "epsilon = 1e-310")),
+])
+def test_overflowing_estimate_fails_with_one_stderr_line(workspace, tmp_path,
+                                                         argv, setting):
+    """At a time so near 0 that (1-t)^2/t overflows, the estimate is
+    refused on its failure line, not written as an inf row."""
+    ini, out = workspace
+    text = ini.read_text()
+    if setting is not None:
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(text.replace(*setting))
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowvar.cli", *argv, "--config", str(ini)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "runtime failure: posterior variance is not finite at t = 1e-310"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()
+            if p.is_file()} == before
+
+
 def test_probe_block_bounds_are_checked_before_any_work(tmp_path, capsys):
     """Sizes past the bounds are refused before a model is read or anything
     drawn; none of them is ever requested."""
@@ -558,7 +627,7 @@ def test_out_that_cannot_be_a_directory_exits_one_with_one_line(
 @pytest.mark.parametrize("argv, means, message", [
     (["train", "fm"], "1e200 0 ; 3.5 0", "runtime failure: non-finite loss"),
     (["oracle-check"], "1e308 0 ; 3.5 0",
-     "runtime failure: relative Frobenius error at t="),
+     "runtime failure: posterior variance is not finite at t = 0.7"),
 ])
 def test_overflowing_means_fail_with_one_stderr_line(tmp_path, argv, means,
                                                      message):

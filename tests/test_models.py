@@ -98,8 +98,6 @@ def _padded_tangent(model, cache, u):
         du = du @ model.weights[i].T
         z, h = cache["pre"][i], cache["post"][i]
         du *= (1.0 - h * h) if arch.activation == "tanh" else (z > 0.0)
-        if cache["masks"] is not None:
-            du *= cache["masks"][i]
     return du @ model.weights[-1].T
 
 
@@ -117,23 +115,20 @@ def test_x_column_first_layer_is_the_zero_padded_pass(dim, n_freq, activation,
         return m
 
     g = RngState(5).generator()
-    rng = RngState(9) if dropout else None
     x1, t1 = g.standard_normal((1, dim)), 0.4
     signs = g.choice([-1.0, 1.0], (dim + 50, dim))
-    xs, us = g.standard_normal((16, dim)), g.standard_normal((16, dim))
     wide = model(128)
-    # the m-row pass, bit for bit: a per-row cache against one tangent per
-    # row, a batch-1 cache against fewer than d tangents and against m >= d,
-    # and d > hidden
-    blocks = [(wide, xs, g.uniform(0.01, 0.99, 16), us),
-              (wide, x1, t1, signs[:dim - 1]), (wide, x1, t1, signs)]
+    # the m-row pass, bit for bit: fewer than d tangents, one 1-D tangent
+    # and d > hidden; value_and_jvp runs without dropout at any rate
+    blocks = [(wide, signs[:dim - 1])]
     if dim > 1:
-        blocks.append((model(dim - 1), x1, t1, signs))
-    for m, x, t, u in blocks:
-        _, cache = m.forward_cache(x, t, rng)
-        assert (cache["masks"] is None) == (not dropout)
-        assert np.array_equal(m.tangent(cache, u),
-                              _padded_tangent(m, cache, u))
+        blocks += [(wide, signs[0]), (model(dim - 1), signs)]
+    for m, u in blocks:
+        out, cache = m.forward_cache(x1, t1)
+        v, ju = m.value_and_jvp(x1[0], t1, u)
+        assert v.tobytes() == out[0].tobytes()
+        ref = _padded_tangent(m, cache, np.atleast_2d(u))
+        assert ju.tobytes() == (ref if u.ndim == 2 else ref[0]).tobytes()
     # value_and_jvp on a block of m >= d tangents, at d <= hidden, is u @ J^T
     jac = wide.jacobian(x1, t1)
     _, cache = wide.forward_cache(x1, t1)
@@ -171,25 +166,34 @@ def _reference_row(model, x, t):
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_one_row_pass_is_the_batch_one_arithmetic_bit_for_bit(dim, hidden,
                                                               activation):
-    m = _model(dim=dim, hidden=hidden, activation=activation)
-    m.params[:] = RngState(4).generator().standard_normal(m.n_params)
-    m.params /= np.sqrt(m.arch.in_dim)
     g = RngState(5).generator()
     x = g.standard_normal(dim)
     signs = g.choice([-1.0, 1.0], (dim + 50, dim))
-    _, cache = m.forward_cache(x, 0.37)
-    for t in (0.37, np.float64(0.37)):
-        v, jt = _reference_row(m, x, t)
-        assert m.velocity(x, t).tobytes() == v.tobytes()
-        assert m.jacobian(x, t).tobytes() == jt.T.tobytes()
-        for u in (signs[:dim], signs):
-            got_v, ju = m.value_and_jvp(x, t, u)
-            ref = u @ jt if dim <= hidden else _padded_tangent(m, cache, u)
-            assert got_v.tobytes() == v.tobytes()
-            assert ju.tobytes() == ref.tobytes()
+    for depth in (1, 2, 3):
+        m = _model(dim=dim, hidden=hidden, depth=depth, activation=activation)
+        m.params[:] = RngState(4).generator().standard_normal(m.n_params)
+        m.params /= np.sqrt(m.arch.in_dim)
+        _, cache = m.forward_cache(x, 0.37)
+        for t in (0.37, np.float64(0.37)):
+            v, jt = _reference_row(m, x, t)
+            assert m.velocity(x, t).tobytes() == v.tobytes()
+            assert m.jacobian(x, t).tobytes() == jt.T.tobytes()
+            # fewer than d tangents, and d > hidden, take the m-row pass
+            for u in (signs[:dim - 1], signs[:dim], signs):
+                got_v, ju = m.value_and_jvp(x, t, u)
+                ref = (u @ jt if dim <= hidden and len(u) >= dim
+                       else _padded_tangent(m, cache, u))
+                assert got_v.tobytes() == v.tobytes()
+                assert ju.tobytes() == ref.tobytes(), (depth, len(u))
 
 
 def test_one_row_pass_keeps_its_checks():
+    # a tangent of the wrong length is refused on either route: in a block
+    # of m >= d at d <= hidden, in fewer rows, and at d > hidden
+    for m, u in ((_model(), np.ones((5, 4))), (_model(), np.ones((2, 4))),
+                 (_model(), np.ones(2)), (_model(hidden=2), np.ones((5, 4)))):
+        with pytest.raises(ModelError, match=r"tangent dim \d != model dim 3"):
+            m.value_and_jvp(np.zeros(3), 0.5, u)
     m = _model()
     u = np.ones((5, 3))
     for call in (lambda x: m.velocity(x, 0.5), lambda x: m.jacobian(x, 0.5),

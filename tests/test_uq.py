@@ -115,6 +115,21 @@ def test_probe_validation_errors():
         cov_closed_form(field, np.zeros(2), 1.0, exhaustive_sign_probes(2))
 
 
+def test_overflowing_estimate_is_refused():
+    """(1-t)^2/t overflows at a subnormal t: no inf estimate comes back."""
+    probes = exhaustive_sign_probes(2)
+    for t in (1e-310, 5e-324):
+        with pytest.raises(UqError, match=f"not finite at t = {t:g}$"):
+            cov_closed_form(LinearField(np.zeros((2, 2))), np.zeros(2), t,
+                            probes)
+        with pytest.raises(UqError, match="not finite"):
+            one_step_cov(LinearField(-0.5 * np.eye(2)), np.zeros(2), t,
+                         probes)
+    est = cov_closed_form(LinearField(np.zeros((2, 2))), np.zeros(2), 1e-300,
+                          probes)
+    assert np.isfinite(est.u_raw)
+
+
 def test_full_materialization_dim_limit():
     d = 65
     field = LinearField(np.zeros((d, d)))
