@@ -49,55 +49,40 @@ MAX_ENSEMBLE_MEMBERS = 64
 MAX_DROPOUT_PASSES = 4096
 
 
-# the [model] and [training] keys and their types; a key a config leaves out
-# takes the default of the MlpArch or TrainConfig field of that name
-_MODEL_KEYS = {"hidden": int, "depth": int, "n_freq": int, "activation": str}
-_TRAINING_KEYS = {"epochs": int, "batch_size": int, "learning_rate": float,
-                  "lr_schedule": str, "weight_decay": float,
-                  "pairs_per_epoch": int}
-
-# every legal key, per section; parsing rejects anything else
-_SCHEMA = {
-    "experiment": {"out", "seed"},
-    "task": {"kind", "side", "path", "subsample", "means", "sigma", "weights"},
-    "model": set(_MODEL_KEYS),
-    "training": set(_TRAINING_KEYS),
-    "uq": {"t_grid", "probes", "epsilon"},
-    "methods": {"use", "ensemble_members", "dropout_passes", "dropout_rate"},
-}
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    out: Path
-    seed: int
-    task_kind: str
-    task_side: int
-    task_path: str | None
-    task_subsample: int
-    gmm_means: tuple
-    gmm_sigma: float
-    gmm_weights: tuple | None
-    hidden: int
-    depth: int
-    n_freq: int
-    activation: str
-    training: TrainConfig
-    t_grid: tuple
-    probes: int
-    epsilon: float
-    methods: tuple
-    ensemble_members: int
-    dropout_passes: int
-    dropout_rate: float
+    """Every setting, at its default unless a config file gives it."""
+
+    out: Path = Path("runs/out")
+    seed: int = 0
+    task_kind: str = "gmm"
+    task_side: int = 8
+    task_path: str | None = None
+    task_subsample: int = 2048
+    gmm_means: tuple = ((0.5, 0.0), (3.5, 0.0))
+    gmm_sigma: float = 0.15
+    gmm_weights: tuple | None = None
+    hidden: int = MlpArch.hidden
+    depth: int = MlpArch.depth
+    n_freq: int = MlpArch.n_freq
+    activation: str = MlpArch.activation
+    training: TrainConfig = TrainConfig()
+    t_grid: tuple = (0.3, 0.5, 0.7, 0.9)
+    probes: int = 50
+    epsilon: float = 0.01
+    methods: tuple = tuple(METHODS)
+    ensemble_members: int = 5
+    dropout_passes: int = 50
+    dropout_rate: float = 0.15
 
     def build_task(self):
         if self.task_kind == "gmm":
-            spec = (GmmSpec.isotropic(self.gmm_means, self.gmm_sigma,
-                                      self.gmm_weights)
-                    if self.gmm_weights is not None else
-                    GmmSpec.isotropic(self.gmm_means, self.gmm_sigma))
-            return GmmTask(spec)
+            return GmmTask(GmmSpec.isotropic(self.gmm_means, self.gmm_sigma,
+                                             self.gmm_weights))
         if self.task_kind in ("bars", "blobs"):
             return ImageTask(self.task_kind, self.task_side)
         if self.task_kind == "mnist":
@@ -116,13 +101,31 @@ class ExperimentConfig:
                                    objective=objective)
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
-def _mean_rows(text: str) -> tuple:
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    return tuple(_floats(r) for r in rows)
+# every legal key: section -> key -> (field, parser); the [training] fields
+# are TrainConfig's, the others ExperimentConfig's. Parsing rejects any
+# other section or key and leaves each field a config omits at its default.
+_KEYS = {
+    "experiment": {"out": ("out", Path), "seed": ("seed", int)},
+    "task": {"kind": ("task_kind", str), "side": ("task_side", int),
+             "path": ("task_path", str), "subsample": ("task_subsample", int),
+             "means": ("gmm_means", lambda text: tuple(
+                 _floats(row) for row in text.split(";") if row.strip())),
+             "sigma": ("gmm_sigma", float),
+             # an empty value leaves the weights equal
+             "weights": ("gmm_weights", lambda text: _floats(text) or None)},
+    "model": {key: (key, cast) for key, cast in (
+        ("hidden", int), ("depth", int), ("n_freq", int),
+        ("activation", str))},
+    "training": {key: (key, cast) for key, cast in (
+        ("epochs", int), ("batch_size", int), ("learning_rate", float),
+        ("weight_decay", float), ("pairs_per_epoch", int))},
+    "uq": {"t_grid": ("t_grid", lambda text: shift_time_grid(_floats(text))),
+           "probes": ("probes", int), "epsilon": ("epsilon", float)},
+    "methods": {"use": ("methods", lambda text: tuple(text.split())),
+                "ensemble_members": ("ensemble_members", int),
+                "dropout_passes": ("dropout_passes", int),
+                "dropout_rate": ("dropout_rate", float)},
+}
 
 
 def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
@@ -130,73 +133,33 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     try:
         cp.read_string(text)
     except configparser.Error as ex:
-        # configparser's messages quote the offending line on lines of
-        # their own
+        # configparser quotes the offending line on a line of its own
         raise ConfigError(f"malformed config: {' '.join(str(ex).split())}") \
             from ex
 
+    fields, training = {}, {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section: [{section}]")
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
+        for key, raw in cp.items(section):
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
-
-    def given(section, keys):
-        return {key: cast(cp.get(section, key)) for key, cast in keys.items()
-                if cp.has_option(section, key)}
-
+            field, parse = _KEYS[section][key]
+            try:
+                value = parse(raw)
+            except ValueError as ex:
+                raise ConfigError(f"bad config value: {ex}") from ex
+            (training if section == "training" else fields)[field] = value
+    # a relative path names a file next to the config file
+    path = fields.get("task_path")
+    if path and base_dir is not None and not Path(path).is_absolute():
+        fields["task_path"] = str(base_dir / path)
     try:
-        seed = int(get("experiment", "seed", "0"))
-        out = Path(get("experiment", "out", "runs/out"))
-
-        kind = get("task", "kind", "gmm")
-        side = int(get("task", "side", "8"))
-        path = get("task", "path")
-        # a relative path names a file next to the config file
-        if path and base_dir is not None and not Path(path).is_absolute():
-            path = str(base_dir / path)
-        subsample = int(get("task", "subsample", "2048"))
-        means = _mean_rows(get("task", "means", "0.5 0 ; 3.5 0"))
-        sigma = float(get("task", "sigma", "0.15"))
-        weights_txt = get("task", "weights")
-        weights = _floats(weights_txt) if weights_txt else None
-
-        training = TrainConfig(seed=RngState(seed),
-                               **given("training", _TRAINING_KEYS))
-
-        raw_grid = _floats(get("uq", "t_grid", "0.3 0.5 0.7 0.9"))
-        t_grid = shift_time_grid(raw_grid)
-        probes = int(get("uq", "probes", "50"))
-        epsilon = float(get("uq", "epsilon", "0.01"))
-
-        methods = tuple(get("methods", "use",
-                            " ".join(METHODS)).split())
-        ensemble_members = int(get("methods", "ensemble_members", "5"))
-        dropout_passes = int(get("methods", "dropout_passes", "50"))
-        dropout_rate = float(get("methods", "dropout_rate", "0.15"))
-        arch = {f.name: f.default for f in dataclasses.fields(MlpArch)
-                if f.name in _MODEL_KEYS}
-        arch.update(given("model", _MODEL_KEYS))
-
-        cfg = ExperimentConfig(
-            out=out, seed=seed, task_kind=kind, task_side=side,
-            task_path=path, task_subsample=subsample, gmm_means=means,
-            gmm_sigma=sigma, gmm_weights=weights, **arch, training=training,
-            t_grid=t_grid, probes=probes, epsilon=epsilon,
-            methods=methods, ensemble_members=ensemble_members,
-            dropout_passes=dropout_passes, dropout_rate=dropout_rate,
-        )
-    except (ValueError, TypeError, TrainingError) as ex:
-        if isinstance(ex, ConfigError):
-            raise
+        training = TrainConfig(seed=RngState(fields.get(
+            "seed", ExperimentConfig.seed)), **training)
+    except TrainingError as ex:
         raise ConfigError(f"bad config value: {ex}") from ex
-
+    cfg = ExperimentConfig(**fields, training=training)
     _validate(cfg)
     return cfg
 
@@ -253,27 +216,12 @@ def _validate(cfg: ExperimentConfig):
                               f"{cfg.task_subsample}")
 
 
+# each preset gives only what it sets apart from the defaults
 PRESETS = {
     "gmm2d": """
 [experiment]
 out = runs/gmm2d
 seed = 42
-
-[task]
-kind = gmm
-means = 0.5 0 ; 3.5 0
-sigma = 0.15
-
-[uq]
-t_grid = 0.3 0.5 0.7 0.9
-probes = 50
-epsilon = 0.01
-
-[methods]
-use = tweedie-fm tweedie-onestep ensemble mc-dropout
-ensemble_members = 5
-dropout_passes = 50
-dropout_rate = 0.15
 """,
     "bars8": """
 [experiment]
@@ -282,18 +230,9 @@ seed = 42
 
 [task]
 kind = bars
-side = 8
 
 [uq]
-t_grid = 0.3 0.5 0.7 0.9
 probes = 64
-epsilon = 0.01
-
-[methods]
-use = tweedie-fm tweedie-onestep ensemble mc-dropout
-ensemble_members = 5
-dropout_passes = 50
-dropout_rate = 0.15
 """,
     "blobs8": """
 [experiment]
@@ -302,18 +241,9 @@ seed = 42
 
 [task]
 kind = blobs
-side = 8
 
 [uq]
-t_grid = 0.3 0.5 0.7 0.9
 probes = 64
-epsilon = 0.01
-
-[methods]
-use = tweedie-fm tweedie-onestep ensemble mc-dropout
-ensemble_members = 5
-dropout_passes = 50
-dropout_rate = 0.15
 """,
 }
 

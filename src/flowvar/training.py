@@ -74,7 +74,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 2e-4
-    lr_schedule: str = "cosine"  # or "constant"
     weight_decay: float = 0.01
     seed: RngState = RngState(0)
     objective: str = "fm"  # or "one-step"
@@ -96,8 +95,6 @@ class TrainConfig:
                                 "nonnegative")
         if not np.isfinite(self.weight_decay):
             raise TrainingError("weight decay must be finite")
-        if self.lr_schedule not in ("constant", "cosine"):
-            raise TrainingError(f"unknown lr schedule {self.lr_schedule!r}")
         if self.objective not in ("fm", "one-step"):
             raise TrainingError(f"unknown objective {self.objective!r}")
 
@@ -199,8 +196,7 @@ class _AdamW:
 
 
 def _lr_at(config: TrainConfig, step: int, total_steps: int) -> float:
-    if config.lr_schedule == "constant":
-        return config.learning_rate
+    """The cosine schedule, from ``learning_rate`` at step 0 toward 0."""
     return config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
 
 

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 FULL_COV_DIM_LIMIT = 64
+# (1-t)^2/t above this, at t below about 1e-250, can take the variances past
+# the float64 range; below it only a Jacobian diagonal beyond about 1e50 can
+_PREF_QUIET = 1e250
 
 
 class UqError(ValueError):
@@ -144,13 +147,20 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
     jdiag = hutchinson_diagonal(field.jvp(xt, t, probes.probes), probes)
 
     pref = (1.0 - t) ** 2 / t
+    if pref > _PREF_QUIET:
+        # near t = 0 the variances can overflow: their sum is taken quietly
+        # first, so that no numpy warning comes before the refusal
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_raw = np.add.reduce(pref * ((1.0 - t) * jdiag + 1.0))
+        if not math.isfinite(u_raw):
+            raise UqError(f"posterior variance is not finite at t = {t:g}")
     diag_raw = (1.0 - t) * jdiag
     diag_raw += 1.0
     diag_raw *= pref
     # the ufunc reductions behind ndarray.sum and np.any, without their
     # Python wrappers
     u_raw = float(np.add.reduce(diag_raw))
-    if not math.isfinite(u_raw):  # as when (1-t)^2/t overflows near t = 0
+    if not math.isfinite(u_raw):  # as when the Jacobian is not finite
         raise UqError(f"posterior variance is not finite at t = {t:g}")
     floored = bool(np.logical_or.reduce(diag_raw < 0.0))
     diag = np.maximum(diag_raw, 0.0)

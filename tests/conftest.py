@@ -18,7 +18,7 @@ from flowvar.training import TrainConfig, TrainJob, ensemble_jobs, train_jobs
 
 
 def _job(arch, method, **overrides):
-    init_key, train_key, _ = METHODS[method].streams
+    init_key, train_key = METHODS[method].streams
     master = RngState(0)
     return TrainJob(arch, master.split(init_key),
                     TrainConfig(seed=master.split(train_key),

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from flowvar.training import (MAX_BATCH_SIZE, MAX_EPOCHS,
 
 def test_empty_config_gets_defaults():
     cfg = parse_config("")
+    assert cfg == ExperimentConfig()
     assert cfg.seed == 0
     assert cfg.task_kind == "gmm"
     assert cfg.training.epochs == 30
     assert cfg.training.batch_size == 128
     assert cfg.training.learning_rate == pytest.approx(2e-4)
-    assert cfg.training.lr_schedule == "cosine"
     assert cfg.training.pairs_per_epoch == 8192
     assert cfg.probes == 50
     assert cfg.epsilon == pytest.approx(0.01)
@@ -168,6 +169,53 @@ def test_presets_parse_and_differ():
     assert load_config("bars8").probes == 64
     assert load_config("blobs8").task_kind == "blobs"
     assert set(PRESETS) == {"gmm2d", "bars8", "blobs8"}
+
+
+# the presets as they were once written, every setting spelled out; the
+# presets now give only what they set apart from the defaults
+FULL_PRESETS = {
+    name: f"""
+[experiment]
+out = runs/{name}
+seed = 42
+
+[task]
+{task}
+
+[uq]
+t_grid = 0.3 0.5 0.7 0.9
+probes = {probes}
+epsilon = 0.01
+
+[methods]
+use = tweedie-fm tweedie-onestep ensemble mc-dropout
+ensemble_members = 5
+dropout_passes = 50
+dropout_rate = 0.15
+""" for name, task, probes in (
+        ("gmm2d", "kind = gmm\nmeans = 0.5 0 ; 3.5 0\nsigma = 0.15", 50),
+        ("bars8", "kind = bars\nside = 8", 64),
+        ("blobs8", "kind = blobs\nside = 8", 64))}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_PRESETS))
+def test_trimmed_presets_parse_as_the_full_ones(name):
+    """Every benchmark workload loads a preset: trimming one to what it
+    sets apart must not move any setting."""
+    assert load_config(name) == parse_config(FULL_PRESETS[name])
+
+
+def test_readme_settings_block_states_the_defaults():
+    """README's block of all settings and their defaults parses to the
+    defaults, once its comments and its two empty example keys are gone."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("All settings and their defaults:")[1]
+    block = block.split("```ini\n")[1].split("```")[0]
+    lines = [line.split("#")[0].strip() for line in block.splitlines()]
+    text = "\n".join(line for line in lines
+                     if line not in ("weights =", "path ="))
+    assert parse_config(text) == parse_config("")
 
 
 def test_load_config_path_fallback(tmp_path):

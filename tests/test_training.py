@@ -32,8 +32,6 @@ def test_config_validation():
     with pytest.raises(TrainingError):
         TrainConfig(learning_rate=-1e-3)
     with pytest.raises(TrainingError):
-        TrainConfig(lr_schedule="warmup")
-    with pytest.raises(TrainingError):
         TrainConfig(objective="score")
     with pytest.raises(TrainingError):
         TrainConfig(batch_size=512, pairs_per_epoch=256)

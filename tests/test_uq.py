@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from flowvar.data import default_gmm_task
 from flowvar.models import (EvalCounter, MlpArch, MlpVelocity, ModelField,
                             analytic_handle)
 from flowvar.numerics import RngState, draw_rademacher, exhaustive_sign_probes
@@ -116,17 +119,25 @@ def test_probe_validation_errors():
 
 
 def test_overflowing_estimate_is_refused():
-    """(1-t)^2/t overflows at a subnormal t: no inf estimate comes back."""
+    """(1-t)^2/t overflows at a subnormal t, and the variances' sum just
+    above it: no inf estimate comes back, and numpy warns of nothing."""
     probes = exhaustive_sign_probes(2)
-    for t in (1e-310, 5e-324):
-        with pytest.raises(UqError, match=f"not finite at t = {t:g}$"):
-            cov_closed_form(LinearField(np.zeros((2, 2))), np.zeros(2), t,
-                            probes)
-        with pytest.raises(UqError, match="not finite"):
-            one_step_cov(LinearField(-0.5 * np.eye(2)), np.zeros(2), t,
-                         probes)
-    est = cov_closed_form(LinearField(np.zeros((2, 2))), np.zeros(2), 1e-300,
-                          probes)
+    analytic = analytic_handle(default_gmm_task().spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1e-308, 1e-310, 5e-324):
+            with pytest.raises(UqError, match=f"not finite at t = {t:g}$"):
+                cov_closed_form(LinearField(np.zeros((2, 2))), np.zeros(2), t,
+                                probes)
+        for t in (1e-310, 5e-324):
+            with pytest.raises(UqError, match="not finite"):
+                one_step_cov(LinearField(-0.5 * np.eye(2)), np.zeros(2), t,
+                             probes)
+            # the analytic J is -I here: each variance is 0 * inf
+            with pytest.raises(UqError, match="not finite"):
+                cov_closed_form(analytic, np.array([1.0, 0.2]), t, probes)
+        est = cov_closed_form(LinearField(np.zeros((2, 2))), np.zeros(2),
+                              1e-300, probes)
     assert np.isfinite(est.u_raw)
 
 

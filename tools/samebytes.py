@@ -17,6 +17,9 @@ bars128, which has the presets' 128 hidden units and 64 probes (so its
 probe blocks take the basis-tangent route at d = 64), and gmmrelu, which
 uses relu. gmmk3 is a gmm of three unequally weighted components, so the
 oracle's stacked component algebra is compared at K = 3 as well as K = 2.
+gmmkeys sets each config key that no other config sets to a value not its
+default (depth 3, n_freq 4, learning_rate, weight_decay, epsilon and
+dropout_rate), so every key's parse reaches the compared bytes.
 Each config runs every subcommand, the
 ``uq --t`` variants and ``oracle-check``. It then compares
 every CSV, PGM and ``.fvar`` file and the stdout (with the exit code) of each
@@ -55,15 +58,18 @@ seed = {seed}
 epochs = 2
 pairs_per_epoch = {pairs}
 batch_size = 64
+{training}
 
 [uq]
 t_grid = 0.3 0.7
 probes = {probes}
+{uq}
 
 [methods]
-use = {methods}
+use = {use}
 ensemble_members = 3
 dropout_passes = {passes}
+{methods}
 """
 
 _METHODS = ["tweedie-fm", "tweedie-onestep", "ensemble", "mc-dropout"]
@@ -85,13 +91,21 @@ CONFIGS = {
     "blobs": ("kind = blobs\nside = 8", _METHODS[::-1], 8, 5, 6),
     "mnist": ("kind = mnist\npath = digits.idx\nsubsample = 32", _METHODS, 8,
               5, 6),
+    "gmmkeys": ("kind = gmm\nmeans = 0.5 0 ; 3.5 0\nsigma = 0.15", _METHODS,
+                8, 5, 6),
 }
 # pairs per epoch where not 512: 500 = 7 * 64 + 52, so each epoch ends in a
 # short batch, whose time draw and initial-loss sum are compared too
 PAIRS = {"bars500": 500}
 # [model] lines where not "hidden = 32"
 MODEL = {"bars128": "hidden = 128",
-         "gmmrelu": "hidden = 32\nactivation = relu"}
+         "gmmrelu": "hidden = 32\nactivation = relu",
+         "gmmkeys": "hidden = 32\ndepth = 3\nn_freq = 4"}
+# more lines of the [training], [uq] and [methods] sections: gmmkeys sets
+# each key that no other config sets, each to a value not its default
+MORE = {"gmmkeys": {"training": "learning_rate = 5e-4\nweight_decay = 0.05",
+                    "uq": "epsilon = 0.05",
+                    "methods": "dropout_rate = 0.3"}}
 # files a config reads, written next to its config.ini: 32 seeded images
 # in an IDX container
 FILES = {
@@ -140,10 +154,13 @@ def run_matrix(src: Path, root: Path) -> None:
         out = base / "run"
         for file, data in FILES.get(name, {}).items():
             (base / file).write_bytes(data)
-        ini.write_text(_INI.format(task=task, methods=" ".join(methods),
+        ini.write_text(_INI.format(task=task, use=" ".join(methods),
                                    probes=probes, seed=seed, passes=passes,
                                    pairs=PAIRS.get(name, 512),
-                                   model=MODEL.get(name, "hidden = 32")),
+                                   model=MODEL.get(name, "hidden = 32"),
+                                   **{section: MORE.get(name, {}).get(
+                                       section, "") for section in
+                                      ("training", "uq", "methods")}),
                        encoding="utf-8")
         for k, (argv, keep) in enumerate(MATRIX):
             _flowvar(src, argv, ini, out,
