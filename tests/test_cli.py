@@ -286,6 +286,10 @@ def test_missing_model_and_bad_flags_exit_one(tmp_path, capsys):
     ("model", "activation = sigmoid", "activation"),
     ("training", "batch_size = 0", "batch_size"),
     ("training", "epochs = 0", "epochs"),
+    # the schedule key is gone, so any value of it is refused as unknown
+    pytest.param("training", "lr_schedule = bogus",
+                 "unknown key 'lr_schedule' in [training]",
+                 id="training-lr_schedule = bogus-lr schedule"),
     ("task", "weights = 0.5 0.6", "weights"),
     ("task", "sigma = 0", "sigma"),
     ("training", "learning_rate = nan", "learning rate"),
