@@ -87,15 +87,18 @@ def mc_dropout_uq(model, xt, t: float, passes: int,
                   rng: RngState) -> BaselineEstimate:
     """Variance of the posterior mean across stochastic dropout passes.
 
-    Pass p draws its masks from the child stream ``rng.split(p)``: the
-    passes' seeds come from ``rng.split_seeds`` as one array, the model's
-    per-row dropout streams, so the estimate is reproducible and distinct
-    call sites never share masks. All passes run as one forward with one row
-    per pass, and a counting handle's counter gets one forward per pass.
-    With dropout rate zero every pass coincides and the variance is zero.
+    All passes run as one forward of the state repeated to one row per pass,
+    whose masks are one (depth, passes, hidden) uniform draw of ``rng``'s
+    generator: pass p's masks are row p of each layer's block. The estimate
+    is reproducible per ``rng``, and its masks depend on the pass count. A
+    counting handle's counter gets one forward per pass. With dropout rate
+    zero every pass coincides and the variance is zero.
     """
     if passes < 2:
         raise BaselineError("need at least 2 dropout passes")
+    if not isinstance(rng, RngState):
+        raise BaselineError(f"mc dropout draws its masks from an RngState, "
+                            f"got {type(rng).__name__}")
     if isinstance(model, ModelField):
         net, counter = model.model, model.counter
     elif isinstance(model, MlpVelocity):
@@ -104,7 +107,8 @@ def mc_dropout_uq(model, xt, t: float, passes: int,
         raise BaselineError("mc dropout needs an MLP model or its handle")
     t = check_unit_time(t)
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    means = net.velocity(xt, t, dropout_rng=rng.split_seeds(range(passes)))
+    means = net.velocity(np.broadcast_to(xt, (passes, len(xt))), t,
+                         dropout_rng=rng)
     if counter is not None:
         counter.forwards += passes
     # posterior_mean_from_velocity's xt + (1 - t) v, in the fresh forward

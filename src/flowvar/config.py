@@ -172,6 +172,8 @@ def check_seed(seed: int) -> None:
 
 def _validate(cfg: ExperimentConfig):
     check_seed(cfg.seed)
+    if not cfg.methods:
+        raise ConfigError("[methods] use names no method")
     for m in cfg.methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method: {m!r}")

@@ -8,12 +8,12 @@ ride along the one-row pass and are scaled by the same activations as the
 primal values, which keeps the two modes consistent to machine precision.
 
 Dropout is the inverted kind: keep mask / (1 - rate), drawn from an explicit
-RngState per call, or per output row from a uint64 seed array. No call
-mutates hidden RNG state.
+RngState per call, one draw for the whole batch. No call mutates hidden RNG
+state.
 
 A training step's forward and backward write their (batch, hidden) arrays
 into a :class:`StepBuffers` set made once per run. Batched passes (training,
-the consistency reference, MC dropout's per-row streams) go through
+the consistency reference, MC dropout's rows of passes) go through
 ``forward_cache``, which keeps what ``backward`` reads.
 
 One input row without dropout (an Euler step, one estimate's primal) takes
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngState, _check_seeds, uniform_draws
+from .numerics import RngState
 
 __all__ = [
     "MAX_DEPTH",
@@ -305,53 +305,39 @@ class MlpVelocity:
         p = self.arch.dropout
         if dropout_rng is None or p == 0.0:
             return None
-        # one draw per stream covers every layer in order, the same bits as
-        # one (rows, hidden) draw per layer
-        shape = (self.arch.depth, self.arch.hidden)
+        # one draw covers every layer in order, the same bits as one
+        # (rows, hidden) draw per layer
         keep = 1.0 - p
-        if isinstance(dropout_rng, RngState):
-            g = dropout_rng.generator()
-            if bufs is None:
-                u = g.random((shape[0], n, shape[1]))
-            else:
-                u = g.random(out=bufs.masks(n))
-            # the bits of (u < keep).astype(np.float64) / keep, in place
-            np.less(u, keep, out=u)
-            u /= keep
-            return list(u)
-        # (rows, depth, hidden): layer i's masks are the view m[:, i]
-        m = (uniform_draws(dropout_rng, shape) < keep) / keep
-        return [m[:, i] for i in range(shape[0])]
+        g = dropout_rng.generator()
+        if bufs is None:
+            u = g.random((self.arch.depth, n, self.arch.hidden))
+        else:
+            u = g.random(out=bufs.masks(n))
+        # the bits of (u < keep).astype(np.float64) / keep, in place
+        np.less(u, keep, out=u)
+        u /= keep
+        return list(u)
 
     def forward_cache(self, x, t, dropout_rng=None, *,
                       bufs: StepBuffers | None = None):
         """Full forward pass returning (velocity, cache) for ``backward``.
 
-        ``dropout_rng`` is one RngState for the whole batch, or one stream
-        per output row as a uint64 array of the seeds of stream-0 states
-        (``RngState.split_seeds``; anything else raises ``NumericsError``).
-        Row p then gets exactly the masks a batch-1 pass on
-        ``RngState(seeds[p])`` would draw. A single input row is shared by
-        all the streams, and its first layer runs once before the masks fan
-        it out.
+        ``dropout_rng`` is None (no dropout) or one RngState for the whole
+        batch: its generator's ``random((depth, rows, hidden))`` draw gives
+        layer i's masks as block i, row r's as row r of it.
         With ``bufs`` the hidden layers' arrays are written into them, with
         the same bits.
         """
+        if dropout_rng is not None and not isinstance(dropout_rng, RngState):
+            raise ModelError(f"dropout_rng must be an RngState or None, got "
+                             f"{type(dropout_rng).__name__}")
         feats = self._input_features(x, t)
         rows = feats.shape[0]
-        if dropout_rng is not None and not isinstance(dropout_rng, RngState):
-            _check_seeds(dropout_rng)
-            if len(dropout_rng) < 1 or rows not in (1, len(dropout_rng)):
-                raise ModelError(f"{len(dropout_rng)} dropout streams for a "
-                                 f"batch of {rows}")
-            rows = len(dropout_rng)
         if bufs is not None and rows > bufs.rows:
             raise ModelError(f"a batch of {rows} in buffers of {bufs.rows} "
                              f"rows")
         masks = self._dropout_masks(rows, dropout_rng, bufs)
         inputs = [feats]
-        if masks is not None and rows != feats.shape[0]:
-            inputs[0] = np.broadcast_to(feats, (rows, feats.shape[1]))
         pre, post = [], []
         h = feats
         act = self.arch.activation
@@ -361,14 +347,13 @@ class MlpVelocity:
         # overflow surfaces as the explicit divergence error, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(self.arch.depth):
-                n_in = h.shape[0]
                 z = np.matmul(h, self.weights[i].T,
-                              out=_rows_of(z_buf, i, n_in))
+                              out=_rows_of(z_buf, i, rows))
                 z += self.biases[i]
                 if not np.isfinite(z).all():
                     raise ModelError(
                         "forward pass diverged: non-finite activations")
-                a = _act(act, z, _rows_of(a_buf, i, n_in))
+                a = _act(act, z, _rows_of(a_buf, i, rows))
                 pre.append(z)
                 post.append(a)  # pre-dropout, feeds the activation derivative
                 if masks is not None:
@@ -380,8 +365,6 @@ class MlpVelocity:
             out += self.biases[-1]
         if not np.isfinite(out).all():
             raise ModelError("forward pass diverged: non-finite output")
-        if out.shape[0] != rows:  # rate zero: every stream gives this row
-            out = np.repeat(out, rows, axis=0)
         cache = {"inputs": inputs, "pre": pre, "post": post, "masks": masks}
         return out, cache
 
@@ -418,10 +401,13 @@ class MlpVelocity:
         return out, (None if du is None else du @ wt[-1])
 
     def velocity(self, x, t, dropout_rng=None) -> np.ndarray:
+        """Velocity (dim,) of one row or (rows, dim) of a batch. With an
+        RngState ``dropout_rng`` the pass drops out as ``forward_cache``
+        does; without one a single row takes the one-row pass."""
         if dropout_rng is None and np.ndim(x) < 2:
             return self._one_row(x, t)[0]
         out, _ = self.forward_cache(x, t, dropout_rng)
-        return out[0] if np.ndim(x) < 2 and out.shape[0] == 1 else out
+        return out[0] if np.ndim(x) < 2 else out
 
     def backward(self, cache, dout: np.ndarray, out: np.ndarray | None = None,
                  *, bufs: StepBuffers | None = None):

@@ -25,8 +25,7 @@ seeds. ``RngState.split_seeds`` gives that array (one vectorised mix for a
 ``range`` of keys inside one 32-bit word, the single-stream ``split`` per key
 for any other keys), and ``_seed_raw`` takes it to each child's raw words
 (its entropy rows are a view of the array, mixed and hashed at once), with
-no RngState per child. ``uniform_draws``, which refuses any other input,
-and ``draw_rademacher_many`` read MC-dropout masks and per-state probe
+no RngState per child. ``draw_rademacher_many`` reads per-state probe
 blocks from it. Setting the state through numpy's public setter and drawing
 are the floor of each stream, about 3 and 2.3 us; every other step costs a
 few numpy calls however many streams there are.
@@ -39,7 +38,6 @@ for bit.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -48,7 +46,6 @@ import numpy as np
 
 __all__ = [
     "RngState",
-    "uniform_draws",
     "ProbeSet",
     "draw_rademacher",
     "draw_rademacher_many",
@@ -108,10 +105,10 @@ class RngState:
         """The seeds of ``split_many(keys)``, as one uint64 array.
 
         Each child is a stream-0 state, so the array is all that
-        ``uniform_draws`` and ``draw_rademacher_many`` need of them. A
-        ``range`` inside one 32-bit word, which every batch caller passes,
-        is mixed as one row into the parent's pool, mixed once; any other
-        integer keys take ``split`` one at a time.
+        ``draw_rademacher_many`` needs of them. A ``range`` inside one 32-bit
+        word, which every batch caller passes, is mixed as one row into the
+        parent's pool, mixed once; any other integer keys take ``split`` one
+        at a time.
         """
         ends = (keys[0], keys[-1]) if isinstance(keys, range) and keys else (-1,)
         if not (0 <= min(ends) and max(ends) <= _MASK32):
@@ -317,33 +314,6 @@ def _seed_raw(seeds: np.ndarray, n: int) -> np.ndarray:
     for i, w in enumerate(words):
         raw[i] = _seeded_pcg64(w).random_raw(n)
     return raw
-
-
-def _check_seeds(seeds) -> None:
-    """Refuse anything but a 1-d uint64 array of seeds: a cast would turn
-    -1 into 2^64 - 1 and 0.9 into 0."""
-    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64
-            and seeds.ndim == 1):
-        what = (f"a {seeds.dtype} array of shape {seeds.shape}"
-                if isinstance(seeds, np.ndarray) else type(seeds).__name__)
-        raise NumericsError(f"many streams take a 1-d uint64 array of seeds "
-                            f"(non-negative integers, as "
-                            f"RngState.split_seeds gives), got {what}")
-
-
-def uniform_draws(seeds: np.ndarray, shape: tuple) -> np.ndarray:
-    """``np.stack([RngState(s).generator().random(shape) for s in seeds])``,
-    bit for bit, for a uint64 array of seeds (``RngState.split_seeds``).
-
-    Each stream's doubles are its raw PCG64 outputs from ``_seed_raw``,
-    shifted to 53 bits and scaled by 2^-53, as ``Generator.random`` makes
-    them.
-    """
-    _check_seeds(seeds)
-    shape = tuple(shape)
-    raw = _seed_raw(seeds, math.prod(shape))
-    raw >>= np.uint64(11)
-    return (raw * (1.0 / 9007199254740992.0)).reshape((len(raw),) + shape)
 
 
 @dataclass(frozen=True)

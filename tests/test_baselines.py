@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowvar import models
 from flowvar.baselines import (BaselineError, _finish, _population_var,
                                ensemble_uq, mc_dropout_uq)
-from flowvar.models import EvalCounter, MlpVelocity, ModelField, MlpArch
+from flowvar.models import (EvalCounter, MlpArch, MlpVelocity, ModelField,
+                            time_features)
 from flowvar.numerics import RngState
 
 
@@ -102,13 +102,26 @@ def test_dropout_pass_floor_and_type_check():
         mc_dropout_uq(model, np.zeros(2), 0.5, passes=1, rng=RngState(0))
     with pytest.raises(BaselineError, match="MLP"):
         mc_dropout_uq(object(), np.zeros(2), 0.5, passes=4, rng=RngState(0))
+    # a seed array or a bare seed is refused on one line
+    for rng in (RngState(0).split_seeds(range(4)), 7):
+        with pytest.raises(BaselineError,
+                           match=r"^mc dropout draws its masks from an "
+                                 r"RngState, got \w+$"):
+            mc_dropout_uq(model, np.zeros(2), 0.5, passes=4, rng=rng)
 
 
-def _reference_dropout(model, xt, t, passes, rng):
-    """The per-pass loop the batched forward replaces: one batch-1 forward
-    per pass, each on its own child stream."""
-    means = [xt + (1.0 - t) * model.velocity(xt, t, dropout_rng=rng.split(p))
-             for p in range(passes)]
+def _reference_dropout(model, xt, t, masks):
+    """The per-pass loop the batched forward replaces: one hand-written
+    one-row forward per pass, pass p dropping out with row p of each
+    layer's masks."""
+    feats = np.concatenate([xt, time_features(t, model.arch.n_freq)[0]])
+    means = []
+    for p in range(masks.shape[1]):
+        h = feats
+        for w, b, m in zip(model.weights, model.biases, masks):
+            h = np.tanh(w @ h + b) * m[p]
+        out = model.weights[-1] @ h + model.biases[-1]
+        means.append(xt + (1.0 - t) * out)
     return np.var(np.stack(means), axis=0)
 
 
@@ -124,7 +137,8 @@ def test_batched_dropout_matches_per_pass_loop(passes, wrap):
     counter = EvalCounter()
     handle = ModelField(model, counter) if wrap else model
     est = mc_dropout_uq(handle, xt, 0.4, passes=passes, rng=rng)
-    ref = _reference_dropout(model, xt, 0.4, passes, rng)
+    masks = (rng.generator().random((2, passes, 16)) < 0.8) / 0.8
+    ref = _reference_dropout(model, xt, 0.4, masks)
     assert est.count == passes
     assert est.u > 0.0
     np.testing.assert_allclose(est.diag, ref, rtol=1e-12, atol=0.0)
@@ -149,30 +163,28 @@ def test_inline_variance_is_np_var_bit_for_bit(passes, d, seed, constant):
     assert est.u == float(ref.sum())
 
 
-def test_dropout_estimate_is_the_bits_of_one_generator_per_pass(monkeypatch):
-    """The pass seeds' array draws the masks each pass's own generator
-    draws: with the masks put back to one ``rng.split(p).generator()`` per
-    pass, the estimate keeps its bits."""
+def test_dropout_estimate_is_the_bits_of_one_draw_per_state():
+    """The passes' masks, read back from ``forward_cache``'s cache, are one
+    ``(depth, passes, hidden)`` uniform draw of the state's own generator,
+    and the estimate is ``np.var`` of the passes' posterior means, bit for
+    bit. The same state gives the same bits, another state other ones."""
     arch = MlpArch(dim=5, hidden=16, depth=3, n_freq=4, dropout=0.25)
     model = MlpVelocity.init(arch, RngState(3))
     model.weights[-1][:] = RngState(4).generator().standard_normal(
         model.weights[-1].shape)
     xt = RngState(5).generator().standard_normal(5)
     rng = RngState(2**64 + 17, 3)
-    ests = [mc_dropout_uq(model, xt, t, passes, rng)
-            for t in (0.2, 0.7) for passes in (2, 50)]
-    calls = []
-
-    def uniform_draws(seeds, shape):
-        calls.append(len(seeds))
-        return np.stack([RngState(int(s)).generator().random(shape)
-                         for s in seeds])
-
-    monkeypatch.setattr(models, "uniform_draws", uniform_draws)
-    monkeypatch.setattr(RngState, "split_seeds", lambda self, keys: np.array(
-        [self.split(k).seed for k in keys], dtype=np.uint64))
-    refs = [mc_dropout_uq(model, xt, t, passes, rng)
-            for t in (0.2, 0.7) for passes in (2, 50)]
-    assert calls == [2, 50, 2, 50]
-    for est, ref in zip(ests, refs):
-        assert np.array_equal(est.diag, ref.diag) and est.u == ref.u
+    for t in (0.2, 0.7):
+        for passes in (2, 50):
+            est = mc_dropout_uq(model, xt, t, passes, rng)
+            out, cache = model.forward_cache(
+                np.broadcast_to(xt, (passes, 5)), t, rng)
+            masks = (rng.generator().random((3, passes, 16)) < 0.75) / 0.75
+            assert np.array_equal(np.stack(cache["masks"]), masks)
+            ref = np.var(xt + (1.0 - t) * out, axis=0)
+            assert np.array_equal(est.diag, ref) and est.u == float(ref.sum())
+            again = mc_dropout_uq(model, xt, t, passes, rng)
+            assert np.array_equal(again.diag, est.diag) and again.u == est.u
+            other = mc_dropout_uq(model, xt, t, passes,
+                                  RngState(2**64 + 17, 4))
+            assert not np.array_equal(other.diag, est.diag)

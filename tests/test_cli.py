@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from flowvar import cli, metrics, models, numerics, training
+from flowvar import cli, metrics, numerics, training
 from flowvar.cli import METHODS, main
 from flowvar.config import _KEYS, load_config
 from flowvar.metrics import (consistency_protocol, dropout_method,
@@ -324,6 +324,16 @@ def test_bad_config_value_exits_one_before_any_output(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert message in err[0]
+    assert not out.exists()
+
+
+def test_empty_method_list_exits_one_before_any_output(tmp_path, capsys):
+    out = tmp_path / "run"
+    ini = tmp_path / "empty.ini"
+    ini.write_text(f"[experiment]\nout = {out}\n[methods]\nuse =\n")
+    assert main(["cost", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: [methods] use names no method"]
     assert not out.exists()
 
 
@@ -828,14 +838,12 @@ def _gate_outputs(root, commands=(["train", "fm"],
 def test_batched_streams_write_the_bytes_of_one_at_a_time(tmp_path,
                                                           monkeypatch):
     """The batch stream derivation is a refactor: with split_many,
-    split_seeds, uniform_draws and the seed-array draw put back to their
-    one-at-a-time loops over split and generator(), every output file keeps
-    its bytes."""
+    split_seeds and the seed-array draw put back to their one-at-a-time
+    loops over split and generator(), every output file keeps its bytes."""
     # models train in this process, where the patches reach them
     monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
     batched = _gate_outputs(tmp_path / "batched")
-    calls = {"split_many": 0, "split_seeds": 0, "uniform_draws": 0,
-             "seed_raw": 0}
+    calls = {"split_many": 0, "split_seeds": 0, "seed_raw": 0}
 
     def split_many(self, keys):
         calls["split_many"] += 1
@@ -845,11 +853,6 @@ def test_batched_streams_write_the_bytes_of_one_at_a_time(tmp_path,
         calls["split_seeds"] += 1
         return np.array([self.split(k).seed for k in keys], dtype=np.uint64)
 
-    def uniform_draws(seeds, shape):
-        calls["uniform_draws"] += 1
-        return np.stack([RngState(int(s)).generator().random(shape)
-                         for s in seeds])
-
     def seed_raw(seeds, n):
         calls["seed_raw"] += 1
         return np.stack([RngState(int(s)).generator().bit_generator
@@ -857,7 +860,6 @@ def test_batched_streams_write_the_bytes_of_one_at_a_time(tmp_path,
 
     monkeypatch.setattr(RngState, "split_many", split_many)
     monkeypatch.setattr(RngState, "split_seeds", split_seeds)
-    monkeypatch.setattr(models, "uniform_draws", uniform_draws)
     monkeypatch.setattr(numerics, "_seed_raw", seed_raw)
     reference = _gate_outputs(tmp_path / "reference")
     assert all(count > 0 for count in calls.values()), calls

@@ -340,25 +340,19 @@ def test_dropout_determinism_and_rate_zero():
                           m0.velocity(x, 0.5))
 
 
-def test_per_row_dropout_streams_draw_the_batch_one_masks():
-    m = _model(hidden=32, dropout=0.3)
-    m.weights[-1][:] = RngState(20).generator().standard_normal(
-        m.weights[-1].shape)
+def test_dropout_rng_must_be_a_state():
+    """A batch draws its masks from one RngState: anything else, such as
+    an array of per-row seeds, is refused on one line, at any rate."""
     x = np.array([0.5, 0.1, -0.4])
-    streams = RngState(4).split_seeds(range(5))
-    out, cache = m.forward_cache(x, 0.6, streams)
-    assert out.shape == (5, 3)
-    for p, s in enumerate(streams):
-        one, one_cache = m.forward_cache(x, 0.6, RngState(int(s)))
-        for mask, mask1 in zip(cache["masks"], one_cache["masks"]):
-            assert np.array_equal(mask[p], mask1[0])
-        np.testing.assert_allclose(out[p], one[0], rtol=1e-12, atol=1e-15)
-    # one input row per stream works too; any other batch size does not
-    rows = np.stack([x] * 5)
-    np.testing.assert_allclose(m.velocity(rows, 0.6, streams), out,
-                               rtol=1e-12, atol=1e-15)
-    with pytest.raises(ModelError, match="dropout streams"):
-        m.velocity(rows[:2], 0.6, streams)
+    for rate in (0.3, 0.0):
+        m = _model(hidden=32, dropout=rate)
+        for bad in (RngState(4).split_seeds(range(5)), [RngState(4)], 4):
+            for call in (lambda: m.velocity(x, 0.6, bad),
+                         lambda: m.velocity(np.stack([x] * 5), 0.6, bad),
+                         lambda: m.forward_cache(x, 0.6, bad)):
+                with pytest.raises(ModelError, match=r"^dropout_rng must be "
+                                   r"an RngState or None, got \w+$"):
+                    call()
 
 
 def test_eval_counter_conventions():

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowvar.models import MlpArch, MlpVelocity
 from flowvar.numerics import (NumericsError, ProbeSet, RngState, _hash_out,
                               _pool, _seed_raw, draw_rademacher,
                               draw_rademacher_many, exhaustive_sign_probes,
-                              finite_diff_jvp, hutchinson_diagonal,
-                              uniform_draws)
+                              finite_diff_jvp, hutchinson_diagonal)
 
 
 def test_rng_determinism():
@@ -88,19 +86,23 @@ _SEED_WORDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | \
     st.integers(0, 2**64 - 1)
 
 
-@given(_SEEDS, _STREAMS, _SEED_WORDS, st.sampled_from([1, 50]),
-       st.sampled_from([(2, 128), (3,)]))
+@given(_SEEDS, _STREAMS, _SEED_WORDS, _FIRST_KEYS, st.sampled_from([1, 50]),
+       st.sampled_from([1, 3, 256]))
+# a three-word parent seed on stream 3, and keys that cross from one-word to
+# two-word entropy
+@example(seed=2**64 + 17, stream=3, first=2**64 - 1, key=2**32 - 3, count=50,
+         n=3)
 @settings(max_examples=40, deadline=None)
-def test_uniform_draws_are_bit_identical_to_generators(seed, stream, first,
-                                                       count, shape):
-    """Any uint64 seed, and each child of ``split_seeds``, draws the
-    uniforms of its own generator."""
+def test_seed_raw_is_bit_identical_to_generators(seed, stream, first, key,
+                                                 count, n):
+    """Any uint64 seed, and each child of ``split_seeds``, gets the raw
+    words of its own generator, odd counts included."""
     seeds = np.concatenate([
         np.array([first], dtype=np.uint64),
-        RngState(seed, stream).split_seeds(range(count - 1))])
-    ref = np.stack([RngState(int(s)).generator().random(shape)
+        RngState(seed, stream).split_seeds(range(key, key + count - 1))])
+    ref = np.stack([RngState(int(s)).generator().bit_generator.random_raw(n)
                     for s in seeds])
-    got = uniform_draws(seeds, shape)
+    got = _seed_raw(seeds, n)
     assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
@@ -119,21 +121,17 @@ def test_seed_arrays_draw_the_bits_of_each_child_generator(parent, stream,
                                                            first, count, d,
                                                            s):
     """The seed-array path gives each child the bits of its own generator:
-    uniforms as ``random`` makes them, signs as ``draw_rademacher`` reads
-    them (odd S*d included)."""
+    raw words as its bit generator makes them, signs as ``draw_rademacher``
+    reads them (odd S*d included)."""
     root = RngState(parent, stream)
     keys = range(first, first + count)
     seeds = root.split_seeds(keys)
     assert seeds.dtype == np.uint64 and seeds.shape == (count,)
     children = [RngState(int(x)) for x in seeds]
     assert children == [root.split(k) for k in keys]
-    for shape in ((2, 7), (5,)):
-        ref = np.stack([c.generator().random(shape) for c in children])
-        got = uniform_draws(seeds, shape)
-        assert got.shape == ref.shape and np.array_equal(got, ref)
-    raw = _seed_raw(seeds, 3)
-    assert np.array_equal(raw, np.stack([
-        c.generator().bit_generator.random_raw(3) for c in children]))
+    for n in (3, 14):
+        assert np.array_equal(_seed_raw(seeds, n), np.stack([
+            c.generator().bit_generator.random_raw(n) for c in children]))
     blocks = draw_rademacher_many(root, keys, d, s)
     assert len(blocks) == count
     for block, child in zip(blocks, children):
@@ -161,10 +159,6 @@ def test_pool_of_many_columns_is_numpys_pool_of_each(n, length, fill):
 
 def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
     assert issubclass(NumericsError, ValueError)
-    dropout, inference = (MlpVelocity.init(MlpArch(dim=2, hidden=4,
-                                                   dropout=rate), RngState(0))
-                          for rate in (0.3, 0.0))
-    x = np.array([0.1, -0.2])
     for call in (lambda: RngState(7).split(-1),
                  lambda: RngState(7).split_many([0, -1]),
                  lambda: RngState(-7).split(0),
@@ -173,11 +167,6 @@ def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
                  lambda: RngState(7, -1).split_many([0]),
                  lambda: RngState(7).split_seeds([0, -1]),
                  lambda: RngState(7).split_seeds(range(-1, 3)),
-                 # a cast would read -7 and -1 as the seeds 2^64 - 7 and
-                 # 2^64 - 1
-                 lambda: uniform_draws(np.array([7, -7]), (3,)),
-                 lambda: dropout.velocity(x, 0.5,
-                                          dropout_rng=np.array([-1, 2**63])),
                  lambda: RngState(-1).generator(),
                  lambda: RngState(7, -1).generator(),
                  lambda: draw_rademacher(RngState(-1), 3, 2)):
@@ -189,22 +178,9 @@ def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
         with pytest.raises(TypeError):
             call()
     for call in (lambda: RngState(1.5).generator(),
-                 lambda: draw_rademacher(RngState(7, 1.5), 3, 2),
-                 # and a cast would make this seed 0, twice
-                 lambda: uniform_draws(np.array([0.9, 0.2]), (3,)),
-                 lambda: dropout.velocity(x, 0.5,
-                                          dropout_rng=np.array([0.9, 0.2]))):
+                 lambda: draw_rademacher(RngState(7, 1.5), 3, 2)):
         with pytest.raises(NumericsError, match="integers"):
             call()
-    # many streams are a 1-d uint64 seed array only: not a list of states,
-    # of ints, nor a 2-d array, and at dropout rate zero too
-    for streams in ([RngState(7), RngState(8)], [7, 8],
-                    np.array([[7, 8]], dtype=np.uint64)):
-        for model in (dropout, inference):
-            with pytest.raises(NumericsError, match="uint64 array"):
-                model.forward_cache(x, 0.5, streams)
-        with pytest.raises(NumericsError, match="uint64 array"):
-            uniform_draws(streams, (3,))
 
 
 def _numpy_generator(seed, *spawn_key):
@@ -225,13 +201,13 @@ def test_streams_are_numpys_own_seedsequence_and_default_rng(seed, stream, key,
         0, 2, size=(s, d)) - 1.0
     assert np.array_equal(draw_rademacher(root, d, s).probes, signs)
     # the child of key, and the seed of its parent (taken mod 2^64) as a
-    # stream-0 state, at two shapes
+    # stream-0 state, at two counts
     seeds = np.concatenate([np.array([seed % 2**64], dtype=np.uint64),
                             root.split_seeds([key])])
-    for shape in ((s, d), (3,)):
-        ref = np.stack([_numpy_generator(int(x), 0).random(shape)
-                        for x in seeds])
-        assert np.array_equal(uniform_draws(seeds, shape), ref)
+    for n in (s * d, 3):
+        ref = np.stack([_numpy_generator(int(x), 0).bit_generator
+                        .random_raw(n) for x in seeds])
+        assert np.array_equal(_seed_raw(seeds, n), ref)
     assert np.array_equal(root.generator().random(4),
                           _numpy_generator(seed, stream).random(4))
 
@@ -244,8 +220,8 @@ def test_threads_drawing_at_once_get_the_bits_of_a_serial_run():
 
     def run(root):
         return [(draw_rademacher(root.split(i), 7, 9).probes,
-                 uniform_draws(root.split_seeds([i, i + 1]), (5,)),
-                 uniform_draws(root.split_seeds(range(i, i + 3)), (4,)),
+                 _seed_raw(root.split_seeds([i, i + 1]), 5),
+                 _seed_raw(root.split_seeds(range(i, i + 3)), 4),
                  draw_rademacher_many(root, [i, i + 1], 3, 5)[1].probes)
                 for i in range(n)]
 

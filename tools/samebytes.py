@@ -26,8 +26,12 @@ every CSV, PGM and ``.fvar`` file and the stdout (with the exit code) of each
 deterministic command. The ``*_summary.txt`` files and the stdout of
 ``train`` and ``cost`` hold wall-clock seconds and are not compared.
 
-Prints one line per differing file and a count. Exits 0 when nothing
-differs, 1 when something does, and 2 when the revision cannot be extracted.
+Prints one line per differing file and a count. A differing CSV with the
+same row count on both sides also names the first-column values (after the
+schema tag) of the rows that differ, as in
+``gmm/run/consistency.csv: differs (rows: mc-dropout)``. Exits 0 when
+nothing differs, 1 when something does, and 2 when the revision cannot be
+extracted.
 """
 from __future__ import annotations
 
@@ -180,8 +184,29 @@ def compared_files(root: Path) -> set:
             if p.is_file() and p.suffix in COMPARED}
 
 
+def moved_rows(old: bytes, new: bytes) -> str:
+    """For CSV texts of one row count, `` (rows: a, b)``: the distinct keys
+    of the rows that differ, in order of appearance; else "". A row's key is
+    its first column after the schema tag every package CSV leads with (its
+    first column in a CSV without the tag), if more columns follow it."""
+    a, b = old.decode().splitlines(), new.decode().splitlines()
+    if not a or len(a) != len(b):
+        return ""
+    header = a[0].split(",")
+    col = 1 if header[0] == "schema" else 0
+    if len(header) <= col + 1:  # the key would be the value itself
+        return ""
+    keys = {}
+    for row_a, row_b in zip(a, b):
+        if row_a != row_b:
+            for row in (row_a, row_b):
+                keys[(row.split(",") + [""])[col]] = None
+    return f" (rows: {', '.join(keys)})"
+
+
 def differing(base: Path, head: Path) -> list:
-    """One line per compared file that is not byte-identical in both."""
+    """One line per compared file that is not byte-identical in both; a
+    differing CSV of one row count on both sides names its moved rows."""
     a, b = compared_files(base), compared_files(head)
     lines = []
     for rel in sorted(a | b):
@@ -189,8 +214,11 @@ def differing(base: Path, head: Path) -> list:
             lines.append(f"{rel}: only in the revision")
         elif rel not in a:
             lines.append(f"{rel}: only in the working tree")
-        elif (base / rel).read_bytes() != (head / rel).read_bytes():
-            lines.append(f"{rel}: differs")
+        else:
+            old, new = (base / rel).read_bytes(), (head / rel).read_bytes()
+            if old != new:
+                rows = moved_rows(old, new) if rel.endswith(".csv") else ""
+                lines.append(f"{rel}: differs{rows}")
     return lines
 
 
