@@ -14,7 +14,6 @@ import numpy as np
 from .models import MlpVelocity, ModelField
 from .numerics import RngState
 from .oracle import check_unit_time
-from .uq import posterior_mean_from_velocity
 
 __all__ = [
     "BaselineEstimate",
@@ -59,13 +58,16 @@ def _population_var(means: np.ndarray) -> np.ndarray:
     return var
 
 
-def _finish(means, count):
-    means = np.asarray(means)
+def _finish(means, xt, t):
+    """The estimate from the (count, d) velocities in ``means``, which
+    become the posterior means xt + (1 - t) v in place."""
+    means *= 1.0 - t
+    means += xt
     var = _population_var(means)
     # a pixel on which every member agrees has no spread, not rounding noise
     var[np.logical_and.reduce(means == means[0], axis=0)] = 0.0
     return BaselineEstimate(diag=var, u=float(np.add.reduce(var)),
-                            count=count)
+                            count=means.shape[0])
 
 
 def ensemble_uq(models, xt, t: float) -> BaselineEstimate:
@@ -76,23 +78,31 @@ def ensemble_uq(models, xt, t: float) -> BaselineEstimate:
     """
     if len(models) < 2:
         raise BaselineError("ensemble variance needs at least 2 members")
+    t = check_unit_time(t)
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    means = [
-        posterior_mean_from_velocity(xt, t, m.velocity(xt, t)) for m in models
-    ]
-    return _finish(means, len(models))
+    means = np.empty((len(models), len(xt)))
+    for k, m in enumerate(models):
+        v = m.velocity(xt, t)
+        if np.shape(v) != xt.shape:
+            raise BaselineError(f"ensemble member {k} gave a velocity of "
+                                f"shape {np.shape(v)} for a state of shape "
+                                f"{xt.shape}")
+        means[k] = v
+    return _finish(means, xt, t)
 
 
 def mc_dropout_uq(model, xt, t: float, passes: int,
                   rng: RngState) -> BaselineEstimate:
     """Variance of the posterior mean across stochastic dropout passes.
 
-    All passes run as one forward of the state repeated to one row per pass,
-    whose masks are one (depth, passes, hidden) uniform draw of ``rng``'s
-    generator: pass p's masks are row p of each layer's block. The estimate
-    is reproducible per ``rng``, and its masks depend on the pass count. A
-    counting handle's counter gets one forward per pass. With dropout rate
-    zero every pass coincides and the variance is zero.
+    The passes run as the model's ``dropout_velocities`` of the state: its
+    first layer runs once, since no mask reaches it, and the later layers
+    run one row per pass, with masks from one (depth, passes, hidden)
+    uniform draw of ``rng``'s generator (pass p's masks are row p of each
+    layer's block). The estimate is reproducible per ``rng``, and its masks
+    depend on the pass count. A counting handle's counter gets one forward
+    per pass, the shared first layer included. With dropout rate zero every
+    pass coincides and the variance is zero.
     """
     if passes < 2:
         raise BaselineError("need at least 2 dropout passes")
@@ -107,12 +117,7 @@ def mc_dropout_uq(model, xt, t: float, passes: int,
         raise BaselineError("mc dropout needs an MLP model or its handle")
     t = check_unit_time(t)
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    means = net.velocity(np.broadcast_to(xt, (passes, len(xt))), t,
-                         dropout_rng=rng)
+    means = net.dropout_velocities(xt, t, passes, rng)
     if counter is not None:
         counter.forwards += passes
-    # posterior_mean_from_velocity's xt + (1 - t) v, in the fresh forward
-    # output
-    means *= 1.0 - t
-    means += xt
-    return _finish(means, passes)
+    return _finish(means, xt, t)

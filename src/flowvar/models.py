@@ -13,8 +13,8 @@ state.
 
 A training step's forward and backward write their (batch, hidden) arrays
 into a :class:`StepBuffers` set made once per run. Batched passes (training,
-the consistency reference, MC dropout's rows of passes) go through
-``forward_cache``, which keeps what ``backward`` reads.
+the consistency reference) go through ``forward_cache``, which keeps what
+``backward`` reads.
 
 One input row without dropout (an Euler step, one estimate's primal) takes
 a one-row pass instead: the layers run as 1-D products, with the bits of
@@ -28,6 +28,10 @@ for a block of m >= d tangents at d <= hidden and forms u @ J^T, for no
 more multiply-adds than the m-row pass; it carries any other block as it
 is. The choice reads array shapes only; :class:`EvalCounter` counts m
 products either way.
+
+MC dropout's passes of one row (``dropout_velocities``) share the one-row
+pass's first layer, which no mask reaches, and run the later layers as one
+row per pass.
 
 The clock frequencies and the transposed weight views the passes read are
 made once per model, as views that follow in-place writes to ``params``.
@@ -313,9 +317,10 @@ class MlpVelocity:
             u = g.random((self.arch.depth, n, self.arch.hidden))
         else:
             u = g.random(out=bufs.masks(n))
-        # the bits of (u < keep).astype(np.float64) / keep, in place
+        # the bits of (u < keep).astype(np.float64) / keep, in place: an
+        # entry of 0.0 or 1.0 times the rounded 1 / keep is that quotient
         np.less(u, keep, out=u)
-        u /= keep
+        u *= 1.0 / keep
         return list(u)
 
     def forward_cache(self, x, t, dropout_rng=None, *,
@@ -368,6 +373,15 @@ class MlpVelocity:
         cache = {"inputs": inputs, "pre": pre, "post": post, "masks": masks}
         return out, cache
 
+    def _row_layer(self, i: int, h: np.ndarray):
+        """Hidden layer i of one row h as a 1-D product: (z, act(z)), with
+        the non-finite refusal. Runs under the caller's ``np.errstate``."""
+        z = h @ self._forward_wt[i]
+        z += self.biases[i]
+        if not _all_finite(z):
+            raise ModelError("forward pass diverged: non-finite activations")
+        return z, _act(self.arch.activation, z)
+
     def _one_row(self, x, t, du=None):
         """Velocity (dim,) of one input row without dropout and, with
         ``du``, its output tangents (m, dim); else None.
@@ -384,12 +398,7 @@ class MlpVelocity:
         wt = self._forward_wt
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(self.arch.depth):
-                z = h @ wt[i]
-                z += self.biases[i]
-                if not _all_finite(z):
-                    raise ModelError(
-                        "forward pass diverged: non-finite activations")
-                h = _act(act, z)
+                z, h = self._row_layer(i, h)
                 if du is not None:
                     if i > 0:
                         du = du @ wt[i]
@@ -400,14 +409,51 @@ class MlpVelocity:
                 raise ModelError("forward pass diverged: non-finite output")
         return out, (None if du is None else du @ wt[-1])
 
-    def velocity(self, x, t, dropout_rng=None) -> np.ndarray:
-        """Velocity (dim,) of one row or (rows, dim) of a batch. With an
-        RngState ``dropout_rng`` the pass drops out as ``forward_cache``
-        does; without one a single row takes the one-row pass."""
-        if dropout_rng is None and np.ndim(x) < 2:
+    def velocity(self, x, t) -> np.ndarray:
+        """Velocity (dim,) of one row, from the one-row pass, or (rows, dim)
+        of a batch, from ``forward_cache``; neither drops out."""
+        if np.ndim(x) < 2:
             return self._one_row(x, t)[0]
-        out, _ = self.forward_cache(x, t, dropout_rng)
-        return out[0] if np.ndim(x) < 2 else out
+        return self.forward_cache(x, t)[0]
+
+    def dropout_velocities(self, x, t, passes: int,
+                           dropout_rng: RngState) -> np.ndarray:
+        """Velocities (passes, dim) of one row x under ``passes`` dropout
+        passes.
+
+        The masks act after each activation, so the first layer is the same
+        in every pass: it runs once, as the one-row pass's 1-D product. The
+        masks are ``forward_cache``'s one (depth, passes, hidden) draw of
+        ``dropout_rng``'s generator, pass p's being row p of each block.
+        The later layers and the head run as passes-row products, with
+        ``forward_cache``'s non-finite refusals. At rate zero every row is
+        the one-row pass's velocity.
+        """
+        if not isinstance(dropout_rng, RngState):
+            raise ModelError(f"dropout_rng must be an RngState, got "
+                             f"{type(dropout_rng).__name__}")
+        xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
+        masks = self._dropout_masks(passes, dropout_rng)
+        if masks is None:  # rate zero: every pass is the one-row pass
+            return np.tile(self._one_row(xv, t)[0], (passes, 1))
+        act = self.arch.activation
+        wt = self._forward_wt
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, h = self._row_layer(0, self._input_features(xv, t)[0])
+            h = np.multiply(masks[0], h, out=masks[0])
+            for i in range(1, self.arch.depth):
+                z = h @ wt[i]
+                z += self.biases[i]
+                if not np.isfinite(z).all():
+                    raise ModelError(
+                        "forward pass diverged: non-finite activations")
+                h = _act(act, z, out=z)
+                h *= masks[i]
+            out = h @ wt[-1]
+            out += self.biases[-1]
+        if not np.isfinite(out).all():
+            raise ModelError("forward pass diverged: non-finite output")
+        return out
 
     def backward(self, cache, dout: np.ndarray, out: np.ndarray | None = None,
                  *, bufs: StepBuffers | None = None):
@@ -484,7 +530,9 @@ class EvalCounter:
     jvps counts the tangent products delivered, not the rows propagated: a
     block of m >= d tangents (at d <= hidden) carries d basis rows and
     forms its m products from J^T, and still counts m. A field's dense
-    ``jacobian`` counts d, the products with the d basis vectors.
+    ``jacobian`` counts d, the products with the d basis vectors. In the
+    same way MC dropout's P passes count P forwards, though the first
+    layer they share runs once.
     """
 
     forwards: int = 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from flowvar.baselines import (BaselineError, _finish, _population_var,
                                ensemble_uq, mc_dropout_uq)
-from flowvar.models import (EvalCounter, MlpArch, MlpVelocity, ModelField,
-                            time_features)
+from flowvar.models import (EvalCounter, MlpArch, MlpVelocity, ModelError,
+                            ModelField, time_features)
 from flowvar.numerics import RngState
 
 
@@ -46,6 +48,24 @@ def test_ensemble_on_trained_models(gmm_ensemble, gmm_task):
     assert est.u > 0.0  # members genuinely differ
     again = ensemble_uq(models, xt, 0.5)
     assert np.array_equal(est.diag, again.diag)
+    # np.var of the members' posterior means xt + (1 - t) v, bit for bit
+    for t in (0.2, 0.5, 0.9):
+        means = np.stack([xt + (1.0 - t) * m.velocity(xt, t) for m in models])
+        ref = np.var(means, axis=0)
+        est = ensemble_uq(models, xt, t)
+        assert np.array_equal(est.diag, ref) and est.u == float(ref.sum())
+
+
+def test_ensemble_member_of_the_wrong_shape_is_one_line():
+    xt = np.zeros(2)
+    good = FixedField([1.0, 0.0], xt)
+    for bad_v in (np.zeros(3), np.zeros((1, 2)), np.float64(0.0)):
+        bad = FixedField([0.0, 0.0], xt)
+        bad.v = bad_v
+        with pytest.raises(BaselineError, match=r"^ensemble member 1 gave a "
+                           r"velocity of shape \(.*\) for a state of shape "
+                           r"\(2,\)$"):
+            ensemble_uq([good, bad], xt, 0.5)
 
 
 def test_ensemble_counts_one_forward_per_member(gmm_ensemble):
@@ -157,34 +177,82 @@ def test_inline_variance_is_np_var_bit_for_bit(passes, d, seed, constant):
     ref = np.var(means, axis=0)
     got = _population_var(means)
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    est = _finish(means.copy(), passes)
+    # at t = 0 and xt = 0 the posterior means are the velocities' bits
+    est = _finish(means.copy(), np.zeros(d), 0.0)
     ref[0] = 0.0
     assert np.array_equal(est.diag, ref)
     assert est.u == float(ref.sum())
 
 
-def test_dropout_estimate_is_the_bits_of_one_draw_per_state():
-    """The passes' masks, read back from ``forward_cache``'s cache, are one
-    ``(depth, passes, hidden)`` uniform draw of the state's own generator,
-    and the estimate is ``np.var`` of the passes' posterior means, bit for
-    bit. The same state gives the same bits, another state other ones."""
-    arch = MlpArch(dim=5, hidden=16, depth=3, n_freq=4, dropout=0.25)
+def _shared_layer_reference(model, xt, t, passes, rng):
+    """The estimate written out: a 1-D first layer, then the later layers
+    and the head as passes-row products, dropping out with masks from one
+    ``(depth, passes, hidden)`` uniform draw of ``rng``'s generator."""
+    arch = model.arch
+    keep = 1.0 - arch.dropout
+    masks = (rng.generator().random((arch.depth, passes, arch.hidden))
+             < keep) / keep
+    act = np.tanh if arch.activation == "tanh" else (
+        lambda z: np.maximum(z, 0.0))
+    feats = np.concatenate([xt, time_features(t, arch.n_freq)[0]])
+    h = act(feats @ model.weights[0].T + model.biases[0]) * masks[0]
+    for w, b, m in zip(model.weights[1:-1], model.biases[1:-1], masks[1:]):
+        h = act(h @ w.T + b) * m
+    means = xt + (1.0 - t) * (h @ model.weights[-1].T + model.biases[-1])
+    var = np.var(means, axis=0)
+    var[np.all(means == means[0], axis=0)] = 0.0
+    return var
+
+
+@pytest.mark.parametrize("passes", [2, 50])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("depth", [1, 3])
+def test_dropout_estimate_is_the_bits_of_the_shared_layer_pass(
+        depth, activation, passes):
+    """The estimate is the hand-written shared-first-layer pass's, bit for
+    bit, and within 1e-12 of the P-row ``forward_cache`` route with the
+    same masks. The same state gives the same bits, another state other
+    ones, and a counting handle gains P forwards and no JVPs."""
+    arch = MlpArch(dim=5, hidden=16, depth=depth, n_freq=4,
+                   activation=activation, dropout=0.25)
     model = MlpVelocity.init(arch, RngState(3))
     model.weights[-1][:] = RngState(4).generator().standard_normal(
         model.weights[-1].shape)
     xt = RngState(5).generator().standard_normal(5)
     rng = RngState(2**64 + 17, 3)
     for t in (0.2, 0.7):
-        for passes in (2, 50):
-            est = mc_dropout_uq(model, xt, t, passes, rng)
-            out, cache = model.forward_cache(
-                np.broadcast_to(xt, (passes, 5)), t, rng)
-            masks = (rng.generator().random((3, passes, 16)) < 0.75) / 0.75
-            assert np.array_equal(np.stack(cache["masks"]), masks)
-            ref = np.var(xt + (1.0 - t) * out, axis=0)
-            assert np.array_equal(est.diag, ref) and est.u == float(ref.sum())
-            again = mc_dropout_uq(model, xt, t, passes, rng)
-            assert np.array_equal(again.diag, est.diag) and again.u == est.u
-            other = mc_dropout_uq(model, xt, t, passes,
-                                  RngState(2**64 + 17, 4))
-            assert not np.array_equal(other.diag, est.diag)
+        counter = EvalCounter()
+        est = mc_dropout_uq(ModelField(model, counter), xt, t, passes, rng)
+        assert counter.forwards == passes and counter.jvps == 0
+        ref = _shared_layer_reference(model, xt, t, passes, rng)
+        assert np.array_equal(est.diag, ref) and est.u == float(ref.sum())
+        out, _ = model.forward_cache(np.broadcast_to(xt, (passes, 5)), t, rng)
+        np.testing.assert_allclose(est.diag, np.var(xt + (1.0 - t) * out,
+                                                    axis=0),
+                                   rtol=1e-12, atol=0.0)
+        again = mc_dropout_uq(model, xt, t, passes, rng)
+        assert np.array_equal(again.diag, est.diag) and again.u == est.u
+        other = mc_dropout_uq(model, xt, t, passes, RngState(2**64 + 17, 4))
+        assert not np.array_equal(other.diag, est.diag)
+
+
+def test_dropout_pass_refuses_non_finite_values_on_one_line():
+    """A non-finite state or weight, in the shared first layer, a later
+    layer or the head, ends in one ``ModelError`` line, with no warning."""
+    arch = MlpArch(dim=3, hidden=16, depth=3, n_freq=4, dropout=0.2)
+    base = MlpVelocity.init(arch, RngState(7))
+    xt = np.array([0.3, -1.1, 0.7])
+    cases = []
+    for bad in (np.inf, -np.inf, np.nan):
+        cases.append((base, np.array([0.3, bad, 0.7]), "activations"))
+        for layer, what in ((0, "activations"), (1, "activations"),
+                            (2, "activations"), (3, "output")):
+            model = base.copy()
+            model.weights[layer][0, 0] = bad
+            cases.append((model, xt, what))
+    for model, x, what in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelError, match=r"^forward pass diverged: "
+                               rf"non-finite {what}$"):
+                mc_dropout_uq(model, x, 0.4, passes=50, rng=RngState(1))

@@ -325,34 +325,59 @@ def test_dropout_determinism_and_rate_zero():
     m.weights[-1][:] = RngState(20).generator().standard_normal(
         m.weights[-1].shape)
     x = RngState(7).generator().standard_normal(3)
-    a = m.velocity(x, 0.5, dropout_rng=RngState(9))
-    b = m.velocity(x, 0.5, dropout_rng=RngState(9))
-    c = m.velocity(x, 0.5, dropout_rng=RngState(10))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    rows = np.stack([x] * 4)
+    for call in (lambda rng: m.forward_cache(rows, 0.5, rng)[0],
+                 lambda rng: m.dropout_velocities(x, 0.5, 4, rng)):
+        a, b, c = call(RngState(9)), call(RngState(9)), call(RngState(10))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
     # without a dropout rng the pass is deterministic (inference mode)
     assert np.array_equal(m.velocity(x, 0.5), m.velocity(x, 0.5))
 
     m0 = _model(dropout=0.0)
     m0.weights[-1][:] = RngState(20).generator().standard_normal(
         m0.weights[-1].shape)
-    assert np.array_equal(m0.velocity(x, 0.5, dropout_rng=RngState(9)),
-                          m0.velocity(x, 0.5))
+    assert np.array_equal(m0.forward_cache(rows, 0.5, RngState(9))[0],
+                          m0.forward_cache(rows, 0.5)[0])
+    assert np.array_equal(m0.dropout_velocities(x, 0.5, 4, RngState(9)),
+                          np.stack([m0.velocity(x, 0.5)] * 4))
 
 
 def test_dropout_rng_must_be_a_state():
     """A batch draws its masks from one RngState: anything else, such as
-    an array of per-row seeds, is refused on one line, at any rate."""
+    an array of per-row seeds, is refused on one line, at any rate.
+    ``velocity`` never drops out and takes no stream."""
     x = np.array([0.5, 0.1, -0.4])
     for rate in (0.3, 0.0):
         m = _model(hidden=32, dropout=rate)
         for bad in (RngState(4).split_seeds(range(5)), [RngState(4)], 4):
-            for call in (lambda: m.velocity(x, 0.6, bad),
-                         lambda: m.velocity(np.stack([x] * 5), 0.6, bad),
+            for call in (lambda: m.forward_cache(np.stack([x] * 5), 0.6, bad),
                          lambda: m.forward_cache(x, 0.6, bad)):
                 with pytest.raises(ModelError, match=r"^dropout_rng must be "
                                    r"an RngState or None, got \w+$"):
                     call()
+            with pytest.raises(ModelError, match=r"^dropout_rng must be an "
+                               r"RngState, got \w+$"):
+                m.dropout_velocities(x, 0.6, 5, bad)
+        with pytest.raises(ModelError, match=r"^dropout_rng must be an "
+                           r"RngState, got NoneType$"):
+            m.dropout_velocities(x, 0.6, 5, None)
+        with pytest.raises(TypeError):
+            m.velocity(x, 0.6, RngState(4))
+
+
+@pytest.mark.parametrize("rate", [0.15, 1.0 / 3.0, 0.5, 0.9])
+def test_dropout_masks_are_the_divided_keep_rule_bit_for_bit(rate):
+    """The masks are ``(u < keep) / keep`` of one (depth, rows, hidden)
+    uniform draw, bit for bit, in fresh arrays and in step buffers."""
+    m = _model(dim=4, hidden=16, depth=3, dropout=rate)
+    bufs = StepBuffers(m.arch, 10)
+    keep = 1.0 - rate
+    for rows in (10, 7, 1):
+        ref = (RngState(rows).generator().random((3, rows, 16)) < keep) / keep
+        for b in (None, bufs):
+            got = np.stack(m._dropout_masks(rows, RngState(rows), b))
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_eval_counter_conventions():
