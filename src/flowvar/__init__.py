@@ -12,7 +12,6 @@ from .numerics import (
     RngState,
     draw_rademacher,
     exhaustive_sign_probes,
-    finite_diff_jvp,
     hutchinson_diagonal,
 )
 from .oracle import (

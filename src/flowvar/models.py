@@ -17,9 +17,13 @@ the consistency reference) go through ``forward_cache``, which keeps what
 ``backward`` reads.
 
 One input row without dropout (an Euler step, one estimate's primal) takes
-a one-row pass instead: the layers run as 1-D products, with the bits of
-the (1, k) ones, and no cache is kept. It is the only code that propagates
-x-tangents. A tangent block enters at the first layer's pre-activations
+a one-row pass instead: one flat loop of 1-D products, with the bits of the
+(1, k) ones, and no cache is kept. Its primal products and finiteness dots
+are ``ndarray.dot`` calls, which make the same BLAS call as ``@`` with less
+dispatch and give the same bits; the tangent blocks keep ``@`` and
+copy-then-scale, since ``dot`` there moved bits (a zero's sign at relu and
+d = hidden = 1; the product with the strided x-column view). It is the only
+code that propagates x-tangents. A tangent block enters at the first layer's pre-activations
 and is scaled in place by each layer's activation derivative. It is either
 the d basis rows, a C-order copy of the first layer's x-column weight view
 (its product with I), which end as J^T, or the caller's (m, d) block times
@@ -33,11 +37,13 @@ MC dropout's passes of one row (``dropout_velocities``) share the one-row
 pass's first layer, which no mask reaches, and run the later layers as one
 row per pass.
 
-The clock frequencies and the transposed weight views the passes read are
-made once per model, as views that follow in-place writes to ``params``.
-One input row at a scalar float time gets its sin and cos written straight
-into the row, the same bits as :func:`time_features`; arrays of times and
-multi-row batches go through :func:`time_features`.
+The clock frequencies, the activation function and the transposed weight
+views the passes read are made once per model, the views following in-place
+writes to ``params``. One input row at a scalar float time gets its sin and
+cos written straight into the row, the same bits as :func:`time_features`;
+arrays of times and multi-row batches go through :func:`time_features`. A
+time that is not finite is refused with one ``ModelError`` line before sin
+and cos see it.
 """
 from __future__ import annotations
 
@@ -88,6 +94,10 @@ def time_features(t, n_freq: int) -> np.ndarray:
     tv = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if tv.ndim != 1:
         raise ModelError(f"time must be scalar or 1-d, got shape {tv.shape}")
+    finite = np.isfinite(tv)
+    if not np.logical_and.reduce(finite):
+        # refused before sin and cos warn on it
+        raise ModelError(f"time must be finite, got {tv[~finite][0]}")
     freqs = np.pi * (2.0 ** np.arange(n_freq))
     ang = tv[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
@@ -143,9 +153,7 @@ def _layer_views(flat: np.ndarray, arch: MlpArch):
     return weights, biases
 
 
-def _act(name: str, z: np.ndarray, out=None) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z, out=out)
+def _relu(z: np.ndarray, out=None) -> np.ndarray:
     return np.maximum(z, 0.0, out=out)
 
 
@@ -194,11 +202,10 @@ class StepBuffers:
 
 
 def _all_finite(v: np.ndarray) -> bool:
-    """Whether every entry of the 1-D v is finite. v @ v is finite only
+    """Whether every entry of the 1-D v is finite. v . v is finite only
     then; the entry-wise check runs only when it is not, to tell squares
-    that overflow from an entry that is not finite. Overflow in v @ v is
-    for the caller's ``np.errstate`` to silence."""
-    return (math.isfinite(v @ v)
+    that overflow from an entry that is not finite."""
+    return (math.isfinite(v.dot(v))
             or bool(np.logical_and.reduce(np.isfinite(v))))
 
 
@@ -249,6 +256,7 @@ class MlpVelocity:
         self._forward_wt = tuple(w.T for w in self.weights)
         self._w0x = self._forward_wt[0][:arch.dim]
         self._freqs = np.pi * (2.0 ** np.arange(arch.n_freq))
+        self._act = np.tanh if arch.activation == "tanh" else _relu
 
     # ---- construction -----------------------------------------------------
 
@@ -287,15 +295,8 @@ class MlpVelocity:
         if x2.shape[1] != dim:
             raise ModelError(f"x dim {x2.shape[1]} != model dim {dim}")
         n = x2.shape[0]
-        if n == 1 and isinstance(t, float):  # np.float64 is a float too
-            # time_features' angles and bits, written into the row
-            feats = np.empty((1, self.arch.in_dim))
-            feats[0, :dim] = x2[0]
-            ang = t * self._freqs
-            mid = dim + self.arch.n_freq
-            np.sin(ang, out=feats[0, dim:mid])
-            np.cos(ang, out=feats[0, mid:])
-            return feats
+        if n == 1 and isinstance(t, float):
+            return self._row_features(x2, t)[None]
         emb = time_features(t, self.arch.n_freq)
         m = emb.shape[0]
         if m != n and (m != 1 or n == 0):
@@ -345,7 +346,7 @@ class MlpVelocity:
         inputs = [feats]
         pre, post = [], []
         h = feats
-        act = self.arch.activation
+        act = self._act
         z_buf = a_buf = drop_buf = None
         if bufs is not None:
             z_buf, a_buf, drop_buf = bufs.pre, bufs.post, bufs.dropped
@@ -358,7 +359,7 @@ class MlpVelocity:
                 if not np.isfinite(z).all():
                     raise ModelError(
                         "forward pass diverged: non-finite activations")
-                a = _act(act, z, _rows_of(a_buf, i, rows))
+                a = act(z, out=_rows_of(a_buf, i, rows))
                 pre.append(z)
                 post.append(a)  # pre-dropout, feeds the activation derivative
                 if masks is not None:
@@ -373,14 +374,35 @@ class MlpVelocity:
         cache = {"inputs": inputs, "pre": pre, "post": post, "masks": masks}
         return out, cache
 
-    def _row_layer(self, i: int, h: np.ndarray):
-        """Hidden layer i of one row h as a 1-D product: (z, act(z)), with
-        the non-finite refusal. Runs under the caller's ``np.errstate``."""
-        z = h @ self._forward_wt[i]
-        z += self.biases[i]
-        if not _all_finite(z):
-            raise ModelError("forward pass diverged: non-finite activations")
-        return z, _act(self.arch.activation, z)
+    def _row_features(self, x, t) -> np.ndarray:
+        """The input row [x, time_features(t)] of one state, 1-D.
+
+        x holds the model's d entries in any shape. A float time (np.float64
+        is a float too) gets time_features' angles and bits written straight
+        into the row; any other time goes through :func:`time_features` and
+        must be one time.
+        """
+        arch = self.arch
+        dim = arch.dim
+        xv = np.asarray(x, dtype=np.float64)
+        if xv.size != dim:
+            raise ModelError(f"x dim {xv.size} != model dim {dim}")
+        row = np.empty(arch.in_dim)
+        row[:dim] = xv if xv.ndim == 1 else xv.reshape(-1)
+        if isinstance(t, float):
+            if not math.isfinite(t):  # refused before sin and cos warn on it
+                raise ModelError(f"time must be finite, got {t}")
+            ang = t * self._freqs
+            mid = dim + arch.n_freq
+            np.sin(ang, out=row[dim:mid])
+            np.cos(ang, out=row[mid:])
+            return row
+        emb = time_features(t, arch.n_freq)
+        if emb.shape[0] != 1:
+            raise ModelError(f"time batch {emb.shape[0]} incompatible with x "
+                             f"batch 1")
+        row[dim:] = emb[0]
+        return row
 
     def _one_row(self, x, t, du=None):
         """Velocity (dim,) of one input row without dropout and, with
@@ -393,18 +415,23 @@ class MlpVelocity:
         same bits as ``forward_cache`` on the row, with the tangents scaled
         by its activations.
         """
-        h = self._input_features(x, t)[0]
-        act = self.arch.activation
-        wt = self._forward_wt
+        h = self._row_features(x, t)
+        act, name = self._act, self.arch.activation
+        wt, biases = self._forward_wt, self.biases
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(self.arch.depth):
-                z, h = self._row_layer(i, h)
+                z = h.dot(wt[i])
+                z += biases[i]
+                if not _all_finite(z):
+                    raise ModelError(
+                        "forward pass diverged: non-finite activations")
+                h = act(z)
                 if du is not None:
                     if i > 0:
                         du = du @ wt[i]
-                    _scale_by_act_deriv(act, du, z, h)
-            out = h @ wt[-1]
-            out += self.biases[-1]
+                    _scale_by_act_deriv(name, du, z, h)
+            out = h.dot(wt[-1])
+            out += biases[-1]
             if not _all_finite(out):
                 raise ModelError("forward pass diverged: non-finite output")
         return out, (None if du is None else du @ wt[-1])
@@ -432,22 +459,26 @@ class MlpVelocity:
         if not isinstance(dropout_rng, RngState):
             raise ModelError(f"dropout_rng must be an RngState, got "
                              f"{type(dropout_rng).__name__}")
-        xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
         masks = self._dropout_masks(passes, dropout_rng)
         if masks is None:  # rate zero: every pass is the one-row pass
-            return np.tile(self._one_row(xv, t)[0], (passes, 1))
-        act = self.arch.activation
+            return np.tile(self._one_row(x, t)[0], (passes, 1))
+        act = self._act
         wt = self._forward_wt
         with np.errstate(over="ignore", invalid="ignore"):
-            _, h = self._row_layer(0, self._input_features(xv, t)[0])
-            h = np.multiply(masks[0], h, out=masks[0])
+            # the one-row pass's first layer
+            z = self._row_features(x, t).dot(wt[0])
+            z += self.biases[0]
+            if not _all_finite(z):
+                raise ModelError(
+                    "forward pass diverged: non-finite activations")
+            h = np.multiply(masks[0], act(z), out=masks[0])
             for i in range(1, self.arch.depth):
                 z = h @ wt[i]
                 z += self.biases[i]
                 if not np.isfinite(z).all():
                     raise ModelError(
                         "forward pass diverged: non-finite activations")
-                h = _act(act, z, out=z)
+                h = act(z, out=z)
                 h *= masks[i]
             out = h @ wt[-1]
             out += self.biases[-1]
@@ -499,22 +530,23 @@ class MlpVelocity:
         x columns only. A block of m >= d tangents at d <= hidden is u @ J^T
         from the d basis rows; any other block is carried as it is.
         """
-        xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        u2 = np.atleast_2d(np.asarray(u, dtype=np.float64))
+        u2 = np.asarray(u, dtype=np.float64)
+        ndim = u2.ndim
+        if ndim < 2:
+            u2 = u2.reshape(1, -1)
         dim = self.arch.dim
         if u2.shape[1] != dim:
             raise ModelError(f"tangent dim {u2.shape[1]} != model dim {dim}")
         if u2.shape[0] >= dim and dim <= self.arch.hidden:
-            v, jt = self._one_row(xv, t, self._w0x.copy())
+            v, jt = self._one_row(x, t, self._w0x.copy())
             ju = u2 @ jt
         else:
-            v, ju = self._one_row(xv, t, u2 @ self._w0x)
-        return v, (ju if np.ndim(u) == 2 else ju[0])
+            v, ju = self._one_row(x, t, u2 @ self._w0x)
+        return v, (ju if ndim == 2 else ju[0])
 
     def jacobian(self, x, t) -> np.ndarray:
         """Dense d x d velocity Jacobian from d basis tangents."""
-        xv = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        return self._one_row(xv, t, self._w0x.copy())[1].T
+        return self._one_row(x, t, self._w0x.copy())[1].T
 
 
 @dataclass

@@ -30,10 +30,16 @@ blocks from it. Setting the state through numpy's public setter and drawing
 are the floor of each stream, about 3 and 2.3 us; every other step costs a
 few numpy calls however many streams there are.
 
-No integer-seeded SeedSequence and no Generator is built on the way, except
-by :meth:`RngState.generator`, which hands the same words to ``default_rng``.
-The tests pin each path to numpy's ``SeedSequence`` and ``default_rng``, bit
-for bit.
+``RngState.split`` builds numpy's ``SeedSequence`` over a parent's entropy
+words once per parent: ``_parent_pool`` keeps the last few parents' mixed
+pools, keyed on the int (seed, stream), and each child's key word is mixed
+into that pool and hashed as Python ints (``_child_seed``). Keys, seeds or
+streams past one word, or past the 4-word seed pad, and keys or parents that
+are not Python ints take the whole derivation for every split. A draw builds
+one ``SeedSequence`` over its own stream's words; no Generator is built on
+the way, except by :meth:`RngState.generator`, which hands the same words to
+``default_rng``. The tests pin each path to numpy's ``SeedSequence`` and
+``default_rng``, bit for bit.
 """
 from __future__ import annotations
 
@@ -50,7 +56,6 @@ __all__ = [
     "draw_rademacher",
     "draw_rademacher_many",
     "exhaustive_sign_probes",
-    "finite_diff_jvp",
     "hutchinson_diagonal",
 ]
 
@@ -92,7 +97,13 @@ class RngState:
 
         The key must be an integer (anything ``operator.index`` takes).
         """
-        (child,) = _hash_out(_seed_pool(self.seed, self.stream, key), 1)
+        seed, stream = self.seed, self.stream
+        if (type(key) is int and 0 <= key <= _MASK32 and type(seed) is int
+                and type(stream) is int):
+            pool = _parent_pool(seed, stream)
+            if pool is not None:
+                return RngState(_child_seed(pool, key))
+        (child,) = _hash_out(_seed_pool(seed, stream, key), 1)
         return RngState(child)
 
     def split_many(self, keys) -> list:
@@ -129,7 +140,8 @@ _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hashmix constants
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hash constants
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_L_INT, _MIX_R_INT = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.uint32(_MIX_L_INT), np.uint32(_MIX_R_INT)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -161,6 +173,7 @@ _ROUND_CONSTS = _round_consts()
 _OUT_B_COL = _hash_consts(_INIT_B, _MULT_B, 8)
 _OUT_B = _OUT_B_COL.ravel().tolist()
 _OUT_ROWS = np.arange(8) % 4  # the pool word each output word reads
+_KEY_A = _hash_consts(_INIT_A, _MULT_A, 22).ravel()[20:].tolist()
 
 
 def _words(x) -> list:
@@ -202,6 +215,33 @@ def _seed_pool(seed, *spawn_key) -> list:
     """The mixed pool of SeedSequence(seed, spawn_key=spawn_key), as 4 ints;
     numpy mixes the words."""
     return np.random.SeedSequence(_entropy(seed, *spawn_key)).pool.tolist()
+
+
+@functools.lru_cache(maxsize=32)
+def _parent_pool(seed: int, stream: int) -> tuple | None:
+    """The mixed pool of SeedSequence(seed, spawn_key=(stream,)), as 4 ints,
+    for a seed below 2^128 and a stream below 2^32, whose entropy is 5 words;
+    None for any larger ones. Memoised on the ints: the parents of a round's
+    splits repeat."""
+    head = _entropy(seed, stream)
+    return (tuple(np.random.SeedSequence(head).pool.tolist())
+            if len(head) == 5 else None)
+
+
+def _child_seed(pool: tuple, key: int) -> int:
+    """The seed of ``split(key)`` of the parent whose mixed pool is ``pool``,
+    for a key below 2^32: the key word mixed into the pool, as ``_mix`` mixes
+    the sixth entropy word (hash constants from 20), in Python ints. The
+    child's seed, ``_hash_out(pool, 1)``, reads pool words 0 and 1 only, so
+    only they are mixed."""
+    mixed = []
+    for dst in range(2):
+        h = (key ^ _KEY_A[dst]) * _KEY_A[dst + 1] & _MASK32
+        h ^= h >> 16
+        w = (pool[dst] * _MIX_L_INT - h * _MIX_R_INT) & _MASK32
+        mixed.append(w ^ w >> 16)
+    (child,) = _hash_out(mixed, 1)
+    return child
 
 
 def _mix(pool: np.ndarray, words: np.ndarray, j: int) -> np.ndarray:
@@ -360,9 +400,9 @@ def _check_probe_shape(d: int, s: int) -> None:
 def _signs(raw: np.ndarray, n: int) -> np.ndarray:
     """The first n signs of each row of raw 64-bit outputs, as float64 -1.0
     or +1.0: the top bit of each 32-bit half, low half first."""
-    halves = raw.astype("<u8", copy=False).view("<u4")
-    signs = (halves[..., :n] >> 31).astype(np.float64)
-    signs *= 2.0
+    # the top bit of a half is its int32 sign bit
+    halves = raw.astype("<u8", copy=False).view("<i4")
+    signs = np.multiply(halves[..., :n] < 0, 2.0)
     signs -= 1.0
     return signs
 
@@ -407,26 +447,6 @@ def exhaustive_sign_probes(d: int) -> ProbeSet:
         np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij")
     ).reshape(d, -1).T
     return ProbeSet(probes=grid, seed=None)
-
-
-def finite_diff_jvp(f, x: np.ndarray, u: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference directional derivative (f(x+hu) - f(x-hu)) / 2h.
-
-    Serves as the independent oracle for every hand-written JVP in this
-    package. ``f`` maps (d,) -> (d,).
-    """
-    if h <= 0:
-        raise NumericsError("step size h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if x.shape != u.shape:
-        raise NumericsError(f"shape mismatch: x {x.shape} vs u {u.shape}")
-    hi = np.asarray(f(x + h * u), dtype=np.float64)
-    lo = np.asarray(f(x - h * u), dtype=np.float64)
-    out = (hi - lo) / (2.0 * h)
-    if not np.all(np.isfinite(out)):
-        raise NumericsError("field evaluation failed: non-finite output")
-    return out
 
 
 def hutchinson_diagonal(products, probes: ProbeSet) -> np.ndarray:

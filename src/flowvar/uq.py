@@ -137,7 +137,9 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
     refused above dimension 64.
     """
     t = check_interior_time(t)
-    xt = np.asarray(xt, dtype=np.float64).reshape(-1)
+    xt = np.asarray(xt, dtype=np.float64)
+    if xt.ndim != 1:
+        xt = xt.reshape(-1)
     d = xt.shape[0]
     if probes is None:
         raise UqError("a ProbeSet is required")

@@ -36,3 +36,35 @@ def test_raw_figures_are_kept_and_summarized():
     assert summary["raw_work_per_s"]["head_won"] == 1
     assert summary["speed_factor"]["head_won"] == 0
     assert summary["speed_factor"]["head"]["median"] == pytest.approx(1.55)
+
+
+def test_meets_rule_needs_nine_in_ten_wins_beyond_the_base_spread():
+    spec = {"end_to_end": [{"name": "op_ms_p50", "better": "lower"},
+                           {"name": "work_per_s", "better": "higher"}],
+            "per_layer": []}
+    better = benchpairs._better(spec)
+
+    def rule(base, head, name="op_ms_p50"):
+        runs = {side: [{"metrics": {name: v}} for v in values]
+                for side, values in (("base", base), ("head", head))}
+        return benchpairs.summarize(runs, better)[name]
+
+    base = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+    # 9 of 10 won, the medians 0.15 apart against a base spread of 0.055
+    head = [v - 0.15 for v in base[:9]] + [1.10]
+    got = rule(base, head)
+    assert (got["head_won"], got["beyond_base_iqr"], got["meets_rule"]) == (
+        9, True, True)
+    # 8 of 10 won: the spread alone does not meet the rule
+    got = rule(base, head[:8] + [1.10, 1.10])
+    assert (got["head_won"], got["beyond_base_iqr"], got["meets_rule"]) == (
+        8, True, False)
+    # 10 of 10 won by less than the base spread
+    got = rule(base, [v - 0.01 for v in base])
+    assert (got["head_won"], got["beyond_base_iqr"], got["meets_rule"]) == (
+        10, False, False)
+    # a higher-is-better figure wins upwards; 3 of 3 pairs meet it
+    got = rule([100.0, 101.0, 102.0], [120.0, 121.0, 122.0], "work_per_s")
+    assert got["meets_rule"]
+    assert not rule([100.0, 101.0, 102.0], [90.0, 91.0, 92.0],
+                    "work_per_s")["meets_rule"]

@@ -10,8 +10,10 @@ from flowvar.models import (AnalyticField, EvalCounter, MlpArch, MlpVelocity,
                             ModelError, ModelField, StepBuffers,
                             analytic_handle, load_model, save_model,
                             time_features)
-from flowvar.numerics import RngState, finite_diff_jvp
+from flowvar.numerics import RngState
 from flowvar.oracle import GmmSpec, optimal_velocity
+
+from fd_jvp import finite_diff_jvp
 
 
 def _model(dim=3, **kw):
@@ -220,6 +222,57 @@ def test_one_row_pass_keeps_its_checks():
         jac = m.jacobian(x, 0.5)
     assert v.tobytes() == m.forward_cache(x, 0.5)[0][0].tobytes()
     assert np.isfinite(jac).all()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_one_row_entry_takes_any_row_and_scalar_time(activation):
+    m = _model(dim=3, activation=activation)
+    m.params[:] = RngState(4).generator().standard_normal(m.n_params) / 4.0
+    g = RngState(9).generator()
+    wide = g.standard_normal((3, 6))
+    x = wide[1, ::2].copy()
+    rows = (x.tolist(), np.array([1, -2, 3]), x.astype(np.float32),
+            x[None, :], wide[1, ::2], wide[1:2, ::2])
+    times = (0, 1, 0.37, np.float64(0.37), np.float32(0.37), np.asarray(0.37))
+    u = g.choice([-1.0, 1.0], (5, 3))
+    for xi in rows:
+        for t in times:
+            ref = m.forward_cache(xi, t)[0][0]
+            x64, t64 = np.ravel(np.asarray(xi, dtype=np.float64)), float(t)
+            v, ju = m.value_and_jvp(xi, t, u)
+            assert v.tobytes() == ref.tobytes(), (xi, t)
+            assert ju.tobytes() == m.value_and_jvp(x64, t64, u)[1].tobytes()
+            assert (m.jacobian(xi, t).tobytes()
+                    == m.jacobian(x64, t64).tobytes())
+            if np.ndim(xi) < 2:
+                assert m.velocity(xi, t).tobytes() == ref.tobytes()
+    # each refusal is forward_cache's line for the same row
+    bad = ((np.zeros(4), 0.5), (np.zeros((1, 4)), 0.5), (0.0, 0.5),
+           (x, np.ones((1, 1))), (x, np.ones(2)), (x, np.ones(0)),
+           (x, np.inf), (x, np.array(np.nan)), (x, np.float32(-np.inf)))
+    for xi, t in bad:
+        with pytest.raises(ModelError) as batch:
+            m.forward_cache(np.atleast_2d(xi), t)
+        for call in (lambda: m.velocity(xi, t), lambda: m.jacobian(xi, t),
+                     lambda: m.value_and_jvp(xi, t, u)):
+            with pytest.raises(ModelError) as one:
+                call()
+            assert str(one.value) == str(batch.value), (xi, t)
+
+
+def test_non_finite_time_is_one_line_with_no_warning():
+    m = _model()
+    for t in (np.inf, -np.inf, np.nan):
+        for call in (lambda: m.velocity(np.ones(3), t),
+                     lambda: m.velocity(np.ones((4, 3)), t),
+                     lambda: m.velocity(np.ones((4, 3)), np.full(4, t)),
+                     lambda: m.value_and_jvp(np.ones(3), t, np.ones((5, 3))),
+                     lambda: m.value_and_jvp(np.ones(3), t, np.ones(3))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ModelError) as err:
+                    call()
+            assert str(err.value) == f"time must be finite, got {t}"
 
 
 def test_arch_validation():

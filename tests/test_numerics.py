@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowvar.numerics import (NumericsError, ProbeSet, RngState, _hash_out,
-                              _pool, _seed_raw, draw_rademacher,
+                              _parent_pool, _pool, _seed_raw, draw_rademacher,
                               draw_rademacher_many, exhaustive_sign_probes,
-                              finite_diff_jvp, hutchinson_diagonal)
+                              hutchinson_diagonal)
+
+from fd_jvp import finite_diff_jvp
 
 
 def test_rng_determinism():
@@ -356,3 +358,46 @@ def test_split_and_split_many_take_the_same_keys():
     # the bits numpy's SeedSequence gave these keys before the check
     assert root.split(5).seed == 2996089601602301123
     assert root.split(2**40).seed == 6910379499768356869
+
+
+def _numpy_child(seed, stream, key):
+    return int(np.random.SeedSequence(seed, spawn_key=(stream, key))
+               .generate_state(1, np.uint64)[0])
+
+
+def test_memoised_parent_pools_split_into_numpys_children():
+    # one-word keys of int parents inside the seed pad and one stream word
+    # take the memo; the rest take the whole derivation; all are numpy's
+    for seed in (0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128):
+        for stream in (0, 2**32 - 1, 2**32):
+            parent = RngState(seed, stream)
+            for key in (0, 1, 2**32 - 1, 2**32, np.uint64(7),
+                        np.uint64(2**32), True, False):
+                want = _numpy_child(seed, stream, int(key))
+                # the first split may fill the memo, the second reads it
+                assert parent.split(key).seed == want
+                assert parent.split(key).seed == want
+    # more parents than the memo holds evict the first, which is then
+    # derived again, to the same child
+    first = RngState(11, 3)
+    want = _numpy_child(11, 3, 5)
+    assert first.split(5).seed == want
+    size = _parent_pool.cache_info().maxsize
+    for seed in range(1000, 1000 + size + 1):
+        assert RngState(seed).split(5).seed == _numpy_child(seed, 0, 5)
+    misses = _parent_pool.cache_info().misses
+    assert first.split(5).seed == want
+    assert _parent_pool.cache_info().misses == misses + 1
+    assert first.split(6).seed == _numpy_child(11, 3, 6)
+    assert _parent_pool.cache_info().misses == misses + 1
+    # negative and float keys, and negative parents, keep their lines
+    for call, line in (
+            (lambda: RngState(7).split(-1), "non-negative, got -1"),
+            (lambda: RngState(-7).split(0), "non-negative, got -7"),
+            (lambda: RngState(7, -2).split(0), "non-negative, got -2"),
+            (lambda: RngState(7).split(1.5), "integers, got 1.5"),
+            (lambda: RngState(1.5).split(0), "integers, got 1.5")):
+        for _ in range(2):
+            with pytest.raises(NumericsError) as err:
+                call()
+            assert str(err.value) == f"seed, stream and key must be {line}"

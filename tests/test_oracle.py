@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowvar.models import EvalCounter, analytic_handle
-from flowvar.numerics import RngState, draw_rademacher, finite_diff_jvp
+from flowvar.numerics import RngState, draw_rademacher
 from flowvar.oracle import (_SYSTEM_SLOTS, GmmSpec, OracleError,
                             _add_derivatives, _component_system,
                             _posterior_terms, conditional_score, gmm_posterior,
@@ -18,6 +18,8 @@ from flowvar.oracle import (_SYSTEM_SLOTS, GmmSpec, OracleError,
                             single_gaussian_posterior,
                             single_gaussian_velocity_jacobian)
 from flowvar.uq import cov_closed_form
+
+from fd_jvp import finite_diff_jvp
 
 
 def _two_comp():

@@ -16,8 +16,10 @@ Writes (or updates, keyed by workload and trace) a JSON file holding, per
 workload and side, the seeds, each run's metrics (the five end-to-end ones,
 or the per-layer ones with ``--trace 1``), and each metric's median with its
 quartiles, taken as ``repeat.py`` takes them; and per metric the pairs the
-head won, in the direction BENCHMARK.json gives. Without ``--trace`` each
-run also keeps the raw figures ``run.py`` prints (set-up time and rate
+head won, in the direction BENCHMARK.json gives, and ``meets_rule``: the
+head won at least 9 in 10 pairs and the medians differ by more than the
+base's quartile spread, the rule a claimed gain must meet. Without
+``--trace`` each run also keeps the raw figures ``run.py`` prints (set-up time and rate
 before scaling, and the reference-kernel speed factor that scales them),
 summarized the same way under ``raw_summary``, so that a move made by the
 code can be told from one made by the factor. Exits 1 when a run fails or
@@ -108,8 +110,10 @@ def _spread(values: list) -> dict:
 
 def summarize(runs: dict, better: dict, field: str = "metrics") -> dict:
     """Per figure of each run's ``field``: each side's median and quartiles,
-    the head's pair wins, and whether the medians differ by more than the
-    base's quartile spread in the head's favour."""
+    the head's pair wins, whether the medians differ by more than the
+    base's quartile spread in the head's favour, and whether both hold as a
+    gain may be claimed: the head won at least 9 in 10 of the pairs, and the
+    medians differ beyond the base's quartile spread."""
     out = {}
     for name in runs["base"][0][field]:
         base = [r[field][name] for r in runs["base"]]
@@ -117,13 +121,16 @@ def summarize(runs: dict, better: dict, field: str = "metrics") -> dict:
         sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
         b, h = _spread(base), _spread(head)
         gain = sign * (b["median"] - h["median"])
+        won = sum(sign * (x - y) > 0 for x, y in zip(base, head))
+        beyond = gain > b["q3"] - b["q1"]
         out[name] = {
             "base": b, "head": h,
             "change_pct": (100.0 * (h["median"] - b["median"]) / b["median"]
                            if b["median"] else None),
-            "head_won": sum(sign * (x - y) > 0 for x, y in zip(base, head)),
+            "head_won": won,
             "pairs": len(base),
-            "beyond_base_iqr": gain > b["q3"] - b["q1"],
+            "beyond_base_iqr": beyond,
+            "meets_rule": 10 * won >= 9 * len(base) and beyond,
         }
     return out
 
