@@ -18,10 +18,8 @@ from .oracle import (
     GmmSpec,
     OracleError,
     PosteriorOracle,
-    conditional_score,
     gmm_posterior,
     gmm_posterior_batch,
-    interpolate,
     marginal_moments,
     marginal_score,
     optimal_velocity,
@@ -64,7 +62,6 @@ from .uq import (
     prior_baseline,
     shift_time_grid,
     trajectory_uq,
-    tweedie_posterior_mean,
 )
 from .sampler import (
     SamplerError,

@@ -7,28 +7,20 @@ global RNG anywhere.
 An ``RngState(seed, stream)`` is the stream of numpy's
 ``default_rng(SeedSequence(seed, spawn_key=(stream,)))``, and ``split(key)``
 is ``RngState(SeedSequence(seed, spawn_key=(stream, key))
-.generate_state(1, np.uint64)[0])``. Every derivation takes one path to those
+.generate_state(1, np.uint64)[0])``. Every stream takes one path to those
 bits:
 
 1. the entropy words SeedSequence assembles from the integers, as one uint32
    array (``_entropy``);
-2. the mixed 4-word pool: numpy's own ``SeedSequence(words).pool`` for one
-   stream, or the same mixing as vectorised uint32 arithmetic over many
-   streams (``_pool``, ``_mix``);
-3. one output hash of the pool (``_hash_out``): Python ints for one stream,
-   one (words, streams) uint32 array for many, all hashed at once;
+2. the mixed 4-word pool, from numpy's own ``SeedSequence(words).pool``;
+3. one output hash of the pool, in Python ints (``_hash_out``);
 4. for draws, PCG64's state set from those words on a per-thread bit
    generator (``_seeded_pcg64``), then its raw output.
 
-Many sibling streams travel one way only: as one uint64 array of child
-seeds. ``RngState.split_seeds`` gives that array (one vectorised mix for a
-``range`` of keys inside one 32-bit word, the single-stream ``split`` per key
-for any other keys), and ``_seed_raw`` takes it to each child's raw words
-(its entropy rows are a view of the array, mixed and hashed at once), with
-no RngState per child. ``draw_rademacher_many`` reads per-state probe
-blocks from it. Setting the state through numpy's public setter and drawing
-are the floor of each stream, about 3 and 2.3 us; every other step costs a
-few numpy calls however many streams there are.
+Setting the state through numpy's public setter and drawing are the floor
+of each stream, about 3 and 2.3 us. Sibling streams are derived one at a
+time: ``split_many`` and ``draw_rademacher_many`` are loops over ``split``
+and ``draw_rademacher``.
 
 ``RngState.split`` builds numpy's ``SeedSequence`` over a parent's entropy
 words once per parent: ``_parent_pool`` keeps the last few parents' mixed
@@ -107,73 +99,33 @@ class RngState:
         return RngState(child)
 
     def split_many(self, keys) -> list:
-        """``[self.split(k) for k in keys]``, derived as one batch by
-        ``split_seeds``."""
-        # positional: a keyword argument makes each state twice as dear
-        return [RngState(child) for child in self.split_seeds(keys).tolist()]
-
-    def split_seeds(self, keys) -> np.ndarray:
-        """The seeds of ``split_many(keys)``, as one uint64 array.
-
-        Each child is a stream-0 state, so the array is all that
-        ``draw_rademacher_many`` needs of them. A ``range`` inside one 32-bit
-        word, which every batch caller passes, is mixed as one row into the
-        parent's pool, mixed once; any other integer keys take ``split`` one
-        at a time.
-        """
-        ends = (keys[0], keys[-1]) if isinstance(keys, range) and keys else (-1,)
-        if not (0 <= min(ends) and max(ends) <= _MASK32):
-            return np.array([self.split(k).seed for k in keys],
-                            dtype=np.uint64)
-        head = _entropy(self.seed, self.stream)
-        parent = np.random.SeedSequence(head).pool[:, None]
-        # each key is its own one-word coding: one row to mix
-        row = np.arange(keys.start, keys.stop, keys.step).astype(np.uint32)
-        return _hash_out(_mix(parent, row[None], 4 * len(head)), 1).ravel()
+        """``[self.split(k) for k in keys]``."""
+        return [self.split(k) for k in keys]
 
 
 # ---- stream seeding ---------------------------------------------------------
-# numpy's SeedSequence (pool size 4) and PCG64 seeding, restated as uint32
-# arithmetic; constants from numpy's bit_generator and pcg64 sources.
+# numpy's SeedSequence (pool size 4) output hash and key mixing, and PCG64
+# seeding, in Python ints; constants from numpy's bit_generator and pcg64
+# sources.
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hashmix constants
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hash constants
-_MIX_L_INT, _MIX_R_INT = 0xCA01F9DD, 0x4973F715
-_MIX_L, _MIX_R = np.uint32(_MIX_L_INT), np.uint32(_MIX_R_INT)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-@functools.lru_cache(maxsize=32)
-def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """init * mult^j mod 2^32 for j = 0..n, as a read-only column."""
-    steps = np.full(n + 1, mult, dtype=np.uint32)
-    steps[0] = init
-    out = np.cumprod(steps, dtype=np.uint32)[:, None]
-    out.flags.writeable = False
+def _hash_consts(init: int, mult: int, n: int) -> list:
+    """init * mult^j mod 2^32 for j = 0..n."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
     return out
 
 
-def _round_consts() -> tuple:
-    """Per word ``src`` of the pool's mixing rounds, the (4, 1) xor and
-    multiply hash-constant columns of the three other words, in order, as
-    hashmix calls 4.. take them; the src row's entries are unused zeros."""
-    a = _hash_consts(_INIT_A, _MULT_A, 16).ravel()
-    xors, mults = np.zeros((2, 4, 4, 1), dtype=np.uint32)
-    j = 4
-    for src in range(4):
-        for dst in (d for d in range(4) if d != src):
-            xors[src, dst], mults[src, dst] = a[j], a[j + 1]
-            j += 1
-    return tuple(zip(xors, mults))
-
-
-_ROUND_CONSTS = _round_consts()
-_OUT_B_COL = _hash_consts(_INIT_B, _MULT_B, 8)
-_OUT_B = _OUT_B_COL.ravel().tolist()
-_OUT_ROWS = np.arange(8) % 4  # the pool word each output word reads
-_KEY_A = _hash_consts(_INIT_A, _MULT_A, 22).ravel()[20:].tolist()
+_OUT_B = _hash_consts(_INIT_B, _MULT_B, 8)
+_KEY_A = _hash_consts(_INIT_A, _MULT_A, 22)[20:]
 
 
 def _words(x) -> list:
@@ -230,73 +182,23 @@ def _parent_pool(seed: int, stream: int) -> tuple | None:
 
 def _child_seed(pool: tuple, key: int) -> int:
     """The seed of ``split(key)`` of the parent whose mixed pool is ``pool``,
-    for a key below 2^32: the key word mixed into the pool, as ``_mix`` mixes
-    the sixth entropy word (hash constants from 20), in Python ints. The
-    child's seed, ``_hash_out(pool, 1)``, reads pool words 0 and 1 only, so
-    only they are mixed."""
+    for a key below 2^32: the key word mixed into the pool, as SeedSequence
+    mixes the sixth entropy word (hash constants from 20), in Python ints.
+    The child's seed, ``_hash_out(pool, 1)``, reads pool words 0 and 1 only,
+    so only they are mixed."""
     mixed = []
     for dst in range(2):
         h = (key ^ _KEY_A[dst]) * _KEY_A[dst + 1] & _MASK32
         h ^= h >> 16
-        w = (pool[dst] * _MIX_L_INT - h * _MIX_R_INT) & _MASK32
+        w = (pool[dst] * _MIX_L - h * _MIX_R) & _MASK32
         mixed.append(w ^ w >> 16)
     (child,) = _hash_out(mixed, 1)
     return child
 
 
-def _mix(pool: np.ndarray, words: np.ndarray, j: int) -> np.ndarray:
-    """Mix each row of an (L, n) word array into (4, n) pools (or one (4, 1)
-    pool, broadcast), as SeedSequence mixes entropy words past the fourth;
-    the first word takes hash constant j."""
-    a = _hash_consts(_INIT_A, _MULT_A, j + 4 * len(words))
-    for w in words:
-        h = (w ^ a[j:j + 4]) * a[j + 1:j + 5]
-        h ^= h >> 16
-        pool = pool * _MIX_L - h * _MIX_R
-        pool ^= pool >> 16
-        j += 4
-    return pool
-
-
-def _pool(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence's mixed 4-word pool, as a (4, n) array, for each column
-    of an (L, n) uint32 entropy array, L >= 4."""
-    a = _hash_consts(_INIT_A, _MULT_A, 16)
-    # hashmix call j xors with constant j and multiplies by constant j+1
-    pool = (entropy[:4] ^ a[0:4]) * a[1:5]
-    pool ^= pool >> 16
-    for src, (xor, mult) in enumerate(_ROUND_CONSTS):
-        # word src, fixed, is mixed into the three other words: all four
-        # rows are mixed, and row src is then put back
-        fixed = pool[src].copy()
-        h = fixed ^ xor
-        h *= mult
-        h ^= h >> 16
-        h *= _MIX_R
-        pool *= _MIX_L
-        pool -= h
-        pool ^= pool >> 16
-        pool[src] = fixed
-    return _mix(pool, entropy[4:], 16)
-
-
-def _hash_out(pool, k: int):
-    """``SeedSequence.generate_state(k, np.uint64)`` from a mixed pool, k <= 4.
-
-    ``pool`` is one stream's 4 pool words as ints, which gives a list of k
-    ints: ints keep one stream clear of numpy's per-call cost. Or it is a
-    (4, n) uint32 array with one column per stream, which gives an (n, k)
-    uint64 array with one row per stream, every stream hashed at once.
-    """
-    if isinstance(pool, np.ndarray):
-        # output word m reads pool word m % 4, xors hash constant m and
-        # multiplies by constant m + 1 (mod 2^32); pairs of words, low word
-        # first, are the uint64s
-        w = pool[_OUT_ROWS[:2 * k]]
-        w ^= _OUT_B_COL[:2 * k]
-        w *= _OUT_B_COL[1:2 * k + 1]
-        w ^= w >> 16
-        return np.ascontiguousarray(w.T, dtype="<u4").view("<u8")
+def _hash_out(pool, k: int) -> list:
+    """``SeedSequence.generate_state(k, np.uint64)`` from one stream's mixed
+    pool of 4 words as ints, k <= 4, as a list of k ints."""
     out = []
     for j in range(0, 2 * k, 2):
         # output word j reads pool word j % 4; a uint64 is two of them,
@@ -335,25 +237,6 @@ def _seeded_pcg64(words) -> np.random.PCG64:
     bitgen = local.bitgen
     bitgen.state = local.state
     return bitgen
-
-
-def _seed_raw(seeds: np.ndarray, n: int) -> np.ndarray:
-    """``np.stack([RngState(s).generator().bit_generator.random_raw(n)
-    for s in seeds])`` for a uint64 array of seeds, bit for bit.
-
-    Each seed's entropy row (its two words, read through a uint32 view of
-    the array, two zero pad words and stream 0) is mixed and hashed with all
-    the others at once; only the PCG64 state set and the draw are per
-    stream.
-    """
-    entropy = np.zeros((5, len(seeds)), dtype=np.uint32)
-    entropy[:2] = np.ascontiguousarray(seeds, dtype="<u8").view("<u4").reshape(
-        -1, 2).T
-    words = _hash_out(_pool(entropy), 4).tolist()
-    raw = np.empty((len(words), n), dtype=np.uint64)
-    for i, w in enumerate(words):
-        raw[i] = _seeded_pcg64(w).random_raw(n)
-    return raw
 
 
 @dataclass(frozen=True)
@@ -423,17 +306,9 @@ def draw_rademacher(rng: RngState, d: int, s: int) -> ProbeSet:
 
 
 def draw_rademacher_many(rng: RngState, keys, d: int, s: int) -> list:
-    """``[draw_rademacher(rng.split(k), d, s) for k in keys]``, bit for bit.
-
-    The children's seeds come from ``rng.split_seeds`` as one array, and
-    their raw outputs from ``_seed_raw``; each set records its child state.
-    """
+    """``[draw_rademacher(rng.split(k), d, s) for k in keys]``."""
     _check_probe_shape(d, s)
-    seeds = rng.split_seeds(keys)
-    n = s * d
-    signs = _signs(_seed_raw(seeds, (n + 1) // 2), n)
-    return [ProbeSet._of_signs(block.reshape(s, d), RngState(seed))
-            for block, seed in zip(signs, seeds.tolist())]
+    return [draw_rademacher(rng.split(k), d, s) for k in keys]
 
 
 def exhaustive_sign_probes(d: int) -> ProbeSet:

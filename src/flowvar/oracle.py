@@ -1,5 +1,5 @@
-"""Linear interpolant, its conditional Gaussian law, and a Gaussian-mixture
-data distribution with closed-form posterior moments.
+"""A Gaussian-mixture data distribution and the closed-form posterior
+moments of its linear interpolant.
 
 For x1 drawn from a GMM and xt = t*x1 + (1-t)*x0 with x0 ~ N(0, I), the
 posterior p(x1 | xt) is again a Gaussian mixture whose moments follow from
@@ -47,8 +47,6 @@ from .numerics import RngState
 __all__ = [
     "GmmSpec",
     "PosteriorOracle",
-    "interpolate",
-    "conditional_score",
     "gmm_posterior",
     "gmm_posterior_batch",
     "marginal_score",
@@ -84,28 +82,6 @@ def check_interior_time(t: float) -> float:
     if t == 0.0 or t == 1.0:
         raise OracleError(f"flow-time out of open interval (0, 1): t={t}")
     return t
-
-
-def interpolate(x0: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
-    """Linear interpolant t*x1 + (1-t)*x0; endpoints allowed."""
-    t = check_unit_time(t)
-    x0 = np.asarray(x0, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if x0.shape != x1.shape:
-        raise OracleError(f"dimension mismatch: {x0.shape} vs {x1.shape}")
-    return t * x1 + (1.0 - t) * x0
-
-
-def conditional_score(xt: np.ndarray, x1: np.ndarray, t: float) -> np.ndarray:
-    """Gradient in xt of log N(xt; t*x1, (1-t)^2 I) = -(xt - t*x1)/(1-t)^2."""
-    t = check_unit_time(t)
-    if t == 1.0:
-        raise OracleError("degenerate conditional: t=1 has zero noise scale")
-    xt = np.asarray(xt, dtype=np.float64)
-    x1 = np.asarray(x1, dtype=np.float64)
-    if xt.shape != x1.shape:
-        raise OracleError(f"dimension mismatch: {xt.shape} vs {x1.shape}")
-    return -(xt - t * x1) / (1.0 - t) ** 2
 
 
 @dataclass(frozen=True)

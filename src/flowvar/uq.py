@@ -32,7 +32,6 @@ __all__ = [
     "PosteriorEstimate",
     "UncertaintyMapSeries",
     "UqError",
-    "tweedie_posterior_mean",
     "posterior_mean_from_velocity",
     "cov_closed_form",
     "prior_baseline",
@@ -49,16 +48,6 @@ _PREF_QUIET = 1e250
 
 class UqError(ValueError):
     pass
-
-
-def tweedie_posterior_mean(xt, t: float, score) -> np.ndarray:
-    """Posterior mean through the marginal score: xt/t + [(1-t)^2/t] score."""
-    t = check_interior_time(t)
-    xt = np.asarray(xt, dtype=np.float64)
-    score = np.asarray(score, dtype=np.float64)
-    if xt.shape != score.shape:
-        raise UqError(f"shape mismatch: xt {xt.shape} vs score {score.shape}")
-    return xt / t + ((1.0 - t) ** 2 / t) * score
 
 
 def posterior_mean_from_velocity(xt, t: float, v) -> np.ndarray:

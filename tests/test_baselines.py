@@ -123,7 +123,7 @@ def test_dropout_pass_floor_and_type_check():
     with pytest.raises(BaselineError, match="MLP"):
         mc_dropout_uq(object(), np.zeros(2), 0.5, passes=4, rng=RngState(0))
     # a seed array or a bare seed is refused on one line
-    for rng in (RngState(0).split_seeds(range(4)), 7):
+    for rng in (np.arange(5, dtype=np.uint64), 7):
         with pytest.raises(BaselineError,
                            match=r"^mc dropout draws its masks from an "
                                  r"RngState, got \w+$"):

@@ -68,3 +68,26 @@ def test_meets_rule_needs_nine_in_ten_wins_beyond_the_base_spread():
     assert got["meets_rule"]
     assert not rule([100.0, 101.0, 102.0], [90.0, 91.0, 92.0],
                     "work_per_s")["meets_rule"]
+
+
+def test_report_prints_one_line_per_end_to_end_and_raw_figure():
+    spec = {"end_to_end": [{"name": "setup_s", "better": "lower"},
+                           {"name": "work_per_s", "better": "higher"}],
+            "per_layer": []}
+    better = benchpairs._better(spec)
+    runs = {side: [{"metrics": {"setup_s": 0.1, "work_per_s": rate},
+                    "raw": benchpairs._raw(_lines(0.1, rate, 1.0))}
+                   for rate in rates]
+            for side, rates in (("base", [100.0, 101.0, 102.0]),
+                                ("head", [99.0, 100.0, 101.0]))}
+    entry = {"summary": benchpairs.summarize(runs, better),
+             "raw_summary": benchpairs.summarize(runs, better, "raw")}
+    names = ["setup_s", "work_per_s", "op_ms_p50"] + list(benchpairs.RAW)
+    lines = benchpairs.report(entry, names)
+    # a figure no run recorded prints nothing
+    assert [line.split()[0] for line in lines] == [
+        "setup_s", "work_per_s", "raw_setup_s", "raw_work_per_s",
+        "speed_factor"]
+    assert lines[1].split() == ["work_per_s", "101", "->", "100", "-0.99%",
+                                "won", "0/3", "meets_rule", "False"]
+    assert lines[0].split()[1:5] == ["0.1", "->", "0.1", "+0.00%"]

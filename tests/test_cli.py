@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from flowvar import cli, metrics, numerics, training
+from flowvar import cli, metrics, training
 from flowvar.cli import METHODS, main
 from flowvar.config import _KEYS, load_config
 from flowvar.metrics import (consistency_protocol, dropout_method,
@@ -820,11 +820,9 @@ dropout_passes = 50
 """
 
 
-def _gate_outputs(root, commands=(["train", "fm"],
-                                   ["uq", "tweedie"], ["uq", "mc-dropout"],
-                                   ["consistency", "--n", "8"], ["traj"]),
-                  methods="tweedie-fm mc-dropout"):
-    """Every CSV, graymap and model file of a tiny bars run, by name."""
+def _gate_outputs(root, commands, methods="tweedie-fm mc-dropout"):
+    """Every CSV, graymap and model file of a tiny bars run of ``commands``,
+    by name."""
     root.mkdir()
     ini = root / "gate.ini"
     out = root / "run"
@@ -833,42 +831,6 @@ def _gate_outputs(root, commands=(["train", "fm"],
         assert main(argv + ["--config", str(ini)]) == 0
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())
             if p.suffix in (".csv", ".pgm", ".fvar")}
-
-
-def test_batched_streams_write_the_bytes_of_one_at_a_time(tmp_path,
-                                                          monkeypatch):
-    """The batch stream derivation is a refactor: with split_many,
-    split_seeds and the seed-array draw put back to their one-at-a-time
-    loops over split and generator(), every output file keeps its bytes."""
-    # models train in this process, where the patches reach them
-    monkeypatch.setattr(training, "_usable_cpus", lambda: 1)
-    batched = _gate_outputs(tmp_path / "batched")
-    calls = {"split_many": 0, "split_seeds": 0, "seed_raw": 0}
-
-    def split_many(self, keys):
-        calls["split_many"] += 1
-        return [self.split(k) for k in keys]
-
-    def split_seeds(self, keys):
-        calls["split_seeds"] += 1
-        return np.array([self.split(k).seed for k in keys], dtype=np.uint64)
-
-    def seed_raw(seeds, n):
-        calls["seed_raw"] += 1
-        return np.stack([RngState(int(s)).generator().bit_generator
-                         .random_raw(n) for s in seeds])
-
-    monkeypatch.setattr(RngState, "split_many", split_many)
-    monkeypatch.setattr(RngState, "split_seeds", split_seeds)
-    monkeypatch.setattr(numerics, "_seed_raw", seed_raw)
-    reference = _gate_outputs(tmp_path / "reference")
-    assert all(count > 0 for count in calls.values()), calls
-    assert {"train_fm.csv", "model_dropout.fvar", "uq_mc-dropout.csv",
-            "uq_mc-dropout_t1.pgm", "consistency.csv",
-            "traj.csv"} <= set(batched)
-    assert sorted(batched) == sorted(reference)
-    for name, data in batched.items():
-        assert data == reference[name], name
 
 
 def test_in_place_training_writes_the_bytes_of_the_allocating_step(

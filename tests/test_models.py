@@ -403,7 +403,7 @@ def test_dropout_rng_must_be_a_state():
     x = np.array([0.5, 0.1, -0.4])
     for rate in (0.3, 0.0):
         m = _model(hidden=32, dropout=rate)
-        for bad in (RngState(4).split_seeds(range(5)), [RngState(4)], 4):
+        for bad in (np.arange(5, dtype=np.uint64), [RngState(4)], 4):
             for call in (lambda: m.forward_cache(np.stack([x] * 5), 0.6, bad),
                          lambda: m.forward_cache(x, 0.6, bad)):
                 with pytest.raises(ModelError, match=r"^dropout_rng must be "

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowvar.numerics import (NumericsError, ProbeSet, RngState, _hash_out,
-                              _parent_pool, _pool, _seed_raw, draw_rademacher,
+from flowvar.numerics import (NumericsError, ProbeSet, RngState,
+                              _parent_pool, draw_rademacher,
                               draw_rademacher_many, exhaustive_sign_probes,
                               hutchinson_diagonal)
 
@@ -58,105 +58,10 @@ def test_split_many_is_bit_identical_to_split(seed, stream, first, count,
     # the same keys as a descending range and as a list
     assert root.split_many(keys[::-1]) == ref[::-1]
     assert root.split_many(list(keys)) == ref
-    seeds = root.split_seeds(keys)
-    assert seeds.dtype == np.uint64 and seeds.shape == (count,)
-    assert [RngState(s) for s in seeds.tolist()] == ref
     blocks = draw_rademacher_many(root, keys, 2, 3)
     assert [block.seed for block in blocks] == ref
-
-
-_POOL_WORDS = st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1)
-
-
-@given(st.lists(st.lists(_POOL_WORDS, min_size=4, max_size=4), min_size=1,
-                max_size=9), st.integers(1, 4))
-@settings(max_examples=60, deadline=None)
-def test_hash_out_of_many_streams_is_that_of_each_stream(pools, k):
-    """The array path hashes every stream at once; each stream's words are
-    those of the int path, which ``split`` and ``draw_rademacher`` take."""
-    got = _hash_out(np.array(pools, dtype=np.uint32).T, k)
-    assert got.shape == (len(pools), k)
-    for row, pool in zip(got.tolist(), pools):
-        assert row == _hash_out(pool, k)
-    # and numpy's own output hash, for one stream whose pool is known
-    seq = np.random.SeedSequence(12345, spawn_key=(6, 7))
-    assert _hash_out(seq.pool.tolist(), k) == \
-        seq.generate_state(k, np.uint64).tolist()
-
-
-_SEED_WORDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | \
-    st.integers(0, 2**64 - 1)
-
-
-@given(_SEEDS, _STREAMS, _SEED_WORDS, _FIRST_KEYS, st.sampled_from([1, 50]),
-       st.sampled_from([1, 3, 256]))
-# a three-word parent seed on stream 3, and keys that cross from one-word to
-# two-word entropy
-@example(seed=2**64 + 17, stream=3, first=2**64 - 1, key=2**32 - 3, count=50,
-         n=3)
-@settings(max_examples=40, deadline=None)
-def test_seed_raw_is_bit_identical_to_generators(seed, stream, first, key,
-                                                 count, n):
-    """Any uint64 seed, and each child of ``split_seeds``, gets the raw
-    words of its own generator, odd counts included."""
-    seeds = np.concatenate([
-        np.array([first], dtype=np.uint64),
-        RngState(seed, stream).split_seeds(range(key, key + count - 1))])
-    ref = np.stack([RngState(int(s)).generator().bit_generator.random_raw(n)
-                    for s in seeds])
-    got = _seed_raw(seeds, n)
-    assert got.shape == ref.shape and np.array_equal(got, ref)
-
-
-# parent seeds of one, two and three entropy words
-_PARENTS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1]) \
-    | st.integers(0, 2**96 - 1)
-
-
-@given(_PARENTS, st.sampled_from([0, 1, 2**32 + 5]),
-       st.sampled_from([0, 2**32 - 3, 2**40]), st.sampled_from([1, 2, 50]),
-       st.integers(1, 9), st.integers(1, 9))
-# the keys 2^32 - 3 .. 2^32 + 46 cross from one-word to two-word keys
-@example(parent=2**64 + 9, stream=0, first=2**32 - 3, count=50, d=3, s=5)
-@settings(max_examples=40, deadline=None)
-def test_seed_arrays_draw_the_bits_of_each_child_generator(parent, stream,
-                                                           first, count, d,
-                                                           s):
-    """The seed-array path gives each child the bits of its own generator:
-    raw words as its bit generator makes them, signs as ``draw_rademacher``
-    reads them (odd S*d included)."""
-    root = RngState(parent, stream)
-    keys = range(first, first + count)
-    seeds = root.split_seeds(keys)
-    assert seeds.dtype == np.uint64 and seeds.shape == (count,)
-    children = [RngState(int(x)) for x in seeds]
-    assert children == [root.split(k) for k in keys]
-    for n in (3, 14):
-        assert np.array_equal(_seed_raw(seeds, n), np.stack([
-            c.generator().bit_generator.random_raw(n) for c in children]))
-    blocks = draw_rademacher_many(root, keys, d, s)
-    assert len(blocks) == count
-    for block, child in zip(blocks, children):
-        ref = draw_rademacher(child, d, s)
-        assert block.seed == child
-        assert block.probes.shape == (s, d)
-        assert np.array_equal(block.probes, ref.probes)
-
-
-@given(st.sampled_from([1, 2, 50]), st.integers(4, 8),
-       st.sampled_from([0, 2**32 - 1]) | st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_pool_of_many_columns_is_numpys_pool_of_each(n, length, fill):
-    """``_pool`` mixes every column at once, with no row gather or scatter;
-    each column is the pool numpy's SeedSequence mixes from its words."""
-    words = np.random.default_rng(fill).integers(
-        0, 2**32, size=(length, n), dtype=np.uint32)
-    words[0, 0] = fill
-    got = _pool(words)
-    assert got.shape == (4, n) and got.dtype == np.uint32
-    for col in range(n):
-        assert np.array_equal(got[:, col],
-                              np.random.SeedSequence(words[:, col]).pool)
+    for block, child in zip(blocks, ref):
+        assert np.array_equal(block.probes, draw_rademacher(child, 2, 3).probes)
 
 
 def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
@@ -167,8 +72,6 @@ def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
                  lambda: RngState(-7).split_many([0]),
                  lambda: RngState(7, -1).split(0),
                  lambda: RngState(7, -1).split_many([0]),
-                 lambda: RngState(7).split_seeds([0, -1]),
-                 lambda: RngState(7).split_seeds(range(-1, 3)),
                  lambda: RngState(-1).generator(),
                  lambda: RngState(7, -1).generator(),
                  lambda: draw_rademacher(RngState(-1), 3, 2)):
@@ -202,14 +105,6 @@ def test_streams_are_numpys_own_seedsequence_and_default_rng(seed, stream, key,
     signs = 2.0 * _numpy_generator(seed, stream).integers(
         0, 2, size=(s, d)) - 1.0
     assert np.array_equal(draw_rademacher(root, d, s).probes, signs)
-    # the child of key, and the seed of its parent (taken mod 2^64) as a
-    # stream-0 state, at two counts
-    seeds = np.concatenate([np.array([seed % 2**64], dtype=np.uint64),
-                            root.split_seeds([key])])
-    for n in (s * d, 3):
-        ref = np.stack([_numpy_generator(int(x), 0).bit_generator
-                        .random_raw(n) for x in seeds])
-        assert np.array_equal(_seed_raw(seeds, n), ref)
     assert np.array_equal(root.generator().random(4),
                           _numpy_generator(seed, stream).random(4))
 
@@ -222,9 +117,7 @@ def test_threads_drawing_at_once_get_the_bits_of_a_serial_run():
 
     def run(root):
         return [(draw_rademacher(root.split(i), 7, 9).probes,
-                 _seed_raw(root.split_seeds([i, i + 1]), 5),
-                 _seed_raw(root.split_seeds(range(i, i + 3)), 4),
-                 draw_rademacher_many(root, [i, i + 1], 3, 5)[1].probes)
+                 draw_rademacher(root.split(i + 1), 3, 5).probes)
                 for i in range(n)]
 
     serial = [run(root) for root in roots]

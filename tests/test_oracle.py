@@ -10,10 +10,10 @@ from flowvar.models import EvalCounter, analytic_handle
 from flowvar.numerics import RngState, draw_rademacher
 from flowvar.oracle import (_SYSTEM_SLOTS, GmmSpec, OracleError,
                             _add_derivatives, _component_system,
-                            _posterior_terms, conditional_score, gmm_posterior,
-                            gmm_posterior_batch, interpolate,
-                            marginal_moments, marginal_score,
-                            optimal_velocity, optimal_velocity_batch,
+                            _posterior_terms, gmm_posterior,
+                            gmm_posterior_batch, marginal_moments,
+                            marginal_score, optimal_velocity,
+                            optimal_velocity_batch,
                             posterior_mean_jacobian, sample_pairs,
                             single_gaussian_posterior,
                             single_gaussian_velocity_jacobian)
@@ -24,26 +24,6 @@ from fd_jvp import finite_diff_jvp
 
 def _two_comp():
     return GmmSpec.isotropic([[-1.0, 0.0], [1.5, 0.5]], 0.4)
-
-
-def test_interpolate_endpoints_and_midpoint():
-    x0 = np.array([1.0, 2.0])
-    x1 = np.array([-3.0, 4.0])
-    assert np.array_equal(interpolate(x0, x1, 0.0), x0)
-    assert np.array_equal(interpolate(x0, x1, 1.0), x1)
-    assert np.allclose(interpolate(x0, x1, 0.25), 0.75 * x0 + 0.25 * x1)
-    with pytest.raises(OracleError):
-        interpolate(x0, x1, 1.2)
-
-
-def test_conditional_score_value_and_degenerate_time():
-    xt = np.array([0.2, -0.1])
-    x1 = np.array([1.0, 1.0])
-    t = 0.6
-    expected = -(xt - t * x1) / (1.0 - t) ** 2
-    assert np.allclose(conditional_score(xt, x1, t), expected)
-    with pytest.raises(OracleError, match="degenerate"):
-        conditional_score(xt, x1, 1.0)
 
 
 def test_spec_validation():

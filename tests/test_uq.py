@@ -7,11 +7,10 @@ from flowvar.data import default_gmm_task
 from flowvar.models import (EvalCounter, MlpArch, MlpVelocity, ModelField,
                             analytic_handle)
 from flowvar.numerics import RngState, draw_rademacher, exhaustive_sign_probes
-from flowvar.oracle import GmmSpec, conditional_score, gmm_posterior
+from flowvar.oracle import GmmSpec, gmm_posterior
 from flowvar.uq import (UqError, cov_closed_form, one_step_cov,
                         posterior_mean_from_velocity, prior_baseline,
-                        shift_time_grid, trajectory_uq,
-                        tweedie_posterior_mean)
+                        shift_time_grid, trajectory_uq)
 
 
 class LinearField:
@@ -28,19 +27,6 @@ class LinearField:
 
     def jacobian(self, x, t):
         return self.A
-
-
-def test_tweedie_posterior_mean_examples():
-    xt = np.array([0.3, -0.8])
-    # known x1: substituting the conditional score recovers x1 exactly
-    x1 = np.array([1.0, 2.0])
-    t = 0.4
-    score = conditional_score(xt, x1, t)
-    assert np.allclose(tweedie_posterior_mean(xt, t, score), x1, atol=1e-10)
-    # zero score at t = 0.5 doubles the state
-    assert np.allclose(tweedie_posterior_mean(xt, 0.5, np.zeros(2)), 2 * xt)
-    with pytest.raises((UqError, Exception)):
-        tweedie_posterior_mean(xt, 1.0, np.zeros(2))
 
 
 def test_posterior_mean_from_velocity_examples():

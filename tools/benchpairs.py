@@ -22,7 +22,9 @@ base's quartile spread, the rule a claimed gain must meet. Without
 ``--trace`` each run also keeps the raw figures ``run.py`` prints (set-up time and rate
 before scaling, and the reference-kernel speed factor that scales them),
 summarized the same way under ``raw_summary``, so that a move made by the
-code can be told from one made by the factor. Exits 1 when a run fails or
+code can be told from one made by the factor. Ends by printing one line
+per end-to-end and raw figure: the base and head medians, the change in %,
+the pairs the head won and ``meets_rule``. Exits 1 when a run fails or
 reports a failed check, 2 when the revision cannot be extracted.
 """
 from __future__ import annotations
@@ -135,6 +137,25 @@ def summarize(runs: dict, better: dict, field: str = "metrics") -> dict:
     return out
 
 
+def report(entry: dict, names: list) -> list:
+    """One line per figure of ``names`` that the entry's summaries hold, in
+    that order: base -> head medians, the change in %, the pairs the head
+    won and ``meets_rule``."""
+    figures = entry["summary"] | entry["raw_summary"]
+    lines = []
+    for name in names:
+        if name not in figures:
+            continue
+        f = figures[name]
+        change = ("n/a" if f["change_pct"] is None
+                  else f"{f['change_pct']:+.2f}%")
+        lines.append(f"{name:<15} {f['base']['median']:.6g} -> "
+                     f"{f['head']['median']:.6g}  {change}  won "
+                     f"{f['head_won']}/{f['pairs']}  meets_rule "
+                     f"{f['meets_rule']}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the base revision")
@@ -188,6 +209,9 @@ def main(argv=None) -> int:
         "raw_summary": summarize(runs, _better(spec), "raw"),
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    for line in report(record[key], [m["name"] for m in spec["end_to_end"]]
+                       + list(RAW)):
+        print(line)
     bad = [r for side in runs.values() for r in side
            if not r["correct"] or r["failed"]]
     for r in bad:
