@@ -20,14 +20,10 @@ from .oracle import (
     PosteriorOracle,
     gmm_posterior,
     gmm_posterior_batch,
-    marginal_moments,
-    marginal_score,
     optimal_velocity,
     optimal_velocity_batch,
     posterior_mean_jacobian,
     sample_pairs,
-    single_gaussian_posterior,
-    single_gaussian_velocity_jacobian,
 )
 from .models import (
     AnalyticField,
@@ -46,8 +42,6 @@ from .training import (
     TrainJob,
     TrainReport,
     TrainingError,
-    fm_loss,
-    one_step_loss,
     train,
     train_ensemble,
     train_jobs,
@@ -67,7 +61,6 @@ from .sampler import (
     SamplerError,
     Trajectory,
     euler_generate,
-    one_step_generate,
 )
 from .baselines import (
     BaselineError,
@@ -89,18 +82,14 @@ from .data import (
     IdxTensor,
     ImageTask,
     MnistTask,
-    default_gmm_task,
     idx_to_float,
     parse_idx,
-    toy_image_dataset,
-    write_idx,
 )
 from .reporting import (
     CostEntry,
     CostLedger,
     ReportError,
     cost_report,
-    read_pgm,
     write_csv,
     write_pgm,
     write_uq_map,

@@ -25,7 +25,7 @@ from .data import DataError
 from .metrics import METHODS, Method, MetricsError, consistency_protocol
 from .models import (EvalCounter, ModelError, ModelField, MlpVelocity,
                      analytic_handle, load_model, save_model)
-from .numerics import NumericsError, RngState, draw_rademacher_many
+from .numerics import NumericsError, RngState, draw_rademacher
 from .oracle import OracleError, gmm_posterior
 from .reporting import (CostLedger, ReportError, cost_report, write_csv,
                         write_uq_map)
@@ -256,8 +256,9 @@ def cmd_uq(args, cfg: ExperimentConfig) -> int:
             [(t, states[t], f"_t{ti}") for ti, t in enumerate(t_grid)])
     rows = []
     for ti, (t, inputs, tag) in enumerate(grid):
-        rngs = probe_rng.split(ti).split_many(range(len(inputs)))
-        ests = [estimate(x, t, r) for x, r in zip(inputs, rngs)]
+        point_rng = probe_rng.split(ti)
+        ests = [estimate(x, t, point_rng.split(i))
+                for i, x in enumerate(inputs)]
         lo, hi = _maybe_map(task, ests[0], cfg.out / f"uq_{m.uq}{tag}.pgm")
         for i, est in enumerate(ests):
             rows.append((m.name, t, cfg.seed, getattr(cfg, m.size), i, est.u,
@@ -283,10 +284,9 @@ def cmd_oracle_check(args, cfg: ExperimentConfig) -> int:
     _, _, states = _eval_states(cfg, task, cfg.t_grid)
     worst = 0.0
     for ti, t in enumerate(cfg.t_grid):
-        blocks = draw_rademacher_many(master.split(9).split(ti),
-                                      range(N_EVAL_POINTS), spec.dim,
-                                      cfg.probes)
-        for i, (xt, probes) in enumerate(zip(states[t], blocks)):
+        point_rng = master.split(9).split(ti)
+        for i, xt in enumerate(states[t]):
+            probes = draw_rademacher(point_rng.split(i), spec.dim, cfg.probes)
             est = cov_closed_form(field, xt, t, probes, materialize_full=True)
             ref = gmm_posterior(spec, xt, t).covariance
             # a reference that underflowed to zero or overflowed leaves no
@@ -390,10 +390,9 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
         estimate = _FM.bind(dataclasses.replace(cfg, probes=s),
                             [field]).estimate
         us = []
-        rngs = master.split(13).split(1).split(si).split_many(
-            range(args.replicates))
-        for r, rng in enumerate(rngs):
-            est = estimate(xt, t, rng)
+        replicate_rng = master.split(13).split(1).split(si)
+        for r in range(args.replicates):
+            est = estimate(xt, t, replicate_rng.split(r))
             rows.append((_FM.name, t, cfg.seed, s, r, est.u,
                          int(est.floored)))
             us.append(est.u)

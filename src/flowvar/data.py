@@ -32,14 +32,10 @@ __all__ = [
     "DataError",
     "IdxTensor",
     "parse_idx",
-    "write_idx",
     "idx_to_float",
-    "toy_image_dataset",
-    "bar_coverage_profile",
     "GmmTask",
     "ImageTask",
     "MnistTask",
-    "default_gmm_task",
 ]
 
 IDX_LABELS = 0x00000801
@@ -88,12 +84,6 @@ def parse_idx(data: bytes) -> IdxTensor:
                      payload=bytes(payload))
 
 
-def write_idx(tensor: IdxTensor) -> bytes:
-    out = struct.pack(">I", tensor.magic)
-    out += struct.pack(f">{len(tensor.dims)}I", *tensor.dims)
-    return out + tensor.payload
-
-
 def idx_to_float(tensor: IdxTensor) -> np.ndarray:
     """Byte payload reshaped to dims and rescaled from [0,255] to [-1,1]."""
     arr = np.frombuffer(tensor.payload, dtype=np.uint8).reshape(tensor.dims)
@@ -105,38 +95,6 @@ def _check_side(side: int) -> int:
     if not MIN_SIDE <= side <= MAX_SIDE:
         raise DataError(f"side must lie in [{MIN_SIDE}, {MAX_SIDE}]")
     return side
-
-
-def bar_coverage_profile(side: int) -> np.ndarray:
-    """Per-column probability that a uniformly placed bar covers the column.
-
-    The bar is vertical with width side // 2 and its left edge is uniform
-    over the feasible offsets; counting placements that cover column j gives
-    the exact coverage law used by the variance tests.
-    """
-    side = _check_side(side)
-    width = side // 2
-    n_pos = side - width + 1
-    prob = np.empty(side)
-    for j in range(side):
-        lo = max(0, j - width + 1)
-        hi = min(side - width, j)
-        prob[j] = max(0, hi - lo + 1) / n_pos
-    return prob
-
-
-def toy_image_dataset(kind: str, side: int, n: int, rng: RngState) -> np.ndarray:
-    """Generate n flattened side x side images with values in {-1, +1}.
-
-    bars: one vertical +1 bar of width side // 2 on a -1 background, left
-    edge uniform over feasible positions. blobs: a fixed-radius +1 disc whose
-    center jitters by at most one pixel around the image center, so interior
-    pixels are deterministic and only the rim fluctuates.
-    """
-    side = _check_side(side)
-    if n < 1:
-        raise DataError("need at least one image")
-    return _render_images(kind, side, _image_placements(kind, side, n, rng))
 
 
 def _image_placements(kind: str, side: int, n: int, rng: RngState) -> np.ndarray:
@@ -275,8 +233,3 @@ class MnistTask(_RenderedTask):
 
     def _render(self, idx: np.ndarray) -> np.ndarray:
         return self.images[idx]
-
-
-def default_gmm_task() -> GmmTask:
-    # well separated isotropic pair; posterior covariance is shift invariant
-    return GmmTask(GmmSpec.isotropic([[0.5, 0.0], [3.5, 0.0]], 0.15))

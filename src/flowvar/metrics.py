@@ -272,10 +272,9 @@ def consistency_protocol(reference, methods, task, t_grid, noise_level: float,
     if n_samples < 2:
         raise MetricsError("need at least 2 samples")
     x0s, x1s = task.sample_pairs(rng.split(0), n_samples)
-    x1_corr = np.stack([
-        corrupt(x, noise_level, r)
-        for x, r in zip(x1s, rng.split(1).split_many(range(n_samples)))
-    ])
+    corrupt_rng = rng.split(1)
+    x1_corr = np.stack([corrupt(x, noise_level, corrupt_rng.split(i))
+                        for i, x in enumerate(x1s)])
 
     kc = _top_count(x1s.shape[1], k_percent)
     rows = []
@@ -289,13 +288,12 @@ def consistency_protocol(reference, methods, task, t_grid, noise_level: float,
         err_ranks = _centred_ranks(err_maps)
         err_top = _top_mask(err_maps, kc)
         for mi, (name, method) in enumerate(methods.items()):
-            method_rngs = rng.split(2 + mi).split(ti).split_many(
-                range(n_samples))
+            cell_rng = rng.split(2 + mi).split(ti)
             # a map of the wrong length leaves a constant row: no metrics
             maps = np.zeros(err_maps.shape)
             scalars = []
             for i in range(n_samples):
-                umap, uscalar = method(xts[i], t, method_rngs[i])
+                umap, uscalar = method(xts[i], t, cell_rng.split(i))
                 scalars.append(uscalar)
                 u = np.asarray(umap, dtype=np.float64).reshape(-1)
                 if u.shape == err_maps.shape[1:]:

@@ -19,8 +19,7 @@ bits:
 
 Setting the state through numpy's public setter and drawing are the floor
 of each stream, about 3 and 2.3 us. Sibling streams are derived one at a
-time: ``split_many`` and ``draw_rademacher_many`` are loops over ``split``
-and ``draw_rademacher``.
+time, one ``split`` or ``draw_rademacher`` call each.
 
 ``RngState.split`` builds numpy's ``SeedSequence`` over a parent's entropy
 words once per parent: ``_parent_pool`` keeps the last few parents' mixed
@@ -46,7 +45,6 @@ __all__ = [
     "RngState",
     "ProbeSet",
     "draw_rademacher",
-    "draw_rademacher_many",
     "exhaustive_sign_probes",
     "hutchinson_diagonal",
 ]
@@ -97,10 +95,6 @@ class RngState:
                 return RngState(_child_seed(pool, key))
         (child,) = _hash_out(_seed_pool(seed, stream, key), 1)
         return RngState(child)
-
-    def split_many(self, keys) -> list:
-        """``[self.split(k) for k in keys]``."""
-        return [self.split(k) for k in keys]
 
 
 # ---- stream seeding ---------------------------------------------------------
@@ -303,12 +297,6 @@ def draw_rademacher(rng: RngState, d: int, s: int) -> ProbeSet:
     words = _hash_out(_seed_pool(rng.seed, rng.stream), 4)
     raw = _seeded_pcg64(words).random_raw((n + 1) // 2)
     return ProbeSet._of_signs(_signs(raw, n).reshape(s, d), rng)
-
-
-def draw_rademacher_many(rng: RngState, keys, d: int, s: int) -> list:
-    """``[draw_rademacher(rng.split(k), d, s) for k in keys]``."""
-    _check_probe_shape(d, s)
-    return [draw_rademacher(rng.split(k), d, s) for k in keys]
 
 
 def exhaustive_sign_probes(d: int) -> ProbeSet:

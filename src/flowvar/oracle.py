@@ -49,13 +49,9 @@ __all__ = [
     "PosteriorOracle",
     "gmm_posterior",
     "gmm_posterior_batch",
-    "marginal_score",
-    "marginal_moments",
     "posterior_mean_jacobian",
     "optimal_velocity",
     "optimal_velocity_batch",
-    "single_gaussian_posterior",
-    "single_gaussian_velocity_jacobian",
     "sample_pairs",
 ]
 
@@ -316,22 +312,6 @@ def posterior_mean_jacobian(spec: GmmSpec, xts: np.ndarray, t: float) -> np.ndar
     return _posterior_terms(spec, _points(xts), t, derivatives=True).jac.copy()
 
 
-def marginal_score(spec: GmmSpec, xt: np.ndarray, t: float) -> np.ndarray:
-    """Score of the interpolant marginal p_t: sum_k r_k * (-S_k^{-1}(xt - t mu_k))."""
-    t = check_interior_time(t)
-    xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    return _posterior_terms(spec, xt[None, :], t, derivatives=True).score[0].copy()
-
-
-def marginal_moments(spec: GmmSpec):
-    """Mean and covariance of the mixture itself (the t->0 posterior limit)."""
-    mean = spec.weights @ spec.means
-    cov = np.einsum("k,kde->de", spec.weights, spec.covs)
-    dev = spec.means - mean
-    cov = cov + np.einsum("k,kd,ke->de", spec.weights, dev, dev)
-    return mean, cov
-
-
 def optimal_velocity_batch(spec: GmmSpec, xts: np.ndarray, t: float) -> np.ndarray:
     """Population-optimal velocity (E[x1|xt] - xt)/(1-t) at a batch of points."""
     t = check_interior_time(t)
@@ -342,38 +322,6 @@ def optimal_velocity_batch(spec: GmmSpec, xts: np.ndarray, t: float) -> np.ndarr
 def optimal_velocity(spec: GmmSpec, xt: np.ndarray, t: float) -> np.ndarray:
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
     return optimal_velocity_batch(spec, xt[None, :], t)[0]
-
-
-def single_gaussian_posterior(mean, cov, xt, t: float):
-    """K=1 posterior via the precision (information-filter) form.
-
-    Independent of the conjugacy route in :func:`gmm_posterior_batch`:
-        precision = Sigma^{-1} + t^2/(1-t)^2 I
-        post mean = precision^{-1} (Sigma^{-1} mu + t/(1-t)^2 xt)
-    Used as a cross-check against the general mixture path.
-    """
-    t = check_interior_time(t)
-    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-    cov = np.asarray(cov, dtype=np.float64)
-    xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    d = mean.shape[0]
-    noise = (1.0 - t) ** 2
-    prec = np.linalg.inv(cov) + (t * t / noise) * np.eye(d)
-    post_cov = np.linalg.inv(prec)
-    post_cov = 0.5 * (post_cov + post_cov.T)
-    post_mean = post_cov @ (np.linalg.solve(cov, mean) + (t / noise) * xt)
-    return post_mean, post_cov
-
-
-def single_gaussian_velocity_jacobian(cov, t: float) -> np.ndarray:
-    """x-independent Jacobian of the K=1 optimal velocity: (G - I)/(1-t)
-    with gain G = t Sigma (t^2 Sigma + (1-t)^2 I)^{-1}."""
-    t = check_interior_time(t)
-    cov = np.asarray(cov, dtype=np.float64)
-    d = cov.shape[0]
-    s = t * t * cov + (1.0 - t) ** 2 * np.eye(d)
-    gain = t * np.linalg.solve(s, cov).T
-    return (gain - np.eye(d)) / (1.0 - t)
 
 
 def sample_pairs(spec: GmmSpec, rng: RngState, n: int):

@@ -18,7 +18,6 @@ __all__ = [
     "format_float",
     "write_csv",
     "write_pgm",
-    "read_pgm",
     "write_uq_map",
     "CostEntry",
     "CostLedger",
@@ -71,32 +70,6 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     h, w = pixels.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise ReportError("not a binary graymap")
-    # header: magic then three whitespace-separated ints, then one byte of
-    # whitespace before the raster
-    pos, fields = 2, []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ReportError("truncated graymap header")
-        fields.append(int(data[start:pos]))
-    pos += 1
-    w, h, maxval = fields
-    if maxval != 255:
-        raise ReportError(f"unsupported maxval {maxval}")
-    raster = data[pos:]
-    if len(raster) != w * h:
-        raise ReportError(f"raster size mismatch: expected {w * h}, got {len(raster)}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
 
 
 def write_uq_map(estimate, side: int, normalization, path):

@@ -1,5 +1,4 @@
-"""Euler integration of a velocity field from noise to data, plus the
-one-evaluation generator of average-velocity models."""
+"""Euler integration of a velocity field from noise to data."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,7 +9,6 @@ __all__ = [
     "Trajectory",
     "SamplerError",
     "euler_generate",
-    "one_step_generate",
 ]
 
 
@@ -84,10 +82,3 @@ def euler_generate(field, x0, steps: int, t0: float = 0.0,
             )
         states.append(x)
     return Trajectory(times=times, states=np.stack(states), steps=steps)
-
-
-def one_step_generate(model, x0) -> np.ndarray:
-    """x0 + average velocity at (x0, 0): the whole generative pass of a
-    one-step model, costing exactly one forward evaluation."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    return x0 + model.velocity(x0, 0.0)

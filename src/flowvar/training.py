@@ -41,8 +41,6 @@ __all__ = [
     "TrainReport",
     "TrainingError",
     "ensemble_jobs",
-    "fm_loss",
-    "one_step_loss",
     "train",
     "train_ensemble",
     "train_jobs",
@@ -137,23 +135,6 @@ def _batch_loss_and_grads(model, x0, x1, t, dropout_rng=None, grad=None,
     resid *= 2.0 / n
     d_ws, d_bs = model.backward(cache, resid, out=grad, bufs=bufs)
     return loss, d_ws, d_bs
-
-
-def fm_loss(model: MlpVelocity, x0, x1, t, dropout_rng: RngState | None = None):
-    """Flow matching loss and parameter gradients on one batch.
-
-    t holds one interior time per sample. Returns (loss, weight grads,
-    bias grads); loss is the batch mean of the squared residual norm.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t <= 0.0) or np.any(t >= 1.0):
-        raise TrainingError("fm loss needs interior times")
-    return _batch_loss_and_grads(model, x0, x1, t, dropout_rng)
-
-
-def one_step_loss(model: MlpVelocity, x0, x1, dropout_rng: RngState | None = None):
-    """Average-velocity regression at t=0: mean ||v(x0, 0) - (x1 - x0)||^2."""
-    return _batch_loss_and_grads(model, x0, x1, None, dropout_rng)
 
 
 class _AdamW:

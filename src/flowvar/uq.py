@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (ProbeSet, RngState, draw_rademacher_many,
+from .numerics import (ProbeSet, RngState, draw_rademacher,
                        hutchinson_diagonal)
 from .oracle import check_interior_time, check_unit_time
 
@@ -103,10 +103,6 @@ class UncertaintyMapSeries:
         ts = [t for t, _ in self.entries]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise UqError("series times must be strictly increasing")
-
-    @property
-    def times(self):
-        return tuple(t for t, _ in self.entries)
 
     @property
     def estimates(self):
@@ -208,8 +204,7 @@ def trajectory_uq(field, states, times, n_probes: int,
     """One posterior estimate per (state, time) pair along a trajectory.
 
     Point i draws a fresh ProbeSet from its own child stream ``rng.split(i)``
-    (recorded in the estimate), so points can be recomputed independently;
-    all the points' sets are drawn as one batch by ``draw_rademacher_many``.
+    (recorded in the estimate), so points can be recomputed independently.
     """
     states = [np.asarray(s, dtype=np.float64).reshape(-1) for s in states]
     times = [float(t) for t in times]
@@ -217,10 +212,7 @@ def trajectory_uq(field, states, times, n_probes: int,
         raise UqError(f"{len(states)} states vs {len(times)} times")
     if n_probes < 1:
         raise UqError("need at least one probe per point")
-    if not states:
-        return UncertaintyMapSeries(entries=())
-    blocks = draw_rademacher_many(rng, range(len(states)), states[0].shape[0],
-                                  n_probes)
     return UncertaintyMapSeries(entries=tuple(
-        (t, cov_closed_form(field, x, t, probes))
-        for x, t, probes in zip(states, times, blocks)))
+        (t, cov_closed_form(field, x, t, draw_rademacher(
+            rng.split(i), x.shape[0], n_probes)))
+        for i, (x, t) in enumerate(zip(states, times))))

@@ -9,12 +9,14 @@ worker processes as there are usable CPUs.
 import numpy as np
 import pytest
 
-from flowvar.data import GmmTask, ImageTask, default_gmm_task
+from flowvar.data import GmmTask, ImageTask
 from flowvar.metrics import METHODS
 from flowvar.models import MlpArch
 from flowvar.numerics import RngState
 from flowvar.oracle import GmmSpec
 from flowvar.training import TrainConfig, TrainJob, ensemble_jobs, train_jobs
+
+from refs import default_gmm_task
 
 
 def _job(arch, method, **overrides):

@@ -21,8 +21,10 @@ from flowvar.metrics import (consistency_protocol, dropout_method,
                              ensemble_method, one_step_method, tweedie_method)
 from flowvar.models import ModelField, load_model
 from flowvar.numerics import RngState, draw_rademacher
-from flowvar.reporting import format_float, read_pgm
+from flowvar.reporting import format_float
 from flowvar.uq import cov_closed_form
+
+from refs import read_pgm
 
 FAST_INI = """
 [experiment]
@@ -415,10 +417,14 @@ def test_hostile_config_exits_cleanly(case):
             with contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
                 code = main([*argv, "--config", "hostile.ini"])
+            left = sorted(os.listdir(tmp))
         finally:
             os.chdir(cwd)
     lines = err.getvalue().splitlines()
     assert code in (0, 1, 2), (code, text)
+    # a refused run leaves no --out directory
+    if code == 1:
+        assert left == ["hostile.ini"], (text, argv, left)
     assert len(lines) == (0 if code == 0 else 1), (text, lines)
     assert "Traceback" not in err.getvalue() and "Warning" not in \
         err.getvalue(), (text, lines)

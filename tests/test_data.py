@@ -4,26 +4,27 @@ import numpy as np
 import pytest
 
 from flowvar.data import (IDX_IMAGES, IDX_LABELS, DataError, GmmTask,
-                          IdxTensor, ImageTask, MnistTask,
-                          bar_coverage_profile, default_gmm_task,
-                          idx_to_float, parse_idx, toy_image_dataset,
-                          write_idx)
+                          IdxTensor, ImageTask, MnistTask, idx_to_float,
+                          parse_idx)
 from flowvar.numerics import RngState
 
+from refs import bar_coverage_profile, default_gmm_task, write_idx
 
-def _image_bytes(dims, payload):
-    return struct.pack(">I", IDX_IMAGES) + \
-        struct.pack(f">{len(dims)}I", *dims) + payload
+
+def _toy_images(kind, side, n, rng):
+    """The x1 rows of ``n`` of the task's pairs: its toy images."""
+    return ImageTask(kind, side).sample_pairs(rng, n)[1]
 
 
 def test_idx_round_trip_images():
     payload = bytes(range(18))
-    raw = _image_bytes((2, 3, 3), payload)
+    raw = write_idx(IDX_IMAGES, (2, 3, 3), payload)
     tensor = parse_idx(raw)
     assert tensor.magic == IDX_IMAGES
     assert tensor.dims == (2, 3, 3)
     assert tensor.payload == payload
-    assert write_idx(tensor) == raw  # bit-exact round trip
+    # bit-exact round trip
+    assert write_idx(tensor.magic, tensor.dims, tensor.payload) == raw
 
 
 def test_idx_round_trip_labels():
@@ -31,7 +32,7 @@ def test_idx_round_trip_labels():
     tensor = parse_idx(raw)
     assert tensor.magic == IDX_LABELS
     assert tensor.dims == (5,)
-    assert write_idx(tensor) == raw
+    assert write_idx(tensor.magic, tensor.dims, tensor.payload) == raw
 
 
 def test_idx_header_errors():
@@ -44,7 +45,7 @@ def test_idx_header_errors():
 
 
 def test_idx_size_mismatch():
-    raw = _image_bytes((2, 3, 3), bytes(10))
+    raw = write_idx(IDX_IMAGES, (2, 3, 3), bytes(10))
     with pytest.raises(DataError, match="expected 18 payload bytes, got 10"):
         parse_idx(raw)
     with pytest.raises(DataError, match="size mismatch"):
@@ -53,7 +54,7 @@ def test_idx_size_mismatch():
     # empty payload would match
     huge = (2 ** 22, 2 ** 21, 2 ** 21)
     with pytest.raises(DataError, match="size mismatch"):
-        parse_idx(_image_bytes(huge, b""))
+        parse_idx(write_idx(IDX_IMAGES, huge, b""))
     with pytest.raises(DataError, match="size mismatch"):
         IdxTensor(magic=IDX_IMAGES, dims=huge, payload=b"")
 
@@ -70,8 +71,7 @@ def test_idx_float_view_scales_to_unit_interval():
 
 def test_bars_have_exactly_one_bar():
     side = 8
-    imgs = toy_image_dataset("bars", side, 40, RngState(0)).reshape(40, side,
-                                                                    side)
+    imgs = _toy_images("bars", side, 40, RngState(0)).reshape(40, side, side)
     width = side // 2
     for img in imgs:
         assert set(np.unique(img)) <= {-1.0, 1.0}
@@ -90,7 +90,7 @@ def test_bar_coverage_profile_matches_empirical_variance():
     assert prob.max() <= 1.0 and prob.min() > 0.0
     # pixel value is -1 + 2*cover, so Var = 4 p (1 - p) per column
     analytic_var = 4.0 * prob * (1.0 - prob)
-    imgs = toy_image_dataset("bars", side, 10_000, RngState(7))
+    imgs = _toy_images("bars", side, 10_000, RngState(7))
     emp_var = imgs.var(axis=0).reshape(side, side)[0]
     assert np.max(np.abs(emp_var - analytic_var)) < 0.03
     # the most variable columns agree with the combinatorial argmax set
@@ -102,7 +102,7 @@ def test_bar_coverage_profile_matches_empirical_variance():
 
 def test_blobs_have_deterministic_core_and_noisy_rim():
     side = 8
-    imgs = toy_image_dataset("blobs", side, 200, RngState(3)).reshape(
+    imgs = _toy_images("blobs", side, 200, RngState(3)).reshape(
         200, side, side)
     var = imgs.var(axis=0)
     center = (side - 1) / 2.0
@@ -119,21 +119,17 @@ def test_blobs_have_deterministic_core_and_noisy_rim():
 
 
 def test_toy_dataset_is_deterministic():
-    a = toy_image_dataset("bars", 8, 16, RngState(42))
-    b = toy_image_dataset("bars", 8, 16, RngState(42))
+    a = _toy_images("bars", 8, 16, RngState(42))
+    b = _toy_images("bars", 8, 16, RngState(42))
     assert np.array_equal(a, b)
-    c = toy_image_dataset("bars", 8, 16, RngState(43))
+    c = _toy_images("bars", 8, 16, RngState(43))
     assert not np.array_equal(a, c)
 
 
 def test_side_and_kind_bounds():
     for bad in (3, 33, 0):
         with pytest.raises(DataError, match="side"):
-            toy_image_dataset("bars", bad, 4, RngState(0))
-    with pytest.raises(DataError, match="kind"):
-        toy_image_dataset("stripes", 8, 4, RngState(0))
-    with pytest.raises(DataError, match="image"):
-        toy_image_dataset("bars", 8, 0, RngState(0))
+            ImageTask("bars", bad)
     with pytest.raises(DataError, match="kind"):
         ImageTask("stripes", 8)
 
@@ -162,7 +158,7 @@ def test_image_task_pairs():
 def test_mnist_task_pools_to_8x8(tmp_path):
     rng = np.random.default_rng(0)
     imgs = rng.integers(0, 256, size=(12, 28, 28), dtype=np.uint8)
-    raw = _image_bytes((12, 28, 28), imgs.tobytes())
+    raw = write_idx(IDX_IMAGES, (12, 28, 28), imgs.tobytes())
     path = tmp_path / "train-images.idx3-ubyte"
     path.write_bytes(raw)
     task = MnistTask(path, subsample=10)
@@ -183,13 +179,13 @@ def test_mnist_task_rejects_wrong_container(tmp_path):
     with pytest.raises(DataError, match="image"):
         MnistTask(path, 3)
     small = tmp_path / "small.idx"
-    small.write_bytes(_image_bytes((2, 20, 20), bytes(800)))
+    small.write_bytes(write_idx(IDX_IMAGES, (2, 20, 20), bytes(800)))
     with pytest.raises(DataError, match="too small"):
         MnistTask(small, 2)
 
 
 def _reference_toy_images(kind, side, n, rng):
-    """The per-image loop toy_image_dataset ran before it broadcast."""
+    """The toy images of ``rng``'s draw, rendered one image at a time."""
     g = rng.generator()
     imgs = np.full((n, side, side), -1.0)
     if kind == "bars":
@@ -212,8 +208,9 @@ def _reference_toy_images(kind, side, n, rng):
 @pytest.mark.parametrize("side", [4, 5, 8, 32])
 def test_toy_images_equal_the_per_image_loop(kind, side):
     for n, seed in ((1, 0), (257, side)):
-        got = toy_image_dataset(kind, side, n, RngState(seed))
-        ref = _reference_toy_images(kind, side, n, RngState(seed))
+        got = _toy_images(kind, side, n, RngState(seed))
+        # an image task draws its x1 from the pairs' stream's child 1
+        ref = _reference_toy_images(kind, side, n, RngState(seed).split(1))
         assert got.shape == ref.shape == (n, side * side)
         assert got.flags.c_contiguous and got.flags.writeable
         assert got.tobytes() == ref.tobytes()
@@ -223,7 +220,7 @@ def _mnist_task(tmp_path):
     imgs = np.random.default_rng(1).integers(0, 256, size=(9, 28, 28),
                                              dtype=np.uint8)
     path = tmp_path / "digits.idx3-ubyte"
-    path.write_bytes(_image_bytes((9, 28, 28), imgs.tobytes()))
+    path.write_bytes(write_idx(IDX_IMAGES, (9, 28, 28), imgs.tobytes()))
     return MnistTask(path, 9)
 
 

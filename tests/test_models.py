@@ -13,7 +13,7 @@ from flowvar.models import (AnalyticField, EvalCounter, MlpArch, MlpVelocity,
 from flowvar.numerics import RngState
 from flowvar.oracle import GmmSpec, optimal_velocity
 
-from fd_jvp import finite_diff_jvp
+from refs import finite_diff_jvp
 
 
 def _model(dim=3, **kw):

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from flowvar.numerics import (NumericsError, ProbeSet, RngState,
                               _parent_pool, draw_rademacher,
-                              draw_rademacher_many, exhaustive_sign_probes,
-                              hutchinson_diagonal)
+                              exhaustive_sign_probes, hutchinson_diagonal)
 
-from fd_jvp import finite_diff_jvp
+from refs import finite_diff_jvp
 
 
 def test_rng_determinism():
@@ -34,54 +33,25 @@ def test_rng_split_streams_differ():
 _SEEDS = (st.sampled_from([0, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 7,
                            2**130 + 3]) | st.integers(0, 2**80))
 _STREAMS = st.sampled_from([0, 1, 2**32 + 5]) | st.integers(0, 2**40)
-# the first key of a run of consecutive keys; 2**32 - 25 straddles the word
-# boundary, so one batch holds keys of one and of two entropy words
-_FIRST_KEYS = st.sampled_from([0, 2**32 - 25, 2**32, 2**40]) | \
+# keys of one entropy word and of two, either side of the word boundary,
+# plus random values
+_KEYS = st.sampled_from([0, 2**32 - 25, 2**32, 2**40]) | \
     st.integers(0, 2**70)
-
-
-@given(_SEEDS, _STREAMS, _FIRST_KEYS, st.sampled_from([0, 1, 50]),
-       st.sampled_from([1, 7]))
-# the last key is 2^32 - 1, the largest one-word key, then 2^32, the
-# smallest two-word one
-@example(seed=3, stream=0, first=2**32 - 50, count=50, step=1)
-@example(seed=3, stream=0, first=0, count=0, step=1)
-@example(seed=3, stream=0, first=2**32 - 49, count=50, step=1)
-@example(seed=3, stream=1, first=2**32 - 1 - 49 * 7, count=50, step=7)
-@settings(max_examples=60, deadline=None)
-def test_split_many_is_bit_identical_to_split(seed, stream, first, count,
-                                              step):
-    root = RngState(seed, stream)
-    keys = range(first, first + count * step, step)
-    ref = [root.split(k) for k in keys]
-    assert root.split_many(keys) == ref
-    # the same keys as a descending range and as a list
-    assert root.split_many(keys[::-1]) == ref[::-1]
-    assert root.split_many(list(keys)) == ref
-    blocks = draw_rademacher_many(root, keys, 2, 3)
-    assert [block.seed for block in blocks] == ref
-    for block, child in zip(blocks, ref):
-        assert np.array_equal(block.probes, draw_rademacher(child, 2, 3).probes)
 
 
 def test_negative_seeds_streams_and_keys_are_rejected_on_both_paths():
     assert issubclass(NumericsError, ValueError)
     for call in (lambda: RngState(7).split(-1),
-                 lambda: RngState(7).split_many([0, -1]),
                  lambda: RngState(-7).split(0),
-                 lambda: RngState(-7).split_many([0]),
                  lambda: RngState(7, -1).split(0),
-                 lambda: RngState(7, -1).split_many([0]),
                  lambda: RngState(-1).generator(),
                  lambda: RngState(7, -1).generator(),
                  lambda: draw_rademacher(RngState(-1), 3, 2)):
         with pytest.raises(NumericsError, match="non-negative"):
             call()
     # neither path takes a non-integer key, seed or stream
-    for call in (lambda: RngState(7).split(1.5),
-                 lambda: RngState(7).split_many([1.5])):
-        with pytest.raises(TypeError):
-            call()
+    with pytest.raises(TypeError):
+        RngState(7).split(1.5)
     for call in (lambda: RngState(1.5).generator(),
                  lambda: draw_rademacher(RngState(7, 1.5), 3, 2)):
         with pytest.raises(NumericsError, match="integers"):
@@ -93,7 +63,7 @@ def _numpy_generator(seed, *spawn_key):
         np.random.SeedSequence(seed, spawn_key=spawn_key))
 
 
-@given(_SEEDS, _STREAMS, _FIRST_KEYS, st.integers(1, 9), st.integers(1, 9))
+@given(_SEEDS, _STREAMS, _KEYS, st.integers(1, 9), st.integers(1, 9))
 @settings(max_examples=60, deadline=None)
 def test_streams_are_numpys_own_seedsequence_and_default_rng(seed, stream, key,
                                                              d, s):
@@ -237,16 +207,15 @@ def test_finite_diff_rejects_nonfinite():
         finite_diff_jvp(bad, np.ones(2), np.ones(2))
 
 
-def test_split_and_split_many_take_the_same_keys():
+def test_split_takes_integer_keys_only():
     root = RngState(7, 3)
-    # keys SeedSequence would coerce are refused on both paths
+    # keys SeedSequence would coerce are refused
     for key in ("12", (1, 2), 1.5, None, np.float64(2.0)):
-        for call in (lambda: root.split(key), lambda: root.split_many([key])):
-            with pytest.raises(NumericsError, match="integers"):
-                call()
-    # integer-like keys give the bits of the plain int, on both paths
+        with pytest.raises(NumericsError, match="integers"):
+            root.split(key)
+    # integer-like keys give the bits of the plain int
     for key in (np.int64(5), np.uint32(5), np.int8(5)):
-        assert root.split(key) == root.split(5) == root.split_many([key])[0]
+        assert root.split(key) == root.split(5)
     assert root.split(True) == root.split(1)
     # the bits numpy's SeedSequence gave these keys before the check
     assert root.split(5).seed == 2996089601602301123

@@ -11,15 +11,21 @@ from flowvar.numerics import RngState, draw_rademacher
 from flowvar.oracle import (_SYSTEM_SLOTS, GmmSpec, OracleError,
                             _add_derivatives, _component_system,
                             _posterior_terms, gmm_posterior,
-                            gmm_posterior_batch, marginal_moments,
-                            marginal_score, optimal_velocity,
+                            gmm_posterior_batch, optimal_velocity,
                             optimal_velocity_batch,
-                            posterior_mean_jacobian, sample_pairs,
-                            single_gaussian_posterior,
-                            single_gaussian_velocity_jacobian)
+                            posterior_mean_jacobian, sample_pairs)
 from flowvar.uq import cov_closed_form
 
-from fd_jvp import finite_diff_jvp
+from refs import (finite_diff_jvp, marginal_moments,
+                  single_gaussian_posterior,
+                  single_gaussian_velocity_jacobian)
+
+
+def _score(spec, xt, t):
+    """The interpolant marginal's score at one point, as the oracle's
+    derivative terms hold it."""
+    return _posterior_terms(spec, xt[None, :], t,
+                            derivatives=True).score[0].copy()
 
 
 def _two_comp():
@@ -99,7 +105,7 @@ def _queries(spec, x, t, probes):
         *gmm_posterior_batch(spec, x, t),
         posterior_mean_jacobian(spec, x, t),
         optimal_velocity_batch(spec, x, t),
-        *(marginal_score(spec, xi, t) for xi in x),
+        *(_score(spec, xi, t) for xi in x),
         est.diag_raw, est.full,
         *((gmm_posterior(spec, x[0], t).covariance,) if single else ()),
     )
@@ -235,7 +241,7 @@ def test_tweedie_identity_between_score_and_mean(t, seed):
     spec = _two_comp()
     xt = RngState(seed).generator().standard_normal(2)
     post = gmm_posterior(spec, xt, t)
-    score = marginal_score(spec, xt, t)
+    score = _score(spec, xt, t)
     lifted = xt / t + (1.0 - t) ** 2 / t * score
     assert np.allclose(lifted, post.mean, atol=1e-8)
 

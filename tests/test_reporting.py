@@ -3,7 +3,9 @@ import pytest
 
 from flowvar.reporting import (SCHEMA_VERSION, CostEntry, CostLedger,
                                ReportError, cost_report, format_float,
-                               read_pgm, write_csv, write_pgm, write_uq_map)
+                               write_csv, write_pgm, write_uq_map)
+
+from refs import read_pgm
 
 
 def test_float_rendering_is_canonical():

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from flowvar.models import (EvalCounter, MlpArch, MlpVelocity, ModelField,
-                            analytic_handle)
-from flowvar.numerics import RngState
+from flowvar.models import EvalCounter, analytic_handle
 from flowvar.oracle import GmmSpec
-from flowvar.sampler import (SamplerError, Trajectory, euler_generate,
-                             one_step_generate)
+from flowvar.sampler import SamplerError, Trajectory, euler_generate
 
 
 class ConstField:
@@ -97,28 +94,6 @@ def test_partial_interval_grid():
                           t1=0.6)
     assert np.allclose(traj.times, [0.2, 0.3, 0.4, 0.5, 0.6])
     assert traj.final[0] == pytest.approx(0.4)
-
-
-def test_one_step_generator_adds_single_velocity():
-    gen = one_step_generate(ConstField([0.5, 0.5]), np.array([1.0, 2.0]))
-    assert np.allclose(gen, [1.5, 2.5])
-    batch = one_step_generate(ConstField([0.5, 0.5]),
-                              np.zeros((3, 2)))
-    assert batch.shape == (3, 2)
-
-
-def test_one_step_generate_reads_velocity_at_time_zero():
-    model = MlpVelocity.init(MlpArch(dim=3), RngState(11))
-    # a fresh model's zero head outputs exactly 0; give it a non-zero one
-    model.params[:] = RngState(4).generator().standard_normal(model.n_params)
-    counter = EvalCounter()
-    for x0 in (np.array([0.5, -0.2, 1.0]), np.zeros((4, 3)) + 0.3):
-        expected = x0 + model.velocity(x0, 0.0)
-        assert np.any(expected != x0)
-        assert np.array_equal(one_step_generate(model, x0), expected)
-        assert np.array_equal(
-            one_step_generate(ModelField(model, counter), x0), expected)
-    assert counter.forwards == 1 + 4  # one forward per generated sample
 
 
 def test_trajectory_shape_mismatch_rejected():

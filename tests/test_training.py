@@ -11,12 +11,14 @@ import pytest
 
 from flowvar import _workers, training
 from flowvar.config import load_config
-from flowvar.data import ImageTask, default_gmm_task
+from flowvar.data import ImageTask
 from flowvar.models import MlpArch, MlpVelocity
 from flowvar.numerics import RngState
-from flowvar.training import (TrainConfig, TrainJob, TrainingError, fm_loss,
-                              one_step_loss, run_job, train, train_ensemble,
-                              train_jobs)
+from flowvar.training import (TrainConfig, TrainJob, TrainingError,
+                              _batch_loss_and_grads, run_job, train,
+                              train_ensemble, train_jobs)
+
+from refs import default_gmm_task
 
 
 def _tiny_config(**kw):
@@ -35,13 +37,6 @@ def test_config_validation():
         TrainConfig(objective="score")
     with pytest.raises(TrainingError):
         TrainConfig(batch_size=512, pairs_per_epoch=256)
-
-
-def test_fm_loss_rejects_endpoint_times():
-    m = MlpVelocity.init(MlpArch(dim=2), RngState(0))
-    x = np.zeros((4, 2))
-    with pytest.raises(TrainingError, match="interior"):
-        fm_loss(m, x, x, np.array([0.5, 1.0, 0.5, 0.5]))
 
 
 def test_zero_learning_rate_leaves_parameters_unchanged():
@@ -97,7 +92,8 @@ def test_one_step_loss_runs_at_time_zero():
     g = RngState(3).generator()
     x0 = g.standard_normal((8, 2))
     x1 = g.standard_normal((8, 2))
-    loss, gw, gb = one_step_loss(m, x0, x1)
+    # t None is the one-step objective: the model reads (x0, 0)
+    loss, gw, gb = _batch_loss_and_grads(m, x0, x1, None)
     assert np.isfinite(loss)
     assert len(gw) == len(m.weights)
 
@@ -314,7 +310,7 @@ def test_loss_gradients_match_the_allocating_reference():
     g = RngState(2).generator()
     x0, x1 = g.standard_normal((2, 40, 64))
     t = g.uniform(0.1, 0.9, size=40)
-    loss, d_ws, d_bs = fm_loss(model, x0, x1, t, RngState(3))
+    loss, d_ws, d_bs = _batch_loss_and_grads(model, x0, x1, t, RngState(3))
     out, cache = model.forward_cache(t[:, None] * x1 + (1.0 - t[:, None]) * x0,
                                      t, RngState(3))
     resid = out - (x1 - x0)
@@ -565,12 +561,14 @@ def test_unguarded_script_trains_an_ensemble_on_workers(tmp_path,
     script = tmp_path / "unguarded.py"
     script.write_text(
         "from flowvar import training\n"
-        "from flowvar.data import default_gmm_task\n"
+        "from flowvar.data import GmmTask\n"
         "from flowvar.models import MlpArch\n"
         "from flowvar.numerics import RngState\n"
+        "from flowvar.oracle import GmmSpec\n"
         "from flowvar.training import TrainConfig, train_ensemble\n"
         "training._usable_cpus = lambda: 2  # 2 workers on any machine\n"
-        "models, _ = train_ensemble(2, MlpArch(dim=2), default_gmm_task(),\n"
+        "task = GmmTask(GmmSpec.isotropic([[0.5, 0.0], [3.5, 0.0]], 0.15))\n"
+        "models, _ = train_ensemble(2, MlpArch(dim=2), task,\n"
         "    TrainConfig(epochs=1, pairs_per_epoch=256, batch_size=64,\n"
         "                seed=RngState(3)))\n"
         "print(' '.join(m.checksum() for m in models))\n")
