@@ -7,8 +7,6 @@ free at every step of the Euler integration. On a concentrated mixture the
 trained-free analytic field also shows the gap below the prior baseline
 (1-t)^2 d / t, which is what a divergence-free field would report.
 """
-import numpy as np
-
 from flowvar.models import analytic_handle
 from flowvar.numerics import RngState
 from flowvar.oracle import GmmSpec

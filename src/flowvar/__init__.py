@@ -20,7 +20,6 @@ from .oracle import (
     PosteriorOracle,
     gmm_posterior,
     gmm_posterior_batch,
-    optimal_velocity,
     optimal_velocity_batch,
     posterior_mean_jacobian,
     sample_pairs,

@@ -1,5 +1,11 @@
 """Velocity-field models and evaluation handles.
 
+A velocity field, to the estimators, is anything with three methods:
+``velocity(x, t)``, ``jvp(x, t, u)``, the products J u of a tangent or a
+block of them, and ``jacobian(x, t)``, the dense d x d J. The MLP has them;
+:class:`ModelField` wraps one to count its work on an :class:`EvalCounter`,
+and :class:`AnalyticField` gives a known mixture's exact field.
+
 The workhorse is a small MLP taking [x, sinusoidal(t)] and returning a
 velocity in data space. Training needs parameter gradients and uncertainty
 needs Jacobian-vector products in x, so the network carries its own
@@ -16,22 +22,22 @@ into a :class:`StepBuffers` set made once per run. Batched passes (training,
 the consistency reference) go through ``forward_cache``, which keeps what
 ``backward`` reads.
 
-One input row without dropout (an Euler step, one estimate's primal) takes
-a one-row pass instead: one flat loop of 1-D products, with the bits of the
-(1, k) ones, and no cache is kept. Its primal products and finiteness dots
-are ``ndarray.dot`` calls, which make the same BLAS call as ``@`` with less
-dispatch and give the same bits; the tangent blocks keep ``@`` and
-copy-then-scale, since ``dot`` there moved bits (a zero's sign at relu and
-d = hidden = 1; the product with the strided x-column view). It is the only
-code that propagates x-tangents. A tangent block enters at the first layer's pre-activations
-and is scaled in place by each layer's activation derivative. It is either
-the d basis rows, a C-order copy of the first layer's x-column weight view
-(its product with I), which end as J^T, or the caller's (m, d) block times
-that view. ``jacobian`` carries the basis. ``value_and_jvp`` carries it
-for a block of m >= d tangents at d <= hidden and forms u @ J^T, for no
-more multiply-adds than the m-row pass; it carries any other block as it
-is. The choice reads array shapes only; :class:`EvalCounter` counts m
-products either way.
+One input row without dropout (an Euler step, one estimate's tangents)
+takes a one-row pass instead: one flat loop of 1-D products, with the bits
+of the (1, k) ones, and no cache is kept. Its primal products and
+finiteness dots are ``ndarray.dot`` calls, which make the same BLAS call as
+``@`` with less dispatch and give the same bits; the tangent blocks keep
+``@`` and copy-then-scale, since ``dot`` there moved bits (a zero's sign at
+relu and d = hidden = 1; the product with the strided x-column view). It is
+the only code that propagates x-tangents. A tangent block enters at the
+first layer's pre-activations and is scaled in place by each layer's
+activation derivative. It is either the d basis rows, a C-order copy of the
+first layer's x-column weight view (its product with I), which end as J^T,
+or the caller's (m, d) block times that view. ``jacobian`` carries the
+basis. ``jvp`` carries it for a block of m >= d tangents at d <= hidden and
+forms u @ J^T, for no more multiply-adds than the m-row pass; it carries
+any other block as it is. The choice reads array shapes only;
+:class:`EvalCounter` counts m products either way.
 
 MC dropout's passes of one row (``dropout_velocities``) share the one-row
 pass's first layer, which no mask reaches, and run the later layers as one
@@ -39,11 +45,11 @@ row per pass.
 
 The clock frequencies, the activation function and the transposed weight
 views the passes read are made once per model, the views following in-place
-writes to ``params``. One input row at a scalar float time gets its sin and
-cos written straight into the row, the same bits as :func:`time_features`;
-arrays of times and multi-row batches go through :func:`time_features`. A
-time that is not finite is refused with one ``ModelError`` line before sin
-and cos see it.
+writes to ``params``. The one-row pass writes a scalar float time's sin
+and cos straight into its row, the same bits as :func:`time_features`;
+``forward_cache`` builds every input through :func:`time_features`. A time
+that is not finite is refused with one ``ModelError`` line before sin and
+cos see it.
 """
 from __future__ import annotations
 
@@ -295,8 +301,6 @@ class MlpVelocity:
         if x2.shape[1] != dim:
             raise ModelError(f"x dim {x2.shape[1]} != model dim {dim}")
         n = x2.shape[0]
-        if n == 1 and isinstance(t, float):
-            return self._row_features(x2, t)[None]
         emb = time_features(t, self.arch.n_freq)
         m = emb.shape[0]
         if m != n and (m != 1 or n == 0):
@@ -523,8 +527,8 @@ class MlpVelocity:
 
     # ---- forward-mode tangents ---------------------------------------------
 
-    def value_and_jvp(self, x, t, u):
-        """Velocity and J_v u in one one-row pass. x: (d,), u: (d,) or (m, d).
+    def jvp(self, x, t, u) -> np.ndarray:
+        """J_v u from one one-row pass. x: (d,), u: (d,) or (m, d).
 
         Time is held fixed, so the tangents enter through the first layer's
         x columns only. A block of m >= d tangents at d <= hidden is u @ J^T
@@ -538,11 +542,10 @@ class MlpVelocity:
         if u2.shape[1] != dim:
             raise ModelError(f"tangent dim {u2.shape[1]} != model dim {dim}")
         if u2.shape[0] >= dim and dim <= self.arch.hidden:
-            v, jt = self._one_row(x, t, self._w0x.copy())
-            ju = u2 @ jt
+            ju = u2 @ self._one_row(x, t, self._w0x.copy())[1]
         else:
-            v, ju = self._one_row(x, t, u2 @ self._w0x)
-        return v, (ju if ndim == 2 else ju[0])
+            ju = self._one_row(x, t, u2 @ self._w0x)[1]
+        return ju if ndim == 2 else ju[0]
 
     def jacobian(self, x, t) -> np.ndarray:
         """Dense d x d velocity Jacobian from d basis tangents."""
@@ -556,8 +559,7 @@ class EvalCounter:
     One tangent row costs about one forward pass, so the audit reports
     forwards + jvps as forward-equivalents. A block of S tangents rides one
     one-row pass and counts as S: the primal pass it shares is amortized
-    across the block and is not billed separately unless the caller actually
-    consumes the primal value (value_and_jvp does, jvp does not).
+    across the block and is not billed.
 
     jvps counts the tangent products delivered, not the rows propagated: a
     block of m >= d tangents (at d <= hidden) carries d basis rows and
@@ -601,14 +603,8 @@ class ModelField:
         self.counter.forwards += out.shape[0] if out.ndim == 2 else 1
         return out
 
-    def value_and_jvp(self, x, t, u):
-        v, ju = self.model.value_and_jvp(x, t, u)
-        self.counter.forwards += 1
-        self.counter.jvps += ju.shape[0] if ju.ndim == 2 else 1
-        return v, ju
-
     def jvp(self, x, t, u) -> np.ndarray:
-        _, ju = self.model.value_and_jvp(x, t, u)
+        ju = self.model.jvp(x, t, u)
         self.counter.jvps += ju.shape[0] if ju.ndim == 2 else 1
         return ju
 
@@ -653,20 +649,10 @@ class AnalyticField:
         self.counter.jvps += self.dim
         return self._jacobian(x, t)
 
-    def value_and_jvp(self, x, t, u):
-        xv = np.asarray(x, dtype=np.float64).reshape(-1)
-        u2 = np.atleast_2d(np.asarray(u, dtype=np.float64))
-        self.counter.forwards += 1
-        self.counter.jvps += u2.shape[0]
-        v = self._oracle.optimal_velocity(self.spec, xv, t)
-        ju = u2 @ self._jacobian(xv, t).T
-        return v, (ju if np.ndim(u) == 2 else ju[0])
-
     def jvp(self, x, t, u) -> np.ndarray:
-        xv = np.asarray(x, dtype=np.float64).reshape(-1)
         u2 = np.atleast_2d(np.asarray(u, dtype=np.float64))
         self.counter.jvps += u2.shape[0]
-        ju = u2 @ self._jacobian(xv, t).T
+        ju = u2 @ self._jacobian(x, t).T
         return ju if np.ndim(u) == 2 else ju[0]
 
 

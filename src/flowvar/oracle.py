@@ -26,14 +26,13 @@ log-determinants), keyed on the float t, in at most ``_SYSTEM_SLOTS`` slots,
 emptied when full. It also keeps the posterior terms of the last single
 point it evaluated (responsibilities, component means, posterior mean and,
 once asked for, the score and mean-Jacobian), keyed on t and the bytes of
-xt. One oracle state (the analytic field's Hutchinson pass, its dense
-Jacobian and the conjugacy posterior at the same point) then computes them
-once. A miss computes exactly what an uncached call would, so every output
-bit is the same, and callers always receive fresh arrays. The spec holds
-read-only copies of its weights, means and covariances, and the Cholesky
-factors of the covariances that its validation computes: a caller's later
-write into its own arrays cannot reach the spec, and nothing can leave a
-memo stale.
+xt. One oracle state (the analytic field's dense Jacobian and the
+conjugacy posterior at the same point) then computes them once. A miss
+computes exactly what an uncached call would, so every output bit is the
+same, and callers always receive fresh arrays. The spec holds read-only
+copies of its weights, means and covariances, and the Cholesky factors of
+the covariances that its validation computes: a caller's later write into
+its own arrays cannot reach the spec, and nothing can leave a memo stale.
 """
 from __future__ import annotations
 
@@ -50,7 +49,6 @@ __all__ = [
     "gmm_posterior",
     "gmm_posterior_batch",
     "posterior_mean_jacobian",
-    "optimal_velocity",
     "optimal_velocity_batch",
     "sample_pairs",
 ]
@@ -317,11 +315,6 @@ def optimal_velocity_batch(spec: GmmSpec, xts: np.ndarray, t: float) -> np.ndarr
     t = check_interior_time(t)
     xts = _points(xts)
     return (_posterior_terms(spec, xts, t).mean - xts) / (1.0 - t)
-
-
-def optimal_velocity(spec: GmmSpec, xt: np.ndarray, t: float) -> np.ndarray:
-    xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    return optimal_velocity_batch(spec, xt[None, :], t)[0]
 
 
 def sample_pairs(spec: GmmSpec, rng: RngState, n: int):

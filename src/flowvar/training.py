@@ -103,7 +103,6 @@ class TrainReport:
     initial_loss: float
     seconds: float
     checksum: str
-    notes: tuple = ()
 
 
 def _regression_input(x0, x1, t):
@@ -295,15 +294,11 @@ def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
             total = None
         epoch_losses.append(float(np.mean(losses)))
 
-    notes = ()
-    if config.objective == "fm":
-        notes = (f"t clamped to [{T_CLAMP[0]:g}, {T_CLAMP[1]:g}]",)
     return TrainReport(
         epoch_losses=tuple(epoch_losses),
         initial_loss=initial_loss,
         seconds=time.perf_counter() - t0,
         checksum=model.checksum(),
-        notes=notes,
     )
 
 

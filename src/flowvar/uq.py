@@ -8,8 +8,10 @@ function of the velocity Jacobian,
 
 so the per-pixel variances need only the Jacobian diagonal, and their sum
 (the scalar uncertainty U) only its trace, the divergence. Both come from a
-handful of Hutchinson probes, each one JVP of a field handle (``ModelField``
-or ``AnalyticField``). No sampling, no ensembles, no extra training.
+handful of Hutchinson probes, each one JVP of a velocity field (anything
+with ``velocity``, ``jvp`` and ``jacobian``: ``ModelField``,
+``AnalyticField`` or a bare ``MlpVelocity``). No sampling, no ensembles, no
+extra training.
 ``one_step_cov`` runs the same pipeline on a generator input at a small time
 epsilon.
 
@@ -113,13 +115,15 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
                     materialize_full: bool = False) -> PosteriorEstimate:
     """Posterior covariance statistics from velocity-Jacobian probes.
 
-    ``field`` is a handle with ``jvp(x, t, u)``, asked once for the whole
-    probe block. The Jacobian diagonal is a Hutchinson estimate on
+    ``field`` is a velocity field (``ModelField``, ``AnalyticField`` or a
+    bare ``MlpVelocity``), asked once for the whole probe block's products
+    ``jvp(x, t, probes)``. The Jacobian diagonal is a Hutchinson estimate on
     ``probes`` (exact when the probes enumerate all sign vectors), and the
     scalar u is the sum of the diagonal.
-    ``materialize_full`` additionally assembles the exact d x d covariance
-    from the field's dense ``jacobian(x, t)``, which counts d JVPs; it is
-    refused above dimension 64.
+    ``materialize_full`` instead reads the field's dense ``jacobian(x, t)``
+    once, which counts d JVPs, and takes both the probe products
+    ``probes @ J.T`` and the exact d x d covariance from it; it is refused
+    above dimension 64.
     """
     t = check_interior_time(t)
     xt = np.asarray(xt, dtype=np.float64)
@@ -131,7 +135,17 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
     if probes.dim != d:
         raise UqError(f"probe dimension mismatch: {probes.dim} != {d}")
 
-    jdiag = hutchinson_diagonal(field.jvp(xt, t, probes.probes), probes)
+    jac = None
+    if materialize_full:
+        if d > FULL_COV_DIM_LIMIT:
+            raise UqError(
+                f"full covariance limited to d <= {FULL_COV_DIM_LIMIT}, got {d}"
+            )
+        jac = field.jacobian(xt, t)
+        products = probes.probes @ jac.T
+    else:
+        products = field.jvp(xt, t, probes.probes)
+    jdiag = hutchinson_diagonal(products, probes)
 
     pref = (1.0 - t) ** 2 / t
     if pref > _PREF_QUIET:
@@ -153,14 +167,7 @@ def cov_closed_form(field, xt, t: float, probes: ProbeSet,
     diag = np.maximum(diag_raw, 0.0)
     u = max(u_raw, 0.0)
 
-    full = None
-    if materialize_full:
-        if d > FULL_COV_DIM_LIMIT:
-            raise UqError(
-                f"full covariance limited to d <= {FULL_COV_DIM_LIMIT}, got {d}"
-            )
-        full = pref * (np.eye(d) + (1.0 - t) * field.jacobian(xt, t))
-
+    full = None if jac is None else pref * (np.eye(d) + (1.0 - t) * jac)
     return PosteriorEstimate(
         t=t, u=u, diag=diag, u_raw=u_raw, diag_raw=diag_raw,
         floored=floored, probe_seed=probes.seed, full=full,

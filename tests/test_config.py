@@ -6,7 +6,7 @@ import pytest
 
 from flowvar.config import (PRESETS, ConfigError, ExperimentConfig,
                             load_config, parse_config)
-from flowvar.data import GmmTask, ImageTask, MnistTask
+from flowvar.data import GmmTask, ImageTask
 from flowvar.metrics import METHODS
 from flowvar.models import MAX_DEPTH, MAX_HIDDEN, MAX_N_FREQ
 from flowvar.training import (MAX_BATCH_SIZE, MAX_EPOCHS,

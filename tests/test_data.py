@@ -3,9 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from flowvar.data import (IDX_IMAGES, IDX_LABELS, DataError, GmmTask,
-                          IdxTensor, ImageTask, MnistTask, idx_to_float,
-                          parse_idx)
+from flowvar.data import (IDX_IMAGES, IDX_LABELS, DataError, IdxTensor,
+                          ImageTask, MnistTask, idx_to_float, parse_idx)
 from flowvar.numerics import RngState
 
 from refs import bar_coverage_profile, default_gmm_task, write_idx

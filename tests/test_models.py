@@ -11,7 +11,7 @@ from flowvar.models import (AnalyticField, EvalCounter, MlpArch, MlpVelocity,
                             analytic_handle, load_model, save_model,
                             time_features)
 from flowvar.numerics import RngState
-from flowvar.oracle import GmmSpec, optimal_velocity
+from flowvar.oracle import GmmSpec, optimal_velocity_batch
 
 from refs import finite_diff_jvp
 
@@ -121,21 +121,21 @@ def test_x_column_first_layer_is_the_zero_padded_pass(dim, n_freq, activation,
     signs = g.choice([-1.0, 1.0], (dim + 50, dim))
     wide = model(128)
     # the m-row pass, bit for bit: fewer than d tangents, one 1-D tangent
-    # and d > hidden; value_and_jvp runs without dropout at any rate
+    # and d > hidden; velocity and jvp run without dropout at any rate
     blocks = [(wide, signs[:dim - 1])]
     if dim > 1:
         blocks += [(wide, signs[0]), (model(dim - 1), signs)]
     for m, u in blocks:
         out, cache = m.forward_cache(x1, t1)
-        v, ju = m.value_and_jvp(x1[0], t1, u)
-        assert v.tobytes() == out[0].tobytes()
+        assert m.velocity(x1[0], t1).tobytes() == out[0].tobytes()
+        ju = m.jvp(x1[0], t1, u)
         ref = _padded_tangent(m, cache, np.atleast_2d(u))
         assert ju.tobytes() == (ref if u.ndim == 2 else ref[0]).tobytes()
-    # value_and_jvp on a block of m >= d tangents, at d <= hidden, is u @ J^T
+    # jvp on a block of m >= d tangents, at d <= hidden, is u @ J^T
     jac = wide.jacobian(x1, t1)
     _, cache = wide.forward_cache(x1, t1)
     for u in (signs[:dim], signs):
-        ju = wide.value_and_jvp(x1[0], t1, u)[1]
+        ju = wide.jvp(x1[0], t1, u)
         assert np.array_equal(ju, u @ jac.T)
         ref = _padded_tangent(wide, cache, u)
         assert np.abs(ju - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -182,10 +182,9 @@ def test_one_row_pass_is_the_batch_one_arithmetic_bit_for_bit(dim, hidden,
             assert m.jacobian(x, t).tobytes() == jt.T.tobytes()
             # fewer than d tangents, and d > hidden, take the m-row pass
             for u in (signs[:dim - 1], signs[:dim], signs):
-                got_v, ju = m.value_and_jvp(x, t, u)
+                ju = m.jvp(x, t, u)
                 ref = (u @ jt if dim <= hidden and len(u) >= dim
                        else _padded_tangent(m, cache, u))
-                assert got_v.tobytes() == v.tobytes()
                 assert ju.tobytes() == ref.tobytes(), (depth, len(u))
 
 
@@ -195,11 +194,11 @@ def test_one_row_pass_keeps_its_checks():
     for m, u in ((_model(), np.ones((5, 4))), (_model(), np.ones((2, 4))),
                  (_model(), np.ones(2)), (_model(hidden=2), np.ones((5, 4)))):
         with pytest.raises(ModelError, match=r"tangent dim \d != model dim 3"):
-            m.value_and_jvp(np.zeros(3), 0.5, u)
+            m.jvp(np.zeros(3), 0.5, u)
     m = _model()
     u = np.ones((5, 3))
     for call in (lambda x: m.velocity(x, 0.5), lambda x: m.jacobian(x, 0.5),
-                 lambda x: m.value_and_jvp(x, 0.5, u)):
+                 lambda x: m.jvp(x, 0.5, u)):
         with pytest.raises(ModelError, match="x dim 4 != model dim 3"):
             call(np.zeros(4))
         m.weights[0][:] = 1e300
@@ -239,9 +238,9 @@ def test_one_row_entry_takes_any_row_and_scalar_time(activation):
         for t in times:
             ref = m.forward_cache(xi, t)[0][0]
             x64, t64 = np.ravel(np.asarray(xi, dtype=np.float64)), float(t)
-            v, ju = m.value_and_jvp(xi, t, u)
-            assert v.tobytes() == ref.tobytes(), (xi, t)
-            assert ju.tobytes() == m.value_and_jvp(x64, t64, u)[1].tobytes()
+            assert m.velocity(x64, t64).tobytes() == ref.tobytes(), (xi, t)
+            assert (m.jvp(xi, t, u).tobytes()
+                    == m.jvp(x64, t64, u).tobytes())
             assert (m.jacobian(xi, t).tobytes()
                     == m.jacobian(x64, t64).tobytes())
             if np.ndim(xi) < 2:
@@ -254,7 +253,7 @@ def test_one_row_entry_takes_any_row_and_scalar_time(activation):
         with pytest.raises(ModelError) as batch:
             m.forward_cache(np.atleast_2d(xi), t)
         for call in (lambda: m.velocity(xi, t), lambda: m.jacobian(xi, t),
-                     lambda: m.value_and_jvp(xi, t, u)):
+                     lambda: m.jvp(xi, t, u)):
             with pytest.raises(ModelError) as one:
                 call()
             assert str(one.value) == str(batch.value), (xi, t)
@@ -266,8 +265,8 @@ def test_non_finite_time_is_one_line_with_no_warning():
         for call in (lambda: m.velocity(np.ones(3), t),
                      lambda: m.velocity(np.ones((4, 3)), t),
                      lambda: m.velocity(np.ones((4, 3)), np.full(4, t)),
-                     lambda: m.value_and_jvp(np.ones(3), t, np.ones((5, 3))),
-                     lambda: m.value_and_jvp(np.ones(3), t, np.ones(3))):
+                     lambda: m.jvp(np.ones(3), t, np.ones((5, 3))),
+                     lambda: m.jvp(np.ones(3), t, np.ones(3))):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ModelError) as err:
@@ -323,7 +322,7 @@ def test_tangent_matches_finite_difference(activation):
     g = RngState(3).generator()
     x = g.standard_normal(3)
     u = g.standard_normal(3)
-    _, ju = m.value_and_jvp(x, 0.37, u[None, :])
+    ju = m.jvp(x, 0.37, u[None, :])
     fd = finite_diff_jvp(lambda z: m.velocity(z, 0.37), x, u)
     assert np.allclose(ju[0], fd, rtol=1e-5, atol=1e-7)
 
@@ -333,7 +332,7 @@ def test_tangent_linearity():
     g = RngState(4).generator()
     x = g.standard_normal(3)
     u, w = g.standard_normal(3), g.standard_normal(3)
-    _, j = m.value_and_jvp(x, 0.5, np.stack([u, w, 2 * u + 3 * w]))
+    j = m.jvp(x, 0.5, np.stack([u, w, 2 * u + 3 * w]))
     assert np.allclose(2 * j[0] + 3 * j[1], j[2], atol=1e-10)
 
 
@@ -341,7 +340,7 @@ def test_jacobian_consistent_with_jvp():
     m = _model()
     x = RngState(5).generator().standard_normal(3)
     J = m.jacobian(x, 0.6)
-    _, cols = m.value_and_jvp(x, 0.6, np.eye(3))
+    cols = m.jvp(x, 0.6, np.eye(3))
     assert np.allclose(J, cols.T, atol=1e-12)
 
 
@@ -439,12 +438,15 @@ def test_eval_counter_conventions():
     x = np.zeros(3)
     field.velocity(np.zeros((4, 3)), 0.5)
     assert counter.forwards == 4
-    field.value_and_jvp(x, 0.5, np.ones((5, 3)))
-    assert counter.forwards == 5 and counter.jvps == 5
-    field.jvp(x, 0.5, np.ones((2, 3)))
-    assert counter.jvps == 7
-    # fused batch convention: jvp() bills tangents only
-    assert counter.forward_equivalents == 12
+    # a tangent block bills its tangents only, not the pass they ride
+    field.jvp(x, 0.5, np.ones((5, 3)))
+    assert counter.forwards == 4 and counter.jvps == 5
+    field.jvp(x, 0.5, np.ones(3))
+    assert counter.jvps == 6
+    # the dense Jacobian counts its d basis tangents
+    field.jacobian(x, 0.5)
+    assert counter.forwards == 4 and counter.jvps == 9
+    assert counter.forward_equivalents == 13
 
 
 def test_analytic_field_matches_oracle():
@@ -454,11 +456,13 @@ def test_analytic_field_matches_oracle():
     assert isinstance(field, AnalyticField)
     xt = np.array([0.4, 0.2])
     assert np.allclose(field.velocity(xt, 0.5),
-                       optimal_velocity(spec, xt, 0.5), atol=1e-12)
+                       optimal_velocity_batch(spec, xt[None], 0.5)[0],
+                       atol=1e-12)
     u = np.array([[1.0, 0.0], [0.0, 1.0]])
     ju = field.jvp(xt, 0.5, u)
     fd = np.stack([
-        finite_diff_jvp(lambda z: optimal_velocity(spec, z, 0.5), xt, u[i])
+        finite_diff_jvp(
+            lambda z: optimal_velocity_batch(spec, z[None], 0.5)[0], xt, u[i])
         for i in range(2)
     ])
     assert np.allclose(ju, fd, atol=1e-6)
@@ -585,9 +589,8 @@ def test_layer_arrays_are_views_of_the_flat_vector():
     x, u = np.array([0.5, 0.1, -0.4]), RngState(22).generator().choice(
         [-1.0, 1.0], (8, 3))
     for t in (0.37, np.array([0.37])):
-        for got, ref in zip(m.value_and_jvp(x, t, u),
-                            fresh.value_and_jvp(x, t, u)):
-            assert np.array_equal(got, ref)
+        assert np.array_equal(m.velocity(x, t), fresh.velocity(x, t))
+        assert np.array_equal(m.jvp(x, t, u), fresh.jvp(x, t, u))
 
 
 def test_checksum_and_container_match_the_per_layer_code(tmp_path):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from flowvar.reporting import (SCHEMA_VERSION, CostEntry, CostLedger,
-                               ReportError, cost_report, format_float,
-                               write_csv, write_pgm, write_uq_map)
+from flowvar.reporting import (SCHEMA_VERSION, CostLedger, ReportError,
+                               cost_report, format_float, write_csv,
+                               write_pgm, write_uq_map)
 
 from refs import read_pgm
 

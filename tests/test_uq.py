@@ -6,7 +6,7 @@ import pytest
 from flowvar.models import (EvalCounter, MlpArch, MlpVelocity, ModelField,
                             analytic_handle)
 from flowvar.numerics import RngState, draw_rademacher, exhaustive_sign_probes
-from flowvar.oracle import GmmSpec, gmm_posterior
+from flowvar.oracle import GmmSpec
 from flowvar.uq import (UqError, cov_closed_form, one_step_cov,
                         posterior_mean_from_velocity, prior_baseline,
                         shift_time_grid, trajectory_uq)
@@ -263,7 +263,7 @@ def test_full_from_the_field_jacobian(d, hidden, activation):
     probes = draw_rademacher(RngState(4), d, 5)
     for t in (0.2, 0.7):
         est = cov_closed_form(field, x, t, probes, materialize_full=True)
-        assert (counter.forwards, counter.jvps) == (0, 5 + d)
+        assert (counter.forwards, counter.jvps) == (0, d)
         ref = _old_full(field, x, t)
         if d <= hidden:
             assert np.array_equal(est.full, ref)
@@ -290,6 +290,69 @@ def test_full_from_the_analytic_jacobian(spec):
     probes = draw_rademacher(RngState(5), spec.dim, 6)
     for t in (0.1, 0.5, 0.9):
         est = cov_closed_form(field, x, t, probes, materialize_full=True)
-        assert (counter.forwards, counter.jvps) == (0, 6 + spec.dim)
+        assert (counter.forwards, counter.jvps) == (0, spec.dim)
         assert np.array_equal(est.full, _old_full(field, x, t))
         counter.jvps = 0
+
+
+class RecordingField:
+    """A field that records the name of each method asked of it."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.field, name)
+
+
+def test_full_estimate_reads_the_jacobian_once():
+    field = RecordingField(analytic_handle(default_gmm_task().spec))
+    probes = draw_rademacher(RngState(6), 2, 50)
+    cov_closed_form(field, np.array([0.4, -0.3]), 0.5, probes,
+                    materialize_full=True)
+    assert field.calls == ["jacobian"]
+    field.calls.clear()
+    cov_closed_form(field, np.array([0.4, -0.3]), 0.5, probes)
+    assert field.calls == ["jvp"]
+
+
+@pytest.mark.parametrize("make, d, s", [
+    (lambda c: analytic_handle(default_gmm_task().spec, c), 2, 50),
+    (lambda c: _mlp_field(64, 128, "tanh", c), 64, 64),
+], ids=["gmm2d", "bars8"])
+def test_full_estimate_keeps_the_probe_estimate_bits(make, d, s):
+    """On the analytic field, and on a bars8-shaped model at S = d, a full
+    estimate's probe products from the dense Jacobian are the jvp block's
+    bits, and ``full`` is the covariance of a separate ``jacobian`` call;
+    the counter books the d basis tangents alone."""
+    counter = EvalCounter()
+    field = make(counter)
+    x = RngState(7).generator().standard_normal(d)
+    probes = draw_rademacher(RngState(8), d, s)
+    for t in (0.1, 0.5, 0.9):
+        est = cov_closed_form(field, x, t, probes, materialize_full=True)
+        assert (counter.forwards, counter.jvps) == (0, d)
+        ref = cov_closed_form(field, x, t, probes)
+        assert est.diag_raw.tobytes() == ref.diag_raw.tobytes()
+        assert est.u_raw == ref.u_raw
+        full = (1.0 - t) ** 2 / t * (np.eye(d)
+                                      + (1.0 - t) * field.jacobian(x, t))
+        assert est.full.tobytes() == full.tobytes()
+        counter.jvps = 0
+
+
+@pytest.mark.parametrize("d, hidden", [(2, 32), (8, 4), (64, 128)])
+def test_a_bare_model_is_a_field(d, hidden):
+    field = _mlp_field(d, hidden, "tanh", EvalCounter())
+    x = RngState(3).generator().standard_normal(d)
+    for s in (3, d + 5):
+        probes = draw_rademacher(RngState(s), d, s)
+        for full in (False, True):
+            got = cov_closed_form(field.model, x, 0.4, probes, full)
+            ref = cov_closed_form(field, x, 0.4, probes, full)
+            assert got.diag_raw.tobytes() == ref.diag_raw.tobytes()
+            assert (got.u_raw, got.floored) == (ref.u_raw, ref.floored)
+            if full:
+                assert got.full.tobytes() == ref.full.tobytes()
