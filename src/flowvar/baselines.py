@@ -7,6 +7,7 @@ constants, not samples whose variance needs unbiasing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +61,20 @@ def _population_var(means: np.ndarray) -> np.ndarray:
 
 def _finish(means, xt, t):
     """The estimate from the (count, d) velocities in ``means``, which
-    become the posterior means xt + (1 - t) v in place."""
-    means *= 1.0 - t
-    means += xt
-    var = _population_var(means)
-    # a pixel on which every member agrees has no spread, not rounding noise
-    var[np.logical_and.reduce(means == means[0], axis=0)] = 0.0
-    return BaselineEstimate(diag=var, u=float(np.add.reduce(var)),
-                            count=means.shape[0])
+    become the posterior means xt + (1 - t) v in place. Velocities near
+    the float range (a damaged model's) can overflow the variance; that is
+    refused on one line, not warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means *= 1.0 - t
+        means += xt
+        var = _population_var(means)
+        # a pixel every member agrees on has no spread, not rounding noise
+        var[np.logical_and.reduce(means == means[0], axis=0)] = 0.0
+        u = float(np.add.reduce(var))
+    if not math.isfinite(u):
+        raise BaselineError(f"variance of the posterior means is not finite "
+                            f"at t = {t:g}")
+    return BaselineEstimate(diag=var, u=u, count=means.shape[0])
 
 
 def ensemble_uq(models, xt, t: float) -> BaselineEstimate:

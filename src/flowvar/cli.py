@@ -396,7 +396,12 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
             rows.append((_FM.name, t, cfg.seed, s, r, est.u,
                          int(est.floored)))
             us.append(est.u)
-        print(f"S={s}: mean U {np.mean(us):.6g}, spread {np.std(us):.3g}")
+        # estimates near the float range overflow their squared spread
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, spread = np.mean(us), np.std(us)
+        if not np.isfinite(spread):
+            raise UqError(f"spread of U at S={s} is not finite")
+        print(f"S={s}: mean U {mean:.6g}, spread {spread:.3g}")
     write_csv(cfg.out / "ablate.csv", "ablate",
               ["method", "t", "seed", "S", "replicate", "u", "floored"], rows)
     return 0

@@ -282,8 +282,13 @@ def consistency_protocol(reference, methods, task, t_grid, noise_level: float,
         xts = t * x1_corr + (1.0 - t) * x0s
         vhat = np.atleast_2d(reference.velocity(xts, t))
         x1_hat = posterior_mean_from_velocity(xts, t, vhat)
-        err_maps = (x1_hat - x1s) ** 2
-        err_scalars = err_maps.sum(axis=1)
+        # a reference far off the data overflows the squares: refused below
+        with np.errstate(over="ignore"):
+            err_maps = (x1_hat - x1s) ** 2
+            err_scalars = err_maps.sum(axis=1)
+        if not np.isfinite(err_scalars).all():
+            raise MetricsError(f"reference error map is not finite at "
+                               f"t = {t:g}")
         # each t's error maps are ranked and ordered once, for every method
         err_ranks = _centred_ranks(err_maps)
         err_top = _top_mask(err_maps, kc)

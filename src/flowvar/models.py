@@ -9,47 +9,50 @@ and :class:`AnalyticField` gives a known mixture's exact field.
 The workhorse is a small MLP taking [x, sinusoidal(t)] and returning a
 velocity in data space. Training needs parameter gradients and uncertainty
 needs Jacobian-vector products in x, so the network carries its own
-reverse-mode backward pass and forward-mode tangent propagation. Tangents
-ride along the one-row pass and are scaled by the same activations as the
-primal values, which keeps the two modes consistent to machine precision.
+reverse-mode backward pass and forward-mode tangent propagation. It has two
+forward passes, one per job.
 
-Dropout is the inverted kind: keep mask / (1 - rate), drawn from an explicit
+The training step's pass, ``forward_cache``, keeps what ``backward`` reads.
+Both write their (batch, hidden) arrays into a :class:`StepBuffers` set made
+once per run, and ``backward`` its gradients into one flat vector. Dropout
+is the inverted kind: keep mask / (1 - rate), drawn from an explicit
 RngState per call, one draw for the whole batch. No call mutates hidden RNG
 state.
 
-A training step's forward and backward write their (batch, hidden) arrays
-into a :class:`StepBuffers` set made once per run. Batched passes (training,
-the consistency reference) go through ``forward_cache``, which keeps what
-``backward`` reads.
+Every other call takes the inference pass, which keeps no cache and runs
+the input rows its caller built: one row (an Euler step, one estimate's
+tangents, MC dropout's state) as 1-D products with the bits of the (1, k)
+ones, or a batch (the consistency reference) with ``forward_cache``'s bits.
+Its primal products are ``ndarray.dot`` calls, which make the same BLAS call
+as ``@`` with less dispatch and give the same bits; a row's finiteness
+check is a dot too. Either tangents or MC dropout's masks ride along, each
+applied after every activation.
 
-One input row without dropout (an Euler step, one estimate's tangents)
-takes a one-row pass instead: one flat loop of 1-D products, with the bits
-of the (1, k) ones, and no cache is kept. Its primal products and
-finiteness dots are ``ndarray.dot`` calls, which make the same BLAS call as
-``@`` with less dispatch and give the same bits; the tangent blocks keep
+Tangents are scaled by the same activations as the primal values, which
+keeps the two modes consistent to machine precision; their blocks keep
 ``@`` and copy-then-scale, since ``dot`` there moved bits (a zero's sign at
-relu and d = hidden = 1; the product with the strided x-column view). It is
-the only code that propagates x-tangents. A tangent block enters at the
-first layer's pre-activations and is scaled in place by each layer's
-activation derivative. It is either the d basis rows, a C-order copy of the
-first layer's x-column weight view (its product with I), which end as J^T,
-or the caller's (m, d) block times that view. ``jacobian`` carries the
-basis. ``jvp`` carries it for a block of m >= d tangents at d <= hidden and
-forms u @ J^T, for no more multiply-adds than the m-row pass; it carries
-any other block as it is. The choice reads array shapes only;
-:class:`EvalCounter` counts m products either way.
+relu and d = hidden = 1; the product with the strided x-column view). No
+other code propagates x-tangents. A tangent block enters at the first
+layer's pre-activations and is scaled in place by each layer's activation
+derivative. It is either the d basis rows, a C-order copy of the first
+layer's x-column weight view (its product with I), which end as J^T, or the
+caller's (m, d) block times that view. ``jacobian`` carries the basis.
+``jvp`` carries it for a block of m >= d tangents at d <= hidden and forms
+u @ J^T, for no more multiply-adds than the m-row pass; it carries any other
+block as it is. The choice reads array shapes only; :class:`EvalCounter`
+counts m products either way.
 
-MC dropout's passes of one row (``dropout_velocities``) share the one-row
-pass's first layer, which no mask reaches, and run the later layers as one
-row per pass.
+MC dropout's passes of one row (``dropout_velocities``) carry one (depth,
+passes, hidden) block of masks. The first layer, which no mask reaches,
+runs once as the row's 1-D product; its masked activation broadcasts to one
+row per pass, and the later layers run as passes-row products.
 
 The clock frequencies, the activation function and the transposed weight
 views the passes read are made once per model, the views following in-place
-writes to ``params``. The one-row pass writes a scalar float time's sin
-and cos straight into its row, the same bits as :func:`time_features`;
-``forward_cache`` builds every input through :func:`time_features`. A time
-that is not finite is refused with one ``ModelError`` line before sin and
-cos see it.
+writes to ``params``. A row's scalar float time has its sin and cos written
+straight into the row, the same bits as :func:`time_features`; a batch
+builds its inputs through :func:`time_features`. A time that is not finite
+is refused with one ``ModelError`` line before sin and cos see it.
 """
 from __future__ import annotations
 
@@ -183,8 +186,8 @@ class StepBuffers:
     dropped-out activations and masks (the masks' uniform draw is made in
     place), plus two arrays that ``backward`` alternates between its deltas
     and the tanh-derivative temporary. A batch of m rows uses the first m
-    rows of each. A cache made with the buffers holds views of them, so it
-    lasts only until the next pass writes them.
+    rows of each. A cache holds views of them, so it lasts only until the
+    next pass writes them.
     """
 
     def __init__(self, arch: MlpArch, rows: int):
@@ -208,16 +211,14 @@ class StepBuffers:
 
 
 def _all_finite(v: np.ndarray) -> bool:
-    """Whether every entry of the 1-D v is finite. v . v is finite only
-    then; the entry-wise check runs only when it is not, to tell squares
-    that overflow from an entry that is not finite."""
-    return (math.isfinite(v.dot(v))
-            or bool(np.logical_and.reduce(np.isfinite(v))))
-
-
-def _rows_of(buf, i: int, rows: int):
-    """Layer i's first ``rows`` rows of a buffer, or None without one."""
-    return None if buf is None else buf[i, :rows]
+    """Whether every entry of v, a row or a block, is finite. A row's v . v
+    is finite only then; its entry-wise check runs only when it is not, to
+    tell squares that overflow from an entry that is not finite. A block is
+    checked entry by entry."""
+    if v.ndim == 1:
+        return (math.isfinite(v.dot(v))
+                or bool(np.logical_and.reduce(np.isfinite(v))))
+    return bool(np.isfinite(v).all())
 
 
 class MlpVelocity:
@@ -257,7 +258,7 @@ class MlpVelocity:
         self.arch = arch
         self.params = params
         self.weights, self.biases = _layer_views(params, arch)
-        # the transposed weights the one-row pass multiplies by, made once,
+        # the transposed weights the inference pass multiplies by, made once,
         # and W0's x columns, where x-tangents enter
         self._forward_wt = tuple(w.T for w in self.weights)
         self._w0x = self._forward_wt[0][:arch.dim]
@@ -310,71 +311,59 @@ class MlpVelocity:
         feats[:, dim:] = emb  # one time row broadcasts over the batch
         return feats
 
-    def _dropout_masks(self, n: int, dropout_rng, bufs=None):
-        p = self.arch.dropout
-        if dropout_rng is None or p == 0.0:
-            return None
-        # one draw covers every layer in order, the same bits as one
-        # (rows, hidden) draw per layer
-        keep = 1.0 - p
-        g = dropout_rng.generator()
-        if bufs is None:
-            u = g.random((self.arch.depth, n, self.arch.hidden))
-        else:
-            u = g.random(out=bufs.masks(n))
+    def _dropout_masks(self, dropout_rng: RngState, u: np.ndarray):
+        """The masks (u < keep) / keep, made in place in the (depth, rows,
+        hidden) block u from one uniform draw of ``dropout_rng``'s
+        generator. The draw covers every layer in order, the same bits as
+        one (rows, hidden) draw per layer."""
+        keep = 1.0 - self.arch.dropout
+        dropout_rng.generator().random(out=u)
         # the bits of (u < keep).astype(np.float64) / keep, in place: an
         # entry of 0.0 or 1.0 times the rounded 1 / keep is that quotient
         np.less(u, keep, out=u)
         u *= 1.0 / keep
-        return list(u)
+        return u
 
-    def forward_cache(self, x, t, dropout_rng=None, *,
-                      bufs: StepBuffers | None = None):
-        """Full forward pass returning (velocity, cache) for ``backward``.
+    def forward_cache(self, x, t, dropout_rng, bufs: StepBuffers):
+        """The training step's forward pass: (velocity, cache) for
+        ``backward``, the hidden layers' arrays written into ``bufs``.
 
         ``dropout_rng`` is None (no dropout) or one RngState for the whole
         batch: its generator's ``random((depth, rows, hidden))`` draw gives
         layer i's masks as block i, row r's as row r of it.
-        With ``bufs`` the hidden layers' arrays are written into them, with
-        the same bits.
         """
         if dropout_rng is not None and not isinstance(dropout_rng, RngState):
             raise ModelError(f"dropout_rng must be an RngState or None, got "
                              f"{type(dropout_rng).__name__}")
         feats = self._input_features(x, t)
         rows = feats.shape[0]
-        if bufs is not None and rows > bufs.rows:
+        if rows > bufs.rows:
             raise ModelError(f"a batch of {rows} in buffers of {bufs.rows} "
                              f"rows")
-        masks = self._dropout_masks(rows, dropout_rng, bufs)
+        masks = None
+        if dropout_rng is not None and self.arch.dropout > 0.0:
+            masks = self._dropout_masks(dropout_rng, bufs.masks(rows))
+        pre, post = bufs.pre[:, :rows], bufs.post[:, :rows]
         inputs = [feats]
-        pre, post = [], []
         h = feats
         act = self._act
-        z_buf = a_buf = drop_buf = None
-        if bufs is not None:
-            z_buf, a_buf, drop_buf = bufs.pre, bufs.post, bufs.dropped
         # overflow surfaces as the explicit divergence error, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(self.arch.depth):
-                z = np.matmul(h, self.weights[i].T,
-                              out=_rows_of(z_buf, i, rows))
+                z = np.matmul(h, self.weights[i].T, out=pre[i])
                 z += self.biases[i]
-                if not np.isfinite(z).all():
+                if not _all_finite(z):
                     raise ModelError(
                         "forward pass diverged: non-finite activations")
-                a = act(z, out=_rows_of(a_buf, i, rows))
-                pre.append(z)
-                post.append(a)  # pre-dropout, feeds the activation derivative
+                # post keeps the pre-dropout activation for the derivative
+                h = act(z, out=post[i])
                 if masks is not None:
-                    a = np.multiply(a, masks[i],
-                                    out=_rows_of(drop_buf, i, rows))
-                inputs.append(a)
-                h = a
+                    h = np.multiply(h, masks[i], out=bufs.dropped[i, :rows])
+                inputs.append(h)
             out = h @ self.weights[-1].T
             out += self.biases[-1]
-        if not np.isfinite(out).all():
-            raise ModelError("forward pass diverged: non-finite output")
+            if not _all_finite(out):
+                raise ModelError("forward pass diverged: non-finite output")
         cache = {"inputs": inputs, "pre": pre, "post": post, "masks": masks}
         return out, cache
 
@@ -408,18 +397,21 @@ class MlpVelocity:
         row[dim:] = emb[0]
         return row
 
-    def _one_row(self, x, t, du=None):
-        """Velocity (dim,) of one input row without dropout and, with
-        ``du``, its output tangents (m, dim); else None.
+    def _infer(self, h, du=None, masks=None):
+        """The inference pass: velocities of the input rows h, a 1-D row
+        (``_row_features``) or a (rows, k) batch (``_input_features``), and,
+        with ``du``, a row's output tangents (m, dim); else None.
 
         ``du`` is the (m, hidden) tangent of the first layer's
         pre-activations: a C-order copy of the x-column weight view for the
         d basis rows (the output is then J^T), or u @ that view for a block
-        u. It is scaled in place and carried through the later layers. The
-        same bits as ``forward_cache`` on the row, with the tangents scaled
-        by its activations.
+        u. It is scaled in place and carried through the later layers.
+        ``masks``, a (depth, passes, hidden) block that is overwritten, is
+        MC dropout's: each layer's block multiplies its activation, so a
+        row's first activation broadcasts to one row per pass. Without
+        masks, the same bits as ``forward_cache`` on the rows, with the
+        tangents scaled by its activations.
         """
-        h = self._row_features(x, t)
         act, name = self._act, self.arch.activation
         wt, biases = self._forward_wt, self.biases
         with np.errstate(over="ignore", invalid="ignore"):
@@ -434,6 +426,8 @@ class MlpVelocity:
                     if i > 0:
                         du = du @ wt[i]
                     _scale_by_act_deriv(name, du, z, h)
+                elif masks is not None:
+                    h = np.multiply(masks[i], h, out=masks[i])
             out = h.dot(wt[-1])
             out += biases[-1]
             if not _all_finite(out):
@@ -441,66 +435,42 @@ class MlpVelocity:
         return out, (None if du is None else du @ wt[-1])
 
     def velocity(self, x, t) -> np.ndarray:
-        """Velocity (dim,) of one row, from the one-row pass, or (rows, dim)
-        of a batch, from ``forward_cache``; neither drops out."""
+        """Velocity (dim,) of one row or (rows, dim) of a batch, from the
+        inference pass; neither drops out."""
         if np.ndim(x) < 2:
-            return self._one_row(x, t)[0]
-        return self.forward_cache(x, t)[0]
+            return self._infer(self._row_features(x, t))[0]
+        return self._infer(self._input_features(x, t))[0]
 
     def dropout_velocities(self, x, t, passes: int,
                            dropout_rng: RngState) -> np.ndarray:
         """Velocities (passes, dim) of one row x under ``passes`` dropout
         passes.
 
-        The masks act after each activation, so the first layer is the same
-        in every pass: it runs once, as the one-row pass's 1-D product. The
-        masks are ``forward_cache``'s one (depth, passes, hidden) draw of
-        ``dropout_rng``'s generator, pass p's being row p of each block.
-        The later layers and the head run as passes-row products, with
-        ``forward_cache``'s non-finite refusals. At rate zero every row is
-        the one-row pass's velocity.
+        The masks are ``forward_cache``'s one (depth, passes, hidden) draw
+        of ``dropout_rng``'s generator, pass p's being row p of each block,
+        and ride the inference pass on the row. At rate zero every row is
+        the row's velocity.
         """
         if not isinstance(dropout_rng, RngState):
             raise ModelError(f"dropout_rng must be an RngState, got "
                              f"{type(dropout_rng).__name__}")
-        masks = self._dropout_masks(passes, dropout_rng)
-        if masks is None:  # rate zero: every pass is the one-row pass
-            return np.tile(self._one_row(x, t)[0], (passes, 1))
-        act = self._act
-        wt = self._forward_wt
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the one-row pass's first layer
-            z = self._row_features(x, t).dot(wt[0])
-            z += self.biases[0]
-            if not _all_finite(z):
-                raise ModelError(
-                    "forward pass diverged: non-finite activations")
-            h = np.multiply(masks[0], act(z), out=masks[0])
-            for i in range(1, self.arch.depth):
-                z = h @ wt[i]
-                z += self.biases[i]
-                if not np.isfinite(z).all():
-                    raise ModelError(
-                        "forward pass diverged: non-finite activations")
-                h = act(z, out=z)
-                h *= masks[i]
-            out = h @ wt[-1]
-            out += self.biases[-1]
-        if not np.isfinite(out).all():
-            raise ModelError("forward pass diverged: non-finite output")
-        return out
+        arch = self.arch
+        row = self._row_features(x, t)
+        if arch.dropout == 0.0:  # every pass is the row's velocity
+            return np.tile(self._infer(row)[0], (passes, 1))
+        masks = self._dropout_masks(
+            dropout_rng, np.empty((arch.depth, passes, arch.hidden)))
+        return self._infer(row, masks=masks)[0]
 
-    def backward(self, cache, dout: np.ndarray, out: np.ndarray | None = None,
-                 *, bufs: StepBuffers | None = None):
+    def backward(self, cache, dout: np.ndarray, out: np.ndarray,
+                 bufs: StepBuffers):
         """Parameter gradients for sum(dout * output); returns (dWs, dbs).
 
         The gradients are written into ``out``, a flat vector laid out like
-        ``params`` (allocated when None), and returned as its per-layer views.
-        With ``bufs`` the hidden-layer deltas are written into them.
+        ``params``, and returned as its per-layer views; the hidden-layer
+        deltas go into ``bufs``.
         """
-        if out is None:
-            out = np.empty_like(self.params)
-        elif out.shape != self.params.shape:
+        if out.shape != self.params.shape:
             raise ModelError(f"gradient buffer of shape {out.shape} for "
                              f"{self.params.size} parameters")
         d_ws, d_bs = _layer_views(out, self.arch)
@@ -509,26 +479,25 @@ class MlpVelocity:
         np.matmul(dout.T, cache["inputs"][-1], out=d_ws[-1])
         np.sum(dout, axis=0, out=d_bs[-1])
         # the delta and the derivative temporary swap work arrays each layer
-        work = None if bufs is None else bufs.work
-        rows, k = dout.shape[0], 0
-        dz = np.matmul(dout, self.weights[-1], out=_rows_of(work, k, rows))
+        work = bufs.work[:, :dout.shape[0]]
+        k = 0
+        dz = np.matmul(dout, self.weights[-1], out=work[k])
         for i in range(self.arch.depth - 1, -1, -1):
             if masks is not None:
                 dz *= masks[i]
             _scale_by_act_deriv(act, dz, cache["pre"][i], cache["post"][i],
-                                _rows_of(work, 1 - k, rows))
+                                work[1 - k])
             np.matmul(dz.T, cache["inputs"][i], out=d_ws[i])
             np.sum(dz, axis=0, out=d_bs[i])
             if i > 0:
                 k = 1 - k
-                dz = np.matmul(dz, self.weights[i],
-                               out=_rows_of(work, k, rows))
+                dz = np.matmul(dz, self.weights[i], out=work[k])
         return d_ws, d_bs
 
     # ---- forward-mode tangents ---------------------------------------------
 
     def jvp(self, x, t, u) -> np.ndarray:
-        """J_v u from one one-row pass. x: (d,), u: (d,) or (m, d).
+        """J_v u from one inference pass on x. x: (d,), u: (d,) or (m, d).
 
         Time is held fixed, so the tangents enter through the first layer's
         x columns only. A block of m >= d tangents at d <= hidden is u @ J^T
@@ -541,15 +510,16 @@ class MlpVelocity:
         dim = self.arch.dim
         if u2.shape[1] != dim:
             raise ModelError(f"tangent dim {u2.shape[1]} != model dim {dim}")
+        row = self._row_features(x, t)
         if u2.shape[0] >= dim and dim <= self.arch.hidden:
-            ju = u2 @ self._one_row(x, t, self._w0x.copy())[1]
+            ju = u2 @ self._infer(row, self._w0x.copy())[1]
         else:
-            ju = self._one_row(x, t, u2 @ self._w0x)[1]
+            ju = self._infer(row, u2 @ self._w0x)[1]
         return ju if ndim == 2 else ju[0]
 
     def jacobian(self, x, t) -> np.ndarray:
         """Dense d x d velocity Jacobian from d basis tangents."""
-        return self._one_row(x, t, self._w0x.copy())[1].T
+        return self._infer(self._row_features(x, t), self._w0x.copy())[1].T
 
 
 @dataclass
@@ -558,7 +528,7 @@ class EvalCounter:
 
     One tangent row costs about one forward pass, so the audit reports
     forwards + jvps as forward-equivalents. A block of S tangents rides one
-    one-row pass and counts as S: the primal pass it shares is amortized
+    inference pass and counts as S: the primal pass it shares is amortized
     across the block and is not billed.
 
     jvps counts the tangent products delivered, not the rows propagated: a
@@ -583,7 +553,7 @@ class ModelField:
 
     Each output row counts as one forward; each tangent row as one JVP,
     counted from the result, so the probe block is converted only once, in
-    the model's one-row pass. ``jacobian`` counts d JVPs, its d basis
+    the model's inference pass. ``jacobian`` counts d JVPs, its d basis
     tangents.
     Passes run in inference mode, with no dropout;
     the MC-dropout baseline runs its stochastic passes on the model itself

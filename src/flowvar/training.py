@@ -114,16 +114,15 @@ def _regression_input(x0, x1, t):
     return tc * x1 + (1.0 - tc) * x0, t
 
 
-def _batch_loss_and_grads(model, x0, x1, t, dropout_rng=None, grad=None,
-                          bufs=None):
+def _batch_loss_and_grads(model, x0, x1, t, dropout_rng, grad, bufs):
     """Shared core of both objectives: regress velocity onto x1 - x0.
 
     The gradients go into ``grad`` (a flat vector laid out like
-    ``model.params``, allocated when None) and come back as its views; the
-    passes' hidden-layer arrays go into ``bufs`` when given.
+    ``model.params``) and come back as its views; the passes' hidden-layer
+    arrays go into the ``StepBuffers`` set ``bufs``.
     """
     resid, cache = model.forward_cache(*_regression_input(x0, x1, t),
-                                       dropout_rng, bufs=bufs)
+                                       dropout_rng, bufs)
     resid -= x1 - x0
     n = x0.shape[0]
     # an overflow gives a non-finite loss, reported below on one line
@@ -132,7 +131,7 @@ def _batch_loss_and_grads(model, x0, x1, t, dropout_rng=None, grad=None,
     if not np.isfinite(loss):
         raise TrainingError("non-finite loss")
     resid *= 2.0 / n
-    d_ws, d_bs = model.backward(cache, resid, out=grad, bufs=bufs)
+    d_ws, d_bs = model.backward(cache, resid, grad, bufs)
     return loss, d_ws, d_bs
 
 

@@ -4,8 +4,8 @@ Each reference derives a quantity by a route the package does not take, so
 that a test can hold the package's own result to it: the central-difference
 JVP, the information-filter form of a one-component posterior, the exact
 bar-coverage law of the toy images. The fixtures build inputs (the default
-mixture task, IDX containers) or read outputs (graymaps) the way a user's
-own tools would.
+mixture task, IDX containers, a training step's buffers) or read outputs
+(graymaps) the way a user's own tools would.
 """
 import struct
 from pathlib import Path
@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from flowvar.data import GmmTask
+from flowvar.models import StepBuffers
 from flowvar.numerics import NumericsError
 from flowvar.oracle import GmmSpec
 from flowvar.reporting import ReportError
@@ -90,6 +91,13 @@ def bar_coverage_profile(side: int) -> np.ndarray:
         hi = min(side - width, j)
         prob[j] = max(0, hi - lo + 1) / n_pos
     return prob
+
+
+def step_buffers(model, rows: int = 1) -> StepBuffers:
+    """A fresh buffer set for ``forward_cache`` and ``backward`` on batches
+    of up to ``rows`` rows of ``model``, for a test that runs the training
+    step's passes as a reference."""
+    return StepBuffers(model.arch, rows)
 
 
 def default_gmm_task() -> GmmTask:

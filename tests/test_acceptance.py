@@ -22,6 +22,8 @@ from flowvar.oracle import GmmSpec, gmm_posterior, sample_pairs
 from flowvar.uq import (cov_closed_form, one_step_cov,
                         posterior_mean_from_velocity, prior_baseline)
 
+from refs import step_buffers
+
 
 def _verdict(capsys, num, name, ok, detail):
     with capsys.disabled():
@@ -221,8 +223,10 @@ def test_criterion_05_jvp_and_gradients_match_finite_differences(capsys):
         def loss(m):
             return 0.5 * float(((m.velocity(x, t) - y) ** 2).sum())
 
-        out, cache = model.forward_cache(x, t)
-        d_ws, d_bs = model.backward(cache, out - y)
+        bufs = step_buffers(model, 4)
+        out, cache = model.forward_cache(x, t, None, bufs)
+        d_ws, d_bs = model.backward(cache, out - y, np.empty(model.n_params),
+                                    bufs)
         for li, coord in ((0, (0, 0)), (1, (3, 2)), (2, (1, 4))):
             h = 1e-6
             pert = model.copy()

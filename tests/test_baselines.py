@@ -11,6 +11,8 @@ from flowvar.models import (EvalCounter, MlpArch, MlpVelocity, ModelError,
                             ModelField, time_features)
 from flowvar.numerics import RngState
 
+from refs import step_buffers
+
 
 class FixedField:
     """Velocity chosen so the posterior mean at t = 0.5 equals ``mean``."""
@@ -226,7 +228,8 @@ def test_dropout_estimate_is_the_bits_of_the_shared_layer_pass(
         assert counter.forwards == passes and counter.jvps == 0
         ref = _shared_layer_reference(model, xt, t, passes, rng)
         assert np.array_equal(est.diag, ref) and est.u == float(ref.sum())
-        out, _ = model.forward_cache(np.broadcast_to(xt, (passes, 5)), t, rng)
+        out, _ = model.forward_cache(np.broadcast_to(xt, (passes, 5)), t, rng,
+                                     step_buffers(model, passes))
         np.testing.assert_allclose(est.diag, np.var(xt + (1.0 - t) * out,
                                                     axis=0),
                                    rtol=1e-12, atol=0.0)

@@ -19,7 +19,7 @@ from flowvar.cli import METHODS, main
 from flowvar.config import _KEYS, load_config
 from flowvar.metrics import (consistency_protocol, dropout_method,
                              ensemble_method, one_step_method, tweedie_method)
-from flowvar.models import ModelField, load_model
+from flowvar.models import ModelField, load_model, save_model
 from flowvar.numerics import RngState, draw_rademacher
 from flowvar.reporting import format_float
 from flowvar.uq import cov_closed_form
@@ -671,6 +671,40 @@ def test_overflowing_means_fail_with_one_stderr_line(tmp_path, argv, means,
     assert proc.returncode == 2, proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith(message), err
+
+
+def test_hostile_models_exit_cleanly(workspace, tmp_path, capsys):
+    """Saved models whose head parameters overflow, as a flipped exponent
+    bit would make them (head weights times 1e200, head biases 1e200), give
+    finite velocities near 1e200. Every command that reads them exits 0, 1
+    or 2, a failure on one stderr line, with no numpy warning; the
+    variances, error maps and spreads they overflow are refused."""
+    ini, out = workspace
+    run = tmp_path / "run"
+    run.mkdir()
+    for path in out.glob("model_*.fvar"):
+        model = load_model(path)
+        model.weights[-1][:] *= 1e200
+        model.biases[-1][:] = 1e200
+        save_model(run / path.name, model)
+    codes = {}
+    for argv in (["uq", "tweedie"], ["uq", "onestep"], ["uq", "ensemble"],
+                 ["uq", "mc-dropout"], ["traj"], ["consistency", "--n", "4"],
+                 ["ablate-probes"]):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--config", str(ini), "--out", str(run)])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code in (0, 1, 2), argv
+        assert code == 0 or len(err) == 1, (argv, err)
+        assert "Warning" not in captured.out + captured.err, argv
+        codes[" ".join(argv[:2])] = code, err
+    for argv in ("uq ensemble", "uq mc-dropout", "consistency --n",
+                 "ablate-probes"):
+        code, err = codes[argv]
+        assert code == 2 and err[0].startswith("runtime failure: "), argv
 
 
 def test_oracle_check_rejects_image_task(tmp_path, capsys):

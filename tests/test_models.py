@@ -13,7 +13,7 @@ from flowvar.models import (AnalyticField, EvalCounter, MlpArch, MlpVelocity,
 from flowvar.numerics import RngState
 from flowvar.oracle import GmmSpec, optimal_velocity_batch
 
-from refs import finite_diff_jvp
+from refs import finite_diff_jvp, step_buffers
 
 
 def _model(dim=3, **kw):
@@ -60,7 +60,7 @@ def test_scalar_time_row_is_time_features_bit_for_bit(t, n_freq):
     m = _model(dim=2, n_freq=n_freq)
     x = np.array([0.25, -1.5])
     for xi in (x, x[None, :]):
-        feats = m.forward_cache(xi, t)[1]["inputs"][0]
+        feats = m.forward_cache(xi, t, None, step_buffers(m))[1]["inputs"][0]
         assert np.array_equal(feats, _concatenated_row(x, t, n_freq))
 
 
@@ -69,8 +69,9 @@ def test_euler_grid_rows_are_time_features_bit_for_bit(n_freq):
     m = _model(dim=2, n_freq=n_freq)
     x = np.array([0.25, -1.5])
     for t in np.arange(1000) / 1000:  # np.float64, as euler_generate steps
-        assert np.array_equal(m.forward_cache(x, t)[1]["inputs"][0],
-                              _concatenated_row(x, t, n_freq)), t
+        assert np.array_equal(
+            m.forward_cache(x, t, None, step_buffers(m))[1]["inputs"][0],
+            _concatenated_row(x, t, n_freq)), t
 
 
 def test_array_times_and_batches_keep_the_concatenated_rows():
@@ -82,8 +83,9 @@ def test_array_times_and_batches_keep_the_concatenated_rows():
     ts = g.uniform(0.01, 0.99, 5)
     for x, t in ((xs, ts), (xs, 0.37), (xs, np.float64(0.37)),
                  (x1, np.array([0.37])), (x1, np.asarray(0.37)), (x1, 0)):
-        assert np.array_equal(m.forward_cache(x, t)[1]["inputs"][0],
-                              _concatenated_row(x, t, 8)), t
+        assert np.array_equal(
+            m.forward_cache(x, t, None, step_buffers(m, 5))[1]["inputs"][0],
+            _concatenated_row(x, t, 8)), t
     # the whole pass: a scalar time and a one-element time array agree
     for t in (0.37, np.float64(0.37)):
         assert np.array_equal(m.velocity(x1, t),
@@ -126,14 +128,14 @@ def test_x_column_first_layer_is_the_zero_padded_pass(dim, n_freq, activation,
     if dim > 1:
         blocks += [(wide, signs[0]), (model(dim - 1), signs)]
     for m, u in blocks:
-        out, cache = m.forward_cache(x1, t1)
+        out, cache = m.forward_cache(x1, t1, None, step_buffers(m))
         assert m.velocity(x1[0], t1).tobytes() == out[0].tobytes()
         ju = m.jvp(x1[0], t1, u)
         ref = _padded_tangent(m, cache, np.atleast_2d(u))
         assert ju.tobytes() == (ref if u.ndim == 2 else ref[0]).tobytes()
     # jvp on a block of m >= d tangents, at d <= hidden, is u @ J^T
     jac = wide.jacobian(x1, t1)
-    _, cache = wide.forward_cache(x1, t1)
+    _, cache = wide.forward_cache(x1, t1, None, step_buffers(wide))
     for u in (signs[:dim], signs):
         ju = wide.jvp(x1[0], t1, u)
         assert np.array_equal(ju, u @ jac.T)
@@ -175,7 +177,7 @@ def test_one_row_pass_is_the_batch_one_arithmetic_bit_for_bit(dim, hidden,
         m = _model(dim=dim, hidden=hidden, depth=depth, activation=activation)
         m.params[:] = RngState(4).generator().standard_normal(m.n_params)
         m.params /= np.sqrt(m.arch.in_dim)
-        _, cache = m.forward_cache(x, 0.37)
+        _, cache = m.forward_cache(x, 0.37, None, step_buffers(m))
         for t in (0.37, np.float64(0.37)):
             v, jt = _reference_row(m, x, t)
             assert m.velocity(x, t).tobytes() == v.tobytes()
@@ -219,7 +221,8 @@ def test_one_row_pass_keeps_its_checks():
         warnings.simplefilter("error")
         v = m.velocity(x, 0.5)
         jac = m.jacobian(x, 0.5)
-    assert v.tobytes() == m.forward_cache(x, 0.5)[0][0].tobytes()
+    assert v.tobytes() == m.forward_cache(x, 0.5, None,
+                                          step_buffers(m))[0][0].tobytes()
     assert np.isfinite(jac).all()
 
 
@@ -236,7 +239,7 @@ def test_one_row_entry_takes_any_row_and_scalar_time(activation):
     u = g.choice([-1.0, 1.0], (5, 3))
     for xi in rows:
         for t in times:
-            ref = m.forward_cache(xi, t)[0][0]
+            ref = m.forward_cache(xi, t, None, step_buffers(m))[0][0]
             x64, t64 = np.ravel(np.asarray(xi, dtype=np.float64)), float(t)
             assert m.velocity(x64, t64).tobytes() == ref.tobytes(), (xi, t)
             assert (m.jvp(xi, t, u).tobytes()
@@ -251,7 +254,7 @@ def test_one_row_entry_takes_any_row_and_scalar_time(activation):
            (x, np.inf), (x, np.array(np.nan)), (x, np.float32(-np.inf)))
     for xi, t in bad:
         with pytest.raises(ModelError) as batch:
-            m.forward_cache(np.atleast_2d(xi), t)
+            m.forward_cache(np.atleast_2d(xi), t, None, step_buffers(m))
         for call in (lambda: m.velocity(xi, t), lambda: m.jacobian(xi, t),
                      lambda: m.jvp(xi, t, u)):
             with pytest.raises(ModelError) as one:
@@ -295,11 +298,24 @@ def test_init_deterministic_and_zero_field():
 
 
 def test_velocity_batch_matches_single():
-    m = _model()
-    xs = RngState(2).generator().standard_normal((5, 3))
-    batch = m.velocity(xs, 0.4)
-    for i in range(5):
-        assert np.allclose(batch[i], m.velocity(xs[i], 0.4), atol=1e-12)
+    """A batch's velocities are the training step's forward pass bit for
+    bit, at a scalar time and at one time per row; a batch of one row is
+    the row's velocity."""
+    g = RngState(2).generator()
+    for depth in (1, 2, 3):
+        for activation in ("tanh", "relu"):
+            m = _model(depth=depth, activation=activation)
+            m.params[:] = g.standard_normal(m.n_params) / 4.0
+            for rows in (1, 3, 64):
+                xs = g.standard_normal((rows, 3))
+                for t in (0.4, g.uniform(0.01, 0.99, rows)):
+                    batch = m.velocity(xs, t)
+                    ref = m.forward_cache(xs, t, None,
+                                          step_buffers(m, rows))[0]
+                    assert batch.tobytes() == ref.tobytes(), (depth, rows)
+                    if rows == 1:
+                        assert (m.velocity(xs[0], t).tobytes()
+                                == batch[0].tobytes())
 
 
 def test_velocity_rejects_wrong_dim():
@@ -350,8 +366,9 @@ def test_backward_gradients_match_finite_difference():
     x = g.standard_normal((4, 3))
     dout = g.standard_normal((4, 3))
 
-    out, cache = m.forward_cache(x, 0.45)
-    grads_w, grads_b = m.backward(cache, dout)
+    bufs = step_buffers(m, 4)
+    out, cache = m.forward_cache(x, 0.45, None, bufs)
+    grads_w, grads_b = m.backward(cache, dout, np.empty(m.n_params), bufs)
 
     def loss(model):
         return float((model.velocity(x, 0.45) * dout).sum())
@@ -378,7 +395,8 @@ def test_dropout_determinism_and_rate_zero():
         m.weights[-1].shape)
     x = RngState(7).generator().standard_normal(3)
     rows = np.stack([x] * 4)
-    for call in (lambda rng: m.forward_cache(rows, 0.5, rng)[0],
+    for call in (lambda rng: m.forward_cache(rows, 0.5, rng,
+                                             step_buffers(m, 4))[0],
                  lambda rng: m.dropout_velocities(x, 0.5, 4, rng)):
         a, b, c = call(RngState(9)), call(RngState(9)), call(RngState(10))
         assert np.array_equal(a, b)
@@ -389,8 +407,9 @@ def test_dropout_determinism_and_rate_zero():
     m0 = _model(dropout=0.0)
     m0.weights[-1][:] = RngState(20).generator().standard_normal(
         m0.weights[-1].shape)
-    assert np.array_equal(m0.forward_cache(rows, 0.5, RngState(9))[0],
-                          m0.forward_cache(rows, 0.5)[0])
+    assert np.array_equal(
+        m0.forward_cache(rows, 0.5, RngState(9), step_buffers(m0, 4))[0],
+        m0.forward_cache(rows, 0.5, None, step_buffers(m0, 4))[0])
     assert np.array_equal(m0.dropout_velocities(x, 0.5, 4, RngState(9)),
                           np.stack([m0.velocity(x, 0.5)] * 4))
 
@@ -403,8 +422,10 @@ def test_dropout_rng_must_be_a_state():
     for rate in (0.3, 0.0):
         m = _model(hidden=32, dropout=rate)
         for bad in (np.arange(5, dtype=np.uint64), [RngState(4)], 4):
-            for call in (lambda: m.forward_cache(np.stack([x] * 5), 0.6, bad),
-                         lambda: m.forward_cache(x, 0.6, bad)):
+            bufs = step_buffers(m, 5)
+            for call in (lambda: m.forward_cache(np.stack([x] * 5), 0.6, bad,
+                                                 bufs),
+                         lambda: m.forward_cache(x, 0.6, bad, bufs)):
                 with pytest.raises(ModelError, match=r"^dropout_rng must be "
                                    r"an RngState or None, got \w+$"):
                     call()
@@ -421,14 +442,15 @@ def test_dropout_rng_must_be_a_state():
 @pytest.mark.parametrize("rate", [0.15, 1.0 / 3.0, 0.5, 0.9])
 def test_dropout_masks_are_the_divided_keep_rule_bit_for_bit(rate):
     """The masks are ``(u < keep) / keep`` of one (depth, rows, hidden)
-    uniform draw, bit for bit, in fresh arrays and in step buffers."""
+    uniform draw, bit for bit, in a fresh block (as MC dropout's) and in
+    step buffers."""
     m = _model(dim=4, hidden=16, depth=3, dropout=rate)
     bufs = StepBuffers(m.arch, 10)
     keep = 1.0 - rate
     for rows in (10, 7, 1):
         ref = (RngState(rows).generator().random((3, rows, 16)) < keep) / keep
-        for b in (None, bufs):
-            got = np.stack(m._dropout_masks(rows, RngState(rows), b))
+        for u in (np.empty((3, rows, 16)), bufs.masks(rows)):
+            got = m._dropout_masks(RngState(rows), u)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
@@ -634,38 +656,42 @@ def test_from_params_rejects_a_wrong_vector():
 def test_backward_writes_into_a_flat_gradient_buffer():
     m = _model(dim=3, hidden=5)
     x = RngState(5).generator().standard_normal((4, 3))
-    out, cache = m.forward_cache(x, 0.3)
+    bufs = step_buffers(m, 4)
+    out, cache = m.forward_cache(x, 0.3, None, bufs)
     dout = np.ones_like(out)
-    d_ws, d_bs = m.backward(cache, dout)
+    d_ws, d_bs = m.backward(cache, dout, np.zeros(m.n_params), bufs)
     buf = np.full(m.n_params, np.nan)
-    b_ws, b_bs = m.backward(cache, dout, out=buf)
+    b_ws, b_bs = m.backward(cache, dout, buf, bufs)
     assert not np.isnan(buf).any()
     for a, b in zip(d_ws + d_bs, b_ws + b_bs):
         assert np.shares_memory(b, buf) and np.array_equal(a, b)
     with pytest.raises(ModelError, match="gradient buffer"):
-        m.backward(cache, dout, out=np.empty(m.n_params + 1))
+        m.backward(cache, dout, np.empty(m.n_params + 1), bufs)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("dropout", [0.0, 0.2])
 def test_step_buffers_give_the_bits_of_fresh_arrays(activation, dropout):
-    """A training pass written into buffers of 10 rows gives the bits of one
-    in fresh arrays, for a full batch and a short one, pass after pass."""
+    """A training pass written into buffers of 10 rows, and its gradients
+    into one vector, pass after pass, gives the bits of one in a fresh set
+    sized to its batch, for a full batch and a short one."""
     m = _model(dim=4, hidden=16, depth=3, activation=activation,
                dropout=dropout)
     m.weights[-1][:] = RngState(2).generator().standard_normal(
         m.weights[-1].shape)
     bufs = StepBuffers(m.arch, 10)
+    grad = np.empty(m.n_params)
     g = RngState(3).generator()
     for rows in (10, 7, 10):
         x, dout = g.standard_normal((2, rows, 4))
         t = g.uniform(0.1, 0.9, size=rows)
-        out, cache = m.forward_cache(x, t, RngState(rows))
-        ref = m.backward(cache, dout)
-        got_out, got_cache = m.forward_cache(x, t, RngState(rows), bufs=bufs)
-        got = m.backward(got_cache, dout, bufs=bufs)
+        fresh = step_buffers(m, rows)
+        out, cache = m.forward_cache(x, t, RngState(rows), fresh)
+        ref = m.backward(cache, dout, np.empty(m.n_params), fresh)
+        got_out, got_cache = m.forward_cache(x, t, RngState(rows), bufs)
+        got = m.backward(got_cache, dout, grad, bufs)
         assert got_out.tobytes() == out.tobytes()
         for a, b in zip(ref[0] + ref[1], got[0] + got[1]):
             assert a.tobytes() == b.tobytes()
     with pytest.raises(ModelError, match="buffers of 10 rows"):
-        m.forward_cache(np.zeros((11, 4)), 0.5, bufs=bufs)
+        m.forward_cache(np.zeros((11, 4)), 0.5, None, bufs)

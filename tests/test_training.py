@@ -18,7 +18,7 @@ from flowvar.training import (TrainConfig, TrainJob, TrainingError,
                               _batch_loss_and_grads, run_job, train,
                               train_ensemble, train_jobs)
 
-from refs import default_gmm_task
+from refs import default_gmm_task, step_buffers
 
 
 def _tiny_config(**kw):
@@ -86,7 +86,9 @@ def test_one_step_loss_runs_at_time_zero():
     x0 = g.standard_normal((8, 2))
     x1 = g.standard_normal((8, 2))
     # t None is the one-step objective: the model reads (x0, 0)
-    loss, gw, gb = _batch_loss_and_grads(m, x0, x1, None)
+    loss, gw, gb = _batch_loss_and_grads(m, x0, x1, None, None,
+                                         np.empty(m.n_params),
+                                         step_buffers(m, 8))
     assert np.isfinite(loss)
     assert len(gw) == len(m.weights)
 
@@ -163,9 +165,9 @@ def _reference_act_deriv(name, z, h):
     return (z > 0.0).astype(np.float64)
 
 
-def reference_backward(self, cache, dout, out=None, *, bufs=None):
-    """Per-layer gradients in fresh arrays, copied into ``out`` when given;
-    ``bufs`` is not used."""
+def reference_backward(self, cache, dout, out, bufs):
+    """Per-layer gradients in fresh arrays, copied into ``out``; ``bufs`` is
+    not used."""
     act = self.arch.activation
     masks = cache["masks"]
     d_ws = [None] * len(self.weights)
@@ -181,9 +183,8 @@ def reference_backward(self, cache, dout, out=None, *, bufs=None):
         d_bs[i] = dz.sum(axis=0)
         if i > 0:
             dh = dz @ self.weights[i]
-    if out is not None:
-        out[:] = np.concatenate([a.ravel() for wb in zip(d_ws, d_bs)
-                                 for a in wb])
+    out[:] = np.concatenate([a.ravel() for wb in zip(d_ws, d_bs)
+                             for a in wb])
     return d_ws, d_bs
 
 
@@ -303,11 +304,14 @@ def test_loss_gradients_match_the_allocating_reference():
     g = RngState(2).generator()
     x0, x1 = g.standard_normal((2, 40, 64))
     t = g.uniform(0.1, 0.9, size=40)
-    loss, d_ws, d_bs = _batch_loss_and_grads(model, x0, x1, t, RngState(3))
+    loss, d_ws, d_bs = _batch_loss_and_grads(model, x0, x1, t, RngState(3),
+                                             np.empty(model.n_params),
+                                             step_buffers(model, 40))
     out, cache = model.forward_cache(t[:, None] * x1 + (1.0 - t[:, None]) * x0,
-                                     t, RngState(3))
+                                     t, RngState(3), step_buffers(model, 40))
     resid = out - (x1 - x0)
-    ref_ws, ref_bs = reference_backward(model, cache, (2.0 / 40) * resid)
+    ref_ws, ref_bs = reference_backward(model, cache, (2.0 / 40) * resid,
+                                        np.empty(model.n_params), None)
     assert loss == float((resid * resid).sum() / 40)
     for a, b in zip(d_ws + d_bs, ref_ws + ref_bs):
         assert np.array_equal(a, b)
