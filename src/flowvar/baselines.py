@@ -38,7 +38,6 @@ class BaselineEstimate:
 
     diag: np.ndarray  # (d,), >= 0
     u: float  # sum of per-pixel variances
-    count: int  # members or passes
     floored = False
 
     @property
@@ -74,7 +73,7 @@ def _finish(means, xt, t):
     if not math.isfinite(u):
         raise BaselineError(f"variance of the posterior means is not finite "
                             f"at t = {t:g}")
-    return BaselineEstimate(diag=var, u=u, count=means.shape[0])
+    return BaselineEstimate(diag=var, u=u)
 
 
 def ensemble_uq(models, xt, t: float) -> BaselineEstimate:

@@ -7,36 +7,26 @@ global RNG anywhere.
 An ``RngState(seed, stream)`` is the stream of numpy's
 ``default_rng(SeedSequence(seed, spawn_key=(stream,)))``, and ``split(key)``
 is ``RngState(SeedSequence(seed, spawn_key=(stream, key))
-.generate_state(1, np.uint64)[0])``. Every stream takes one path to those
-bits:
-
-1. the entropy words SeedSequence assembles from the integers, as one uint32
-   array (``_entropy``);
-2. the mixed 4-word pool, from numpy's own ``SeedSequence(words).pool``;
-3. one output hash of the pool, in Python ints (``_hash_out``);
-4. for draws, PCG64's state set from those words on a per-thread bit
-   generator (``_seeded_pcg64``), then its raw output.
-
-Setting the state through numpy's public setter and drawing are the floor
-of each stream, about 3 and 2.3 us. Sibling streams are derived one at a
-time, one ``split`` or ``draw_rademacher`` call each.
+.generate_state(1, np.uint64)[0])``. Every stream starts from the entropy
+words SeedSequence assembles from the integers, as one uint32 array
+(``_entropy``). A draw hands them to numpy's own ``PCG64`` and reads its
+raw output; :meth:`RngState.generator` hands the same words to
+``default_rng``, which builds the same bit generator.
 
 ``RngState.split`` builds numpy's ``SeedSequence`` over a parent's entropy
 words once per parent: ``_parent_pool`` keeps the last few parents' mixed
 pools, keyed on the int (seed, stream), and each child's key word is mixed
-into that pool and hashed as Python ints (``_child_seed``). Keys, seeds or
-streams past one word, or past the 4-word seed pad, and keys or parents that
-are not Python ints take the whole derivation for every split. A draw builds
-one ``SeedSequence`` over its own stream's words; no Generator is built on
-the way, except by :meth:`RngState.generator`, which hands the same words to
-``default_rng``. The tests pin each path to numpy's ``SeedSequence`` and
-``default_rng``, bit for bit.
+into that pool and its one output word hashed as Python ints
+(``_child_seed``). Keys, seeds or streams past one word, or past the 4-word
+seed pad, and keys or parents that are not Python ints build a whole
+``SeedSequence`` for every split. Sibling streams are derived one at a
+time, one ``split`` or ``draw_rademacher`` call each. The tests pin each
+path to numpy's ``SeedSequence`` and ``default_rng``, bit for bit.
 """
 from __future__ import annotations
 
 import functools
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,21 +83,18 @@ class RngState:
             pool = _parent_pool(seed, stream)
             if pool is not None:
                 return RngState(_child_seed(pool, key))
-        (child,) = _hash_out(_seed_pool(seed, stream, key), 1)
-        return RngState(child)
+        seq = np.random.SeedSequence(_entropy(seed, stream, key))
+        return RngState(int(seq.generate_state(1, np.uint64)[0]))
 
 
 # ---- stream seeding ---------------------------------------------------------
-# numpy's SeedSequence (pool size 4) output hash and key mixing, and PCG64
-# seeding, in Python ints; constants from numpy's bit_generator and pcg64
-# sources.
+# numpy's SeedSequence (pool size 4) key mixing and first output word, in
+# Python ints; constants from numpy's bit_generator source.
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hashmix constants
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hash constants
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hash_consts(init: int, mult: int, n: int) -> list:
@@ -118,7 +105,7 @@ def _hash_consts(init: int, mult: int, n: int) -> list:
     return out
 
 
-_OUT_B = _hash_consts(_INIT_B, _MULT_B, 8)
+_OUT_B = _hash_consts(_INIT_B, _MULT_B, 2)
 _KEY_A = _hash_consts(_INIT_A, _MULT_A, 22)[20:]
 
 
@@ -157,12 +144,6 @@ def _entropy(seed, *spawn_key) -> np.ndarray:
     return np.array(out, dtype=np.uint32)
 
 
-def _seed_pool(seed, *spawn_key) -> list:
-    """The mixed pool of SeedSequence(seed, spawn_key=spawn_key), as 4 ints;
-    numpy mixes the words."""
-    return np.random.SeedSequence(_entropy(seed, *spawn_key)).pool.tolist()
-
-
 @functools.lru_cache(maxsize=32)
 def _parent_pool(seed: int, stream: int) -> tuple | None:
     """The mixed pool of SeedSequence(seed, spawn_key=(stream,)), as 4 ints,
@@ -177,60 +158,18 @@ def _parent_pool(seed: int, stream: int) -> tuple | None:
 def _child_seed(pool: tuple, key: int) -> int:
     """The seed of ``split(key)`` of the parent whose mixed pool is ``pool``,
     for a key below 2^32: the key word mixed into the pool, as SeedSequence
-    mixes the sixth entropy word (hash constants from 20), in Python ints.
-    The child's seed, ``_hash_out(pool, 1)``, reads pool words 0 and 1 only,
-    so only they are mixed."""
-    mixed = []
+    mixes the sixth entropy word (hash constants from 20), then the first
+    uint64 output word, low half first, all in Python ints. That word reads
+    pool words 0 and 1 only, so only they are mixed."""
+    halves = []
     for dst in range(2):
         h = (key ^ _KEY_A[dst]) * _KEY_A[dst + 1] & _MASK32
         h ^= h >> 16
         w = (pool[dst] * _MIX_L - h * _MIX_R) & _MASK32
-        mixed.append(w ^ w >> 16)
-    (child,) = _hash_out(mixed, 1)
-    return child
-
-
-def _hash_out(pool, k: int) -> list:
-    """``SeedSequence.generate_state(k, np.uint64)`` from one stream's mixed
-    pool of 4 words as ints, k <= 4, as a list of k ints."""
-    out = []
-    for j in range(0, 2 * k, 2):
-        # output word j reads pool word j % 4; a uint64 is two of them,
-        # low word first
-        lo = (pool[j % 4] ^ _OUT_B[j]) * _OUT_B[j + 1] & _MASK32
-        hi = (pool[j % 4 + 1] ^ _OUT_B[j + 1]) * _OUT_B[j + 2] & _MASK32
-        out.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
-    return out
-
-
-class _Pcg64(threading.local):
-    """One PCG64 per thread, reseeded for each stream by setting its state,
-    and the state dict it is set from."""
-
-    def __init__(self):
-        self.bitgen = np.random.PCG64(0)
-        self.pcg = {"state": 0, "inc": 0}
-        self.state = {"bit_generator": "PCG64", "state": self.pcg,
-                      "has_uint32": 0, "uinteger": 0}
-
-
-_PCG64 = _Pcg64()
-
-
-def _seeded_pcg64(words) -> np.random.PCG64:
-    """This thread's PCG64, seeded as numpy seeds it from four SeedSequence
-    output words: they are the 128-bit initstate and initseq, high half
-    first; ``inc = 2 initseq + 1``, and the state takes two LCG steps with
-    initstate added between them."""
-    state_hi, state_lo, seq_hi, seq_lo = words
-    local = _PCG64
-    pcg = local.pcg
-    inc = pcg["inc"] = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-    pcg["state"] = \
-        ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
-    bitgen = local.bitgen
-    bitgen.state = local.state
-    return bitgen
+        w ^= w >> 16
+        h = (w ^ _OUT_B[dst]) * _OUT_B[dst + 1] & _MASK32
+        halves.append(h ^ h >> 16)
+    return halves[0] | halves[1] << 32
 
 
 @dataclass(frozen=True)
@@ -294,8 +233,8 @@ def draw_rademacher(rng: RngState, d: int, s: int) -> ProbeSet:
     """
     _check_probe_shape(d, s)
     n = s * d
-    words = _hash_out(_seed_pool(rng.seed, rng.stream), 4)
-    raw = _seeded_pcg64(words).random_raw((n + 1) // 2)
+    bitgen = np.random.PCG64(_entropy(rng.seed, rng.stream))
+    raw = bitgen.random_raw((n + 1) // 2)
     return ProbeSet._of_signs(_signs(raw, n).reshape(s, d), rng)
 
 

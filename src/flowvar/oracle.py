@@ -165,7 +165,6 @@ class PosteriorOracle:
 
     mean: np.ndarray  # (d,)
     covariance: np.ndarray  # (d, d), symmetric PSD
-    responsibilities: np.ndarray  # (K,), sums to 1
 
 
 def _component_system(spec: GmmSpec, t: float):
@@ -289,8 +288,8 @@ def gmm_posterior_batch(spec: GmmSpec, xts: np.ndarray, t: float):
 def gmm_posterior(spec: GmmSpec, xt: np.ndarray, t: float) -> PosteriorOracle:
     """Exact posterior of the mixture at a single point."""
     xt = np.asarray(xt, dtype=np.float64).reshape(-1)
-    means, covs, resp = gmm_posterior_batch(spec, xt[None, :], t)
-    return PosteriorOracle(mean=means[0], covariance=covs[0], responsibilities=resp[0])
+    means, covs, _ = gmm_posterior_batch(spec, xt[None, :], t)
+    return PosteriorOracle(mean=means[0], covariance=covs[0])
 
 
 def posterior_mean_jacobian(spec: GmmSpec, xts: np.ndarray, t: float) -> np.ndarray:

@@ -13,9 +13,7 @@ __all__ = [
 
 
 class SamplerError(RuntimeError):
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    pass
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,8 @@ def euler_generate(field, x0, steps: int, t0: float = 0.0,
     """Integrate x' = v(x, t) with N uniform Euler steps from t0 to t1.
 
     x0 may be a single state (d,) or a batch (n, d); batches share the time
-    grid and advance together. A non-finite state aborts with the partial
-    trajectory attached to the error.
+    grid and advance together. A non-finite state aborts with an error
+    naming its step and time.
     """
     if steps < 1:
         raise SamplerError("steps must be >= 1")
@@ -75,10 +73,7 @@ def euler_generate(field, x0, steps: int, t0: float = 0.0,
         if counter is not None:
             counter.sampler_steps += 1
         if not np.all(np.isfinite(x)):
-            partial = Trajectory(times[: k + 1], np.stack(states), steps=steps)
             raise SamplerError(
-                f"non-finite state at step {k + 1} (t={times[k + 1]:.4f})",
-                partial=partial,
-            )
+                f"non-finite state at step {k + 1} (t={times[k + 1]:.4f})")
         states.append(x)
     return Trajectory(times=times, states=np.stack(states), steps=steps)

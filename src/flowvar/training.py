@@ -6,9 +6,10 @@ Both objectives are plain velocity regressions:
     fm:        mean ||v(x_t, t) - (x1 - x0)||^2,  x_t = t x1 + (1-t) x0
     one-step:  mean ||v(x0, 0) - (x1 - x0)||^2
 
-with AdamW (decoupled weight decay, beta 0.9/0.999, eps 1e-8) and an optional
-cosine learning-rate schedule. Data is regenerated from the seed stream every
-epoch, so the run is fully determined by (task, config, initial parameters).
+with AdamW (decoupled weight decay, beta 0.9/0.999, eps 1e-8) and one
+cosine learning-rate schedule, from ``learning_rate`` toward 0. Data is
+regenerated from the seed stream every epoch, so the run is fully
+determined by (task, config, initial parameters).
 
 A run holds one batch of pairs at a time: each epoch's pairs come from the
 task's ``pair_batches`` stream, with the bits of ``sample_pairs`` over the
@@ -58,13 +59,7 @@ MAX_BATCH_SIZE = 4096
 
 
 class TrainingError(RuntimeError):
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-    def __reduce__(self):
-        # keeps the partial report when a worker process sends the error back
-        return type(self), (str(self), self.report)
+    pass
 
 
 @dataclass(frozen=True)
@@ -231,15 +226,6 @@ def _chunked_loss(model, batches, n: int) -> float:
     return total / n
 
 
-def _drained_loss(batches, total: float, n: int) -> float:
-    """A fresh model's initial loss from the running ``total`` of the
-    batches its steps drew, adding those they did not (after a
-    divergence)."""
-    for x0, x1, _ in batches:
-        total += _square_sum(x1 - x0)
-    return total / n
-
-
 def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
     """Run the configured objective over freshly sampled pairs each epoch.
 
@@ -277,14 +263,8 @@ def train(model: MlpVelocity, task, config: TrainConfig) -> TrainReport:
             loss, _, _ = _batch_loss_and_grads(model, x0, x1, t, drop, grad,
                                                bufs)
             if loss > 1e6:
-                if total is not None:
-                    initial_loss = _drained_loss(batches, total, n)
-                partial = TrainReport(tuple(epoch_losses), initial_loss,
-                                      time.perf_counter() - t0, model.checksum())
                 raise TrainingError(
-                    f"training diverged at epoch {epoch} step {k}: loss {loss:.3e}",
-                    report=partial,
-                )
+                    f"training diverged at epoch {epoch} step {k}: loss {loss:.3e}")
             opt.step(params, grad, _lr_at(config, step, total_steps))
             losses.append(loss)
             step += 1

@@ -80,8 +80,9 @@ def test_streams_are_numpys_own_seedsequence_and_default_rng(seed, stream, key,
 
 
 def test_threads_drawing_at_once_get_the_bits_of_a_serial_run():
-    """Each thread draws on its own reseeded bit generator, so probes drawn
-    on several threads at once are those of a serial run."""
+    """Each draw builds its own bit generator and shares no state with other
+    calls, so probes drawn on several threads at once are those of a serial
+    run."""
     roots = [RngState(11, 0), RngState(2**70 + 3, 5), RngState(0, 2**33)]
     n = 200
 
@@ -101,7 +102,7 @@ def test_threads_drawing_at_once_get_the_bits_of_a_serial_run():
     threads = [threading.Thread(target=worker, args=(k,))
                for k in range(len(roots))]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads between set and draw
+    sys.setswitchinterval(1e-6)  # switch threads between seeding and draw
     try:
         for th in threads:
             th.start()

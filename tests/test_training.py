@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -93,17 +94,13 @@ def test_one_step_loss_runs_at_time_zero():
     assert len(gw) == len(m.weights)
 
 
-def test_divergence_aborts_with_partial_report():
+def test_divergence_aborts_at_its_epoch_and_step():
     task = default_gmm_task()
     model = MlpVelocity.init(MlpArch(dim=2), RngState(1))
     with pytest.raises(TrainingError, match="at epoch 0") as exc:
         train(model, task, _tiny_config(epochs=10, learning_rate=1e8))
-    assert exc.value.report is not None
-    assert len(exc.value.report.epoch_losses) < 10
-    # the initial loss still covers all of epoch 0, as without a divergence
-    fresh = MlpVelocity.init(MlpArch(dim=2), RngState(1))
-    assert exc.value.report.initial_loss == train(
-        fresh, task, _tiny_config(epochs=1, learning_rate=0.0)).initial_loss
+    assert re.fullmatch(r"training diverged at epoch 0 step \d+: loss \S+",
+                        str(exc.value))
 
 
 def test_ensemble_members_are_distinct(gmm_ensemble):
@@ -467,7 +464,7 @@ def test_workers_run_one_blas_thread():
         assert os.listdir(f"/proc/{pid}/task") == [str(pid)]
 
 
-def test_worker_training_error_keeps_message_and_partial_report():
+def test_worker_training_error_keeps_its_type_and_message():
     task = default_gmm_task()
     jobs = _mixed_jobs()
     jobs[1] = replace(jobs[1], config=replace(jobs[1].config, epochs=10,
@@ -478,13 +475,9 @@ def test_worker_training_error_keeps_message_and_partial_report():
             _train_on(workers, task, jobs)
         errors.append(exc.value)
     local, remote = errors
-    assert type(remote) is TrainingError
+    assert type(remote) is type(local) is TrainingError
     assert str(remote) == str(local)
-    assert remote.report is not None
-    assert (remote.report.epoch_losses, remote.report.initial_loss,
-            remote.report.checksum) == (local.report.epoch_losses,
-                                        local.report.initial_loss,
-                                        local.report.checksum)
+    assert "diverged at epoch" in str(local)
     # the workers stay in use
     pids = _worker_pids()
     _same_training(_train_on(2, task, jobs[2:]),
