@@ -85,10 +85,7 @@ from .data import (
     parse_idx,
 )
 from .reporting import (
-    CostEntry,
-    CostLedger,
     ReportError,
-    cost_report,
     write_csv,
     write_pgm,
     write_uq_map,

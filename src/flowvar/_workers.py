@@ -87,7 +87,7 @@ class _Worker:
             return reply
         report, raw = reply
         params = np.frombuffer(bytearray(raw), dtype=np.float64)
-        return MlpVelocity.from_params(arch, params), report
+        return MlpVelocity(arch, params), report
 
     def stop(self, kill: bool) -> None:
         if kill:

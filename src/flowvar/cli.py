@@ -27,8 +27,7 @@ from .models import (EvalCounter, ModelError, ModelField, MlpVelocity,
                      analytic_handle, load_model, save_model)
 from .numerics import NumericsError, RngState, draw_rademacher
 from .oracle import OracleError, gmm_posterior
-from .reporting import (CostLedger, ReportError, cost_report, write_csv,
-                        write_uq_map)
+from .reporting import ReportError, write_csv, write_uq_map
 from .sampler import SamplerError, euler_generate
 from .training import TrainJob, TrainingError, ensemble_jobs, train_jobs
 from .uq import UqError, cov_closed_form, prior_baseline, shift_time_grid, \
@@ -43,6 +42,24 @@ MAX_REPLICATES = 4096
 MAX_SAMPLES = 4096  # consistency --n
 # the fm model is also the reference of traj, consistency and ablate-probes
 _FM = METHODS["tweedie-fm"]
+
+# The key of every stream split off the master RngState(seed): each method's
+# (init, train) pair (an ensemble has no init key of its own: ensemble_jobs
+# derives each member's from the train stream), then the draws of the
+# evaluation commands. perfbench/worker.py repeats these keys by value.
+STREAMS = {
+    "tweedie-fm": (1, 2),
+    "tweedie-onestep": (3, 4),
+    "mc-dropout": (5, 6),
+    "ensemble": (None, 7),
+    "eval-states": 8,  # uq and oracle-check states
+    "probes": 9,  # uq and oracle-check probes; cost reuses them
+    "traj-start": 10,
+    "traj-probes": 11,
+    "consistency": 12,
+    "ablate": 13,
+    "cost-states": 14,
+}
 
 
 class _UsageError(Exception):
@@ -147,13 +164,14 @@ def _require_model(cfg: ExperimentConfig, name: str, dim: int) -> MlpVelocity:
     return model
 
 
-def _master(cfg: ExperimentConfig) -> RngState:
-    return RngState(cfg.seed)
+def _stream(cfg: ExperimentConfig, name: str) -> RngState:
+    """The stream ``STREAMS[name]`` of the master seed."""
+    return RngState(cfg.seed).split(STREAMS[name])
 
 
 def _members(cfg: ExperimentConfig, m: Method):
     """(model file stem, training CSV label) of each model of ``m``."""
-    if m.streams[0] is not None:
+    if STREAMS[m.name][0] is not None:
         return [(m.file, m.row)]
     return [(f"{m.file}_{i}", f"{m.row}{i}")
             for i in range(cfg.ensemble_members)]
@@ -161,8 +179,8 @@ def _members(cfg: ExperimentConfig, m: Method):
 
 def _method_jobs(cfg: ExperimentConfig, task, m: Method) -> list:
     """The training job of each model of ``m``, from its streams."""
-    master = _master(cfg)
-    init_key, train_key = m.streams
+    master = RngState(cfg.seed)
+    init_key, train_key = STREAMS[m.name]
     arch = cfg.build_arch(task.dim, cfg.dropout_rate if m.dropout else None)
     config = cfg.train_config(seed=master.split(train_key),
                               objective=m.objective)
@@ -227,7 +245,7 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
 
 
 def _eval_states(cfg, task, t_grid):
-    x0s, x1s = task.sample_pairs(_master(cfg).split(8), N_EVAL_POINTS)
+    x0s, x1s = task.sample_pairs(_stream(cfg, "eval-states"), N_EVAL_POINTS)
     return x0s, x1s, {t: t * x1s + (1.0 - t) * x0s for t in t_grid}
 
 
@@ -250,7 +268,7 @@ def cmd_uq(args, cfg: ExperimentConfig) -> int:
     x0s, _, states = _eval_states(cfg, task, t_grid)
     estimate = m.bind(cfg, _load_fields(cfg, m, task.dim)).estimate
     _make_out(cfg)
-    probe_rng = _master(cfg).split(9)
+    probe_rng = _stream(cfg, "probes")
     # a one-step model reads x0 once, at t = epsilon, and its map is untagged
     grid = ([(cfg.epsilon, x0s, "")] if m.reads_x0 else
             [(t, states[t], f"_t{ti}") for ti, t in enumerate(t_grid)])
@@ -280,11 +298,11 @@ def cmd_oracle_check(args, cfg: ExperimentConfig) -> int:
         raise ConfigError("oracle-check needs a gmm task")
     spec = task.spec
     field = analytic_handle(spec)
-    master = _master(cfg)
+    probe_rng = _stream(cfg, "probes")
     _, _, states = _eval_states(cfg, task, cfg.t_grid)
     worst = 0.0
     for ti, t in enumerate(cfg.t_grid):
-        point_rng = master.split(9).split(ti)
+        point_rng = probe_rng.split(ti)
         for i, xt in enumerate(states[t]):
             probes = draw_rademacher(point_rng.split(i), spec.dim, cfg.probes)
             est = cov_closed_form(field, xt, t, probes, materialize_full=True)
@@ -314,12 +332,11 @@ def cmd_traj(args, cfg: ExperimentConfig) -> int:
     task = cfg.build_task()
     field = _load_fields(cfg, _FM, task.dim)[0]
     _make_out(cfg)
-    master = _master(cfg)
-    x0 = master.split(10).generator().standard_normal(task.dim)
+    x0 = _stream(cfg, "traj-start").generator().standard_normal(task.dim)
     traj = euler_generate(field, x0, TRAJ_STEPS)
     node_times, node_states = traj.at(shift_time_grid(TRAJ_GRID))
     series = trajectory_uq(field, node_states, node_times, cfg.probes,
-                           master.split(11))
+                           _stream(cfg, "traj-probes"))
     rows = []
     for k, (t, est) in enumerate(series.entries):
         lo, hi = _maybe_map(task, est, cfg.out / f"traj_map_{k}.pgm")
@@ -349,7 +366,7 @@ def cmd_consistency(args, cfg: ExperimentConfig) -> int:
         for name in cfg.methods}
     _make_out(cfg)
     results = consistency_protocol(reference, methods, task, cfg.t_grid,
-                                   args.noise, _master(cfg).split(12),
+                                   args.noise, _stream(cfg, "consistency"),
                                    n_samples=args.n)
     fmt = lambda v: "" if v is None else v
     rows = [(r.method, r.t, cfg.seed, getattr(cfg, METHODS[r.method].size),
@@ -381,16 +398,16 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
     task = cfg.build_task()
     field = _load_fields(cfg, _FM, task.dim)[0]
     _make_out(cfg)
-    master = _master(cfg)
+    ablate_rng = _stream(cfg, "ablate")
     t = 0.5
-    x0s, x1s = task.sample_pairs(master.split(13).split(0), 1)
+    x0s, x1s = task.sample_pairs(ablate_rng.split(0), 1)
     xt = (t * x1s + (1.0 - t) * x0s)[0]
     rows = []
     for si, s in enumerate(s_values):
         estimate = _FM.bind(dataclasses.replace(cfg, probes=s),
                             [field]).estimate
         us = []
-        replicate_rng = master.split(13).split(1).split(si)
+        replicate_rng = ablate_rng.split(1).split(si)
         for r in range(args.replicates):
             est = estimate(xt, t, replicate_rng.split(r))
             rows.append((_FM.name, t, cfg.seed, s, r, est.u,
@@ -412,45 +429,64 @@ def cmd_ablate(args, cfg: ExperimentConfig) -> int:
 
 def cmd_cost(args, cfg: ExperimentConfig) -> int:
     """Train every configured method's models, then evaluate each method
-    with instrumentation.
+    with instrumentation; write the counts to cost.csv and the seconds to
+    cost_summary.txt.
 
     Training cost counts one forward pass per seen sample (backward passes
     ride along with a constant factor and are omitted from counts; wall-clock
-    includes them either way). The ledger books each model's own training
-    seconds, whatever ran beside it; the wall time of training them all goes
-    only into cost_summary.txt.
+    includes them either way). A method's training seconds are its own
+    models', whatever ran beside them; the wall time of training them all
+    is the summary's last line. Ratios compare each method's total with the
+    reference: tweedie-fm when configured, otherwise the cheapest method by
+    counts.
     """
     task = cfg.build_task()
     _make_out(cfg)
-    ledger = CostLedger()
-    master = _master(cfg)
     train_equiv = cfg.training.epochs * cfg.training.pairs_per_epoch
     t = 0.5
-    x0s, x1s = task.sample_pairs(master.split(14), 4)
+    x0s, x1s = task.sample_pairs(_stream(cfg, "cost-states"), 4)
     xts = t * x1s + (1.0 - t) * x0s
+    # every method draws from uq's probe key: only the counts are kept
+    probe_rng = _stream(cfg, "probes")
 
     methods = [METHODS[name] for name in cfg.methods]
     t0 = time.perf_counter()
     trained = _train_methods(cfg, task, methods)
     train_wall = time.perf_counter() - t0
+    costs = []  # (method, train count, inference count, train s, inference s)
     for m, (models, reports) in zip(methods, trained):
-        ledger.add_training(m.name, sum(r.seconds for r in reports),
-                            len(models) * train_equiv)
         counter = EvalCounter()
         run = m.bind(cfg, [ModelField(model, counter) for model in models])
         t0 = time.perf_counter()
-        # every method draws from uq's probe key: only the counts are kept
         for i, x in enumerate(x0s if m.reads_x0 else xts):
-            run(x, t, master.split(9).split(i))
-        ledger.add_inference(m.name, time.perf_counter() - t0,
-                             counter.forward_equivalents)
+            run(x, t, probe_rng.split(i))
+        costs.append((m.name, len(models) * train_equiv,
+                      counter.forward_equivalents,
+                      sum(r.seconds for r in reports),
+                      time.perf_counter() - t0))
 
-    rows = cost_report(ledger, cfg.out)
-    with open(cfg.out / "cost_summary.txt", "a", encoding="utf-8") as fh:
-        fh.write(f"training wall time, all models: {train_wall:.3f}s\n")
-    for method, _, _, total, ratio in rows:
-        print(f"{method}: {total} forward-equivalents "
-              f"({ratio:.3g}x reference)")
+    counts = {name: train + infer for name, train, infer, _, _ in costs}
+    seconds = {name: train + infer for name, _, _, train, infer in costs}
+    reference = ("tweedie-fm" if "tweedie-fm" in counts
+                 else min(counts, key=counts.get))
+    rows = [(name, train, infer, counts[name],
+             counts[name] / counts[reference])
+            for name, train, infer, _, _ in costs]
+    write_csv(cfg.out / "cost.csv", "cost",
+              ["method", "train_equivalents", "infer_equivalents",
+               "total_equivalents", f"count_ratio_vs_{reference}"], rows)
+    lines = [f"wall-clock cost summary (reference: {reference})"]
+    lines += [f"{name}: train {train:.3f}s + inference {infer:.3f}s = "
+              f"{seconds[name]:.3f}s" for name, _, _, train, infer in costs]
+    if seconds[reference] > 0:
+        lines += [f"ratio({name} / {reference}) = "
+                  f"{seconds[name] / seconds[reference]:.1f}x wall-clock"
+                  for name in seconds if name != reference]
+    lines.append(f"training wall time, all models: {train_wall:.3f}s")
+    (cfg.out / "cost_summary.txt").write_text("\n".join(lines) + "\n",
+                                              encoding="utf-8")
+    for name, _, _, total, ratio in rows:
+        print(f"{name}: {total} forward-equivalents ({ratio:.3g}x reference)")
     return 0
 
 

@@ -174,9 +174,11 @@ def _validate(cfg: ExperimentConfig):
     check_seed(cfg.seed)
     if not cfg.methods:
         raise ConfigError("[methods] use names no method")
-    for m in cfg.methods:
+    for i, m in enumerate(cfg.methods):
         if m not in METHODS:
             raise ConfigError(f"unknown method: {m!r}")
+        if m in cfg.methods[:i]:
+            raise ConfigError(f"[methods] use names {m} twice")
     if not 1 <= cfg.probes <= MAX_PROBES:
         raise ConfigError(f"probe count must be positive and at most "
                           f"{MAX_PROBES}, got {cfg.probes}")

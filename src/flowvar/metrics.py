@@ -183,9 +183,7 @@ def dropout_method(model, passes: int):
 class Method:
     """How one uncertainty method is trained, stored, run and reported.
 
-    ``streams`` are the master-stream keys (init, train). An ensemble has
-    no init key of its own (``ensemble_jobs`` derives each member's from the
-    train stream), keeps one model file ``{file}_{i}`` per member and labels
+    An ensemble keeps one model file ``{file}_{i}`` per member and labels
     their training rows ``{row}{i}``. ``size`` names the config field
     written in the S column. ``bind(cfg, fields)`` returns the method's
     runner on its loaded velocity fields.
@@ -197,7 +195,6 @@ class Method:
     row: str  # training CSV label
     file: str  # model file stem
     objective: str
-    streams: tuple
     dropout: bool  # trained at the configured dropout rate
     size: str
     bind: Callable
@@ -210,20 +207,19 @@ class Method:
 
 METHODS = {m.name: m for m in (
     Method(name="tweedie-fm", uq="tweedie", variant="fm", row="fm",
-           file="fm", objective="fm", streams=(1, 2), dropout=False,
-           size="probes",
+           file="fm", objective="fm", dropout=False, size="probes",
            bind=lambda cfg, fields: tweedie_method(fields[0], cfg.probes)),
     Method(name="tweedie-onestep", uq="onestep", variant="one-step",
            row="one-step", file="onestep", objective="one-step",
-           streams=(3, 4), dropout=False, size="probes",
+           dropout=False, size="probes",
            bind=lambda cfg, fields: one_step_method(fields[0], cfg.probes,
                                                     cfg.epsilon)),
     Method(name="ensemble", uq="ensemble", variant="ensemble", row="member",
-           file="member", objective="fm", streams=(None, 7),
-           dropout=False, size="ensemble_members",
+           file="member", objective="fm", dropout=False,
+           size="ensemble_members",
            bind=lambda cfg, fields: ensemble_method(fields)),
     Method(name="mc-dropout", uq="mc-dropout", variant="fm", row="fm-dropout",
-           file="dropout", objective="fm", streams=(5, 6), dropout=True,
+           file="dropout", objective="fm", dropout=True,
            size="dropout_passes",
            bind=lambda cfg, fields: dropout_method(fields[0],
                                                    cfg.dropout_passes)),

@@ -231,30 +231,14 @@ class MlpVelocity:
     hand-rolled tangent pass auditable.
     """
 
-    def __init__(self, arch: MlpArch, weights, biases):
-        shapes = arch.layer_shapes()
-        if len(weights) != len(shapes) or len(biases) != len(shapes):
-            raise ModelError("wrong number of parameter arrays")
-        for w, b, s in zip(weights, biases, shapes):
-            if w.shape != s or b.shape != (s[0],):
-                raise ModelError(f"parameter shape mismatch: {w.shape} vs {s}")
-        self._adopt(arch, np.concatenate(
-            [np.ravel(a) for wb in zip(weights, biases) for a in wb]
-        ).astype(np.float64, copy=False))
-
-    @classmethod
-    def from_params(cls, arch: MlpArch, params: np.ndarray) -> "MlpVelocity":
-        """Wrap a flat float64 vector in container order, without a copy."""
+    def __init__(self, arch: MlpArch, params: np.ndarray):
+        """Wrap ``params``, a flat float64 vector in container order,
+        without a copy."""
         if (not isinstance(params, np.ndarray) or params.dtype != np.float64
                 or params.shape != (arch.n_params,)
                 or not params.flags.c_contiguous):
             raise ModelError(f"need a contiguous float64 vector of "
                              f"{arch.n_params} parameters")
-        model = cls.__new__(cls)
-        model._adopt(arch, params)
-        return model
-
-    def _adopt(self, arch: MlpArch, params: np.ndarray) -> None:
         self.arch = arch
         self.params = params
         self.weights, self.biases = _layer_views(params, arch)
@@ -273,16 +257,14 @@ class MlpVelocity:
         with a zero output head, so the initial field is identically zero."""
         g = rng.generator()
         gain = 2.0 if arch.activation == "relu" else 1.0
-        weights, biases = [], []
-        for rows, cols in arch.layer_shapes():
-            std = np.sqrt(gain / cols)
-            weights.append(g.standard_normal((rows, cols)) * std)
-            biases.append(np.zeros(rows))
-        weights[-1][:] = 0.0
-        return MlpVelocity(arch, weights, biases)
+        params = np.zeros(arch.n_params)
+        weights, _ = _layer_views(params, arch)
+        for w in weights[:-1]:  # the head, drawn last, stays zero
+            w[...] = g.standard_normal(w.shape) * np.sqrt(gain / w.shape[1])
+        return MlpVelocity(arch, params)
 
     def copy(self) -> "MlpVelocity":
-        return MlpVelocity.from_params(self.arch, self.params.copy())
+        return MlpVelocity(self.arch, self.params.copy())
 
     @property
     def n_params(self) -> int:
@@ -707,4 +689,4 @@ def load_model(path) -> MlpVelocity:
     if len(blob) - off > size:
         raise ModelError("trailing bytes after parameter block")
     params = np.frombuffer(blob, dtype="<f8", count=arch.n_params, offset=off)
-    return MlpVelocity.from_params(arch, params.astype(np.float64))
+    return MlpVelocity(arch, params.astype(np.float64))

@@ -1,14 +1,16 @@
 """Shared fixtures: tasks and fully trained models, built once per session.
 
 Training is deterministic given the seed streams, so every test sees the
-same models. Each model takes its objective and its (init, train) stream
-keys from the library's method table, as the CLI does, so fixtures and CLI runs train alike. The
-models of one task train together as one ``train_jobs`` list, on as many
-worker processes as there are usable CPUs.
+same models. Each model takes its objective from the library's method table
+and its (init, train) stream keys from the CLI's stream table, as the CLI
+does, so fixtures and CLI runs train alike. The models of one task train
+together as one ``train_jobs`` list, on as many worker processes as there
+are usable CPUs.
 """
 import numpy as np
 import pytest
 
+from flowvar.cli import STREAMS
 from flowvar.data import GmmTask, ImageTask
 from flowvar.metrics import METHODS
 from flowvar.models import MlpArch
@@ -20,7 +22,7 @@ from refs import default_gmm_task
 
 
 def _job(arch, method, **overrides):
-    init_key, train_key = METHODS[method].streams
+    init_key, train_key = STREAMS[method]
     master = RngState(0)
     return TrainJob(arch, master.split(init_key),
                     TrainConfig(seed=master.split(train_key),
@@ -30,7 +32,7 @@ def _job(arch, method, **overrides):
 
 def _train_models(task, dim):
     """fm, its dropout twin and 5 ensemble members, trained together."""
-    seed = RngState(0).split(METHODS["ensemble"].streams[1])
+    seed = RngState(0).split(STREAMS["ensemble"][1])
     pairs = train_jobs(task, [
         _job(MlpArch(dim=dim), "tweedie-fm"),
         _job(MlpArch(dim=dim, dropout=0.15), "mc-dropout"),

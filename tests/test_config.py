@@ -83,6 +83,17 @@ def test_value_validation():
                          f"subsample = {value}\n")
 
 
+@pytest.mark.parametrize("use, twice", [
+    ("tweedie-fm tweedie-fm", "tweedie-fm"),
+    ("ensemble tweedie-fm ensemble", "ensemble"),
+    ("mc-dropout ensemble ensemble mc-dropout", "ensemble")])
+def test_a_method_named_twice_is_refused(use, twice):
+    # cost would train its models twice and book them as one method
+    with pytest.raises(ConfigError,
+                       match=rf"^\[methods\] use names {twice} twice$"):
+        parse_config(f"[methods]\nuse = {use}\n")
+
+
 @pytest.mark.parametrize("section, key, top", [
     ("model", "hidden", MAX_HIDDEN), ("model", "depth", MAX_DEPTH),
     ("model", "n_freq", MAX_N_FREQ), ("training", "epochs", MAX_EPOCHS),

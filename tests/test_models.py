@@ -607,7 +607,7 @@ def test_layer_arrays_are_views_of_the_flat_vector():
     assert c.checksum() == m.checksum()
     # what a pass reads (tangent views, clock) follows in-place writes too
     m.params[:] = RngState(21).generator().standard_normal(m.n_params) / 4
-    fresh = MlpVelocity.from_params(m.arch, m.params.copy())
+    fresh = MlpVelocity(m.arch, m.params.copy())
     x, u = np.array([0.5, 0.1, -0.4]), RngState(22).generator().choice(
         [-1.0, 1.0], (8, 3))
     for t in (0.37, np.array([0.37])):
@@ -648,9 +648,9 @@ def test_from_params_rejects_a_wrong_vector():
     for bad in (np.zeros(arch.n_params - 1), np.zeros(arch.n_params, np.float32),
                 np.zeros((arch.n_params, 2))[:, 0], [0.0] * arch.n_params):
         with pytest.raises(ModelError, match="parameters"):
-            MlpVelocity.from_params(arch, bad)
+            MlpVelocity(arch, bad)
     flat = np.arange(arch.n_params, dtype=np.float64)
-    assert MlpVelocity.from_params(arch, flat).params is flat
+    assert MlpVelocity(arch, flat).params is flat
 
 
 def test_backward_writes_into_a_flat_gradient_buffer():

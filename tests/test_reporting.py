@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from flowvar.reporting import (SCHEMA_VERSION, CostLedger, ReportError,
-                               cost_report, format_float, write_csv,
-                               write_pgm, write_uq_map)
+from flowvar.reporting import (SCHEMA_VERSION, ReportError, format_float,
+                               write_csv, write_pgm, write_uq_map)
 
 from refs import read_pgm
 
@@ -114,58 +113,3 @@ def test_uq_map_reads_estimate_attributes(tmp_path):
         write_uq_map(np.zeros(5), 2, "per-frame", tmp_path / "f.pgm")
     with pytest.raises(ReportError, match="reversed"):
         write_uq_map(np.zeros(4), 2, (1.0, 0.0), tmp_path / "f.pgm")
-
-
-def test_ledger_accumulates_and_totals():
-    ledger = CostLedger()
-    ledger.add_training("m", 1.5, 1000)
-    ledger.add_training("m", 0.5, 200)
-    ledger.add_inference("m", 0.25, 64)
-    e = ledger.entries["m"]
-    assert e.train_equivalents == 1200
-    assert e.infer_equivalents == 64
-    assert e.total_equivalents == 1264
-    assert e.total_seconds == pytest.approx(2.25)
-    with pytest.raises(ReportError, match="nonnegative"):
-        ledger.add_inference("m", -1.0, 5)
-    with pytest.raises(ReportError, match="nonnegative"):
-        CostLedger().add_training("x", 0.0, -3)
-
-
-def test_cost_report_counts_in_csv_seconds_in_txt(tmp_path):
-    ledger = CostLedger()
-    ledger.add_training("tweedie-fm", 2.0, 1000)
-    ledger.add_inference("tweedie-fm", 0.1, 50)
-    ledger.add_training("ensemble", 10.0, 5000)
-    ledger.add_inference("ensemble", 0.2, 5)
-    rows = cost_report(ledger, tmp_path)
-    csv = (tmp_path / "cost.csv").read_text()
-    header = csv.splitlines()[0]
-    assert "count_ratio_vs_tweedie-fm" in header
-    assert "seconds" not in csv
-    by_method = {r[0]: r for r in rows}
-    assert by_method["ensemble"][4] == pytest.approx(5005 / 1050)
-    txt = (tmp_path / "cost_summary.txt").read_text()
-    assert "wall-clock" in txt
-    assert "ensemble" in txt and "tweedie-fm" in txt
-
-
-def test_cost_report_is_deterministic_despite_timing(tmp_path):
-    def build(seconds):
-        ledger = CostLedger()
-        ledger.add_training("a", seconds, 100)
-        ledger.add_inference("b", seconds * 2, 300)
-        return ledger
-
-    d1, d2 = tmp_path / "r1", tmp_path / "r2"
-    d1.mkdir(), d2.mkdir()
-    cost_report(build(1.234), d1)
-    cost_report(build(9.876), d2)  # different wall clock, same counts
-    assert (d1 / "cost.csv").read_bytes() == (d2 / "cost.csv").read_bytes()
-    # without tweedie-fm the cheapest method anchors the ratio column
-    assert "count_ratio_vs_a" in (d1 / "cost.csv").read_text()
-
-
-def test_cost_report_rejects_empty_ledger(tmp_path):
-    with pytest.raises(ReportError, match="empty"):
-        cost_report(CostLedger(), tmp_path)

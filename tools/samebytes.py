@@ -20,11 +20,13 @@ oracle's stacked component algebra is compared at K = 3 as well as K = 2.
 gmmkeys sets each config key that no other config sets to a value not its
 default (depth 3, n_freq 4, learning_rate, weight_decay, epsilon and
 dropout_rate), so every key's parse reaches the compared bytes.
-Each config runs every subcommand, the
-``uq --t`` variants and ``oracle-check``. It then compares
+gmmnofm configures only ``mc-dropout ensemble``, so ``cost`` takes the
+cheapest method, not tweedie-fm, as its reference. Each config runs every
+subcommand, the ``uq --t`` variants and ``oracle-check``. It then compares
 every CSV, PGM and ``.fvar`` file and the stdout (with the exit code) of each
 deterministic command. The ``*_summary.txt`` files and the stdout of
-``train`` and ``cost`` hold wall-clock seconds and are not compared.
+``train`` hold wall-clock seconds and are not compared; ``cost`` prints
+only counts and count ratios, and its stdout is.
 
 Prints one line per differing file and a count. A differing CSV with the
 same row count on both sides also names the first-column values (after the
@@ -97,6 +99,8 @@ CONFIGS = {
               5, 6),
     "gmmkeys": ("kind = gmm\nmeans = 0.5 0 ; 3.5 0\nsigma = 0.15", _METHODS,
                 8, 5, 6),
+    "gmmnofm": ("kind = gmm\nmeans = 0.5 0 ; 3.5 0\nsigma = 0.15",
+                ["mc-dropout", "ensemble"], 8, 5, 6),
 }
 # pairs per epoch where not 512: 500 = 7 * 64 + 52, so each epoch ends in a
 # short batch, whose time draw and initial-loss sum are compared too
@@ -127,7 +131,7 @@ MATRIX = (
     (["traj"], True),
     (["consistency", "--n", "8"], True),
     (["ablate-probes", "--S", "4,16", "--replicates", "3"], True),
-    (["cost"], False),
+    (["cost"], True),
 )
 # run on a copy of the trained models, since they rewrite uq_<method>.csv
 T_MATRIX = tuple((["uq", method, "--t", "0.5"], True) for method in _UQ)
