@@ -4,14 +4,16 @@ Each reference derives a quantity by a route the package does not take, so
 that a test can hold the package's own result to it: the central-difference
 JVP, the information-filter form of a one-component posterior, the exact
 bar-coverage law of the toy images. The fixtures build inputs (the default
-mixture task, IDX containers, a training step's buffers) or read outputs
-(graymaps) the way a user's own tools would.
+mixture task, IDX containers, a training step's buffers, a small cost
+run's config) or read outputs (graymaps, the cost files) the way a user's
+own tools would.
 """
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from flowvar.cli import main
 from flowvar.data import GmmTask
 from flowvar.models import StepBuffers
 from flowvar.numerics import NumericsError
@@ -138,3 +140,39 @@ def read_pgm(path) -> np.ndarray:
         raise ReportError(f"raster size mismatch: expected {w * h}, "
                           f"got {len(raster)}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(h, w)
+
+
+COST_INI = """
+[experiment]
+seed = 3
+
+[task]
+kind = gmm
+means = 0.5 0 ; 3.5 0
+sigma = 0.15
+
+[model]
+hidden = 16
+
+[training]
+epochs = 1
+pairs_per_epoch = 256
+batch_size = 64
+
+[methods]
+use = {use}
+ensemble_members = 2
+dropout_passes = 6
+"""
+
+
+def cost_run(root, use, capsys):
+    """(cost.csv rows, cost_summary.txt lines, stdout) of one cost run."""
+    ini = root.parent / f"{root.name}.ini"
+    ini.write_text(COST_INI.format(use=use))
+    capsys.readouterr()
+    assert main(["cost", "--config", str(ini), "--out", str(root)]) == 0
+    rows = [line.split(",") for line in
+            (root / "cost.csv").read_text().splitlines()]
+    return (rows, (root / "cost_summary.txt").read_text().splitlines(),
+            capsys.readouterr().out)

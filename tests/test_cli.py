@@ -24,7 +24,7 @@ from flowvar.numerics import RngState, draw_rademacher
 from flowvar.reporting import format_float
 from flowvar.uq import cov_closed_form
 
-from refs import read_pgm
+from refs import cost_run, read_pgm
 
 FAST_INI = """
 [experiment]
@@ -247,78 +247,13 @@ def test_cost_audit_writes_ledger(workspace):
     assert (out / "cost_summary.txt").exists()
 
 
-COST_INI = """
-[experiment]
-seed = 3
-
-[task]
-kind = gmm
-means = 0.5 0 ; 3.5 0
-sigma = 0.15
-
-[model]
-hidden = 16
-
-[training]
-epochs = 1
-pairs_per_epoch = 256
-batch_size = 64
-
-[methods]
-use = {use}
-ensemble_members = 2
-dropout_passes = 6
-"""
-
-
-def _cost_run(root, use, capsys):
-    """(cost.csv rows, cost_summary.txt lines, stdout) of one cost run."""
-    ini = root.parent / f"{root.name}.ini"
-    ini.write_text(COST_INI.format(use=use))
-    capsys.readouterr()
-    assert main(["cost", "--config", str(ini), "--out", str(root)]) == 0
-    rows = [line.split(",") for line in
-            (root / "cost.csv").read_text().splitlines()]
-    return (rows, (root / "cost_summary.txt").read_text().splitlines(),
-            capsys.readouterr().out)
-
-
-def test_cost_files_carry_counts_and_the_summary_seconds(tmp_path, capsys):
-    """cost.csv holds counts and count ratios only; cost_summary.txt holds
-    one seconds line per method, the wall-clock ratios and the wall time of
-    training all models."""
-    methods = ["tweedie-fm", "tweedie-onestep", "ensemble", "mc-dropout"]
-    rows, summary, stdout = _cost_run(tmp_path / "run", " ".join(methods),
-                                      capsys)
-    assert rows[0] == ["schema", "method", "train_equivalents",
-                       "infer_equivalents", "total_equivalents",
-                       "count_ratio_vs_tweedie-fm"]
-    by_method = {row[1]: row for row in rows[1:]}
-    assert list(by_method) == methods
-    assert by_method["tweedie-fm"][2] == "256"
-    assert by_method["ensemble"][2] == "512"
-    assert all(int(row[2]) + int(row[3]) == int(row[4]) for row in rows[1:])
-    fm_total = int(by_method["tweedie-fm"][4])
-    for row in rows[1:]:
-        assert float(row[5]) == pytest.approx(int(row[4]) / fm_total)
-    assert summary[0] == "wall-clock cost summary (reference: tweedie-fm)"
-    assert [line.split(":")[0] for line in summary[1:5]] == methods
-    assert [line.split(" ")[0] for line in summary[5:8]] == [
-        f"ratio({m}" for m in methods[1:]]
-    assert summary[8].startswith("training wall time, all models: ")
-    assert len(summary) == 9
-    assert stdout.splitlines() == [
-        f"{row[1]}: {row[4]} forward-equivalents "
-        f"({float(row[5]):.3g}x reference)" for row in rows[1:]]
-
-
 def test_cost_csv_and_stdout_are_the_same_bytes_on_a_rerun(tmp_path,
                                                             capsys):
     """Two cost runs take different seconds but write the same cost.csv and
     print the same lines."""
     use = "tweedie-fm ensemble mc-dropout"
-    first = _cost_run(tmp_path / "r1", use, capsys)
-    second = _cost_run(tmp_path / "r2", use, capsys)
+    first = cost_run(tmp_path / "r1", use, capsys)
+    second = cost_run(tmp_path / "r2", use, capsys)
     assert ((tmp_path / "r1" / "cost.csv").read_bytes()
             == (tmp_path / "r2" / "cost.csv").read_bytes())
     assert first[2] == second[2]
@@ -328,7 +263,7 @@ def test_cost_without_tweedie_fm_anchors_the_cheapest_method(tmp_path,
                                                              capsys):
     """Without tweedie-fm the method of fewest counts is the reference,
     though another is listed first."""
-    rows, summary, stdout = _cost_run(tmp_path / "run",
+    rows, summary, stdout = cost_run(tmp_path / "run",
                                       "ensemble mc-dropout", capsys)
     totals = {row[1]: int(row[4]) for row in rows[1:]}
     assert list(totals) == ["ensemble", "mc-dropout"]

@@ -4,7 +4,7 @@ import pytest
 from flowvar.reporting import (SCHEMA_VERSION, ReportError, format_float,
                                write_csv, write_pgm, write_uq_map)
 
-from refs import read_pgm
+from refs import cost_run, read_pgm
 
 
 def test_float_rendering_is_canonical():
@@ -113,3 +113,49 @@ def test_uq_map_reads_estimate_attributes(tmp_path):
         write_uq_map(np.zeros(5), 2, "per-frame", tmp_path / "f.pgm")
     with pytest.raises(ReportError, match="reversed"):
         write_uq_map(np.zeros(4), 2, (1.0, 0.0), tmp_path / "f.pgm")
+
+
+METHODS = ["tweedie-fm", "tweedie-onestep", "ensemble", "mc-dropout"]
+
+
+def test_ledger_accumulates_and_totals(tmp_path, capsys):
+    """The cost command bills a method for every model it trains, and each
+    method's total, in counts and in seconds, is its training plus its
+    inference."""
+    rows, summary, _ = cost_run(tmp_path / "run", " ".join(METHODS), capsys)
+    by_method = {row[1]: row for row in rows[1:]}
+    assert list(by_method) == METHODS
+    assert by_method["tweedie-fm"][2] == "256"
+    assert by_method["ensemble"][2] == "512"  # 2 members x 256 pairs
+    assert all(int(row[2]) + int(row[3]) == int(row[4]) for row in rows[1:])
+    for line in summary[1:5]:
+        seconds = [float(word[:-1]) for word in line.split()
+                   if word.endswith("s") and word[0].isdigit()]
+        train, infer, total = seconds
+        assert train >= 0 and infer >= 0
+        assert total == pytest.approx(train + infer, abs=1.5e-3)
+
+
+def test_cost_report_counts_in_csv_seconds_in_txt(tmp_path, capsys):
+    """cost.csv holds counts and count ratios only; cost_summary.txt holds
+    one seconds line per method, the wall-clock ratios and the wall time of
+    training all models."""
+    rows, summary, stdout = cost_run(tmp_path / "run", " ".join(METHODS),
+                                     capsys)
+    assert rows[0] == ["schema", "method", "train_equivalents",
+                       "infer_equivalents", "total_equivalents",
+                       "count_ratio_vs_tweedie-fm"]
+    assert "seconds" not in (tmp_path / "run" / "cost.csv").read_text()
+    by_method = {row[1]: row for row in rows[1:]}
+    fm_total = int(by_method["tweedie-fm"][4])
+    for row in rows[1:]:
+        assert float(row[5]) == pytest.approx(int(row[4]) / fm_total)
+    assert summary[0] == "wall-clock cost summary (reference: tweedie-fm)"
+    assert [line.split(":")[0] for line in summary[1:5]] == METHODS
+    assert [line.split(" ")[0] for line in summary[5:8]] == [
+        f"ratio({m}" for m in METHODS[1:]]
+    assert summary[8].startswith("training wall time, all models: ")
+    assert len(summary) == 9
+    assert stdout.splitlines() == [
+        f"{row[1]}: {row[4]} forward-equivalents "
+        f"({float(row[5]):.3g}x reference)" for row in rows[1:]]
