@@ -21,8 +21,8 @@ def main():
 
     # exact trace of the mixture marginal covariance, for reference
     mu_bar = spec.weights @ spec.means
-    marg = sum(w * (c + np.outer(m, m))
-               for w, m, c in zip(spec.weights, spec.means, spec.covs))
+    marg = sum(w * (v * np.eye(spec.dim) + np.outer(m, m))
+               for w, m, v in zip(spec.weights, spec.means, spec.variances))
     marg -= np.outer(mu_bar, mu_bar)
     target = float(np.trace(marg))
     print(f"marginal data covariance trace: {target:.6f}\n")

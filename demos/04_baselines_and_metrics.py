@@ -22,8 +22,7 @@ import numpy as np
 def main():
     spec = GmmSpec(weights=np.array([0.5, 0.5]),
                    means=np.array([[0.0, 0.0], [2.5, 0.0]]),
-                   covs=np.stack([0.15 ** 2 * np.eye(2),
-                                  0.6 ** 2 * np.eye(2)]))
+                   variances=np.array([0.15 ** 2, 0.6 ** 2]))
     task = GmmTask(spec)
     arch = MlpArch(dim=2)
     cfg = TrainConfig(seed=RngState(0).split(2), epochs=60,

@@ -150,10 +150,10 @@ class GmmTask:
         return _gmm_sample_pairs(self.spec, rng, n)
 
     def pair_batches(self, rng: RngState, n: int, batch: int):
-        """Views of one whole-epoch draw. The mixture's ``z[idx] @ chol.T``
-        is a GEMM whose rows' bits can depend on the row count at small d,
-        so a per-batch draw would not give ``sample_pairs``' bits; at the
-        mixture's small d the epoch is small too."""
+        """Views of one whole-epoch draw. The component choices and the
+        standard normals come from one generator, one call each, so a
+        per-batch draw would interleave them and not give ``sample_pairs``'
+        bits; at the mixture's small d the epoch is small too."""
         blocks = _blocks(n, batch)
         x0, x1 = self.sample_pairs(rng, n)
         for lo, hi in blocks:

@@ -64,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import RngState
+from .oracle import optimal_velocity_batch, posterior_mean_jacobian
 
 __all__ = [
     "MAX_DEPTH",
@@ -576,9 +577,6 @@ class AnalyticField:
     """
 
     def __init__(self, spec, counter: EvalCounter | None = None):
-        from . import oracle
-
-        self._oracle = oracle
         self.spec = spec
         self.counter = counter if counter is not None else EvalCounter()
 
@@ -589,12 +587,12 @@ class AnalyticField:
     def velocity(self, x, t) -> np.ndarray:
         x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
         self.counter.forwards += x2.shape[0]
-        out = self._oracle.optimal_velocity_batch(self.spec, x2, t)
+        out = optimal_velocity_batch(self.spec, x2, t)
         return out if np.ndim(x) == 2 else out[0]
 
     def _jacobian(self, x, t) -> np.ndarray:
         xv = np.asarray(x, dtype=np.float64).reshape(-1)
-        jm = self._oracle.posterior_mean_jacobian(self.spec, xv[None, :], t)[0]
+        jm = posterior_mean_jacobian(self.spec, xv[None, :], t)[0]
         return (jm - np.eye(self.dim)) / (1.0 - t)
 
     def jacobian(self, x, t) -> np.ndarray:

@@ -76,7 +76,7 @@ def hetero_gmm_task():
     spec = GmmSpec(
         weights=np.array([0.5, 0.5]),
         means=np.array([[0.0, 0.0], [2.5, 0.0]]),
-        covs=np.stack([0.15 ** 2 * np.eye(2), 0.6 ** 2 * np.eye(2)]),
+        variances=np.array([0.15 ** 2, 0.6 ** 2]),
     )
     return GmmTask(spec)
 

@@ -2,8 +2,9 @@
 
 Each reference derives a quantity by a route the package does not take, so
 that a test can hold the package's own result to it: the central-difference
-JVP, the information-filter form of a one-component posterior, the exact
-bar-coverage law of the toy images. The fixtures build inputs (the default
+JVP, the information-filter form of a one-component posterior, the
+general-covariance conjugacy posterior of a mixture, the exact bar-coverage
+law of the toy images. The fixtures build inputs (the default
 mixture task, IDX containers, a training step's buffers, a small cost
 run's config) or read outputs (graymaps, the cost files) the way a user's
 own tools would.
@@ -69,10 +70,53 @@ def single_gaussian_velocity_jacobian(cov, t: float) -> np.ndarray:
     return (gain - np.eye(d)) / (1.0 - t)
 
 
+def general_posterior_terms(weights, means, covs, xts, t: float):
+    """Responsibilities (n, K), posterior mean (n, d) and covariance
+    (n, d, d), marginal score (n, d) and mean-Jacobian (n, d, d) of the
+    mixture of components N(means[k], covs[k]) at interior time t and the
+    (n, d) points xts.
+
+    The general-covariance conjugacy algebra that the package's isotropic
+    oracle specialises, one component at a time: the Cholesky factor L_k of
+    S_k = t^2 Sigma_k + (1-t)^2 I whitens the offset xt - t mu_k, the gain
+    is t Sigma_k S_k^{-1}, the component covariance (1-t)^2 Sigma_k S_k^{-1}
+    and the component score -S_k^{-1}(xt - t mu_k).
+    """
+    (k, d), n = means.shape, xts.shape[0]
+    logj = np.empty((n, k))
+    comp_means, comp_scores = np.empty((k, n, d)), np.empty((k, n, d))
+    gains, comp_covs = np.empty((k, d, d)), np.empty((k, d, d))
+    for j in range(k):
+        s = t * t * covs[j] + (1.0 - t) ** 2 * np.eye(d)
+        chol = np.linalg.cholesky(s)
+        sig_sinv = np.linalg.solve(s, covs[j]).T
+        gains[j] = t * sig_sinv
+        cj = (1.0 - t) ** 2 * sig_sinv
+        comp_covs[j] = 0.5 * (cj + cj.T)
+        diff = xts - t * means[j]
+        white = np.linalg.solve(chol, diff.T)
+        logj[:, j] = (np.log(weights[j]) - 0.5 * (white * white).sum(axis=0)
+                      - np.log(np.diag(chol)).sum()
+                      - 0.5 * d * np.log(2.0 * np.pi))
+        comp_means[j] = means[j] + diff @ gains[j].T
+        comp_scores[j] = -np.linalg.solve(chol.T, white).T
+    shifted = np.exp(logj - logj.max(axis=1)[:, None])
+    resp = shifted / shifted.sum(axis=1, keepdims=True)
+    mean = np.einsum("nk,knd->nd", resp, comp_means)
+    dev = comp_means - mean[None, :, :]
+    cov = np.einsum("nk,kde->nde", resp, comp_covs)
+    cov += np.einsum("nk,knd,kne->nde", resp, dev, dev)
+    score = np.einsum("nk,knd->nd", resp, comp_scores)
+    jac = np.einsum("nk,kde->nde", resp, gains)
+    jac += np.einsum("nk,knd,kne->nde", resp, comp_means, comp_scores)
+    jac -= np.einsum("nd,ne->nde", mean, score)
+    return resp, mean, cov, score, jac
+
+
 def marginal_moments(spec: GmmSpec):
     """Mean and covariance of the mixture itself (the t->0 posterior limit)."""
     mean = spec.weights @ spec.means
-    cov = np.einsum("k,kde->de", spec.weights, spec.covs)
+    cov = (spec.weights @ spec.variances) * np.eye(spec.dim)
     dev = spec.means - mean
     cov = cov + np.einsum("k,kd,ke->de", spec.weights, dev, dev)
     return mean, cov

@@ -35,9 +35,8 @@ def _seeded_spec(rng: RngState, k: int, d: int) -> GmmSpec:
     g = rng.generator()
     means = g.standard_normal((k, d)) * 1.5
     sigs = 0.3 + 0.5 * g.random(k)
-    covs = np.stack([s ** 2 * np.eye(d) for s in sigs])
     w = g.random(k) + 0.5
-    return GmmSpec(weights=w / w.sum(), means=means, covs=covs)
+    return GmmSpec(weights=w / w.sum(), means=means, variances=sigs ** 2)
 
 
 def test_criterion_01_closed_form_matches_conjugacy_oracle(capsys):
@@ -53,7 +52,7 @@ def test_criterion_01_closed_form_matches_conjugacy_oracle(capsys):
             t = float(t)
             for comp in range(k):
                 center = t * spec.means[comp]
-                sig_t = np.sqrt(t * t * spec.covs[comp][0, 0]
+                sig_t = np.sqrt(t * t * spec.variances[comp]
                                 + (1.0 - t) ** 2)
                 offsets = (0.0, -3.0 * sig_t, 3.0 * sig_t)
                 for off in offsets:
@@ -108,9 +107,8 @@ def test_criterion_02_monte_carlo_cross_check(capsys):
         k, d = int(g.integers(1, 4)), int(g.integers(1, 3))
         means = g.standard_normal((k, d)) * 1.5
         sigs = 0.3 + 0.5 * g.random(k)
-        covs = np.stack([s ** 2 * np.eye(d) for s in sigs])
         w = g.random(k) + 0.5
-        spec = GmmSpec(weights=w / w.sum(), means=means, covs=covs)
+        spec = GmmSpec(weights=w / w.sum(), means=means, variances=sigs ** 2)
         t = float(0.2 + 0.6 * g.random())
         x0, x1 = sample_pairs(spec, tr.split(100), 1)
         xt = (t * x1 + (1.0 - t) * x0)[0]
@@ -159,8 +157,8 @@ def test_criterion_04_small_time_limit_is_marginal_covariance(capsys):
     """one_step_cov at eps=1e-6 recovers the mixture marginal covariance."""
     spec = _seeded_spec(RngState(404), 3, 2)
     mu_bar = spec.weights @ spec.means
-    marg = sum(w * (c + np.outer(m, m))
-               for w, m, c in zip(spec.weights, spec.means, spec.covs))
+    marg = sum(w * (v * np.eye(2) + np.outer(m, m))
+               for w, m, v in zip(spec.weights, spec.means, spec.variances))
     marg -= np.outer(mu_bar, mu_bar)
     target = float(np.trace(marg))
     field = analytic_handle(spec)

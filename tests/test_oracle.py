@@ -6,25 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowvar.data import _render_images
 from flowvar.models import EvalCounter, analytic_handle
 from flowvar.numerics import RngState, draw_rademacher
-from flowvar.oracle import (_SYSTEM_SLOTS, GmmSpec, OracleError,
-                            _add_derivatives, _component_system,
-                            _posterior_terms, gmm_posterior,
-                            gmm_posterior_batch, optimal_velocity_batch,
-                            posterior_mean_jacobian, sample_pairs)
+from flowvar.oracle import (GmmSpec, OracleError, _score_and_jacobian,
+                            gmm_posterior, gmm_posterior_batch,
+                            optimal_velocity_batch, posterior_mean_jacobian,
+                            sample_pairs)
 from flowvar.uq import cov_closed_form
 
-from refs import (finite_diff_jvp, marginal_moments,
-                  single_gaussian_posterior,
+from refs import (finite_diff_jvp, general_posterior_terms,
+                  marginal_moments, single_gaussian_posterior,
                   single_gaussian_velocity_jacobian)
 
 
 def _score(spec, xt, t):
     """The interpolant marginal's score at one point, as the oracle's
     derivative terms hold it."""
-    return _posterior_terms(spec, xt[None, :], t,
-                            derivatives=True).score[0].copy()
+    return _score_and_jacobian(spec, xt[None, :], t)[0][0]
 
 
 def _two_comp():
@@ -34,32 +33,36 @@ def _two_comp():
 def test_spec_validation():
     with pytest.raises(OracleError):
         GmmSpec(weights=np.array([0.7, 0.2]), means=np.zeros((2, 1)),
-                covs=np.stack([np.eye(1)] * 2))
-    with pytest.raises(OracleError):
+                variances=np.ones(2))
+    with pytest.raises(OracleError, match="inconsistent mixture shapes"):
+        GmmSpec(weights=np.array([0.5, 0.5]), means=np.zeros((2, 1)),
+                variances=np.ones(3))
+    with pytest.raises(OracleError,
+                       match="^mixture variances must be non-negative$"):
         GmmSpec(weights=np.array([1.0]), means=np.zeros((1, 2)),
-                covs=-np.eye(2)[None])
-    # an all-zero covariance is called zero, not asymmetric
-    with pytest.raises(OracleError, match="covariance 1 is zero"):
-        GmmSpec(weights=np.array([0.5, 0.5]), means=np.zeros((2, 2)),
-                covs=np.stack([np.eye(2), np.zeros((2, 2))]))
+                variances=[-1.0])
+    # a variance of 0 is a point mass, not an error
+    spec = GmmSpec(weights=np.array([0.5, 0.5]), means=np.zeros((2, 2)),
+                   variances=[1.0, 0.0])
+    assert spec.variances.tolist() == [1.0, 0.0]
     # weights whose sum overflows are refused without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OracleError, match="sum to 1"):
             GmmSpec(weights=np.array([1e308, 1e308]), means=np.zeros((2, 1)),
-                    covs=np.stack([np.eye(1)] * 2))
+                    variances=np.ones(2))
 
 
 @pytest.mark.parametrize("field, kwargs", [
     ("weights", {"weights": [np.nan, 1.0]}),
     ("means", {"means": [[np.nan, 0.0], [3.5, 0.0]]}),
     ("means", {"means": [[np.inf, 0.0], [3.5, 0.0]]}),
-    ("covs", {"covs": [np.eye(2), np.full((2, 2), np.inf)]}),
-    ("covs", {"covs": [np.eye(2), np.diag([1.0, np.nan])]}),
+    ("variances", {"variances": [1.0, np.inf]}),
+    ("variances", {"variances": [1.0, np.nan]}),
 ])
 def test_spec_rejects_non_finite_values(field, kwargs):
     good = {"weights": [0.5, 0.5], "means": [[0.5, 0.0], [3.5, 0.0]],
-            "covs": [np.eye(2), np.eye(2)]}
+            "variances": [1.0, 1.0]}
     with pytest.raises(OracleError, match=f"{field} must be finite"):
         GmmSpec(**{**good, **kwargs})
 
@@ -70,7 +73,7 @@ def test_spec_is_a_read_only_copy():
     xt = np.array([0.2, -0.3])
     before = gmm_posterior(spec, xt, 0.4)
     assert not np.shares_memory(spec.means, means)
-    for a in (spec.weights, spec.means, spec.covs, spec._chols):
+    for a in (spec.weights, spec.means, spec.variances):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     means[0] = 7.0
@@ -80,8 +83,8 @@ def test_spec_is_a_read_only_copy():
     # a pickled copy is rebuilt: read-only again, same posterior
     copy = pickle.loads(pickle.dumps(spec))
     assert not copy.means.flags.writeable
-    assert not copy._chols.flags.writeable
-    assert np.array_equal(copy._chols, spec._chols)
+    assert not copy.variances.flags.writeable
+    assert np.array_equal(copy.variances, spec.variances)
     assert np.array_equal(gmm_posterior(copy, xt, 0.4).covariance,
                           before.covariance)
 
@@ -90,9 +93,16 @@ def _three_comp():
     return GmmSpec(weights=np.array([0.2, 0.5, 0.3]),
                    means=np.array([[0.0, 1.0, 2.0], [-1.0, 0.5, 0.0],
                                    [2.0, -1.0, 1.0]]),
-                   covs=np.stack([0.3 * np.eye(3), np.diag([0.2, 0.5, 1.0]),
-                                  np.array([[1.0, 0.3, 0.0], [0.3, 0.5, 0.1],
-                                            [0.0, 0.1, 0.4]])]))
+                   variances=np.array([0.3, 0.2, 0.7]))
+
+
+def _seeded(k, d, seed):
+    """K components of unequal weights and variances in d dimensions."""
+    gen = np.random.default_rng(seed)
+    weights = gen.uniform(0.5, 1.5, k)
+    return GmmSpec(weights=weights / weights.sum(),
+                   means=gen.standard_normal((k, d)),
+                   variances=gen.uniform(0.05, 0.5, k))
 
 
 def _queries(spec, x, t, probes):
@@ -137,12 +147,13 @@ def test_memoised_spec_matches_a_fresh_one(make):
 
 
 def test_memos_stay_bounded_over_distinct_times():
+    """A 1,000-step Euler run, a new time at every step, leaves one entry:
+    the terms of the last point."""
     spec = _two_comp()
     field = analytic_handle(spec)
     x = np.array([0.1, 0.2])
     for t in np.linspace(0.01, 0.99, 1000):
         x = x + 1e-3 * field.velocity(x, t)
-    assert 0 < len(spec._systems) <= _SYSTEM_SLOTS
     assert len(spec._states) == 1
 
 
@@ -163,9 +174,9 @@ def test_analytic_counts_unchanged_on_a_memo_hit():
 
 def test_single_gaussian_matches_mixture_k1():
     rng = np.random.default_rng(0)
-    cov = np.array([[0.5, 0.2], [0.2, 0.4]])
     mean = np.array([0.3, -0.7])
-    spec = GmmSpec(weights=np.array([1.0]), means=mean[None], covs=cov[None])
+    spec = GmmSpec(weights=np.array([1.0]), means=mean[None], variances=0.45)
+    cov = 0.45 * np.eye(2)
     for t in (0.1, 0.5, 0.9):
         xt = rng.standard_normal(2)
         post = gmm_posterior(spec, xt, t)
@@ -200,7 +211,7 @@ def test_responsibilities_shift_invariance_of_covariance():
     # translating the whole mixture translates means but not covariances
     spec = _two_comp()
     shifted = GmmSpec(weights=spec.weights, means=spec.means + 5.0,
-                      covs=spec.covs)
+                      variances=spec.variances)
     xt = np.array([0.3, 0.1])
     t = 0.5
     a = gmm_posterior(spec, xt, t)
@@ -269,9 +280,9 @@ def test_posterior_mean_jacobian_vs_finite_differences():
 
 
 def test_single_gaussian_velocity_jacobian_k1_consistency():
-    cov = np.array([[0.3, 0.1], [0.1, 0.5]])
     spec = GmmSpec(weights=np.array([1.0]), means=np.zeros((1, 2)),
-                   covs=cov[None])
+                   variances=0.3)
+    cov = 0.3 * np.eye(2)
     t = 0.6
     jv = single_gaussian_velocity_jacobian(cov, t)
     jm = posterior_mean_jacobian(spec, np.array([[0.2, -0.1]]), t)[0]
@@ -287,16 +298,20 @@ def test_marginal_moments_match_sampling():
 
 
 def test_sample_pairs_draw_through_the_kept_factors():
-    """The spec's validation factors give the bits of factoring each
-    component's covariance on every call."""
-    spec = _anisotropic(3, 4, 2)
+    """Each x1 is mu_j + sqrt(v_j) z, bit for bit; those are also the bits
+    of z's product with the Cholesky factor of v_j I, which draws of the
+    general-covariance form took."""
+    spec = _seeded(3, 4, 2)
     x0, x1 = sample_pairs(spec, RngState(6), 40)
     g1 = RngState(6).split(1).generator()
     comps = g1.choice(3, size=40, p=spec.weights)
     z = g1.standard_normal((40, 4))
     for j in range(3):
         idx = comps == j
-        chol = np.linalg.cholesky(spec.covs[j])
+        assert np.any(idx)
+        v = spec.variances[j]
+        assert np.array_equal(x1[idx], spec.means[j] + np.sqrt(v) * z[idx])
+        chol = np.linalg.cholesky(v * np.eye(4))
         assert np.array_equal(x1[idx], spec.means[j] + z[idx] @ chol.T)
     assert np.array_equal(x0, RngState(6).split(0).generator()
                           .standard_normal((40, 4)))
@@ -310,78 +325,50 @@ def test_sample_pairs_deterministic_and_shaped():
     assert a0.shape == (32, 2) and a1.shape == (32, 2)
 
 
-# ---- the stacked component algebra against per-component loops -------------
-
-
-def _loop_system(spec, t):
-    """Per-component restatement of the component system: one Cholesky, one
-    solve and one log-determinant per component."""
-    k, d = spec.n_components, spec.dim
-    chols, gains = np.empty((k, d, d)), np.empty((k, d, d))
-    comp_covs, logdets = np.empty((k, d, d)), np.empty(k)
-    for j in range(k):
-        s = t * t * spec.covs[j] + (1.0 - t) ** 2 * np.eye(d)
-        chols[j] = np.linalg.cholesky(s)
-        sig_sinv = np.linalg.solve(s, spec.covs[j]).T
-        gains[j] = t * sig_sinv
-        cj = (1.0 - t) ** 2 * sig_sinv
-        comp_covs[j] = 0.5 * (cj + cj.T)
-        logdets[j] = np.log(np.diag(chols[j])).sum()
-    return chols, gains, comp_covs, logdets
-
-
-def _loop_terms(spec, xts, t):
-    """Per-component restatement of the posterior terms: responsibilities,
-    component means, posterior mean, score and mean-Jacobian."""
-    chols, gains, _, logdets = _loop_system(spec, t)
-    n, (k, d) = xts.shape[0], (spec.n_components, spec.dim)
-    logj, white = np.empty((n, k)), np.empty((k, d, n))
-    for j in range(k):
-        white[j] = np.linalg.solve(chols[j], (xts - t * spec.means[j]).T)
-        y = white[j].T
-        logj[:, j] = (np.log(spec.weights[j]) - 0.5 * (y * y).sum(axis=1)
-                      - logdets[j] - 0.5 * d * np.log(2.0 * np.pi))
-    shifted = np.exp(logj - logj.max(axis=1)[:, None])
-    resp = shifted / shifted.sum(axis=1, keepdims=True)
-    comp_means, comp_scores = np.empty((k, n, d)), np.empty((k, n, d))
-    for j in range(k):
-        comp_means[j] = spec.means[j] + (xts - t * spec.means[j]) @ gains[j].T
-        comp_scores[j] = -np.linalg.solve(chols[j].T, white[j]).T
-    mean = np.einsum("nk,knd->nd", resp, comp_means)
-    score = np.einsum("nk,knd->nd", resp, comp_scores)
-    jac = np.einsum("nk,kde->nde", resp, gains)
-    jac += np.einsum("nk,knd,kne->nde", resp, comp_means, comp_scores)
-    jac -= np.einsum("nd,ne->nde", mean, score)
-    return resp, comp_means, mean, score, jac
-
-
-def _anisotropic(k, d, seed):
-    gen = np.random.default_rng(seed)
-    a = gen.standard_normal((k, d, d))
-    covs = 0.2 * a @ a.swapaxes(1, 2) / d + 0.05 * np.eye(d)
-    weights = gen.uniform(0.5, 1.5, k)
-    return GmmSpec(weights=weights / weights.sum(),
-                   means=gen.standard_normal((k, d)), covs=covs)
+# ---- the isotropic algebra against general-covariance references -------------
 
 
 @pytest.mark.parametrize("make", [_two_comp, _three_comp,
-                                  lambda: _anisotropic(9, 8, 11)],
+                                  lambda: _seeded(9, 8, 11)],
                          ids=["k2d2", "k3d3", "k9d8"])
 @pytest.mark.parametrize("n", [1, 4])
 def test_stacked_terms_match_component_loops(make, n):
-    """Every component system and posterior term is the per-component
-    loop's bits: the stacked factorizations and solves run the same LAPACK
-    routine on each matrix, and each term keeps its memory layout, so its
-    reductions sum in the same order. K = 9 fills and spills an 8-wide
-    vector register in the stacked logarithms."""
+    """Every posterior term, computed for all components at once from the
+    scalars s_k = t^2 v_k + (1-t)^2, is the per-component Cholesky algebra
+    of the covariances v_k I within 1e-12 relative: responsibilities,
+    posterior mean and covariance, score and mean-Jacobian."""
     spec = make()
+    covs = spec.variances[:, None, None] * np.eye(spec.dim)
     x = np.random.default_rng(n).standard_normal((n, spec.dim))
     for t in (0.2, 0.55, 0.9):
-        system = _component_system(spec, t)
-        terms = _posterior_terms(spec, x, t)
-        _add_derivatives(terms, *system[:2])
-        got = (terms.resp, terms.comp_means, terms.mean, terms.score,
-               terms.jac)
-        for a, b in zip(system + got, _loop_system(spec, t)
-                        + _loop_terms(spec, x, t)):
-            assert a.flags.c_contiguous and np.array_equal(a, b)
+        means, cov, resp = gmm_posterior_batch(spec, x, t)
+        got = (resp, means, cov, *_score_and_jacobian(spec, x, t))
+        ref = general_posterior_terms(spec.weights, spec.means, covs, x, t)
+        for a, b in zip(got, ref, strict=True):
+            assert a.shape == b.shape
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+# ---- point masses ------------------------------------------------------------
+
+
+def test_point_masses_on_bars8_placements():
+    """bars8's 5 rendered images as a mixture of point masses: the posterior
+    mean is a softmax over the images, and the covariance is the limit of
+    components N(image, sigma^2 I) as sigma goes to 0."""
+    images = _render_images("bars", 8, np.arange(5))
+    k, d = images.shape
+    spec = GmmSpec(weights=np.full(k, 1.0 / k), means=images,
+                   variances=np.zeros(k))
+    narrow = GmmSpec.isotropic(images, 1e-6)
+    gen = np.random.default_rng(8)
+    for t in (0.1, 0.3, 0.5):
+        xt = t * images[2] + (1.0 - t) * gen.standard_normal(d)
+        logits = -((xt - t * images) ** 2).sum(axis=1) / (2 * (1 - t) ** 2)
+        soft = np.exp(logits - logits.max())
+        soft /= soft.sum()
+        post = gmm_posterior(spec, xt, t)
+        np.testing.assert_allclose(post.mean, soft @ images, rtol=0,
+                                   atol=1e-12)
+        ref = gmm_posterior(narrow, xt, t).covariance
+        assert np.abs(post.covariance - ref).max() <= 1e-9

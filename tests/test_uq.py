@@ -279,9 +279,7 @@ def test_full_from_the_field_jacobian(d, hidden, activation):
     GmmSpec(weights=np.array([0.2, 0.3, 0.5]),
             means=np.array([[0.5, 0.0, 1.0], [3.5, 0.0, 0.0],
                             [2.0, 1.5, -1.0]]),
-            covs=np.stack([np.diag([0.1, 0.4, 0.2]), 0.3 * np.eye(3),
-                           np.array([[0.5, 0.2, 0.0], [0.2, 0.3, 0.1],
-                                     [0.0, 0.1, 0.2]])])),
+            variances=np.array([0.1, 0.3, 0.2])),
 ], ids=["normal3", "gmm2d", "k3d3"])
 def test_full_from_the_analytic_jacobian(spec):
     counter = EvalCounter()

@@ -16,7 +16,8 @@ in a short batch. Every model has 32 hidden units and tanh but those of
 bars128, which has the presets' 128 hidden units and 64 probes (so its
 probe blocks take the basis-tangent route at d = 64), and gmmrelu, which
 uses relu. gmmk3 is a gmm of three unequally weighted components, so the
-oracle's stacked component algebra is compared at K = 3 as well as K = 2.
+mixture's component draw and the oracle's posterior are compared at K = 3
+as well as K = 2.
 gmmkeys sets each config key that no other config sets to a value not its
 default (depth 3, n_freq 4, learning_rate, weight_decay, epsilon and
 dropout_rate), so every key's parse reaches the compared bytes.
